@@ -23,6 +23,7 @@ from .errors import (
     QuasileibError,
     SquareLambda,
     UnsupportedField,
+    VerificationFailed,
 )
 from .fields import (
     GF2,

@@ -33,20 +33,22 @@ from .linalg import (
     echelonize,
     enumerate_subspaces,
     full_subspace,
-    left_kernel,
+    raw_echelonize,
+    raw_identity,
+    raw_left_kernel,
+    require_enumerable,
     unit_vec,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
     zero_subspace,
-    zero_vec,
 )
 
 
 class MultiplicationTable:
-    """Raw structure constants; no identity is promised."""
+    """Structure constants; no identity is promised.
 
-    __slots__ = ("field", "dim", "cube", "basis_names")
+    ``cube`` holds the products as scalars, ``raw`` the same cube as raw
+    field values, which the kernels compute on."""
+
+    __slots__ = ("field", "dim", "cube", "raw", "basis_names")
 
     def __init__(self, field: Field, dim: int, cube, basis_names=None):
         cube = tuple(tuple(tuple(v) for v in row) for row in cube)
@@ -54,11 +56,7 @@ class MultiplicationTable:
             len(row) != dim or any(len(v) != dim for v in row) for row in cube
         ):
             raise DimensionMismatch(f"cube is not {dim}x{dim}x{dim}")
-        for row in cube:
-            for v in row:
-                for s in v:
-                    if not isinstance(s, Scalar) or s.field != field:
-                        raise MixedFields("cube entries must be scalars of the field")
+        self.raw = tuple(tuple(field.unwrap(v) for v in row) for row in cube)
         if basis_names is None:
             basis_names = tuple(f"e{i+1}" for i in range(dim))
         if len(basis_names) != dim:
@@ -72,13 +70,26 @@ class MultiplicationTable:
         if not isinstance(other, MultiplicationTable):
             return NotImplemented
         return (
-            self.field == other.field
-            and self.dim == other.dim
-            and self.cube == other.cube
+            self.dim == other.dim
+            and self.raw == other.raw
+            and self.field == other.field
         )
 
     def __hash__(self):
-        return hash((self.field, self.dim, self.cube))
+        return hash((self.dim, self.raw))
+
+    def raw_bracket(self, u: tuple, v: tuple) -> tuple:
+        """[u, v] for raw vectors: sum of u_i v_j [e_i, e_j]."""
+        field = self.field
+        axpy, mul, zero = field.raw_axpy, field.raw_mul, field.raw_zero
+        out = [zero] * self.dim
+        for ui, row in zip(u, self.raw):
+            if ui == zero:
+                continue
+            for vj, w in zip(v, row):
+                if vj != zero:
+                    out = axpy(mul(ui, vj), out, w)
+        return tuple(out)
 
     def __repr__(self):
         return f"<table dim {self.dim} over {self.field}>"
@@ -105,21 +116,28 @@ def table_from_json(obj) -> MultiplicationTable:
     if not isinstance(dim, int) or dim < 0:
         raise MalformedInput(f"bad dimension: {dim!r}")
     raw = obj["table"]
-    if len(raw) != dim or any(
-        len(row) != dim or any(len(v) != dim for v in row) for row in raw
+    nested = lambda x: isinstance(x, list) and len(x) == dim
+    if not (
+        nested(raw)
+        and all(nested(row) for row in raw)
+        and all(nested(v) for row in raw for v in row)
     ):
-        raise MalformedInput("table is not a dim^3 cube")
+        raise MalformedInput(f"table is not a {dim}x{dim}x{dim} cube of nested lists")
     cube = tuple(
         tuple(tuple(field.decode(s) for s in v) for v in row) for row in raw
     )
     names = obj.get("basis_names")
+    if names is not None and not (
+        isinstance(names, list) and all(isinstance(x, str) for x in names)
+    ):
+        raise MalformedInput("basis_names must be a list of strings")
     return MultiplicationTable(field, dim, cube, names)
 
 
 def build_table(field: Field, basis_names, products) -> MultiplicationTable:
     """Table from a sparse product map {(i, j): {k: coeff}}."""
     n = len(basis_names)
-    cube = [[list(zero_vec(field, n)) for _ in range(n)] for _ in range(n)]
+    cube = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
     for (i, j), entry in products.items():
         for k, coeff in entry.items():
             cube[i][j][k] = coeff if isinstance(coeff, Scalar) else field(coeff)
@@ -150,24 +168,6 @@ class ValidationResult:
         return out
 
 
-def _bracket_cube(cube, u: tuple, v: tuple, field: Field) -> tuple:
-    n = len(u)
-    out = list(zero_vec(field, n))
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        row = cube[i]
-        for j, vj in enumerate(v):
-            if not vj:
-                continue
-            c = ui * vj
-            w = row[j]
-            for k in range(n):
-                if w[k]:
-                    out[k] = out[k] + c * w[k]
-    return tuple(out)
-
-
 def validate(table: MultiplicationTable, mode: str = "right") -> ValidationResult:
     """Check the chosen identity on all basis triples.
 
@@ -177,33 +177,34 @@ def validate(table: MultiplicationTable, mode: str = "right") -> ValidationResul
     """
     if mode not in ("right", "left", "lie"):
         raise ValueError(f"unknown mode {mode!r}")
-    field, n, cube = table.field, table.dim, table.cube
+    field, n, cube = table.field, table.dim, table.raw
+    add, neg, zero = field.raw_add, field.raw_neg, field.raw_zero
     if mode == "lie":
         for i in range(n):
-            if not vec_is_zero(cube[i][i]):
-                return ValidationResult(False, mode, (i, i), cube[i][i], None)
+            if any(x != zero for x in cube[i][i]):
+                return ValidationResult(False, mode, (i, i), table.cube[i][i], None)
         for i in range(n):
             for j in range(i + 1, n):
-                if not vec_is_zero(vec_sub(cube[i][j], vec_scale(-field.one, cube[j][i]))):
-                    return ValidationResult(False, mode, (i, j), cube[i][j], cube[j][i])
-    br = lambda u, v: _bracket_cube(cube, u, v, field)
-    for i in range(n):
-        ei = unit_vec(field, n, i)
-        for j in range(n):
-            ej = unit_vec(field, n, j)
-            for k in range(n):
-                ek = unit_vec(field, n, k)
-                lhs = br(ei, cube[j][k])
-                if mode == "left":
-                    rhs = tuple(
-                        a + b for a, b in zip(br(cube[i][j], ek), br(ej, cube[i][k]))
+                if any(add(a, b) != zero for a, b in zip(cube[i][j], cube[j][i])):
+                    return ValidationResult(
+                        False, mode, (i, j), table.cube[i][j], table.cube[j][i]
                     )
+    br = table.raw_bracket
+    unit = raw_identity(field, n)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = br(unit[i], cube[j][k])
+                if mode == "left":
+                    rhs = tuple(map(add, br(cube[i][j], unit[k]), br(unit[j], cube[i][k])))
                 else:
                     rhs = tuple(
-                        a - b for a, b in zip(br(cube[i][j], ek), br(cube[i][k], ej))
+                        map(add, br(cube[i][j], unit[k]), map(neg, br(cube[i][k], unit[j])))
                     )
                 if lhs != rhs:
-                    return ValidationResult(False, mode, (i, j, k), lhs, rhs)
+                    return ValidationResult(
+                        False, mode, (i, j, k), field.wrap(lhs), field.wrap(rhs)
+                    )
     return ValidationResult(True, mode)
 
 
@@ -238,7 +239,15 @@ class LeibnizAlgebra:
     def bracket(self, u: tuple, v: tuple) -> tuple:
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch("vectors must live in the algebra")
-        return _bracket_cube(self.table.cube, u, v, self.field)
+        field = self.field
+        return field.wrap(self.table.raw_bracket(field.unwrap(u), field.unwrap(v)))
+
+    def check_subspace(self, s: Subspace):
+        """Raise unless s is a subspace of this algebra's underlying space."""
+        if s.ambient_dim != self.dim:
+            raise DimensionMismatch("subspaces must live in the algebra")
+        if s.field != self.field:
+            raise MixedFields(f"{s.field} vs {self.field}")
 
     def full(self) -> Subspace:
         return full_subspace(self.field, self.dim)
@@ -272,42 +281,49 @@ def adjoint(alg: LeibnizAlgebra, x: tuple, side: str = "right") -> tuple:
 
 def squares_ideal(alg: LeibnizAlgebra) -> Subspace:
     """span{x*x : x in L}: basis squares plus polarized products."""
-    cube = alg.table.cube
+    cube, add = alg.table.raw, alg.field.raw_add
     gens = [cube[i][i] for i in range(alg.dim)]
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            gens.append(tuple(a + b for a, b in zip(cube[i][j], cube[j][i])))
-    return echelonize(alg.field, alg.dim, gens)
+            gens.append(tuple(map(add, cube[i][j], cube[j][i])))
+    return raw_echelonize(alg.field, alg.dim, gens)
 
 
 def bracket_subspaces(alg: LeibnizAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != alg.dim or b.ambient_dim != alg.dim:
-        raise DimensionMismatch("subspaces must live in the algebra")
-    gens = [alg.bracket(u, v) for u in a.rows for v in b.rows]
-    return echelonize(alg.field, alg.dim, gens)
+    alg.check_subspace(a)
+    alg.check_subspace(b)
+    br = alg.table.raw_bracket
+    gens = [br(u, v) for u in a.raw_rows for v in b.raw_rows]
+    return raw_echelonize(alg.field, alg.dim, gens)
 
 
 def center(alg: LeibnizAlgebra) -> Subspace:
     """{v : [v, L] = [L, v] = 0}, computed as a left kernel."""
-    cube = alg.table.cube
+    cube = alg.table.raw
     rows = []
     for i in range(alg.dim):
         flat = []
         for j in range(alg.dim):
             flat.extend(cube[i][j])
             flat.extend(cube[j][i])
-        rows.append(tuple(flat))
-    return left_kernel(alg.field, rows)
+        rows.append(flat)
+    return raw_left_kernel(alg.field, rows)
 
 
 def is_subalgebra(alg: LeibnizAlgebra, s: Subspace) -> bool:
-    return s.contains(bracket_subspaces(alg, s, s))
+    alg.check_subspace(s)
+    br = alg.table.raw_bracket
+    return all(s.raw_contains(br(u, v)) for u in s.raw_rows for v in s.raw_rows)
 
 
 def is_ideal(alg: LeibnizAlgebra, s: Subspace) -> bool:
-    full = alg.full()
-    two_sided = bracket_subspaces(alg, s, full).sum(bracket_subspaces(alg, full, s))
-    return s.contains(two_sided)
+    alg.check_subspace(s)
+    br, units = alg.table.raw_bracket, raw_identity(alg.field, alg.dim)
+    return all(
+        s.raw_contains(br(u, e)) and s.raw_contains(br(e, u))
+        for u in s.raw_rows
+        for e in units
+    )
 
 
 def subalgebra_closure(alg: LeibnizAlgebra, s: Subspace) -> Subspace:
@@ -372,12 +388,21 @@ def is_symmetric(alg: LeibnizAlgebra) -> bool:
 
 
 def subalgebras(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
-    """All bracket-closed subspaces, over a finite prime field."""
-    return [
-        s
-        for s in enumerate_subspaces(alg.field, alg.dim, budget=budget)
-        if is_subalgebra(alg, s)
-    ]
+    """All bracket-closed subspaces, over a finite prime field.
+
+    The list is computed once per algebra; every call still checks the
+    budget and returns a fresh list."""
+    found = alg._cache.get("subalgebras")
+    if found is None:
+        found = [
+            s
+            for s in enumerate_subspaces(alg.field, alg.dim, budget=budget)
+            if is_subalgebra(alg, s)
+        ]
+        alg._cache["subalgebras"] = found
+    else:
+        require_enumerable(alg.field, alg.dim, budget, f"subspaces of F^{alg.dim}")
+    return list(found)
 
 
 # ---------------------------------------------------------------------------
@@ -411,22 +436,15 @@ def quotient(alg: LeibnizAlgebra, j: Subspace) -> QuotientAlgebra:
     if not is_ideal(alg, j):
         raise NotAnIdeal("quotient by a non-ideal")
     comp = j.non_pivots()
-    m = len(comp)
     field = alg.field
 
     def project(v):
-        r = j.reduce(v)
-        return tuple(r[c] for c in comp)
+        r = j.raw_reduce(v)
+        return field.wrap([r[c] for c in comp])
 
-    cube = [
-        [
-            project(alg.bracket(alg.basis_vector(a), alg.basis_vector(b)))
-            for b in comp
-        ]
-        for a in comp
-    ]
+    cube = [[project(alg.table.raw[a][b]) for b in comp] for a in comp]
     names = tuple(alg.basis_names[c] for c in comp)
-    table = MultiplicationTable(field, m, cube, names)
+    table = MultiplicationTable(field, len(comp), cube, names)
     quot = LeibnizAlgebra(table)
-    projection = tuple(project(alg.basis_vector(i)) for i in range(alg.dim))
+    projection = tuple(project(e) for e in raw_identity(field, alg.dim))
     return QuotientAlgebra(alg, j, quot, projection)

@@ -56,9 +56,11 @@ from .fields import Field, PrimeField
 from .linalg import (
     DEFAULT_BUDGET,
     Subspace,
-    apply_row,
     echelonize,
     projective_points,
+    raw_combination,
+    raw_identity,
+    raw_rref,
     rref,
     unit_vec,
     vec_scale,
@@ -378,14 +380,17 @@ def algebra_invariants(alg: LeibnizAlgebra) -> tuple:
 
 @lru_cache(maxsize=8)
 def _general_linear(p: int, n: int):
+    """Every invertible n x n matrix over GF(p) paired with its inverse, as
+    raw rows: [P | I] row-reduces to [I | P^-1] exactly when P is
+    invertible."""
     field = PrimeField(p)
     out = []
-    elems = list(field.elements())
-    for flat in itertools.product(elems, repeat=n * n):
-        rows = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
-        _, pivots = rref(field, rows, n)
-        if len(pivots) == n:
-            out.append(rows)
+    identity = raw_identity(field, n)
+    for flat in itertools.product(range(p), repeat=n * n):
+        rows = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        reduced, pivots = raw_rref(field, [r + e for r, e in zip(rows, identity)], 2 * n)
+        if pivots == tuple(range(n)):
+            out.append((rows, tuple(r[n:] for r in reduced)))
     return tuple(out)
 
 
@@ -410,18 +415,14 @@ def are_isomorphic(
         raise BudgetExceeded("base-change space exceeds budget")
     if algebra_invariants(a) != algebra_invariants(b):
         return False
-    n = a.dim
-    cube = a.table.cube
-    for p in _general_linear(a.field.p, n):
-        ok = True
-        for i in range(n):
-            if not ok:
-                break
-            for j in range(n):
-                if b.bracket(p[i], p[j]) != apply_row(cube[i][j], p):
-                    ok = False
-                    break
-        if ok:
+    n, field = a.dim, a.field
+    cube, br = a.table.raw, b.table.raw_bracket
+    for p, _ in _general_linear(field.p, n):
+        if all(
+            br(p[i], p[j]) == raw_combination(field, cube[i][j], p, n)
+            for i in range(n)
+            for j in range(n)
+        ):
             return True
     return False
 
@@ -434,16 +435,13 @@ def canonical_table_key(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> tu
     n = alg.dim
     if alg.field.order ** (n * n) > budget:
         raise BudgetExceeded("base-change space exceeds budget")
-    cube = alg.table.cube
+    field, br = alg.field, alg.table.raw_bracket
     best = None
-    for p in _general_linear(alg.field.p, n):
-        pinv = _mat_inverse(alg.field, p)
+    for p, pinv in _general_linear(field.p, n):
         flat = []
         for i in range(n):
             for j in range(n):
-                flat.extend(
-                    s.value for s in apply_row(alg.bracket(p[i], p[j]), pinv)
-                )
+                flat.extend(raw_combination(field, br(p[i], p[j]), pinv, n))
         key = tuple(flat)
         if best is None or key < best:
             best = key
@@ -513,7 +511,6 @@ class CensusReport:
     dim: int
     mode: str
     seed: int | None
-    workers_used: int
     totals: dict
     classes: list
     dim_i_distribution: dict
@@ -642,7 +639,6 @@ def sweep_tables(
         dim=dim,
         mode=mode if mode == "exhaustive" else f"sample({sample_size})",
         seed=seed if mode == "sample" else None,
-        workers_used=workers,
         totals={"scanned": scanned, "valid": valid, "classes": len(classes)},
         classes=classes,
         dim_i_distribution=dim_i_distribution,

@@ -27,7 +27,7 @@ from .algebra import (
     table_from_json,
     validate,
 )
-from .errors import QuasileibError
+from .errors import MalformedInput, QuasileibError
 from .fields import parse_field, parse_scalar
 from .linalg import DEFAULT_BUDGET, echelonize
 from .quasi import core, is_quasi_ideal, quasi_ideals
@@ -48,6 +48,8 @@ def _load_table(path):
 
 def _load_subspace(alg, path):
     gens = _load_json(path)
+    if not (isinstance(gens, list) and all(isinstance(row, list) for row in gens)):
+        raise MalformedInput("a subspace file is a list of generator lists")
     vectors = [tuple(alg.field.decode(s) for s in row) for row in gens]
     return echelonize(alg.field, alg.dim, vectors)
 

@@ -61,3 +61,8 @@ class PreconditionUnverified(QuasileibError):
 
 class MalformedInput(QuasileibError):
     """A JSON document does not match the expected file format."""
+
+
+class VerificationFailed(QuasileibError):
+    """A computed result failed its own independent re-check; this is a
+    defect of the package, not of the input."""

@@ -36,6 +36,7 @@ from .errors import (
     IsotropicForm,
     SquareLambda,
     UnsupportedField,
+    VerificationFailed,
 )
 from .fields import (
     GF2,
@@ -100,7 +101,8 @@ def artin_schreier_root(field: FunctionField, d: Scalar):
         if c:
             n = poly_add(2, n, tk)
     y = field.from_polys(n, m)
-    assert y * y + y == d
+    if y * y + y != d:
+        raise VerificationFailed(f"{y} is not a root of y^2 + y = {d}")
     return y
 
 

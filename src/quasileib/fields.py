@@ -343,6 +343,7 @@ class Field:
 
     # raw-value arithmetic, implemented per kind
     raw_zero = None
+    raw_one = None
 
     def raw_add(self, a, b):
         raise NotImplementedError
@@ -355,6 +356,11 @@ class Field:
 
     def raw_inv(self, a):
         raise NotImplementedError
+
+    def raw_axpy(self, c, x, y) -> list:
+        """x + c*y for raw vectors x and y."""
+        add, mul, zero = self.raw_add, self.raw_mul, self.raw_zero
+        return [a if b == zero else add(a, mul(c, b)) for a, b in zip(x, y)]
 
     def raw_is_square(self, a) -> bool:
         raise NotImplementedError
@@ -377,7 +383,24 @@ class Field:
 
     @property
     def one(self) -> Scalar:
-        return Scalar(self, self.canon(1))
+        return Scalar(self, self.raw_one)
+
+    # The linear-algebra kernels compute on raw values; these two convert
+    # vectors at the edge where scalars come in and go out.
+
+    def unwrap(self, vector) -> tuple:
+        """The raw values of a vector of scalars.  Every entry, zero or not,
+        must be a scalar of this field."""
+        out = []
+        for s in vector:
+            if not isinstance(s, Scalar) or (s.field is not self and s.field != self):
+                raise MixedFields(f"{self} vs {getattr(s, 'field', type(s).__name__)}")
+            out.append(s.value)
+        return tuple(out)
+
+    def wrap(self, raw) -> tuple:
+        """A vector of scalars from raw values."""
+        return tuple([Scalar(self, a) for a in raw])
 
     def to_json(self):
         raise NotImplementedError
@@ -389,6 +412,7 @@ class PrimeField(Field):
     kind = "prime"
     is_finite = True
     raw_zero = 0
+    raw_one = 1
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -459,6 +483,7 @@ class RationalField(Field):
 
     kind = "rationals"
     raw_zero = Fraction(0)
+    raw_one = Fraction(1)
 
     def canon(self, value):
         if isinstance(value, Scalar):
@@ -525,6 +550,7 @@ class FunctionField(Field):
 
     kind = "rational_function"
     raw_zero = ((), (1,))
+    raw_one = ((1,), (1,))
 
     def __init__(self, p: int, var: str = "t"):
         if not is_prime(p):

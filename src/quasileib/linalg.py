@@ -4,6 +4,11 @@ Vectors are tuples of scalars and matrices are tuples of row vectors; all
 operators act on row vectors from the right, so ``apply_row(v, M)`` is
 ``v @ M``.  A :class:`Subspace` stores the reduced row-echelon basis of a
 row space, which makes subspace equality structural equality.
+
+The ``raw_*`` functions and methods are the kernels: they take and return
+tuples of raw field values (``Field.unwrap``) and compute with the field's
+``raw_*`` arithmetic, one code path for every field kind.  The functions
+without the prefix are the scalar edge over them.
 """
 
 from __future__ import annotations
@@ -24,18 +29,9 @@ def vec(field: Field, values) -> tuple:
     return tuple(v if isinstance(v, Scalar) else field(v) for v in values)
 
 
-def zero_vec(field: Field, n: int) -> tuple:
-    z = field.zero
-    return (z,) * n
-
-
 def unit_vec(field: Field, n: int, i: int) -> tuple:
     z, o = field.zero, field.one
     return tuple(o if j == i else z for j in range(n))
-
-
-def vec_add(u: tuple, v: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def vec_sub(u: tuple, v: tuple) -> tuple:
@@ -46,16 +42,8 @@ def vec_scale(c: Scalar, u: tuple) -> tuple:
     return tuple(c * a for a in u)
 
 
-def vec_is_zero(u: tuple) -> bool:
-    return all(not a for a in u)
-
-
 def mat_identity(field: Field, n: int) -> tuple:
     return tuple(unit_vec(field, n, i) for i in range(n))
-
-
-def mat_transpose(a: tuple) -> tuple:
-    return tuple(zip(*a)) if a else ()
 
 
 def apply_row(v: tuple, a: tuple) -> tuple:
@@ -64,35 +52,9 @@ def apply_row(v: tuple, a: tuple) -> tuple:
         raise DimensionMismatch(f"vector of length {len(v)} vs {len(a)} rows")
     if not a:
         return ()
-    ncols = len(a[0])
-    out = [v[0] * a[0][j] for j in range(ncols)]
-    for i in range(1, len(a)):
-        vi = v[i]
-        if not vi:
-            continue
-        row = a[i]
-        for j in range(ncols):
-            out[j] = out[j] + vi * row[j]
-    return tuple(out)
-
-
-def mat_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(apply_row(row, b) for row in a)
-
-
-def mat_pow(field: Field, a: tuple, k: int) -> tuple:
-    out = mat_identity(field, len(a))
-    base = a
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
-
-
-def mat_is_zero(a: tuple) -> bool:
-    return all(vec_is_zero(row) for row in a)
+    field = v[0].field
+    rows = [field.unwrap(r) for r in a]
+    return field.wrap(raw_combination(field, field.unwrap(v), rows, len(rows[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -100,51 +62,78 @@ def mat_is_zero(a: tuple) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def rref(field: Field, rows, ncols: int):
-    """Reduced row-echelon form.  Returns (rows, pivot columns); zero rows
-    are dropped."""
+def raw_combination(field: Field, coeffs, rows, n: int) -> tuple:
+    """sum_i coeffs[i] * rows[i] in F^n, on raw values."""
+    axpy, zero = field.raw_axpy, field.raw_zero
+    out = [zero] * n
+    for c, row in zip(coeffs, rows):
+        if c != zero:
+            out = axpy(c, out, row)
+    return tuple(out)
+
+
+def raw_rref(field: Field, rows, ncols: int):
+    """Reduced row-echelon form of raw rows.  Returns (rows, pivot columns);
+    zero rows are dropped."""
+    axpy, mul, neg, inv = field.raw_axpy, field.raw_mul, field.raw_neg, field.raw_inv
+    zero, one = field.raw_zero, field.raw_one
     work = [list(r) for r in rows]
+    nrows = len(work)
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot_row = i
-                break
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if work[i][c] != zero), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][c].inv()
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        prow = work[r]
+        if prow[c] != one:
+            f = inv(prow[c])
+            prow = work[r] = [x if x == zero else mul(f, x) for x in prow]
+        for i in range(nrows):
+            if i != r and work[i][c] != zero:
+                work[i] = axpy(neg(work[i][c]), work[i], prow)
         pivots.append(c)
         r += 1
-        if r == len(work):
-            break
     return tuple(tuple(row) for row in work[:r]), tuple(pivots)
 
 
+def rref(field: Field, rows, ncols: int):
+    """Reduced row-echelon form of rows of scalars.  Returns (rows, pivot
+    columns); zero rows are dropped."""
+    reduced, pivots = raw_rref(field, [field.unwrap(r) for r in rows], ncols)
+    return tuple(field.wrap(r) for r in reduced), pivots
+
+
 class Subspace:
-    """A subspace of F^n held as its reduced row-echelon basis."""
+    """A subspace of F^n held as its reduced row-echelon basis.
 
-    __slots__ = ("field", "ambient_dim", "rows", "pivots")
+    ``raw_rows`` is the basis as raw field values, which the kernels compute
+    on; ``rows`` is the same basis as scalars."""
 
-    def __init__(self, field: Field, ambient_dim: int, rows: tuple, pivots: tuple):
+    __slots__ = ("field", "ambient_dim", "raw_rows", "pivots", "_rows")
+
+    def __init__(self, field: Field, ambient_dim: int, raw_rows: tuple, pivots: tuple):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.rows = rows
+        self.raw_rows = raw_rows
         self.pivots = pivots
+        self._rows = None
+
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            self._rows = tuple(self.field.wrap(r) for r in self.raw_rows)
+        return self._rows
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.raw_rows)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.raw_rows
 
     def _check_ambient(self, other: "Subspace"):
         if self.field != other.field:
@@ -154,58 +143,66 @@ class Subspace:
                 f"ambient {self.ambient_dim} vs {other.ambient_dim}"
             )
 
-    def reduce(self, v: tuple) -> tuple:
-        """The canonical representative of v modulo this subspace."""
+    def _unwrap(self, v: tuple) -> tuple:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(f"vector length {len(v)} in F^{self.ambient_dim}")
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                v = tuple(x - c * y for x, y in zip(v, row))
-        return v
+        return self.field.unwrap(v)
+
+    def raw_reduce(self, v: tuple) -> tuple:
+        """The canonical representative of the raw vector v modulo this
+        subspace."""
+        field = self.field
+        axpy, neg, zero = field.raw_axpy, field.raw_neg, field.raw_zero
+        for row, p in zip(self.raw_rows, self.pivots):
+            if v[p] != zero:
+                v = axpy(neg(v[p]), v, row)
+        return tuple(v)
+
+    def raw_contains(self, v: tuple) -> bool:
+        zero = self.field.raw_zero
+        return all(x == zero for x in self.raw_reduce(v))
+
+    def reduce(self, v: tuple) -> tuple:
+        """The canonical representative of v modulo this subspace."""
+        return self.field.wrap(self.raw_reduce(self._unwrap(v)))
 
     def contains_vector(self, v: tuple) -> bool:
-        return vec_is_zero(self.reduce(v))
+        return self.raw_contains(self._unwrap(v))
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.contains_vector(r) for r in other.rows)
+        return all(self.raw_contains(r) for r in other.raw_rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return echelonize(self.field, self.ambient_dim, self.rows + other.rows)
+        return raw_echelonize(self.field, self.ambient_dim, self.raw_rows + other.raw_rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         if self.is_zero() or other.is_zero():
             return zero_subspace(self.field, self.ambient_dim)
-        stacked = self.rows + other.rows
-        kernel = left_kernel(self.field, stacked)
-        vectors = []
-        for coeffs in kernel.rows:
-            u = coeffs[: self.dim]
-            vectors.append(apply_row(u, self.rows) if self.dim else None)
-        vectors = [v for v in vectors if v is not None]
-        return echelonize(self.field, self.ambient_dim, vectors)
+        kernel = raw_left_kernel(self.field, self.raw_rows + other.raw_rows)
+        vectors = [
+            raw_combination(self.field, coeffs[: self.dim], self.raw_rows, self.ambient_dim)
+            for coeffs in kernel.raw_rows
+        ]
+        return raw_echelonize(self.field, self.ambient_dim, vectors)
 
     def non_pivots(self) -> tuple:
         pivset = set(self.pivots)
         return tuple(c for c in range(self.ambient_dim) if c not in pivset)
 
-    def sort_key(self):
-        return (self.dim, tuple(tuple(s.to_json() for s in r) for r in self.rows))
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
         return (
-            self.field == other.field
-            and self.ambient_dim == other.ambient_dim
-            and self.rows == other.rows
+            self.ambient_dim == other.ambient_dim
+            and self.raw_rows == other.raw_rows
+            and self.field == other.field
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.rows))
+        return hash((self.ambient_dim, self.raw_rows))
 
     def __repr__(self):
         if self.is_zero():
@@ -214,29 +211,37 @@ class Subspace:
         return f"<span {rows}>"
 
     def to_json(self):
-        return [[s.to_json() for s in row] for row in self.rows]
+        encode = self.field.encode
+        return [[encode(x) for x in row] for row in self.raw_rows]
+
+
+def raw_echelonize(field: Field, ambient_dim: int, vectors) -> Subspace:
+    """Canonical subspace spanned by raw vectors of length ambient_dim."""
+    rows, pivots = raw_rref(field, vectors, ambient_dim)
+    return Subspace(field, ambient_dim, rows, pivots)
 
 
 def echelonize(field: Field, ambient_dim: int, vectors) -> Subspace:
     """Canonical subspace spanned by the given vectors."""
-    vectors = list(vectors)
+    raw = []
     for v in vectors:
         if len(v) != ambient_dim:
             raise DimensionMismatch(f"vector length {len(v)} in F^{ambient_dim}")
-        for s in v:
-            if s.field != field:
-                raise MixedFields(f"{field} vs {s.field}")
-    rows, pivots = rref(field, vectors, ambient_dim)
-    return Subspace(field, ambient_dim, rows, pivots)
+        raw.append(field.unwrap(v))
+    return raw_echelonize(field, ambient_dim, raw)
 
 
 def zero_subspace(field: Field, n: int) -> Subspace:
     return Subspace(field, n, (), ())
 
 
+def raw_identity(field: Field, n: int) -> tuple:
+    zero, one = field.raw_zero, field.raw_one
+    return tuple(tuple(one if j == i else zero for j in range(n)) for i in range(n))
+
+
 def full_subspace(field: Field, n: int) -> Subspace:
-    rows = mat_identity(field, n)
-    return Subspace(field, n, rows, tuple(range(n)))
+    return Subspace(field, n, raw_identity(field, n), tuple(range(n)))
 
 
 def solve_left(field: Field, rows, target: tuple):
@@ -244,40 +249,46 @@ def solve_left(field: Field, rows, target: tuple):
 
     ``rows`` is a sequence of r equal-length vectors; x has length r.
     """
+    rows = [field.unwrap(row) for row in rows]
+    target = field.unwrap(target)
     r = len(rows)
     if r == 0:
-        return () if vec_is_zero(target) else None
+        return () if all(t == field.raw_zero for t in target) else None
     ncols = len(rows[0])
     # augmented system on the transpose: columns are the unknown directions
     aug = [
         tuple(rows[i][j] for i in range(r)) + (target[j],) for j in range(ncols)
     ]
-    reduced, pivots = rref(field, aug, r + 1)
+    reduced, pivots = raw_rref(field, aug, r + 1)
     if r in pivots:
         return None
-    x = [field.zero] * r
+    x = [field.raw_zero] * r
     for row, p in zip(reduced, pivots):
         x[p] = row[r]
-    return tuple(x)
+    return field.wrap(x)
 
 
-def left_kernel(field: Field, rows) -> Subspace:
-    """All v with v @ rows = 0, i.e. the left null space of the matrix."""
+def raw_left_kernel(field: Field, rows) -> Subspace:
+    """All v with v @ rows = 0 for a matrix of raw rows."""
     nrows = len(rows)
     if nrows == 0:
         return zero_subspace(field, 0)
-    transposed = mat_transpose(rows)
-    reduced, pivots = rref(field, transposed, nrows)
+    reduced, pivots = raw_rref(field, list(zip(*rows)), nrows)
     pivset = set(pivots)
     free = [c for c in range(nrows) if c not in pivset]
     basis = []
     for f in free:
-        v = [field.zero] * nrows
-        v[f] = field.one
+        v = [field.raw_zero] * nrows
+        v[f] = field.raw_one
         for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return echelonize(field, nrows, basis)
+            v[p] = field.raw_neg(row[f])
+        basis.append(v)
+    return raw_echelonize(field, nrows, basis)
+
+
+def left_kernel(field: Field, rows) -> Subspace:
+    """All v with v @ rows = 0, i.e. the left null space of the matrix."""
+    return raw_left_kernel(field, [field.unwrap(r) for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -285,20 +296,18 @@ def left_kernel(field: Field, rows) -> Subspace:
 # ---------------------------------------------------------------------------
 
 
-def _require_finite(field: Field):
+def require_enumerable(field: Field, n: int, budget: int, what: str):
+    """Raise unless F^n is finite and its q^n vectors fit in the budget."""
     if not field.is_finite:
         raise UnsupportedField(f"enumeration needs a finite field, got {field}")
-
-
-def _check_budget(count: int, budget: int, what: str):
+    count = field.order**n
     if count > budget:
         raise BudgetExceeded(f"{what}: {count} exceeds budget {budget}")
 
 
 def all_vectors(field: Field, n: int, budget: int = DEFAULT_BUDGET):
     """Every vector of F^n, lexicographically."""
-    _require_finite(field)
-    _check_budget(field.order**n, budget, f"vectors of F^{n}")
+    require_enumerable(field, n, budget, f"vectors of F^{n}")
     elems = list(field.elements())
     for combo in itertools.product(elems, repeat=n):
         yield combo
@@ -307,8 +316,7 @@ def all_vectors(field: Field, n: int, budget: int = DEFAULT_BUDGET):
 def projective_points(field: Field, n: int, budget: int = DEFAULT_BUDGET):
     """One representative per 1-dimensional subspace of F^n: the leading
     nonzero coordinate is 1."""
-    _require_finite(field)
-    _check_budget(field.order**n, budget, f"projective points of F^{n}")
+    require_enumerable(field, n, budget, f"projective points of F^{n}")
     elems = list(field.elements())
     z, o = field.zero, field.one
     for lead in range(n):
@@ -328,14 +336,13 @@ def enumerate_subspaces(
     The order (dimension, pivot set, free values) is deterministic, so the
     stream can be partitioned and restarted.
     """
-    _require_finite(field)
-    _check_budget(field.order**n, budget, f"subspaces of F^{n}")
+    require_enumerable(field, n, budget, f"subspaces of F^{n}")
     if dims is None:
         dims = range(n + 1)
     elif isinstance(dims, int):
         dims = (dims,)
-    elems = list(field.elements())
-    z, o = field.zero, field.one
+    elems = [s.value for s in field.elements()]
+    z, o = field.raw_zero, field.raw_one
     for k in dims:
         if k == 0:
             yield zero_subspace(field, n)

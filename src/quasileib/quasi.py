@@ -31,7 +31,6 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import (
     LeibnizAlgebra,
-    adjoint,
     bracket_subspaces,
     is_ideal,
     is_subalgebra,
@@ -43,17 +42,18 @@ from .errors import (
     NotASubalgebra,
     PreconditionUnverified,
     UnsupportedField,
+    VerificationFailed,
 )
 from .linalg import (
     DEFAULT_BUDGET,
     Subspace,
     echelonize,
-    left_kernel,
-    mat_is_zero,
-    mat_pow,
     projective_points,
+    raw_combination,
+    raw_echelonize,
+    raw_identity,
+    raw_left_kernel,
     vec,
-    vec_add,
 )
 
 
@@ -111,7 +111,7 @@ def is_quasi_ideal_in(
     if not m.contains(h):
         raise DimensionMismatch("H must be contained in M")
     cache = alg._cache.setdefault("quasi_in", {})
-    key = (h.rows, m.rows)
+    key = (h.raw_rows, m.raw_rows)
     if key in cache:
         return cache[key]
     verdict = _decide_quasi_in(alg, h, m)
@@ -121,77 +121,67 @@ def is_quasi_ideal_in(
 
 def _decide_quasi_in(alg, h, m):
     field = alg.field
-    # subalgebra test first, with a bracket escaping H as witness
-    for u in h.rows:
-        for w in h.rows:
-            val = alg.bracket(u, w)
-            if not h.contains_vector(val):
-                return QuasiIdealVerdict(False, witness=(u, w, val))
+    add, zero = field.raw_add, field.raw_zero
+    br = alg.table.raw_bracket
+    hrows = h.raw_rows
 
-    # coordinates of M: v in M  ->  (v[p] for p in M.pivots)
+    def refuted(hrow, x, value):
+        witness = (field.wrap(hrow), field.wrap(x), field.wrap(value))
+        if not _witness_in_span(alg, h, witness[1], witness[2]):
+            raise VerificationFailed(f"witness {witness} lands in H + Fx")
+        return QuasiIdealVerdict(False, witness=witness)
+
+    # subalgebra test first, with a bracket escaping H (= H + Fw) as witness
+    for u in hrows:
+        for w in hrows:
+            val = br(u, w)
+            if not h.raw_contains(val):
+                return refuted(u, w, val)
+
+    # coordinates of M: v in M  ->  (v[p] for p in M.pivots); the rows of M
+    # at the coordinates outside H represent a basis of M/H
     mpiv = m.pivots
-    to_m = lambda v: tuple(v[p] for p in mpiv)
-    lift = lambda c: tuple(
-        sum((ci * row[j] for ci, row in zip(c, m.rows)), field.zero)
-        for j in range(alg.dim)
-    )
-    h_in_m = echelonize(field, m.dim, [to_m(r) for r in h.rows])
+    to_m = lambda v: tuple([v[p] for p in mpiv])
+    h_in_m = raw_echelonize(field, m.dim, [to_m(r) for r in hrows])
     comp = h_in_m.non_pivots()
     if not comp:
-        cert = tuple((field.zero, field.zero) for _ in h.rows)
+        cert = tuple((field.zero, field.zero) for _ in hrows)
         return QuasiIdealVerdict(True, certificate=cert)
-
-    reps = []
-    for c in comp:
-        unit = [field.zero] * m.dim
-        unit[c] = field.one
-        reps.append(lift(tuple(unit)))
-
-    def induced(op_vecs):
-        # rows of the induced operator on M/H in the comp coordinates
-        rows = []
-        for w in op_vecs:
-            r = h_in_m.reduce(to_m(w))
-            rows.append(tuple(r[c] for c in comp))
-        return tuple(rows)
+    reps = [m.raw_rows[c] for c in comp]
 
     def scalar_of(hrow, side):
-        # returns the scalar of the induced operator, or a verified witness
-        images = [
-            alg.bracket(x, hrow) if side == "right" else alg.bracket(hrow, x)
-            for x in reps
-        ]
+        # the scalar of the induced operator on M/H, or a refuting triple
+        images = [br(x, hrow) if side == "right" else br(hrow, x) for x in reps]
         for x, w in zip(reps, images):
-            if not m.contains_vector(w):
+            if not m.raw_contains(w):
                 # the bracket leaves M entirely, so it cannot land in H + Fx
                 return None, (hrow, x, w)
-        t = induced(images)
+        # rows of the induced operator in the comp coordinates
+        t = [h_in_m.raw_reduce(to_m(w)) for w in images]
         for a in range(len(comp)):
-            for b in range(len(comp)):
-                if a != b and t[a][b]:
+            for b, cb in enumerate(comp):
+                if a != b and t[a][cb] != zero:
                     # reps[a] is not an eigenvector
                     return None, (hrow, reps[a], images[a])
-        diag = [t[i][i] for i in range(len(comp))]
+        diag = [t[i][c] for i, c in enumerate(comp)]
         for i in range(1, len(comp)):
             if diag[i] != diag[0]:
                 # distinct eigenvalues: the sum of the two eigenvectors is
                 # not an eigenvector
-                x = vec_add(reps[0], reps[i])
-                val = alg.bracket(x, hrow) if side == "right" else alg.bracket(hrow, x)
+                x = tuple(map(add, reps[0], reps[i]))
+                val = br(x, hrow) if side == "right" else br(hrow, x)
                 return None, (hrow, x, val)
         return diag[0], None
 
     certificate = []
-    for hrow in h.rows:
+    for hrow in hrows:
         alpha, witness = scalar_of(hrow, "right")
         if witness is not None:
-            assert _witness_in_span(alg, h, witness[1], witness[2])
-            return QuasiIdealVerdict(False, witness=witness)
+            return refuted(*witness)
         beta, witness = scalar_of(hrow, "left")
         if witness is not None:
-            assert _witness_in_span(alg, h, witness[1], witness[2])
-            return QuasiIdealVerdict(False, witness=witness)
-        certificate.append((alpha, beta))
+            return refuted(*witness)
+        certificate.append(field.wrap((alpha, beta)))
     return QuasiIdealVerdict(True, certificate=tuple(certificate))
 
 
@@ -207,14 +197,22 @@ def is_quasi_ideal_oracle(
     to permuting with every subspace ([H, sum Fx_i] = sum [H, Fx_i])."""
     if not alg.field.is_finite:
         raise UnsupportedField("the oracle enumerates projective points")
-    if h.ambient_dim != alg.dim:
-        raise DimensionMismatch("subspace must live in the algebra")
-    for x in projective_points(alg.field, alg.dim, budget=budget):
-        probe = h.sum(echelonize(alg.field, alg.dim, [x]))
-        for hrow in h.rows:
-            if not probe.contains_vector(alg.bracket(x, hrow)):
+    alg.check_subspace(h)
+    field, n = alg.field, alg.dim
+    br = alg.table.raw_bracket
+    units = raw_identity(field, n)
+    # y -> [y,h] and y -> [h,y] as matrices, so that [x,h] = x @ right
+    ops = [
+        (tuple(br(e, hrow) for e in units), tuple(br(hrow, e) for e in units))
+        for hrow in h.raw_rows
+    ]
+    for point in projective_points(field, n, budget=budget):
+        x = field.unwrap(point)
+        probe = raw_echelonize(field, n, h.raw_rows + (x,))
+        for right, left in ops:
+            if not probe.raw_contains(raw_combination(field, x, right, n)):
                 return False
-            if not probe.contains_vector(alg.bracket(hrow, x)):
+            if not probe.raw_contains(raw_combination(field, x, left, n)):
                 return False
     return True
 
@@ -223,28 +221,24 @@ def core(alg: LeibnizAlgebra, h: Subspace) -> Subspace:
     """The largest ideal of L contained in H, as a greatest fixpoint:
     N_0 = H and N_{k+1} = {v in N_k : [v, e_j], [e_j, v] in N_k for all j}.
     """
-    field = alg.field
+    alg.check_subspace(h)
+    field, n = alg.field, alg.dim
+    br = alg.table.raw_bracket
+    units = raw_identity(field, n)
     cur = h
     while True:
         if cur.is_zero():
             return cur
         rows = []
-        for b in cur.rows:
+        for b in cur.raw_rows:
             flat = []
-            for j in range(alg.dim):
-                ej = alg.basis_vector(j)
-                flat.extend(cur.reduce(alg.bracket(b, ej)))
-                flat.extend(cur.reduce(alg.bracket(ej, b)))
-            rows.append(tuple(flat))
-        kernel = left_kernel(field, rows)
-        gens = []
-        for coeffs in kernel.rows:
-            v = [field.zero] * alg.dim
-            for c, b in zip(coeffs, cur.rows):
-                if c:
-                    v = [x + c * y for x, y in zip(v, b)]
-            gens.append(tuple(v))
-        nxt = echelonize(field, alg.dim, gens)
+            for e in units:
+                flat.extend(cur.raw_reduce(br(b, e)))
+                flat.extend(cur.raw_reduce(br(e, b)))
+            rows.append(flat)
+        kernel = raw_left_kernel(field, rows)
+        gens = [raw_combination(field, c, cur.raw_rows, n) for c in kernel.raw_rows]
+        nxt = raw_echelonize(field, n, gens)
         if nxt == cur:
             return cur
         cur = nxt
@@ -252,9 +246,19 @@ def core(alg: LeibnizAlgebra, h: Subspace) -> Subspace:
 
 def is_left_engel(alg: LeibnizAlgebra, x: tuple) -> bool:
     """x is left Engel when y -> [y,x] is nilpotent (the finite-dimensional
-    form of: for each y some power kills y)."""
-    m = adjoint(alg, x, "right")
-    return mat_is_zero(mat_pow(alg.field, m, alg.dim))
+    form of: for each y some power kills y).  The images L, [L,x], [[L,x],x],
+    ... descend, and the map is nilpotent exactly when they reach 0 before
+    they stop shrinking."""
+    if len(x) != alg.dim:
+        raise DimensionMismatch("vectors must live in the algebra")
+    line = echelonize(alg.field, alg.dim, [x])
+    cur = alg.full()
+    while not cur.is_zero():
+        nxt = bracket_subspaces(alg, cur, line)
+        if nxt.dim == cur.dim:
+            return False
+        cur = nxt
+    return True
 
 
 @dataclass(frozen=True)
@@ -433,11 +437,12 @@ def lemma_suite(
     # bracket reflection: h in H, x in L, [x,h] in H  =>  [h,x] in H
     if direct:
         ok, detail = True, None
-        for hrow in h.rows:
-            for j in range(alg.dim):
-                x = alg.basis_vector(j)
-                if h.contains_vector(alg.bracket(x, hrow)):
-                    if not h.contains_vector(alg.bracket(hrow, x)):
+        br = alg.table.raw_bracket
+        units = raw_identity(alg.field, alg.dim)
+        for hrow, raw_hrow in zip(h.rows, h.raw_rows):
+            for j, x in enumerate(units):
+                if h.raw_contains(br(x, raw_hrow)):
+                    if not h.raw_contains(br(raw_hrow, x)):
                         ok, detail = False, f"basis pair (h={hrow}, x=e{j+1})"
                         break
         report.clauses["reflected_brackets"] = (PASS if ok else FAIL, detail)

@@ -26,7 +26,14 @@ from quasileib.algebra import (
     table_from_json,
     validate,
 )
-from quasileib.errors import MalformedInput, NotAnIdeal, NotASubalgebra, NotLeibniz
+from quasileib.errors import (
+    BudgetExceeded,
+    MalformedInput,
+    MixedFields,
+    NotAnIdeal,
+    NotASubalgebra,
+    NotLeibniz,
+)
 from quasileib.families import (
     k2,
     non_lie_almost_abelian,
@@ -108,6 +115,51 @@ def test_validate_agrees_with_reference_on_random_tables():
         ]
         table = MultiplicationTable(GF3, n, cube)
         assert validate(table, "right").ok == reference_right_identity(table)
+
+
+def random_entry(field, rng):
+    """A small random element of QQ or GF(2)(t), zero with probability 3/4
+    so that a fair share of random tables satisfy the identity."""
+    if rng.random() < 0.75:
+        return field.zero
+    if field == QQ:
+        return field(rng.randrange(-3, 4)) / field(rng.randrange(1, 4))
+    poly = lambda: [rng.randrange(2) for _ in range(rng.randrange(1, 3))] + [1]
+    return field.from_polys(poly(), poly())
+
+
+@pytest.mark.parametrize("field", [QQ, F2T], ids=["QQ", "GF2t"])
+def test_raw_kernels_agree_with_reference_over_qq_and_gf2t(field):
+    rng = random.Random(41)
+    outcomes = set()
+    for _ in range(60):
+        n = rng.randrange(1, 4)
+        cube = [
+            [[random_entry(field, rng) for _ in range(n)] for _ in range(n)]
+            for _ in range(n)
+        ]
+        table = MultiplicationTable(field, n, cube)
+        ok = validate(table, "right").ok
+        assert ok == reference_right_identity(table)
+        outcomes.add(ok)
+        alg = LeibnizAlgebra(table, _checked=True)
+        for _ in range(3):
+            u = tuple(random_entry(field, rng) + field.one for _ in range(n))
+            v = tuple(random_entry(field, rng) for _ in range(n))
+            assert alg.bracket(u, v) == reference_bracket(table, u, v)
+    assert outcomes == {True, False}
+
+
+def test_bracket_rejects_foreign_field_entries():
+    alg = two_dim_solvable_cyclic(GF2)
+    good = vec(GF2, (1, 1))
+    for bad in ((GF2.one, GF3.zero), (GF3.one, GF2.zero), (GF2.one, 0)):
+        with pytest.raises(MixedFields):
+            alg.bracket(bad, good)
+        with pytest.raises(MixedFields):
+            alg.bracket(good, bad)
+    with pytest.raises(MixedFields):
+        MultiplicationTable(GF2, 1, [[(GF3.zero,)]])
 
 
 def test_bracket_and_adjoint_fixtures():
@@ -303,3 +355,26 @@ def test_table_json_round_trip():
         table_from_json({"dim": 1})
     with pytest.raises(MalformedInput):
         table_from_json({"field": {"kind": "prime", "p": 2}, "dim": 2, "table": [[[0]]]})
+
+
+def test_subalgebras_enumerated_once_per_algebra(monkeypatch):
+    import quasileib.algebra as algebra_mod
+
+    calls = []
+    real = algebra_mod.enumerate_subspaces
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(algebra_mod, "enumerate_subspaces", counting)
+    alg = two_dim_solvable_cyclic(GF3)
+    first = subalgebras(alg)
+    first.clear()  # a caller's list is its own
+    again = subalgebras(alg)
+    assert len(calls) == 1
+    assert again == subalgebras(two_dim_solvable_cyclic(GF3))
+    assert again is not subalgebras(alg)
+    with pytest.raises(BudgetExceeded):
+        subalgebras(alg, budget=8)
+    assert len(subalgebras(alg, budget=9)) == len(again)

@@ -81,6 +81,30 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert run(["info", str(notjson)]) == 2
 
 
+@pytest.mark.parametrize(
+    "table",
+    [5, [[[0, 0], [0, 0]], [[0, 0]]], [[[0, 0], 5], [[0, 0], [0, 0]]]],
+    ids=["scalar", "ragged", "non_list_product"],
+)
+def test_malformed_table_exits_2_with_one_line(tmp_path, capsys, table):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps({"field": {"kind": "prime", "p": 2}, "dim": 2, "table": table})
+    )
+    for argv in (["validate", str(path)], ["classify", "--algebra", str(path)]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("gens", [5, [1, 0, 0], {"rows": []}])
+def test_malformed_subspace_exits_2(tmp_path, capsys, example_algebra, gens):
+    sub = write_generators(tmp_path / "sub.json", gens)
+    argv = ["quasi", "check", "--algebra", str(example_algebra), "--subspace", sub]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_info_output(capsys, example_algebra):
     code, out = run_json(capsys, ["info", str(example_algebra)])
     assert code == 0

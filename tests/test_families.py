@@ -16,6 +16,7 @@ from quasileib.errors import (
     BadDimension,
     IsotropicForm,
     SquareLambda,
+    VerificationFailed,
 )
 from quasileib.families import (
     FamilySpec,
@@ -251,6 +252,18 @@ def test_artin_schreier_solver():
         assert r * r + r == d
     # denominator not a square: no root
     assert artin_schreier_root(F2T, F2T.one / t) is None
+
+
+def test_artin_schreier_root_is_checked(monkeypatch):
+    import quasileib.families as families_mod
+
+    # a wrong linear solve must not come back as a root
+    monkeypatch.setattr(
+        families_mod, "solve_left", lambda field, rows, target: vec(GF2, [1] * len(rows))
+    )
+    t = F2T.t
+    with pytest.raises(VerificationFailed):
+        artin_schreier_root(F2T, t * t + t)
 
 
 def test_build_dispatch():

@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from quasileib.errors import BudgetExceeded, DimensionMismatch, UnsupportedField
+from quasileib.errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    MixedFields,
+    UnsupportedField,
+)
 from quasileib.fields import GF2, GF3, QQ, FunctionField
 from quasileib.linalg import (
     all_vectors,
@@ -13,6 +18,7 @@ from quasileib.linalg import (
     left_kernel,
     mat_identity,
     projective_points,
+    rref,
     solve_left,
     unit_vec,
     vec,
@@ -165,3 +171,19 @@ def test_full_subspace_is_identity_rows():
     assert f.contains_vector(vec(GF3, (2, 1, 2)))
     assert f.non_pivots() == ()
     assert unit_vec(GF3, 3, 1) == vec(GF3, (0, 1, 0))
+
+
+def test_kernels_reject_foreign_field_entries():
+    # a zero entry from another field is rejected like any other entry
+    space = echelonize(GF2, 2, [vec(GF2, (1, 1))])
+    for bad in ((GF2.one, GF3.zero), (GF3.zero, GF2.one)):
+        with pytest.raises(MixedFields):
+            echelonize(GF2, 2, [bad])
+        with pytest.raises(MixedFields):
+            rref(GF2, [bad], 2)
+        with pytest.raises(MixedFields):
+            left_kernel(GF2, [bad])
+        with pytest.raises(MixedFields):
+            space.reduce(bad)
+        with pytest.raises(MixedFields):
+            space.contains_vector(bad)

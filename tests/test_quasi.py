@@ -1,7 +1,11 @@
 import pytest
 
 from quasileib.algebra import is_ideal, is_nilpotent, subalgebras
-from quasileib.errors import PreconditionUnverified, UnsupportedField
+from quasileib.errors import (
+    PreconditionUnverified,
+    UnsupportedField,
+    VerificationFailed,
+)
 from quasileib.families import (
     k2,
     non_lie_almost_abelian,
@@ -60,6 +64,15 @@ def test_quasi_ideal_negative_witness_verifies():
     h, x, value = verdict.witness
     probe = bad.sum(echelonize(GF2, 3, [x]))
     assert not probe.contains_vector(value)
+
+
+def test_unverified_witness_raises(monkeypatch):
+    import quasileib.quasi as quasi_mod
+
+    monkeypatch.setattr(quasi_mod, "_witness_in_span", lambda *args: False)
+    # Fx in k2 is a subalgebra but not a quasi-ideal: [x, y] = z escapes
+    with pytest.raises(VerificationFailed):
+        is_quasi_ideal(k2(GF2), line(GF2, 3, (1, 0, 0)))
 
 
 def test_certificate_replays_all_brackets(family_corpus):
