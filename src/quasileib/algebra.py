@@ -445,6 +445,6 @@ def quotient(alg: LeibnizAlgebra, j: Subspace) -> QuotientAlgebra:
     cube = [[project(alg.table.raw[a][b]) for b in comp] for a in comp]
     names = tuple(alg.basis_names[c] for c in comp)
     table = MultiplicationTable(field, len(comp), cube, names)
-    quot = LeibnizAlgebra(table)
+    quot = LeibnizAlgebra(table, _checked=True)  # L/J is Leibniz: J is an ideal
     projection = tuple(project(e) for e in raw_identity(field, alg.dim))
     return QuotientAlgebra(alg, j, quot, projection)

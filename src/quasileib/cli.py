@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import census as census_mod
@@ -193,8 +194,35 @@ def _cmd_isomorphic(args):
     return 0 if result else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one line, like every other input error."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
+def _count(text: str) -> int:
+    """An integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _worker_count(text: str) -> int:
+    """A count of at least 1 and at most the number of CPUs."""
+    value = _count(text)
+    cpus = os.cpu_count() or 1
+    if value > cpus:
+        raise argparse.ArgumentTypeError(f"must be at most {cpus} (CPUs), got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quasileib",
         description="Exact quasi-ideal analysis of finite-dimensional "
         "Leibniz algebras.",
@@ -266,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--exhaustive", action="store_true", default=False)
-    p.add_argument("--sample", type=int, help="sample this many tables instead")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--sample", type=_count, help="sample this many tables instead")
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--lemmas", action="store_true", help="also run the lemma harness")
     common(p)
     p.set_defaults(func=_cmd_census)

@@ -1,8 +1,19 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
-from quasileib.algebra import LeibnizAlgebra, build_table
+from quasileib import _gf2sweep
+from quasileib.algebra import (
+    LeibnizAlgebra,
+    MultiplicationTable,
+    build_table,
+    is_ideal,
+    quotient,
+    subalgebras,
+    validate,
+)
 from quasileib.census import (
     ABELIAN,
     ALMOST_ABELIAN_LIE,
@@ -301,3 +312,75 @@ def test_lemma_harness_smoke(family_corpus):
 def test_lemma_harness_rejects_infinite_field():
     with pytest.raises(UnsupportedField):
         lemma_harness([two_dim_solvable_cyclic(QQ)])
+
+
+def _reference_survivors(r2):
+    """Every valid GF(2) dim-3 table with third right-multiplication matrix
+    r2, by evaluating the nine matrix equations
+    sum_k R_m[j][k] R_k = R_j R_m - R_m R_j on all 2**18 pairs (R_0, R_1).
+    Returns the set of 27-bit table ids (c[i][j][k] at bit 9i + 3j + k) and
+    the number of pairs that satisfy the three equations with m = 2."""
+    mats = ((np.arange(512)[:, None] >> np.arange(9)) & 1).astype(np.uint8)
+    mats = mats.reshape(512, 3, 3)  # pattern bit 3i + k is entry (i, k)
+    pairs = np.arange(1 << 18)
+    r2s = np.broadcast_to(mats[r2], (1 << 18, 3, 3))
+    r = np.stack([mats[pairs >> 9], mats[pairs & 511], r2s], axis=1)  # R_m
+    valid = np.ones(1 << 18, dtype=bool)
+    linear = np.ones(1 << 18, dtype=bool)
+    for j in range(3):
+        for m in range(3):
+            lhs = sum(r[:, m, j, k, None, None] * r[:, k] for k in range(3))
+            rhs = r[:, j] @ r[:, m] + r[:, m] @ r[:, j]
+            holds = ((lhs + rhs) % 2 == 0).all(axis=(1, 2))
+            valid &= holds
+            if m == 2:
+                linear &= holds
+    m, i, k = np.indices((3, 3, 3))
+    weights = 1 << (9 * i + 3 * m + k)  # R_m[i][k] = c[i][m][k]
+    ids = (r[valid].astype(np.int64) * weights).sum(axis=(1, 2, 3))
+    return set(ids.tolist()), int(linear.sum())
+
+
+@pytest.mark.parametrize(
+    "r2, linear_solutions",
+    [(0, 1 << 18), (13, 0), (4, 1 << 10)]
+    + [(r2, None) for r2 in random.Random(0).sample(range(1, 512), 3)],
+    ids=["zero", "inconsistent", "kernel_dim_10", "random_0", "random_1", "random_2"],
+)
+def test_solved_sweep_matches_brute_force(r2, linear_solutions):
+    expected, solved = _reference_survivors(r2)
+    if linear_solutions is not None:
+        assert solved == linear_solutions
+    survivors = _gf2sweep.survivors_for_r2(r2)
+    assert survivors.size == len(expected)
+    assert set(survivors.tolist()) == expected
+
+
+def test_solved_sweep_total():
+    assert sum(_gf2sweep.survivors_for_r2(r).size for r in range(512)) == 806
+
+
+def _gf2_dim3_class_representatives():
+    _, _, class_ids = _gf2sweep.run()
+    assert len(class_ids) == 20
+    reps = []
+    for cid in class_ids:
+        nested = _gf2sweep.decode_table_bits(cid)
+        cube = [[[GF2(c) for c in v] for v in row] for row in nested]
+        reps.append(LeibnizAlgebra(MultiplicationTable(GF2, 3, cube)))
+    return reps
+
+
+def test_quotients_by_every_ideal_are_leibniz(family_corpus):
+    # quotient() trusts that L/J is Leibniz for an ideal J; check it on every
+    # ideal of the GF(2) dim-3 classes and of the finite family instances
+    algebras = _gf2_dim3_class_representatives() + [alg for _, alg in family_corpus]
+    checked = 0
+    for alg in algebras:
+        for ideal in subalgebras(alg):
+            if is_ideal(alg, ideal):
+                q = quotient(alg, ideal).algebra
+                assert q.dim == alg.dim - ideal.dim
+                assert validate(q.table, "right").ok
+                checked += 1
+    assert checked > len(algebras)

@@ -4,6 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from quasileib import cli
 from quasileib.cli import run
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "quasileib" / "schemas"
@@ -232,6 +233,51 @@ def test_census_command(tmp_path, capsys):
     check_schema(payload, "census_report.schema.json")
     assert payload["totals"] == {"scanned": 256, "valid": 13, "classes": 4}
     assert payload["lemma_failures"] == []
+
+
+def _main_exit_code(monkeypatch, argv):
+    monkeypatch.setattr("sys.argv", ["quasileib", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    return exc.value.code
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--sample", "-5"],
+        ["--sample", "0"],
+        ["--workers", "0"],
+        ["--workers", "-1"],
+        ["--workers", "3"],
+        ["--workers", "two"],
+    ],
+    ids=[
+        "sample_negative",
+        "sample_zero",
+        "workers_zero",
+        "workers_negative",
+        "workers_above_cpus",
+        "workers_not_int",
+    ],
+)
+def test_census_count_flags_reject_nonsense(monkeypatch, capsys, flags):
+    # rejected while parsing, before any census (or process pool) starts
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    argv = ["census", "--field", "gf2", "--dim", "2", *flags]
+    assert _main_exit_code(monkeypatch, argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert flags[0] in captured.err
+
+
+def test_census_workers_up_to_cpu_count_accepted(monkeypatch, capsys):
+    # GF(2) dim 2 runs the generic engine, which starts no process pool
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    argv = ["census", "--field", "gf2", "--dim", "2", "--workers", "2"]
+    assert _main_exit_code(monkeypatch, argv) == 0
+    assert json.loads(capsys.readouterr().out)["totals"]["classes"] == 4
 
 
 def test_census_budget_error(capsys):
