@@ -50,7 +50,7 @@ from .algebra import (
     subalgebras,
     validate,
 )
-from .errors import BudgetExceeded, MixedFields, UnsupportedField
+from .errors import BudgetExceeded, MixedFields, UnsupportedField, VerificationFailed
 from .families import is_anisotropic
 from .fields import Field, PrimeField
 from .linalg import (
@@ -58,7 +58,6 @@ from .linalg import (
     Subspace,
     echelonize,
     projective_points,
-    raw_combination,
     raw_identity,
     raw_rref,
     rref,
@@ -401,30 +400,55 @@ def _mat_inverse(field: Field, a: tuple) -> tuple:
     return tuple(row[n:] for row in reduced)
 
 
+def _flat_table(alg: LeibnizAlgebra) -> tuple:
+    """The raw structure constants, [e_i, e_j] at e_k in entry (i*n + j)*n + k."""
+    return tuple(x for row in alg.table.raw for product in row for x in product)
+
+
+def _base_changes(flat: tuple, p: int, n: int):
+    """A flattened table over GF(p) (plain ints, laid out as in
+    ``_flat_table``) written in every basis of GF(p)^n: one image per
+    element of GL(n, p), in the order of ``_general_linear``.  The image
+    under P has [P_i, P_j], in the coordinates of the basis P, at (i, j)."""
+    idx = range(n)
+    for rows, inverse in _general_linear(p, n):
+        image = []
+        for pi in rows:
+            for pj in rows:
+                v = [0] * n
+                for a, x in enumerate(pi):
+                    for b, y in enumerate(pj):
+                        if x and y:
+                            base = (a * n + b) * n
+                            for k in idx:
+                                v[k] += x * y * flat[base + k]
+                image.extend(sum(v[k] * inverse[k][l] for k in idx) % p for l in idx)
+        yield tuple(image)
+
+
+def _check_base_change_space(field: Field, n: int, budget: int) -> None:
+    if field.order ** (n * n) > budget:
+        raise BudgetExceeded("base-change space exceeds budget")
+
+
 def are_isomorphic(
     a: LeibnizAlgebra, b: LeibnizAlgebra, budget: int = DEFAULT_BUDGET
 ) -> bool:
-    """Exhaustive base-change search behind an invariant prefilter."""
+    """Whether a's table lies in the base-change orbit of b's, behind an
+    invariant prefilter."""
     if a.field != b.field:
         raise MixedFields(f"{a.field} vs {b.field}")
     if not isinstance(a.field, PrimeField):
         raise UnsupportedField("isomorphism search needs a finite prime field")
     if a.dim != b.dim:
         return False
-    if a.field.order ** (a.dim * a.dim) > budget:
-        raise BudgetExceeded("base-change space exceeds budget")
+    _check_base_change_space(a.field, a.dim, budget)
     if algebra_invariants(a) != algebra_invariants(b):
         return False
-    n, field = a.dim, a.field
-    cube, br = a.table.raw, b.table.raw_bracket
-    for p, _ in _general_linear(field.p, n):
-        if all(
-            br(p[i], p[j]) == raw_combination(field, cube[i][j], p, n)
-            for i in range(n)
-            for j in range(n)
-        ):
-            return True
-    return False
+    target = _flat_table(a)
+    return any(
+        image == target for image in _base_changes(_flat_table(b), a.field.p, a.dim)
+    )
 
 
 def canonical_table_key(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
@@ -432,20 +456,8 @@ def canonical_table_key(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> tu
     two algebras over the same prime field share the key iff isomorphic."""
     if not isinstance(alg.field, PrimeField):
         raise UnsupportedField("canonical keys need a finite prime field")
-    n = alg.dim
-    if alg.field.order ** (n * n) > budget:
-        raise BudgetExceeded("base-change space exceeds budget")
-    field, br = alg.field, alg.table.raw_bracket
-    best = None
-    for p, pinv in _general_linear(field.p, n):
-        flat = []
-        for i in range(n):
-            for j in range(n):
-                flat.extend(raw_combination(field, br(p[i], p[j]), pinv, n))
-        key = tuple(flat)
-        if best is None or key < best:
-            best = key
-    return best if best is not None else ()
+    _check_base_change_space(alg.field, alg.dim, budget)
+    return min(_base_changes(_flat_table(alg), alg.field.p, alg.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -578,22 +590,25 @@ def sweep_tables(
     run_lemmas: bool = False,
     check_oracle: bool = True,
 ) -> CensusReport:
-    """Enumerate multiplication tables, keep the Leibniz-valid ones, dedup
-    by isomorphism, and analyze one representative per class.
+    """Find the Leibniz multiplication tables of one size, dedup them by
+    isomorphism, and analyze one representative per class.
 
-    Exhaustive mode supports GF(2) up to dimension 3 (bit-packed sweep for
-    dimension 3) and GF(3) up to dimension 2; anything larger must use
-    ``mode='sample'`` with a seeded deterministic generator.  Reports are
-    byte-identical for any worker count.
+    Exhaustive mode supports GF(2) up to dimension 3 and GF(3) up to
+    dimension 2.  It solves the identity's equations for the valid tables
+    instead of filtering every candidate (the bit-packed sweep at GF(2)
+    dimension 3, ``_generic_exhaustive`` elsewhere); ``totals.scanned`` is
+    still the size of the candidate space.  ``mode='sample'`` draws seeded
+    random candidates instead.  Reports are byte-identical for any worker
+    count.
     """
     if not isinstance(field, PrimeField):
         raise UnsupportedField("the census runs over finite prime fields")
     p = field.p
     if mode == "exhaustive":
         if (p, dim) not in _EXHAUSTIVE_LIMITS:
+            sizes = ", ".join(f"GF({q}) dim {n}" for q, n in sorted(_EXHAUSTIVE_LIMITS))
             raise BudgetExceeded(
-                f"exhaustive sweep not supported for GF({p}) dim {dim};"
-                " use sample mode"
+                f"no exhaustive census for GF({p}) dim {dim}; supported sizes: {sizes}"
             )
         if p == 2 and dim == 3:
             from . import _gf2sweep
@@ -647,20 +662,109 @@ def sweep_tables(
     )
 
 
-def _generic_exhaustive(field, dim, budget):
-    elems = list(field.elements())
-    scanned = 0
-    valid = 0
-    keys = set()
-    for flat in itertools.product(elems, repeat=dim**3):
-        scanned += 1
-        cube = _cube_from_flat(field, dim, flat)
-        table = MultiplicationTable(field, dim, cube)
-        if not validate(table, "right").ok:
+def _leibniz_residuals(mats, m: int, p: int, n: int) -> list:
+    """The entries of sum_k R_m[j][k] R_k - (R_j R_m - R_m R_j) mod p for
+    every j, given the right-multiplication matrices R_k = mats[k]; all zero
+    exactly when [x, [y, e_m]] = [[x, y], e_m] - [[x, e_m], y] for all x, y."""
+    idx = range(n)
+    rm = mats[m]
+    return [
+        (
+            sum(rm[j][k] * mats[k][r][c] for k in idx)
+            - sum(mats[j][r][s] * rm[s][c] - rm[r][s] * mats[j][s][c] for s in idx)
+        )
+        % p
+        for j in idx
+        for r in idx
+        for c in idx
+    ]
+
+
+def _solved_tables(p: int, n: int) -> list:
+    """Every Leibniz table over GF(p) of dimension n, flattened as in
+    ``_flat_table``.
+
+    In right-multiplication form, R_m[i][k] = c[i][m][k], the identity is
+    sum_k R_m[j][k] R_k = R_j R_m - R_m R_j for all j, m.  With the last
+    matrix R_{n-1} fixed, its n equations are affine-linear in the entries
+    of R_0 .. R_{n-2}: they are solved by elimination, and only the
+    solutions are checked against the equations for the other m.
+    """
+    field = PrimeField(p)
+    last, size = n - 1, n * n
+    unknowns = last * size
+    idx = range(n)
+
+    def matrices(x, fixed):
+        return [
+            tuple(tuple(x[k * size + r * n : k * size + r * n + n]) for r in idx)
+            for k in range(last)
+        ] + [fixed]
+
+    zero = [0] * unknowns
+    tables = []
+    for entries in itertools.product(range(p), repeat=size):
+        fixed = tuple(entries[r * n : r * n + n] for r in idx)
+        # the affine map from the unknowns to the residuals of the m = n-1
+        # equations: its value at 0 and its columns at the unit vectors
+        offset = _leibniz_residuals(matrices(zero, fixed), last, p, n)
+        columns = []
+        for u in range(unknowns):
+            unit = zero[:u] + [1] + zero[u + 1 :]
+            images = _leibniz_residuals(matrices(unit, fixed), last, p, n)
+            columns.append([(y - y0) % p for y, y0 in zip(images, offset)])
+        system = [
+            tuple(col[e] for col in columns) + (-offset[e] % p,)
+            for e in range(len(offset))
+        ]
+        reduced, pivots = raw_rref(field, system, unknowns + 1)
+        if unknowns in pivots:
             continue
-        valid += 1
-        keys.add(canonical_table_key(LeibnizAlgebra(table, _checked=True), budget))
-    return scanned, valid, [
+        particular = list(zero)
+        for row, col in zip(reduced, pivots):
+            particular[col] = row[unknowns]
+        kernel = []
+        for free in (u for u in range(unknowns) if u not in pivots):
+            v = list(zero)
+            v[free] = 1
+            for row, col in zip(reduced, pivots):
+                v[col] = -row[free] % p
+            kernel.append(v)
+        for coeffs in itertools.product(range(p), repeat=len(kernel)):
+            x = list(particular)
+            for c, v in zip(coeffs, kernel):
+                if c:
+                    x = [(a + c * b) % p for a, b in zip(x, v)]
+            mats = matrices(x, fixed)
+            if any(any(_leibniz_residuals(mats, m, p, n)) for m in range(last)):
+                continue
+            tables.append(tuple(mats[j][i][k] for i in idx for j in idx for k in idx))
+    return tables
+
+
+def _generic_exhaustive(field, dim, budget):
+    """Solve for every Leibniz table and collect them into GL(dim, p)
+    orbits; each class is keyed by the minimum of its orbit.  The orbits
+    must partition the solved tables (orbit-stabiliser), or the run fails."""
+    _check_base_change_space(field, dim, budget)
+    p = field.p
+    solved = _solved_tables(p, dim)
+    seen = set()
+    covered = 0
+    keys = []
+    for table in solved:
+        if table in seen:
+            continue
+        orbit = set(_base_changes(table, p, dim))
+        seen |= orbit
+        covered += len(orbit)
+        keys.append(min(orbit))
+    if covered != len(solved) or seen != set(solved):
+        raise VerificationFailed(
+            f"GL({dim},{p}) orbits cover {covered} tables;"
+            f" the solve found {len(solved)}"
+        )
+    return p ** (dim**3), len(solved), [
         (key, _canonical_rep(field, dim, key)) for key in sorted(keys)
     ]
 
@@ -671,7 +775,7 @@ def _canonical_rep(field, dim, key) -> LeibnizAlgebra:
         tuple(tuple(field(next(it)) for _ in range(dim)) for _ in range(dim))
         for _ in range(dim)
     )
-    return LeibnizAlgebra(MultiplicationTable(field, dim, cube), _checked=True)
+    return LeibnizAlgebra(MultiplicationTable(field, dim, cube))
 
 
 def _sampled_sweep(field, dim, sample_size, seed, budget):

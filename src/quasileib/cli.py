@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         p.add_argument(
             "--budget",
-            type=int,
+            type=_count,
             default=DEFAULT_BUDGET,
             help="enumeration cap (default %(default)s)",
         )
@@ -293,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="sweep small multiplication tables")
     p.add_argument("--field", required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--exhaustive", action="store_true", default=False)
     p.add_argument("--sample", type=_count, help="sample this many tables instead")
     p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--lemmas", action="store_true", help="also run the lemma harness")

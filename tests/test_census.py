@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quasileib import _gf2sweep
+from quasileib import census
 from quasileib.algebra import (
     LeibnizAlgebra,
     MultiplicationTable,
@@ -31,7 +32,7 @@ from quasileib.census import (
     lemma_harness,
     sweep_tables,
 )
-from quasileib.errors import BudgetExceeded, UnsupportedField
+from quasileib.errors import BudgetExceeded, UnsupportedField, VerificationFailed
 from quasileib.families import (
     abelian,
     almost_abelian_lie,
@@ -45,8 +46,8 @@ from quasileib.families import (
     two_dim_nilpotent_cyclic,
     two_dim_solvable_cyclic,
 )
-from quasileib.fields import GF2, GF3, QQ, FunctionField
-from quasileib.linalg import echelonize, vec
+from quasileib.fields import GF2, GF3, QQ, FunctionField, PrimeField
+from quasileib.linalg import DEFAULT_BUDGET, echelonize, vec
 
 F2T = FunctionField(2)
 
@@ -384,3 +385,101 @@ def test_quotients_by_every_ideal_are_leibniz(family_corpus):
                 assert validate(q.table, "right").ok
                 checked += 1
     assert checked > len(algebras)
+
+
+def test_unsupported_exhaustive_size_lists_supported_sizes():
+    # sample mode finds no valid table at these sizes, so it is not offered
+    with pytest.raises(BudgetExceeded) as exc:
+        sweep_tables(GF2, 4)
+    message = str(exc.value)
+    assert "GF(2) dim 3" in message and "GF(3) dim 2" in message
+    assert "sample" not in message
+
+
+def _plain_general_linear(p, n):
+    """(P, P^-1) for every invertible n x n matrix over GF(p), by search."""
+    mats = [
+        tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        for flat in itertools.product(range(p), repeat=n * n)
+    ]
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+    def mul(a, b):
+        return tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
+            for i in range(n)
+        )
+
+    return [(a, b) for a in mats for b in mats if mul(a, b) == identity]
+
+
+def _plain_transform(flat, pair, p, n):
+    """The table c[i][j][k] = flat[(i*n + j)*n + k] in the basis P: the
+    entry (i, j, l) is sum_{a,b,k} P[i][a] P[j][b] c[a][b][k] P^-1[k][l]."""
+    mat, inv = pair
+    idx = range(n)
+    return tuple(
+        sum(
+            mat[i][a] * mat[j][b] * flat[(a * n + b) * n + k] * inv[k][l]
+            for a in idx
+            for b in idx
+            for k in idx
+        )
+        % p
+        for i in idx
+        for j in idx
+        for l in idx
+    )
+
+
+@pytest.mark.parametrize("p, n, valid", [(2, 1, 1), (2, 2, 13), (3, 1, 1), (3, 2, 41)])
+def test_generic_engine_matches_brute_force(p, n, valid):
+    field = PrimeField(p)
+    idx = range(n)
+    expected = set()
+    for flat in itertools.product(range(p), repeat=n**3):
+        it = iter(flat)
+        cube = [[[field(next(it)) for _ in idx] for _ in idx] for _ in idx]
+        if validate(MultiplicationTable(field, n, cube), "right").ok:
+            expected.add(flat)
+    assert len(expected) == valid
+    solved = census._solved_tables(p, n)
+    assert len(solved) == len(set(solved)) and set(solved) == expected
+
+    scanned, count, reps = census._generic_exhaustive(field, n, DEFAULT_BUDGET)
+    assert (scanned, count) == (p ** (n**3), valid)
+    group = _plain_general_linear(p, n)
+    minima = {min(_plain_transform(t, g, p, n) for g in group) for t in expected}
+    keys = [key for key, _ in reps]
+    assert keys == sorted(minima)
+    for key, alg in reps:
+        assert tuple(x.value for row in alg.table.cube for v in row for x in v) == key
+    # orbit-stabiliser: |GL| / |Aut| tables in each class
+    automorphisms = [
+        sum(_plain_transform(key, g, p, n) == key for g in group) for key in keys
+    ]
+    assert sum(len(group) // a for a in automorphisms) == valid
+
+
+def _orbit_over_half_the_group(real, flat, p, n):
+    # misses tables of a class, which then start orbits that overlap it
+    images = list(real(flat, p, n))
+    return images[: len(images) // 2]
+
+
+def _orbit_with_a_stranger(real, flat, p, n):
+    # the all-ones table is not Leibniz over GF(3): [e_0, e_0 + e_1] = 2s
+    # while [[e_0, y], z] - [[e_0, z], y] = 0, with s = e_0 + e_1
+    return [*real(flat, p, n), (1,) * n**3]
+
+
+@pytest.mark.parametrize("broken", [_orbit_over_half_the_group, _orbit_with_a_stranger])
+def test_orbit_check_catches_a_broken_orbit(monkeypatch, broken):
+    # orbits that overlap or cover a table the solve did not find fail the
+    # run with a raise, which python -O keeps
+    real = census._base_changes
+    monkeypatch.setattr(
+        census, "_base_changes", lambda flat, p, n: broken(real, flat, p, n)
+    )
+    with pytest.raises(VerificationFailed):
+        census._generic_exhaustive(GF3, 2, DEFAULT_BUDGET)

@@ -222,7 +222,6 @@ def test_census_command(tmp_path, capsys):
             "gf2",
             "--dim",
             "2",
-            "--exhaustive",
             "--lemmas",
             "--out",
             str(out_path),
@@ -281,7 +280,31 @@ def test_census_workers_up_to_cpu_count_accepted(monkeypatch, capsys):
 
 
 def test_census_budget_error(capsys):
-    assert run(["census", "--field", "gf3", "--dim", "3", "--exhaustive"]) == 2
+    assert run(["census", "--field", "gf3", "--dim", "3"]) == 2
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "many"])
+@pytest.mark.parametrize("command", ["census", "quasi_list"])
+def test_budget_flag_rejects_nonsense(tmp_path, monkeypatch, capsys, command, value):
+    # rejected while parsing, naming the flag, instead of failing later
+    # with a message about an exceeded budget
+    if command == "census":
+        argv = ["census", "--field", "gf2", "--dim", "2"]
+    else:
+        alg_path = tmp_path / "k2.json"
+        assert run(["family", "k2", "--field", "gf2", "--out", str(alg_path)]) == 0
+        argv = ["quasi", "list", "--algebra", str(alg_path)]
+    assert _main_exit_code(monkeypatch, [*argv, "--budget", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--budget" in captured.err
+
+
+def test_census_exhaustive_flag_removed(monkeypatch, capsys):
+    argv = ["census", "--field", "gf2", "--dim", "2", "--exhaustive"]
+    assert _main_exit_code(monkeypatch, argv) == 2
+    assert "--exhaustive" in capsys.readouterr().err
 
 
 def test_lemmas_command(tmp_path, capsys):
