@@ -46,9 +46,11 @@ class MultiplicationTable:
     """Structure constants; no identity is promised.
 
     ``cube`` holds the products as scalars, ``raw`` the same cube as raw
-    field values, which the kernels compute on."""
+    field values, which the kernels compute on.  ``_products`` memoises
+    :meth:`raw_bracket` for the life of the table; it takes no part in
+    equality or hashing."""
 
-    __slots__ = ("field", "dim", "cube", "raw", "basis_names")
+    __slots__ = ("field", "dim", "cube", "raw", "basis_names", "_products")
 
     def __init__(self, field: Field, dim: int, cube, basis_names=None):
         cube = tuple(tuple(tuple(v) for v in row) for row in cube)
@@ -65,6 +67,7 @@ class MultiplicationTable:
         self.dim = dim
         self.cube = cube
         self.basis_names = tuple(basis_names)
+        self._products = {}
 
     def __eq__(self, other):
         if not isinstance(other, MultiplicationTable):
@@ -79,7 +82,12 @@ class MultiplicationTable:
         return hash((self.dim, self.raw))
 
     def raw_bracket(self, u: tuple, v: tuple) -> tuple:
-        """[u, v] for raw vectors: sum of u_i v_j [e_i, e_j]."""
+        """[u, v] for raw vectors: sum of u_i v_j [e_i, e_j], computed once
+        per pair (u, v) of tuples."""
+        key = (u, v)
+        found = self._products.get(key)
+        if found is not None:
+            return found
         field = self.field
         axpy, mul, zero = field.raw_axpy, field.raw_mul, field.raw_zero
         out = [zero] * self.dim
@@ -89,7 +97,8 @@ class MultiplicationTable:
             for vj, w in zip(v, row):
                 if vj != zero:
                     out = axpy(mul(ui, vj), out, w)
-        return tuple(out)
+        found = self._products[key] = tuple(out)
+        return found
 
     def __repr__(self):
         return f"<table dim {self.dim} over {self.field}>"
@@ -290,11 +299,17 @@ def squares_ideal(alg: LeibnizAlgebra) -> Subspace:
 
 
 def bracket_subspaces(alg: LeibnizAlgebra, a: Subspace, b: Subspace) -> Subspace:
+    """[A, B], computed once per pair of subspaces of the algebra."""
     alg.check_subspace(a)
     alg.check_subspace(b)
-    br = alg.table.raw_bracket
-    gens = [br(u, v) for u in a.raw_rows for v in b.raw_rows]
-    return raw_echelonize(alg.field, alg.dim, gens)
+    cache = alg._cache.setdefault("bracket_subspaces", {})
+    key = (a.raw_rows, b.raw_rows)
+    found = cache.get(key)
+    if found is None:
+        br = alg.table.raw_bracket
+        gens = [br(u, v) for u in a.raw_rows for v in b.raw_rows]
+        found = cache[key] = raw_echelonize(alg.field, alg.dim, gens)
+    return found
 
 
 def center(alg: LeibnizAlgebra) -> Subspace:

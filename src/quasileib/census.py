@@ -60,7 +60,6 @@ from .linalg import (
     projective_points,
     raw_identity,
     raw_rref,
-    rref,
     unit_vec,
     vec_scale,
     vec_sub,
@@ -393,13 +392,6 @@ def _general_linear(p: int, n: int):
     return tuple(out)
 
 
-def _mat_inverse(field: Field, a: tuple) -> tuple:
-    n = len(a)
-    aug = [tuple(a[i]) + unit_vec(field, n, i) for i in range(n)]
-    reduced, pivots = rref(field, aug, 2 * n)
-    return tuple(row[n:] for row in reduced)
-
-
 def _flat_table(alg: LeibnizAlgebra) -> tuple:
     """The raw structure constants, [e_i, e_j] at e_k in entry (i*n + j)*n + k."""
     return tuple(x for row in alg.table.raw for product in row for x in product)
@@ -662,13 +654,15 @@ def sweep_tables(
     )
 
 
-def _leibniz_residuals(mats, m: int, p: int, n: int) -> list:
+def _leibniz_residuals(mats, m: int, p: int, n: int):
     """The entries of sum_k R_m[j][k] R_k - (R_j R_m - R_m R_j) mod p for
     every j, given the right-multiplication matrices R_k = mats[k]; all zero
-    exactly when [x, [y, e_m]] = [[x, y], e_m] - [[x, e_m], y] for all x, y."""
+    exactly when [x, [y, e_m]] = [[x, y], e_m] - [[x, e_m], y] for all x, y.
+    They are generated one at a time, so ``any`` stops at the first nonzero
+    entry."""
     idx = range(n)
     rm = mats[m]
-    return [
+    return (
         (
             sum(rm[j][k] * mats[k][r][c] for k in idx)
             - sum(mats[j][r][s] * rm[s][c] - rm[r][s] * mats[j][s][c] for s in idx)
@@ -677,7 +671,7 @@ def _leibniz_residuals(mats, m: int, p: int, n: int) -> list:
         for j in idx
         for r in idx
         for c in idx
-    ]
+    )
 
 
 def _solved_tables(p: int, n: int) -> list:
@@ -707,7 +701,7 @@ def _solved_tables(p: int, n: int) -> list:
         fixed = tuple(entries[r * n : r * n + n] for r in idx)
         # the affine map from the unknowns to the residuals of the m = n-1
         # equations: its value at 0 and its columns at the unit vectors
-        offset = _leibniz_residuals(matrices(zero, fixed), last, p, n)
+        offset = list(_leibniz_residuals(matrices(zero, fixed), last, p, n))
         columns = []
         for u in range(unknowns):
             unit = zero[:u] + [1] + zero[u + 1 :]

@@ -237,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=DEFAULT_BUDGET,
             help="enumeration cap (default %(default)s)",
         )
-        p.add_argument("--seed", type=int, default=0, help="sampling seed")
 
     p = sub.add_parser("validate", help="check a multiplication table identity")
     p.add_argument("algebra", help="algebra JSON file")
@@ -292,8 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="sweep small multiplication tables")
     p.add_argument("--field", required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_count, required=True)
     p.add_argument("--sample", type=_count, help="sample this many tables instead")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--lemmas", action="store_true", help="also run the lemma harness")
     common(p)

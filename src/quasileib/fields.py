@@ -451,6 +451,10 @@ class PrimeField(Field):
             raise DivisionByZero(f"inverse of 0 in {self}")
         return pow(a, -1, self.p)
 
+    def raw_axpy(self, c, x, y) -> list:
+        p = self.p
+        return [(a + c * b) % p for a, b in zip(x, y)]
+
     def raw_is_square(self, a) -> bool:
         return sqrt_mod_prime(a, self.p) is not None
 

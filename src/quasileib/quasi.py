@@ -200,19 +200,11 @@ def is_quasi_ideal_oracle(
     alg.check_subspace(h)
     field, n = alg.field, alg.dim
     br = alg.table.raw_bracket
-    units = raw_identity(field, n)
-    # y -> [y,h] and y -> [h,y] as matrices, so that [x,h] = x @ right
-    ops = [
-        (tuple(br(e, hrow) for e in units), tuple(br(hrow, e) for e in units))
-        for hrow in h.raw_rows
-    ]
     for point in projective_points(field, n, budget=budget):
         x = field.unwrap(point)
         probe = raw_echelonize(field, n, h.raw_rows + (x,))
-        for right, left in ops:
-            if not probe.raw_contains(raw_combination(field, x, right, n)):
-                return False
-            if not probe.raw_contains(raw_combination(field, x, left, n)):
+        for hrow in h.raw_rows:
+            if not (probe.raw_contains(br(x, hrow)) and probe.raw_contains(br(hrow, x))):
                 return False
     return True
 

@@ -28,6 +28,7 @@ from quasileib.algebra import (
 )
 from quasileib.errors import (
     BudgetExceeded,
+    DimensionMismatch,
     MalformedInput,
     MixedFields,
     NotAnIdeal,
@@ -148,6 +149,83 @@ def test_raw_kernels_agree_with_reference_over_qq_and_gf2t(field):
             v = tuple(random_entry(field, rng) for _ in range(n))
             assert alg.bracket(u, v) == reference_bracket(table, u, v)
     assert outcomes == {True, False}
+
+
+def _entry(field, rng):
+    if field.is_finite:
+        return field(rng.randrange(field.p))
+    return random_entry(field, rng)
+
+
+@pytest.mark.parametrize(
+    "field", [GF2, GF3, QQ, F2T], ids=["GF2", "GF3", "QQ", "GF2t"]
+)
+def test_memoised_bracket_matches_reference_on_repeat(field):
+    rng = random.Random(43)
+    for _ in range(20):
+        n = rng.randrange(1, 4)
+        cube = [
+            [[_entry(field, rng) for _ in range(n)] for _ in range(n)]
+            for _ in range(n)
+        ]
+        table = MultiplicationTable(field, n, cube)
+        pairs = [
+            (
+                tuple(_entry(field, rng) for _ in range(n)),
+                tuple(_entry(field, rng) for _ in range(n)),
+            )
+            for _ in range(4)
+        ]
+        # the first pass fills the memo, the second reads it
+        for _ in range(2):
+            for u, v in pairs:
+                raw = table.raw_bracket(field.unwrap(u), field.unwrap(v))
+                assert field.wrap(raw) == reference_bracket(table, u, v)
+        assert set(table._products) == {
+            (field.unwrap(u), field.unwrap(v)) for u, v in pairs
+        }
+
+
+def test_bracket_memo_is_per_table():
+    # same shape, different cubes: [e1, e1] = e2 in one, e1 in the other
+    a = build_table(GF3, ("e1", "e2"), {(0, 0): {1: 1}})
+    b = build_table(GF3, ("e1", "e2"), {(0, 0): {0: 1}})
+    u = (1, 0)
+    assert a.raw_bracket(u, u) == (0, 1)
+    assert b.raw_bracket(u, u) == (1, 0)
+    assert a.raw_bracket(u, u) == (0, 1)
+    # the memo takes no part in equality or hashing
+    fresh = build_table(GF3, ("e1", "e2"), {(0, 0): {1: 1}})
+    assert fresh == a and hash(fresh) == hash(a)
+    assert not fresh._products and a._products
+
+
+def test_bracket_subspaces_memo_matches_fresh_echelonization(family_corpus):
+    for _, alg in family_corpus[::4]:
+        subs = subalgebras(alg)
+        for a in subs[:6]:
+            for b in subs[-6:]:
+                fresh = echelonize(
+                    alg.field,
+                    alg.dim,
+                    [alg.bracket(u, v) for u in a.rows for v in b.rows],
+                )
+                first = bracket_subspaces(alg, a, b)
+                assert first == fresh
+                assert bracket_subspaces(alg, a, b) == fresh
+        assert alg._cache["bracket_subspaces"]
+
+
+def test_bracket_subspaces_memo_still_checks_its_inputs():
+    # zero subspaces of other spaces share the memo key (), so the
+    # ambient checks must run on every call, not only on the first
+    alg = two_dim_solvable_cyclic(GF2)
+    zero = zero_subspace(GF2, 2)
+    assert bracket_subspaces(alg, zero, zero).is_zero()
+    with pytest.raises(DimensionMismatch):
+        bracket_subspaces(alg, zero_subspace(GF2, 3), zero)
+    with pytest.raises(MixedFields):
+        bracket_subspaces(alg, zero, zero_subspace(GF3, 2))
 
 
 def test_bracket_rejects_foreign_field_entries():

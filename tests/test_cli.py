@@ -271,6 +271,27 @@ def test_census_count_flags_reject_nonsense(monkeypatch, capsys, flags):
     assert flags[0] in captured.err
 
 
+@pytest.mark.parametrize("dim", ["-1", "0"])
+def test_census_dim_must_be_positive(monkeypatch, capsys, dim):
+    # sample mode used to draw from a -1 or 0 dimensional cube
+    argv = ["census", "--field", "gf2", "--dim", dim, "--sample", "3"]
+    assert _main_exit_code(monkeypatch, argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--dim" in captured.err
+
+
+def test_seed_flag_only_on_census(monkeypatch, capsys, example_algebra):
+    # only the census samples, so no other command takes --seed
+    argv = ["validate", "--seed", "1", str(example_algebra)]
+    assert _main_exit_code(monkeypatch, argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--seed" in captured.err
+
+
 def test_census_workers_up_to_cpu_count_accepted(monkeypatch, capsys):
     # GF(2) dim 2 runs the generic engine, which starts no process pool
     monkeypatch.setattr("os.cpu_count", lambda: 2)

@@ -156,11 +156,13 @@ def test_census_report_matches_schema():
 def _transport(alg, p_rows):
     """The same algebra written in the basis with images p_rows."""
     from quasileib.algebra import LeibnizAlgebra, MultiplicationTable
-    from quasileib.census import _mat_inverse
-    from quasileib.linalg import apply_row
+    from quasileib.linalg import apply_row, rref, unit_vec
 
-    pinv = _mat_inverse(alg.field, p_rows)
     n = alg.dim
+    # [P | I] row-reduces to [I | P^-1]
+    augmented = [tuple(p_rows[i]) + unit_vec(alg.field, n, i) for i in range(n)]
+    reduced, _ = rref(alg.field, augmented, 2 * n)
+    pinv = tuple(row[n:] for row in reduced)
     cube = tuple(
         tuple(
             apply_row(alg.bracket(p_rows[i], p_rows[j]), pinv) for j in range(n)

@@ -1,6 +1,12 @@
 import pytest
 
-from quasileib.algebra import is_ideal, is_nilpotent, subalgebras
+from quasileib.algebra import (
+    LeibnizAlgebra,
+    build_table,
+    is_ideal,
+    is_nilpotent,
+    subalgebras,
+)
 from quasileib.errors import (
     PreconditionUnverified,
     UnsupportedField,
@@ -111,6 +117,30 @@ def test_exact_predicate_equals_oracle_on_every_subspace():
     for alg in fixtures:
         for s in enumerate_subspaces(alg.field, alg.dim):
             assert is_quasi_ideal(alg, s).holds == is_quasi_ideal_oracle(alg, s)
+
+
+def test_oracle_refutes_known_non_quasi_ideals():
+    # Fx in k2 is a subalgebra, but [x, y] = z escapes Fx + Fy; span{h + x}
+    # in the non-Lie almost abelian algebra is not even a subalgebra
+    cases = [
+        (k2(GF2), line(GF2, 3, (1, 0, 0))),
+        (non_lie_almost_abelian(GF2, 2), line(GF2, 3, (1, 0, 1))),
+    ]
+    for alg, h in cases:
+        # the second call reads every bracket from the memo
+        assert not is_quasi_ideal_oracle(alg, h)
+        assert not is_quasi_ideal_oracle(alg, h)
+        assert not is_quasi_ideal(alg, h).holds
+
+
+def test_oracle_checks_both_bracket_orders():
+    # [e1, e2] = e1: span{e2} is refuted only by a bracket [x, h] and
+    # span{e1 + e3} only by a bracket [h, x]
+    alg = LeibnizAlgebra(build_table(GF2, ("e1", "e2", "e3"), {(0, 1): {0: 1}}))
+    for coords in ((0, 1, 0), (1, 0, 1)):
+        h = line(GF2, 3, coords)
+        assert not is_quasi_ideal_oracle(alg, h)
+        assert not is_quasi_ideal(alg, h).holds
 
 
 def test_oracle_rejects_infinite_fields():
