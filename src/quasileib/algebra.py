@@ -259,7 +259,11 @@ class LeibnizAlgebra:
             raise MixedFields(f"{s.field} vs {self.field}")
 
     def full(self) -> Subspace:
-        return full_subspace(self.field, self.dim)
+        """The whole space, built once per algebra."""
+        found = self._cache.get("full")
+        if found is None:
+            found = self._cache["full"] = full_subspace(self.field, self.dim)
+        return found
 
     def zero_space(self) -> Subspace:
         return zero_subspace(self.field, self.dim)
@@ -326,9 +330,17 @@ def center(alg: LeibnizAlgebra) -> Subspace:
 
 
 def is_subalgebra(alg: LeibnizAlgebra, s: Subspace) -> bool:
+    """Whether s is closed under the bracket, decided once per subspace of
+    the algebra."""
     alg.check_subspace(s)
-    br = alg.table.raw_bracket
-    return all(s.raw_contains(br(u, v)) for u in s.raw_rows for v in s.raw_rows)
+    cache = alg._cache.setdefault("is_subalgebra", {})
+    found = cache.get(s.raw_rows)
+    if found is None:
+        br = alg.table.raw_bracket
+        found = cache[s.raw_rows] = all(
+            s.raw_contains(br(u, v)) for u in s.raw_rows for v in s.raw_rows
+        )
+    return found
 
 
 def is_ideal(alg: LeibnizAlgebra, s: Subspace) -> bool:

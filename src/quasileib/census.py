@@ -50,7 +50,13 @@ from .algebra import (
     subalgebras,
     validate,
 )
-from .errors import BudgetExceeded, MixedFields, UnsupportedField, VerificationFailed
+from .errors import (
+    BadDimension,
+    BudgetExceeded,
+    MixedFields,
+    UnsupportedField,
+    VerificationFailed,
+)
 from .families import is_anisotropic
 from .fields import Field, PrimeField
 from .linalg import (
@@ -591,8 +597,10 @@ def sweep_tables(
     dimension 3, ``_generic_exhaustive`` elsewhere); ``totals.scanned`` is
     still the size of the candidate space.  ``mode='sample'`` draws seeded
     random candidates instead.  Reports are byte-identical for any worker
-    count.
+    count.  ``dim`` must be at least 1 in either mode.
     """
+    if dim < 1:
+        raise BadDimension(f"the census needs dim >= 1, got dim={dim}")
     if not isinstance(field, PrimeField):
         raise UnsupportedField("the census runs over finite prime fields")
     p = field.p
@@ -840,11 +848,16 @@ def _harness_one(label, alg, budget, report):
 
     in_q = len(quasis) == len(subs)
     if in_q:
-        # quotients by every ideal stay in the class
+        # quotients by every ideal stay in the class; many ideals give the
+        # same quotient table, which is decided once
+        decided = {}
         for j in subs:
             if not is_ideal(alg, j):
                 continue
-            ok, _ = in_class_q(quotient(alg, j).algebra, budget=budget)
+            q = quotient(alg, j).algebra
+            ok = decided.get(q.table)
+            if ok is None:
+                ok = decided[q.table] = in_class_q(q, budget=budget)[0]
             report.clauses_checked += 1
             if not ok:
                 report.failures.append(

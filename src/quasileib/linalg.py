@@ -159,8 +159,13 @@ class Subspace:
         return tuple(v)
 
     def raw_contains(self, v: tuple) -> bool:
-        zero = self.field.raw_zero
-        return all(x == zero for x in self.raw_reduce(v))
+        """Whether the raw vector v lies in this subspace.  The rows are in
+        reduced echelon form, so that holds exactly when v is the
+        combination of the rows whose coefficients are v's own entries at
+        the pivots."""
+        coeffs = [v[p] for p in self.pivots]
+        combo = raw_combination(self.field, coeffs, self.raw_rows, self.ambient_dim)
+        return combo == tuple(v)
 
     def reduce(self, v: tuple) -> tuple:
         """The canonical representative of v modulo this subspace."""

@@ -194,18 +194,39 @@ def is_quasi_ideal_oracle(
 ) -> bool:
     """Definitional check over a finite prime field: permute with Fx for one
     representative x per projective point.  By bilinearity this is equivalent
-    to permuting with every subspace ([H, sum Fx_i] = sum [H, Fx_i])."""
+    to permuting with every subspace ([H, sum Fx_i] = sum [H, Fx_i]).
+
+    Membership in H + Fx is tested by reducing mod H: with x' the reduction
+    of x, a bracket v lies in H + Fx exactly when its reduction is c x',
+    where c is read off the leading nonzero entry of x'.  When x lies in H
+    (x' = 0), v must reduce to 0."""
     if not alg.field.is_finite:
         raise UnsupportedField("the oracle enumerates projective points")
     alg.check_subspace(h)
     field, n = alg.field, alg.dim
     br = alg.table.raw_bracket
+    axpy, inv, zero = field.raw_axpy, field.raw_inv, field.raw_zero
+    reduce, hrows = h.raw_reduce, h.raw_rows
+    zeros = (zero,) * n
     for point in projective_points(field, n, budget=budget):
         x = field.unwrap(point)
-        probe = raw_echelonize(field, n, h.raw_rows + (x,))
-        for hrow in h.raw_rows:
-            if not (probe.raw_contains(br(x, hrow)) and probe.raw_contains(br(hrow, x))):
-                return False
+        xbar = reduce(x)
+        lead = next((i for i, c in enumerate(xbar) if c != zero), None)
+        if lead is None:
+            # x in H: every c x' is 0, whichever entry c is read from
+            lead = 0
+        else:
+            # a leading 1, so that c is the reduction's entry at lead
+            xbar = axpy(inv(xbar[lead]), zeros, xbar)
+        multiples = {}  # c -> c x'
+        for hrow in hrows:
+            for r in (reduce(br(x, hrow)), reduce(br(hrow, x))):
+                c = r[lead]
+                cx = multiples.get(c)
+                if cx is None:
+                    cx = multiples[c] = tuple(axpy(c, zeros, xbar))
+                if r != cx:
+                    return False
     return True
 
 

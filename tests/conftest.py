@@ -1,5 +1,7 @@
 import pytest
 
+from quasileib import _gf2sweep
+from quasileib.algebra import LeibnizAlgebra, MultiplicationTable
 from quasileib.families import (
     abelian,
     almost_abelian_lie,
@@ -44,6 +46,18 @@ def finite_family_corpus(max_dim: int = 4):
                 )
     out.append(("k2/gf2", k2(GF2)))
     return out
+
+
+def gf2_dim3_class_representatives():
+    """One algebra per isomorphism class of the GF(2) dim-3 census."""
+    _, _, class_ids = _gf2sweep.run()
+    assert len(class_ids) == 20
+    reps = []
+    for cid in class_ids:
+        nested = _gf2sweep.decode_table_bits(cid)
+        cube = [[[GF2(c) for c in v] for v in row] for row in nested]
+        reps.append(LeibnizAlgebra(MultiplicationTable(GF2, 3, cube)))
+    return reps
 
 
 def nine_default_instances():

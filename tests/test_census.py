@@ -32,7 +32,12 @@ from quasileib.census import (
     lemma_harness,
     sweep_tables,
 )
-from quasileib.errors import BudgetExceeded, UnsupportedField, VerificationFailed
+from quasileib.errors import (
+    BadDimension,
+    BudgetExceeded,
+    UnsupportedField,
+    VerificationFailed,
+)
 from quasileib.families import (
     abelian,
     almost_abelian_lie,
@@ -48,6 +53,7 @@ from quasileib.families import (
 )
 from quasileib.fields import GF2, GF3, QQ, FunctionField, PrimeField
 from quasileib.linalg import DEFAULT_BUDGET, echelonize, vec
+from tests.conftest import gf2_dim3_class_representatives
 
 F2T = FunctionField(2)
 
@@ -254,6 +260,40 @@ def test_sweep_gf3_dim2():
     assert all(c.in_q for c in report.classes)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_dim2_valid_count_closed_form(q):
+    """There are q**3 + 2 q**2 - q - 1 Leibniz tables of dimension 2 over
+    GF(q): 13 at q = 2 and 41 at q = 3.
+
+    Derivation, as the sum of |GL(2,q)| / |Aut| over the four classes, with
+    |GL(2,q)| = (q**2 - 1)(q**2 - q).  Write phi(x) = a x + b y for a basis
+    x, y of the class's normal form.
+
+    * Abelian: every invertible map is an automorphism, so its orbit is the
+      zero table alone.
+    * Lie, [x,y] = x = -[y,x]: phi maps the derived algebra Fx to itself, so
+      phi(x) = a x with a != 0 and phi(y) = b x + c y; then
+      [phi x, phi y] = a c x = phi(x) forces c = 1, so |Aut| = q(q - 1).
+    * Nilpotent non-Lie, [x,x] = y and every other product 0: phi maps the
+      ideal of squares Fy to itself, and [phi x, phi x] = a**2 y = phi(y)
+      for phi(x) = a x + b y, so a != 0 and b are free: |Aut| = q(q - 1).
+    * Solvable non-Lie, [x,x] = y = [y,x] and [x,y] = [y,y] = 0: again
+      phi(y) = c y and phi(x) = a x + b y.  [phi y, phi x] = c a y must equal
+      phi(y) = c y, so a = 1; [phi x, phi x] = (1 + b) y must equal c y, so
+      c = 1 + b, which must be nonzero: |Aut| = q - 1.
+
+    The two Lie classes give 1 + (q**2 - 1) = q**2 tables; the two non-Lie
+    classes give (q**2 - 1) + q(q**2 - 1) = (q - 1)(q + 1)**2.  The sum is
+    q**3 + 2 q**2 - q - 1."""
+    gl = (q * q - 1) * (q * q - q)
+    automorphisms = (gl, q * (q - 1), q * (q - 1), q - 1)
+    closed_form = q**3 + 2 * q**2 - q - 1
+    assert sum(gl // a for a in automorphisms) == closed_form
+    report = sweep_tables(PrimeField(q), 2, check_oracle=False)
+    assert report.totals["valid"] == closed_form
+    assert report.totals["classes"] == len(automorphisms)
+
+
 def test_report_count_consistency():
     for field, dim in ((GF2, 2), (GF3, 2), (GF2, 3)):
         r = sweep_tables(field, dim, check_oracle=False)
@@ -269,6 +309,13 @@ def test_sweep_rejects_large_exhaustive():
         sweep_tables(GF3, 3)
     with pytest.raises(UnsupportedField):
         sweep_tables(QQ, 2)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+@pytest.mark.parametrize("dim", [0, -1])
+def test_sweep_rejects_dim_below_one(dim, mode):
+    with pytest.raises(BadDimension, match=f"dim={dim}"):
+        sweep_tables(GF2, dim, mode=mode, sample_size=3)
 
 
 def test_sweep_sample_mode_deterministic():
@@ -313,6 +360,53 @@ def test_lemma_harness_smoke(family_corpus):
 def test_lemma_harness_rejects_infinite_field():
     with pytest.raises(UnsupportedField):
         lemma_harness([two_dim_solvable_cyclic(QQ)])
+
+
+def _quotient_tables(alg):
+    ideals = [j for j in subalgebras(alg) if is_ideal(alg, j)]
+    return ideals, {quotient(alg, j).algebra.table for j in ideals}
+
+
+def test_harness_decides_each_quotient_table_once(monkeypatch):
+    # every subspace of an abelian algebra is an ideal, and the quotients
+    # by the 28 ideals of GF(3)^3 have one table per dimension
+    alg = abelian(GF3, 3)
+    ideals, tables = _quotient_tables(alg)
+    assert (len(ideals), len(tables)) == (28, 4)
+    decided = []
+
+    def counting_in_class_q(q, budget=DEFAULT_BUDGET):
+        decided.append(q.table)
+        return in_class_q(q, budget=budget)
+
+    monkeypatch.setattr(census, "in_class_q", counting_in_class_q)
+    report = lemma_harness([alg])
+    assert report.ok()
+    assert len(decided) == len(tables)
+    assert set(decided) == tables
+
+
+def test_harness_reports_quotient_failures_per_ideal(monkeypatch):
+    alg = abelian(GF3, 3)
+    ideals, _ = _quotient_tables(alg)
+    clauses = lemma_harness([alg]).clauses_checked
+    monkeypatch.setattr(
+        census, "in_class_q", lambda q, budget=DEFAULT_BUDGET: (False, q)
+    )
+    report = lemma_harness([("abelian_3", alg)])
+    failures = [f for f in report.failures if f["clause"] == "quotient_closure"]
+    assert failures == report.failures
+    assert sorted(f["context"] for f in failures) == sorted(
+        f"ideal dim {j.dim}" for j in ideals
+    )
+    assert report.clauses_checked == clauses
+
+
+def test_harness_clause_count_on_family_corpus(family_corpus):
+    # pinned from the harness that decided every quotient separately
+    report = lemma_harness(family_corpus)
+    assert report.ok()
+    assert (report.algebras, report.clauses_checked) == (35, 5328)
 
 
 def _reference_survivors(r2):
@@ -361,21 +455,10 @@ def test_solved_sweep_total():
     assert sum(_gf2sweep.survivors_for_r2(r).size for r in range(512)) == 806
 
 
-def _gf2_dim3_class_representatives():
-    _, _, class_ids = _gf2sweep.run()
-    assert len(class_ids) == 20
-    reps = []
-    for cid in class_ids:
-        nested = _gf2sweep.decode_table_bits(cid)
-        cube = [[[GF2(c) for c in v] for v in row] for row in nested]
-        reps.append(LeibnizAlgebra(MultiplicationTable(GF2, 3, cube)))
-    return reps
-
-
 def test_quotients_by_every_ideal_are_leibniz(family_corpus):
     # quotient() trusts that L/J is Leibniz for an ideal J; check it on every
     # ideal of the GF(2) dim-3 classes and of the finite family instances
-    algebras = _gf2_dim3_class_representatives() + [alg for _, alg in family_corpus]
+    algebras = gf2_dim3_class_representatives() + [alg for _, alg in family_corpus]
     checked = 0
     for alg in algebras:
         for ideal in subalgebras(alg):

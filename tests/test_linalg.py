@@ -24,6 +24,9 @@ from quasileib.linalg import (
     vec,
     zero_subspace,
 )
+from tests.test_fields import random_scalar
+
+F2T = FunctionField(2)
 
 
 def gaussian_binomial(q, n, k):
@@ -130,6 +133,37 @@ def test_reduce_and_membership():
     assert s.contains_vector(vec(GF3, (1, 1, 0)))
     assert not s.contains_vector(vec(GF3, (0, 0, 1)))
     assert s.reduce(vec(GF3, (1, 1, 0))) == vec(GF3, (0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "field", [GF2, GF3, QQ, F2T], ids=["GF2", "GF3", "QQ", "GF2t"]
+)
+def test_raw_contains_matches_reduction(field):
+    rng = random.Random(5)
+    n = 4
+    zero = field.raw_zero
+
+    def random_vec():
+        return tuple(random_scalar(field, rng) for _ in range(n))
+
+    spaces = [zero_subspace(field, n), full_subspace(field, n)]
+    for k in (1, 2, 3) * 4:
+        spaces.append(echelonize(field, n, [random_vec() for _ in range(k)]))
+    seen = {True: 0, False: 0}
+    for s in spaces:
+        members = []
+        for _ in range(4):
+            combo = [field.zero] * n
+            for row in s.rows:
+                c = random_scalar(field, rng)
+                combo = [a + c * b for a, b in zip(combo, row)]
+            members.append(tuple(combo))
+        for v in members + [random_vec() for _ in range(8)]:
+            raw = field.unwrap(v)
+            expected = all(x == zero for x in s.raw_reduce(raw))
+            assert s.raw_contains(raw) == expected, (s, v)
+            seen[expected] += 1
+    assert seen[True] and seen[False]
 
 
 def test_left_kernel():

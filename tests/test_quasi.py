@@ -19,7 +19,14 @@ from quasileib.families import (
     two_dim_solvable_cyclic,
 )
 from quasileib.fields import GF2, GF3, QQ, FunctionField
-from quasileib.linalg import echelonize, enumerate_subspaces, vec, zero_subspace
+from quasileib.linalg import (
+    echelonize,
+    enumerate_subspaces,
+    projective_points,
+    raw_echelonize,
+    vec,
+    zero_subspace,
+)
 from quasileib.quasi import (
     core,
     is_engel_algebra,
@@ -32,6 +39,8 @@ from quasileib.quasi import (
     quasi_ideals,
     subquasi_chain,
 )
+
+from tests.conftest import gf2_dim3_class_representatives
 
 F2T = FunctionField(2)
 
@@ -117,6 +126,39 @@ def test_exact_predicate_equals_oracle_on_every_subspace():
     for alg in fixtures:
         for s in enumerate_subspaces(alg.field, alg.dim):
             assert is_quasi_ideal(alg, s).holds == is_quasi_ideal_oracle(alg, s)
+
+
+def _reference_oracle(alg, h):
+    """The definition by row reduction: for every projective point x, echelonize
+    H + Fx and reduce [x, h] and [h, x] by it for every basis row h."""
+    field, n, zero = alg.field, alg.dim, alg.field.raw_zero
+    br = alg.table.raw_bracket
+
+    def inside(space, v):
+        return all(c == zero for c in space.raw_reduce(v))
+
+    for point in projective_points(field, n):
+        x = field.unwrap(point)
+        probe = raw_echelonize(field, n, h.raw_rows + (x,))
+        for hrow in h.raw_rows:
+            if not (inside(probe, br(x, hrow)) and inside(probe, br(hrow, x))):
+                return False
+    return True
+
+
+def test_oracle_matches_row_reduction_reference(family_corpus):
+    # every subspace, not only the subalgebras, so that non-subalgebras and
+    # points x inside H are covered as well
+    algebras = gf2_dim3_class_representatives() + [
+        alg for _, alg in family_corpus if alg.dim <= 3
+    ]
+    verdicts = {True: 0, False: 0}
+    for alg in algebras:
+        for s in enumerate_subspaces(alg.field, alg.dim):
+            expected = _reference_oracle(alg, s)
+            assert is_quasi_ideal_oracle(alg, s) == expected, (alg, s)
+            verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_oracle_refutes_known_non_quasi_ideals():
