@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -54,6 +55,7 @@ from .errors import (
     BadDimension,
     BudgetExceeded,
     MixedFields,
+    NotLeibniz,
     UnsupportedField,
     VerificationFailed,
 )
@@ -385,17 +387,62 @@ def algebra_invariants(alg: LeibnizAlgebra) -> tuple:
 @lru_cache(maxsize=8)
 def _general_linear(p: int, n: int):
     """Every invertible n x n matrix over GF(p) paired with its inverse, as
-    raw rows: [P | I] row-reduces to [I | P^-1] exactly when P is
-    invertible."""
+    raw rows, in lexicographic order of the rows.  Each row is chosen
+    outside the span of the rows before it, and [P | I] row-reduces to
+    [I | P^-1]."""
     field = PrimeField(p)
-    out = []
+    vectors = list(itertools.product(range(p), repeat=n))
     identity = raw_identity(field, n)
-    for flat in itertools.product(range(p), repeat=n * n):
-        rows = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-        reduced, pivots = raw_rref(field, [r + e for r, e in zip(rows, identity)], 2 * n)
-        if pivots == tuple(range(n)):
+    out = []
+
+    def extend(rows, span):
+        if len(rows) == n:
+            reduced, _ = raw_rref(field, [r + e for r, e in zip(rows, identity)], 2 * n)
             out.append((rows, tuple(r[n:] for r in reduced)))
+            return
+        for v in vectors:
+            if v in span:
+                continue
+            wider = span
+            if len(rows) + 1 < n:
+                wider = {
+                    tuple((a + c * b) % p for a, b in zip(s, v))
+                    for s in span
+                    for c in range(p)
+                }
+            extend(rows + (v,), wider)
+
+    extend((), {(0,) * n})
     return tuple(out)
+
+
+@lru_cache(maxsize=4)
+def _transports(p: int, n: int):
+    """(lane width, transports): for each element P of
+    ``_general_linear(p, n)``, the packed image under P of the unit table
+    at each flat entry s = (a*n + b)*n + k, whose entry (i, j, l) is
+    P[i][a] P[j][b] P^-1[k][l].
+
+    A table packs as one integer with flat entry t in the lane at bit
+    (n^3 - 1 - t) * width, so integer order is lexicographic order once the
+    lanes are reduced mod p.  The image is the product of column a of P, column
+    b of P and row k of P^-1, packed at lane strides n^2, n and 1: each lane
+    of the product receives exactly one term, at most (p - 1)^3.  Over
+    GF(2) the lanes are single bits and images combine by XOR; otherwise
+    images combine by sums of c * image whose lanes never carry (they reach
+    n^3 (p - 1)^4 at most), and are reduced mod p when unpacked."""
+    width = 1 if p == 2 else (n**3 * (p - 1) ** 4).bit_length()
+
+    def packed(vector, stride):
+        return sum(x << ((n - 1 - i) * stride * width) for i, x in enumerate(vector))
+
+    out = []
+    for rows, inverse in _general_linear(p, n):
+        cols = list(zip(*rows))
+        wide, narrow = [packed(c, n * n) for c in cols], [packed(c, n) for c in cols]
+        last = [packed(row, 1) for row in inverse]
+        out.append(tuple(u * v * w for u in wide for v in narrow for w in last))
+    return width, tuple(out)
 
 
 def _flat_table(alg: LeibnizAlgebra) -> tuple:
@@ -403,25 +450,32 @@ def _flat_table(alg: LeibnizAlgebra) -> tuple:
     return tuple(x for row in alg.table.raw for product in row for x in product)
 
 
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _base_changes(flat: tuple, p: int, n: int):
     """A flattened table over GF(p) (plain ints, laid out as in
     ``_flat_table``) written in every basis of GF(p)^n: one image per
     element of GL(n, p), in the order of ``_general_linear``.  The image
-    under P has [P_i, P_j], in the coordinates of the basis P, at (i, j)."""
-    idx = range(n)
-    for rows, inverse in _general_linear(p, n):
-        image = []
-        for pi in rows:
-            for pj in rows:
-                v = [0] * n
-                for a, x in enumerate(pi):
-                    for b, y in enumerate(pj):
-                        if x and y:
-                            base = (a * n + b) * n
-                            for k in idx:
-                                v[k] += x * y * flat[base + k]
-                image.extend(sum(v[k] * inverse[k][l] for k in idx) % p for l in idx)
-        yield tuple(image)
+    under P has [P_i, P_j], in the coordinates of the basis P, at (i, j);
+    it is the combination of the transports of the table's nonzero
+    entries."""
+    width, transports = _transports(p, n)
+    terms = [(s, c) for s, c in enumerate(flat) if c]
+    size = n**3
+    if p == 2:
+        fmt = f"0{size}b"
+        for images in transports:
+            x = 0
+            for s, _ in terms:
+                x ^= images[s]
+            yield tuple(format(x, fmt).encode().translate(_BINARY_DIGITS))
+    else:
+        mask = (1 << width) - 1
+        shifts = range((size - 1) * width, -1, -width)
+        for images in transports:
+            x = sum(c * images[s] for s, c in terms)
+            yield tuple(((x >> shift) & mask) % p for shift in shifts)
 
 
 def _check_base_change_space(field: Field, n: int, budget: int) -> None:
@@ -465,18 +519,11 @@ def canonical_table_key(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> tu
 _EXHAUSTIVE_LIMITS = {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)}
 
 
-def _cube_from_flat(field, n, flat):
+def _cube_from_flat(n, flat):
     it = iter(flat)
     return tuple(
         tuple(tuple(next(it) for _ in range(n)) for _ in range(n)) for _ in range(n)
     )
-
-
-def _algebra_from_bits(field, n, nested) -> LeibnizAlgebra:
-    cube = tuple(
-        tuple(tuple(field(c) for c in v) for v in row) for row in nested
-    )
-    return LeibnizAlgebra(MultiplicationTable(field, n, cube), _checked=True)
 
 
 @dataclass
@@ -545,8 +592,6 @@ class CensusReport:
         }
 
     def to_bytes(self) -> bytes:
-        # worker count deliberately not recorded: reports must be
-        # byte-identical for any worker split
         return json.dumps(self.to_json(), sort_keys=True, indent=1).encode()
 
 
@@ -592,12 +637,13 @@ def sweep_tables(
     isomorphism, and analyze one representative per class.
 
     Exhaustive mode supports GF(2) up to dimension 3 and GF(3) up to
-    dimension 2.  It solves the identity's equations for the valid tables
-    instead of filtering every candidate (the bit-packed sweep at GF(2)
-    dimension 3, ``_generic_exhaustive`` elsewhere); ``totals.scanned`` is
-    still the size of the candidate space.  ``mode='sample'`` draws seeded
-    random candidates instead.  Reports are byte-identical for any worker
-    count.  ``dim`` must be at least 1 in either mode.
+    dimension 2.  It constructs the valid tables instead of filtering every
+    candidate (by the Liesation route at GF(2) dimension 3, by
+    ``_generic_exhaustive`` elsewhere); ``totals.scanned`` is still the size
+    of the candidate space.  ``mode='sample'`` draws seeded random
+    candidates instead.  ``workers`` is accepted for compatibility and no
+    longer changes the work: every engine runs in this process.  ``dim``
+    must be at least 1 in either mode.
     """
     if dim < 1:
         raise BadDimension(f"the census needs dim >= 1, got dim={dim}")
@@ -611,13 +657,7 @@ def sweep_tables(
                 f"no exhaustive census for GF({p}) dim {dim}; supported sizes: {sizes}"
             )
         if p == 2 and dim == 3:
-            from . import _gf2sweep
-
-            scanned, valid, class_ids = _gf2sweep.run(workers=workers)
-            reps = [
-                (cid, _algebra_from_bits(field, 3, _gf2sweep.decode_table_bits(cid)))
-                for cid in class_ids
-            ]
+            scanned, valid, reps = _liesation_census(field, dim, budget)
         else:
             scanned, valid, reps = _generic_exhaustive(field, dim, budget)
     elif mode == "sample":
@@ -744,6 +784,23 @@ def _solved_tables(p: int, n: int) -> list:
     return tables
 
 
+def _mark_orbits(tables, p: int, n: int) -> list:
+    """The GL(n, p) orbits of the given flat tables, as frozensets, each
+    started from the first table that no earlier orbit covers.  Orbits that
+    overlap can only come from a broken base change, and fail the run."""
+    seen = set()
+    orbits = []
+    for table in tables:
+        if table in seen:
+            continue
+        orbit = frozenset(_base_changes(table, p, n))
+        if table not in orbit or not seen.isdisjoint(orbit):
+            raise VerificationFailed(f"GL({n},{p}) moves {table} off its orbit")
+        seen |= orbit
+        orbits.append(orbit)
+    return orbits
+
+
 def _generic_exhaustive(field, dim, budget):
     """Solve for every Leibniz table and collect them into GL(dim, p)
     orbits; each class is keyed by the minimum of its orbit.  The orbits
@@ -751,33 +808,132 @@ def _generic_exhaustive(field, dim, budget):
     _check_base_change_space(field, dim, budget)
     p = field.p
     solved = _solved_tables(p, dim)
-    seen = set()
-    covered = 0
-    keys = []
-    for table in solved:
-        if table in seen:
-            continue
-        orbit = set(_base_changes(table, p, dim))
-        seen |= orbit
-        covered += len(orbit)
-        keys.append(min(orbit))
-    if covered != len(solved) or seen != set(solved):
+    orbits = _mark_orbits(solved, p, dim)
+    covered = sum(len(orbit) for orbit in orbits)
+    if covered != len(solved) or set().union(*orbits) != set(solved):
         raise VerificationFailed(
             f"GL({dim},{p}) orbits cover {covered} tables;"
             f" the solve found {len(solved)}"
         )
+    keys = sorted(min(orbit) for orbit in orbits)
     return p ** (dim**3), len(solved), [
-        (key, _canonical_rep(field, dim, key)) for key in sorted(keys)
+        (key, _canonical_rep(field, dim, key)) for key in keys
+    ]
+
+
+def _right_identity_holds(flat, p: int, n: int, triples=None) -> bool:
+    """Whether a flat table over GF(p) satisfies the right Leibniz identity
+    [e_i, [e_j, e_k]] = [[e_i, e_j], e_k] - [[e_i, e_k], e_j] on the given
+    basis triples (i, j, k), every triple by default, skipping zero
+    structure constants."""
+    idx = range(n)
+    c = [[flat[(a * n + b) * n : (a * n + b + 1) * n] for b in idx] for a in idx]
+    if triples is None:
+        triples = itertools.product(idx, repeat=3)
+    for i, j, k in triples:
+        ci = c[i]
+        v = [0] * n
+        for b, x in enumerate(c[j][k]):
+            if x:
+                v = [s + x * t for s, t in zip(v, ci[b])]
+        for a, x in enumerate(ci[j]):
+            if x:
+                v = [s - x * t for s, t in zip(v, c[a][k])]
+        for a, x in enumerate(ci[k]):
+            if x:
+                v = [s + x * t for s, t in zip(v, c[a][j])]
+        if any(s % p for s in v):
+            return False
+    return True
+
+
+def _liesation_tables(p: int, n: int):
+    """Leibniz tables over GF(p) of dimension n that include a basis change
+    of every Leibniz table, by the Liesation route.
+
+    The ideal of squares I satisfies [L, I] = 0, and L/I is Lie.  In a basis
+    g_0 .. g_{m-1} of a complement followed by a basis x_0 .. x_{d-1} of I
+    (d = dim I, m = n - d), a table is a Lie table on g plus a map omega:
+    g x g -> I in the products [g_a, g_b], a right action rho of g on I in
+    [x_r, g_a] = x_r rho_a, and zero for [g, I] and [I, I].  For d = 0 the
+    candidates are the alternating tables; for d >= 1, g runs over one
+    representative of each Lie class of dimension m, with every rho and
+    every omega.  The candidates that pass the right identity are kept.
+    On an alternating table that identity is the Jacobi identity, whose
+    failure is alternating in (i, j, k), so triples i < j < k suffice."""
+    at = lambda i, j, k: (i * n + j) * n + k
+    pairs = [
+        (at(i, j, k), at(j, i, k))
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(n)
+    ]
+    jacobi = list(itertools.combinations(range(n), 3))
+    for values in itertools.product(range(p), repeat=len(pairs)):
+        flat = [0] * n**3
+        for (s, t), c in zip(pairs, values):
+            flat[s], flat[t] = c, -c % p
+        if _right_identity_holds(flat, p, n, jacobi):
+            yield tuple(flat)
+    for d in range(1, n):
+        m = n - d
+        omega = [at(a, b, m + r) for a in range(m) for b in range(m) for r in range(d)]
+        rho = [
+            at(m + r, a, m + q) for a in range(m) for r in range(d) for q in range(d)
+        ]
+        for orbit in _liesation_orbits(p, m):
+            g = min(orbit)
+            if not is_lie(_canonical_rep(PrimeField(p), m, g)):
+                continue
+            flat = [0] * n**3
+            for (a, b, k), c in zip(itertools.product(range(m), repeat=3), g):
+                flat[at(a, b, k)] = c
+            for values in itertools.product(range(p), repeat=len(rho) + len(omega)):
+                for s, c in zip(rho + omega, values):
+                    flat[s] = c
+                if _right_identity_holds(flat, p, n):
+                    yield tuple(flat)
+
+
+def _liesation_orbits(p: int, n: int) -> list:
+    """The GL(n, p) orbits of the Leibniz tables over GF(p) of dimension n:
+    the orbits of ``_liesation_tables``.  Every orbit size must divide
+    |GL(n, p)|, or the run fails."""
+    orbits = _mark_orbits(_liesation_tables(p, n), p, n)
+    order = len(_general_linear(p, n))
+    for orbit in orbits:
+        if order % len(orbit):
+            raise VerificationFailed(
+                f"a GL({n},{p}) orbit of {len(orbit)} tables; |GL| = {order}"
+            )
+    return orbits
+
+
+def _liesation_census(field, dim, budget):
+    """The census by ``_liesation_orbits``.  Each class is keyed by the
+    minimum over its orbit of the base-p id with flat entry s at digit s
+    (at GF(2) dimension 3 the 27-bit id c[i][j][k] << (9i + 3j + k)), and
+    ``totals.valid`` is the sum of the orbit sizes."""
+    _check_base_change_space(field, dim, budget)
+    p = field.p
+    orbits = _liesation_orbits(p, dim)
+    digits = [p**s for s in range(dim**3)]
+    classes = sorted(
+        min((sum(map(operator.mul, t, digits)), t) for t in orbit) for orbit in orbits
+    )
+    return p ** (dim**3), sum(map(len, orbits)), [
+        (key, _canonical_rep(field, dim, table)) for key, table in classes
     ]
 
 
 def _canonical_rep(field, dim, key) -> LeibnizAlgebra:
-    it = iter(key)
-    cube = tuple(
-        tuple(tuple(field(next(it)) for _ in range(dim)) for _ in range(dim))
-        for _ in range(dim)
-    )
-    return LeibnizAlgebra(MultiplicationTable(field, dim, cube))
+    """The algebra of a flat table, checked against the right identity in
+    full: a class representative that fails it is a defect of the engine."""
+    cube = _cube_from_flat(dim, [field(c) for c in key])
+    try:
+        return LeibnizAlgebra(MultiplicationTable(field, dim, cube))
+    except NotLeibniz as exc:
+        raise VerificationFailed(f"class representative {key} is not Leibniz") from exc
 
 
 def _sampled_sweep(field, dim, sample_size, seed, budget):
@@ -787,7 +943,7 @@ def _sampled_sweep(field, dim, sample_size, seed, budget):
     valid = 0
     for _ in range(sample_size):
         flat = [rng.choice(elems) for _ in range(dim**3)]
-        cube = _cube_from_flat(field, dim, flat)
+        cube = _cube_from_flat(dim, flat)
         table = MultiplicationTable(field, dim, cube)
         if not validate(table, "right").ok:
             continue

@@ -294,7 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_count, required=True)
     p.add_argument("--sample", type=_count, help="sample this many tables instead")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--workers", type=_worker_count, default=1)
+    p.add_argument(
+        "--workers",
+        type=_worker_count,
+        default=1,
+        help="accepted for compatibility, 1 up to the CPU count; every census "
+        "runs in one process, so the value no longer changes the work",
+    )
     p.add_argument("--lemmas", action="store_true", help="also run the lemma harness")
     common(p)
     p.set_defaults(func=_cmd_census)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from .algebra import (
     LeibnizAlgebra,
@@ -53,6 +54,7 @@ from .linalg import (
     raw_echelonize,
     raw_identity,
     raw_left_kernel,
+    require_enumerable,
     vec,
 )
 
@@ -103,19 +105,22 @@ def is_quasi_ideal_in(
 ) -> QuasiIdealVerdict:
     """Decide whether H is a quasi-ideal of the subalgebra M (of L itself
     when M is omitted).  Verdicts carry a replayable certificate or witness.
+
+    Verdicts are memoised per pair (H, M); the field and ambient dimension
+    of both are checked on every call, H <= M only before a verdict is
+    first decided (a cached pair has passed it).
     """
     if m is None:
         m = alg.full()
-    if h.ambient_dim != alg.dim or m.ambient_dim != alg.dim:
-        raise DimensionMismatch("subspaces must live in the algebra")
-    if not m.contains(h):
-        raise DimensionMismatch("H must be contained in M")
+    alg.check_subspace(h)
+    alg.check_subspace(m)
     cache = alg._cache.setdefault("quasi_in", {})
     key = (h.raw_rows, m.raw_rows)
-    if key in cache:
-        return cache[key]
-    verdict = _decide_quasi_in(alg, h, m)
-    cache[key] = verdict
+    verdict = cache.get(key)
+    if verdict is None:
+        if not m.contains(h):
+            raise DimensionMismatch("H must be contained in M")
+        verdict = cache[key] = _decide_quasi_in(alg, h, m)
     return verdict
 
 
@@ -189,6 +194,14 @@ def is_quasi_ideal(alg: LeibnizAlgebra, h: Subspace) -> QuasiIdealVerdict:
     return is_quasi_ideal_in(alg, h, None)
 
 
+@lru_cache(maxsize=32)
+def _raw_projective_points(field, n: int) -> tuple:
+    """``projective_points`` as raw vectors, built once per field and
+    dimension; callers check the budget themselves."""
+    points = projective_points(field, n, budget=field.order**n)
+    return tuple(field.unwrap(point) for point in points)
+
+
 def is_quasi_ideal_oracle(
     alg: LeibnizAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET
 ) -> bool:
@@ -204,12 +217,12 @@ def is_quasi_ideal_oracle(
         raise UnsupportedField("the oracle enumerates projective points")
     alg.check_subspace(h)
     field, n = alg.field, alg.dim
+    require_enumerable(field, n, budget, f"projective points of F^{n}")
     br = alg.table.raw_bracket
     axpy, inv, zero = field.raw_axpy, field.raw_inv, field.raw_zero
     reduce, hrows = h.raw_reduce, h.raw_rows
     zeros = (zero,) * n
-    for point in projective_points(field, n, budget=budget):
-        x = field.unwrap(point)
+    for x in _raw_projective_points(field, n):
         xbar = reduce(x)
         lead = next((i for i, c in enumerate(xbar) if c != zero), None)
         if lead is None:

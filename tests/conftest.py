@@ -1,7 +1,7 @@
 import pytest
 
-from quasileib import _gf2sweep
 from quasileib.algebra import LeibnizAlgebra, MultiplicationTable
+from quasileib.census import sweep_tables
 from quasileib.families import (
     abelian,
     almost_abelian_lie,
@@ -49,15 +49,14 @@ def finite_family_corpus(max_dim: int = 4):
 
 
 def gf2_dim3_class_representatives():
-    """One algebra per isomorphism class of the GF(2) dim-3 census."""
-    _, _, class_ids = _gf2sweep.run()
-    assert len(class_ids) == 20
-    reps = []
-    for cid in class_ids:
-        nested = _gf2sweep.decode_table_bits(cid)
-        cube = [[[GF2(c) for c in v] for v in row] for row in nested]
-        reps.append(LeibnizAlgebra(MultiplicationTable(GF2, 3, cube)))
-    return reps
+    """One algebra per isomorphism class of the GF(2) dim-3 census, rebuilt
+    from the report's tables so that each starts with empty caches."""
+    report = sweep_tables(GF2, 3, check_oracle=False)
+    assert report.totals["classes"] == 20
+    return [
+        LeibnizAlgebra(MultiplicationTable(GF2, 3, entry.algebra.table.cube))
+        for entry in report.classes
+    ]
 
 
 def nine_default_instances():

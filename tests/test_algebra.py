@@ -89,6 +89,32 @@ def test_k2_is_lie_over_gf2():
     assert validate(k2(GF2).table, "lie").ok
 
 
+def test_is_lie_matches_lie_validation(family_corpus, nine_families):
+    # alternation decides Lie-ness for a Leibniz algebra; the full "lie"
+    # validation is the reference, on the census classes, the families and
+    # seeded random valid tables of the GF(2) dim-3 and GF(3) dim-2 censuses
+    from quasileib import census
+    from tests.conftest import gf2_dim3_class_representatives
+
+    rng = random.Random(23)
+    algebras = gf2_dim3_class_representatives()
+    algebras += [alg for _, alg in family_corpus] + list(nine_families.values())
+    for field, n in ((GF2, 3), (GF3, 2)):
+        tables = sorted(set().union(*census._liesation_orbits(field.p, n)))
+        for flat in rng.sample(tables, 30):
+            entries = iter(field(c) for c in flat)
+            cube = [[[next(entries) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+            algebras.append(LeibnizAlgebra(MultiplicationTable(field, n, cube)))
+    verdicts = set()
+    for alg in algebras:
+        fresh = LeibnizAlgebra(alg.table)
+        expected = validate(alg.table, "lie").ok
+        assert is_lie(fresh) == expected
+        assert fresh._cache["is_lie"] == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_one_dim_idempotent_fails_with_witness():
     table = build_table(GF2, ("e",), {(0, 0): {0: 1}})
     result = validate(table, "right")

@@ -1,10 +1,13 @@
+import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from quasileib import _gf2sweep
 from quasileib import census
 from quasileib.algebra import (
     LeibnizAlgebra,
@@ -409,6 +412,7 @@ def test_harness_clause_count_on_family_corpus(family_corpus):
     assert (report.algebras, report.clauses_checked) == (35, 5328)
 
 
+@functools.lru_cache(maxsize=None)
 def _reference_survivors(r2):
     """Every valid GF(2) dim-3 table with third right-multiplication matrix
     r2, by evaluating the nine matrix equations
@@ -443,16 +447,45 @@ def _reference_survivors(r2):
     ids=["zero", "inconsistent", "kernel_dim_10", "random_0", "random_1", "random_2"],
 )
 def test_solved_sweep_matches_brute_force(r2, linear_solutions):
+    # the Liesation generator's orbits, cut to the tables with this R_2,
+    # against the brute-force reference
     expected, solved = _reference_survivors(r2)
     if linear_solutions is not None:
         assert solved == linear_solutions
-    survivors = _gf2sweep.survivors_for_r2(r2)
-    assert survivors.size == len(expected)
-    assert set(survivors.tolist()) == expected
+    found = set()
+    for t in _orbit_union(2, 3):
+        # R_2[i][k] = c[i][2][k] at pattern bit 3i + k
+        bits = itertools.product(range(3), repeat=2)
+        if r2 == sum(t[9 * i + 6 + k] << (3 * i + k) for i, k in bits):
+            found.add(sum(c << s for s, c in enumerate(t)))
+    assert found == expected
 
 
 def test_solved_sweep_total():
-    assert sum(_gf2sweep.survivors_for_r2(r).size for r in range(512)) == 806
+    orbits = census._liesation_orbits(2, 3)
+    assert sum(len(orbit) for orbit in orbits) == len(_orbit_union(2, 3)) == 806
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_union(p, n):
+    """The union of the Liesation generator's orbits."""
+    return frozenset().union(*census._liesation_orbits(p, n))
+
+
+@pytest.mark.parametrize("p, n, valid", [(2, 1, 1), (2, 2, 13), (3, 1, 1), (3, 2, 41)])
+def test_liesation_generator_matches_generic_engine(p, n, valid):
+    # the same orbits as the solved tables of the generic engine, moved by
+    # the plain base change, and the same forward minima as its class keys
+    orbits = census._liesation_orbits(p, n)
+    assert sum(len(orbit) for orbit in orbits) == valid
+    group = _plain_general_linear(p, n)
+    expected = {
+        frozenset(_plain_transform(t, g, p, n) for g in group)
+        for t in census._solved_tables(p, n)
+    }
+    assert len(orbits) == len(expected) and set(orbits) == expected
+    _, _, reps = census._generic_exhaustive(PrimeField(p), n, DEFAULT_BUDGET)
+    assert sorted(min(orbit) for orbit in orbits) == [key for key, _ in reps]
 
 
 def test_quotients_by_every_ideal_are_leibniz(family_corpus):
@@ -479,21 +512,30 @@ def test_unsupported_exhaustive_size_lists_supported_sizes():
     assert "sample" not in message
 
 
+@functools.lru_cache(maxsize=None)
 def _plain_general_linear(p, n):
-    """(P, P^-1) for every invertible n x n matrix over GF(p), by search."""
+    """(P, P^-1) for every invertible n x n matrix over GF(p), by search: P
+    is invertible when v P = 0 only for v = 0, and P^-1 is searched among
+    the invertible matrices."""
+    idx = range(n)
     mats = [
-        tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        tuple(flat[i * n : (i + 1) * n] for i in idx)
         for flat in itertools.product(range(p), repeat=n * n)
     ]
-    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    vectors = [v for v in itertools.product(range(p), repeat=n) if any(v)]
+    identity = tuple(tuple(int(i == j) for j in idx) for i in idx)
 
     def mul(a, b):
         return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-            for i in range(n)
+            tuple(sum(a[i][k] * b[k][j] for k in idx) % p for j in idx) for i in idx
         )
 
-    return [(a, b) for a in mats for b in mats if mul(a, b) == identity]
+    units = [
+        a
+        for a in mats
+        if all(any(sum(v[i] * a[i][j] for i in idx) % p for j in idx) for v in vectors)
+    ]
+    return [(a, b) for a in units for b in units if mul(a, b) == identity]
 
 
 def _plain_transform(flat, pair, p, n):
@@ -542,6 +584,76 @@ def test_generic_engine_matches_brute_force(p, n, valid):
         sum(_plain_transform(key, g, p, n) == key for g in group) for key in keys
     ]
     assert sum(len(group) // a for a in automorphisms) == valid
+
+
+# Breaks the Liesation engine in two ways and expects each to fail the run.
+# A base change that drops the last element of GL(2,2) (GL(1,2) is left
+# whole) shrinks the orbit of the class with trivial automorphism group to
+# 5 tables, which does not divide |GL(2,2)| = 6.  A class whose table is
+# not Leibniz fails the full right identity when its representative is
+# built.
+_BROKEN_ENGINE = """
+from quasileib import census
+from quasileib.errors import VerificationFailed
+from quasileib.fields import GF2
+
+real_base_changes = census._base_changes
+
+
+def drop_last(flat, p, n):
+    images = list(real_base_changes(flat, p, n))
+    return images[:-1] if n > 1 else images
+
+
+census._base_changes = drop_last
+try:
+    census._liesation_orbits(2, 2)
+    raise SystemExit("an orbit that misses a table was accepted")
+except VerificationFailed as exc:
+    assert "|GL| = 6" in str(exc), exc
+census._base_changes = real_base_changes
+
+# [e_0, e_0] = e_0 is not Leibniz
+census._liesation_orbits = lambda p, n: [frozenset({(1,) + (0,) * (n**3 - 1)})]
+try:
+    census.sweep_tables(GF2, 3)
+    raise SystemExit("a representative that is not Leibniz was accepted")
+except VerificationFailed as exc:
+    assert "not Leibniz" in str(exc), exc
+print("both caught")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_liesation_self_checks_fire(flags):
+    # the checks raise VerificationFailed instead of asserting, so python -O
+    # keeps them (the script's own asserts only refine the message check)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    result = subprocess.run(
+        [sys.executable, *flags, "-c", _BROKEN_ENGINE],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "both caught"
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 2)])
+def test_base_changes_match_plain_transform(p, n):
+    # the packed transports give the plain transform's images, in the order
+    # of the plain search for GL(n, p)
+    group = _plain_general_linear(p, n)
+    assert list(census._general_linear(p, n)) == group
+    rng = random.Random(13)
+    tables = [(0,) * n**3, (p - 1,) * n**3] + [
+        tuple(rng.randrange(p) for _ in range(n**3)) for _ in range(4)
+    ]
+    for t in tables:
+        assert list(census._base_changes(t, p, n)) == [
+            _plain_transform(t, g, p, n) for g in group
+        ]
 
 
 def _orbit_over_half_the_group(real, flat, p, n):

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -298,6 +302,31 @@ def test_census_workers_up_to_cpu_count_accepted(monkeypatch, capsys):
     argv = ["census", "--field", "gf2", "--dim", "2", "--workers", "2"]
     assert _main_exit_code(monkeypatch, argv) == 0
     assert json.loads(capsys.readouterr().out)["totals"]["classes"] == 4
+
+
+def test_gf2_dim3_census_runs_without_numpy(tmp_path):
+    # a fresh process: the census imports no numpy (only the brute-force
+    # test references use it) and writes the pinned report bytes
+    out = tmp_path / "report.json"
+    argv = ["census", "--field", "gf2", "--dim", "3", "--lemmas", "--out", str(out)]
+    script = (
+        "import sys\n"
+        "from quasileib.cli import run\n"
+        f"code = run({argv!r})\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.stdout.split() == ["0", "False"], result.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "71982c0690df13d0aa60b5dd112db81027c708be027f357b3b97066b1e418d52"
+    )
 
 
 def test_census_budget_error(capsys):

@@ -252,27 +252,32 @@ def test_dim2_canonical_dedup_agrees_with_pairwise_isomorphism():
 
 
 def test_bit_canonicalization_agrees_with_isomorphism_search():
-    # random valid dimension-3 tables must be isomorphic to the class
-    # representative their canonical id points at
-    import numpy as np
-
-    from quasileib import _gf2sweep
+    # random valid dimension-3 tables from the brute-force reference must be
+    # isomorphic to the census class whose 27-bit id (c[i][j][k] at bit
+    # 9i + 3j + k) is the minimum over their orbit
     from quasileib.algebra import LeibnizAlgebra, MultiplicationTable
     from quasileib.census import are_isomorphic
+    from tests.test_census import (
+        _plain_general_linear,
+        _plain_transform,
+        _reference_survivors,
+    )
 
-    survivors = _gf2sweep.sweep_range(0, 64)
-    rng = random.Random(211)
-    picks = rng.sample(range(survivors.size), min(25, survivors.size))
-    ids = survivors[np.array(picks)]
-    canon = _gf2sweep.canonicalize(ids)
-    for raw, can in zip(ids.tolist(), canon.tolist()):
-        assert can <= raw
-
-        def to_alg(table_id):
-            nested = _gf2sweep.decode_table_bits(table_id)
-            cube = tuple(
-                tuple(tuple(GF2(c) for c in v) for v in row) for row in nested
-            )
-            return LeibnizAlgebra(MultiplicationTable(GF2, 3, cube))
-
-        assert are_isomorphic(to_alg(raw), to_alg(can))
+    # R_2 = 0 and the R_2 of pattern 4 (entry (0, 2)), two of the cases
+    # that the census brute-force tests already run
+    ids = _reference_survivors(0)[0] | _reference_survivors(4)[0]
+    picks = random.Random(211).sample(sorted(ids), 25)
+    report = sweep_tables(GF2, 3, check_oracle=False)
+    classes = {entry.key: entry.algebra for entry in report.classes}
+    group = _plain_general_linear(2, 3)
+    for raw in picks:
+        flat = tuple((raw >> s) & 1 for s in range(27))
+        can = min(
+            sum(c << s for s, c in enumerate(_plain_transform(flat, g, 2, 3)))
+            for g in group
+        )
+        assert can <= raw and can in classes
+        entries = iter(GF2(c) for c in flat)
+        cube = [[[next(entries) for _ in range(3)] for _ in range(3)] for _ in range(3)]
+        alg = LeibnizAlgebra(MultiplicationTable(GF2, 3, cube))
+        assert are_isomorphic(alg, classes[can])

@@ -8,6 +8,9 @@ from quasileib.algebra import (
     subalgebras,
 )
 from quasileib.errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    MixedFields,
     PreconditionUnverified,
     UnsupportedField,
     VerificationFailed,
@@ -205,6 +208,43 @@ def test_relative_quasi_ideals():
     assert not is_quasi_ideal(kk, fy).holds
     assert is_quasi_ideal_in(kk, fy, myz).holds
     assert is_quasi_ideal_in(kk, myz, kk.full()).holds
+
+
+def test_quasi_in_memo_still_checks_its_inputs():
+    # the field and ambient dimension of H and M are checked before the
+    # memo is read, and H <= M before a verdict is first decided
+    alg = non_lie_almost_abelian(GF2, 2)
+    h = line(GF2, 3, (1, 0, 0))
+    m = echelonize(GF2, 3, [vec(GF2, (1, 0, 0)), vec(GF2, (0, 1, 0))])
+    assert is_quasi_ideal_in(alg, h, m) is is_quasi_ideal_in(alg, h, m)
+    assert (h.raw_rows, m.raw_rows) in alg._cache["quasi_in"]
+    # same raw rows as the cached H, over another field
+    with pytest.raises(MixedFields):
+        is_quasi_ideal_in(alg, line(GF3, 3, (1, 0, 0)), m)
+    with pytest.raises(MixedFields):
+        is_quasi_ideal_in(alg, h, echelonize(GF3, 3, [vec(GF3, (1, 0, 0))]))
+    with pytest.raises(DimensionMismatch):
+        is_quasi_ideal_in(alg, line(GF2, 4, (1, 0, 0, 0)), m)
+    # an H outside M, after H has been decided in L
+    outside = line(GF2, 3, (0, 0, 1))
+    is_quasi_ideal(alg, outside)
+    with pytest.raises(DimensionMismatch):
+        is_quasi_ideal_in(alg, outside, m)
+    assert (outside.raw_rows, m.raw_rows) not in alg._cache["quasi_in"]
+
+
+def test_oracle_points_are_cached_but_budget_checked_every_call():
+    from quasileib.quasi import _raw_projective_points
+
+    for field, n in ((GF2, 3), (GF3, 2), (GF3, 1)):
+        assert _raw_projective_points(field, n) == tuple(
+            field.unwrap(x) for x in projective_points(field, n)
+        )
+    alg = k2(GF2)
+    h = line(GF2, 3, (1, 0, 0))
+    is_quasi_ideal_oracle(alg, h)
+    with pytest.raises(BudgetExceeded):
+        is_quasi_ideal_oracle(alg, h, budget=7)
 
 
 def test_relative_verdict_in_non_closed_host():
