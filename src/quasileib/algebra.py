@@ -36,7 +36,7 @@ from .linalg import (
     raw_echelonize,
     raw_identity,
     raw_left_kernel,
-    require_enumerable,
+    require_subspaces,
     unit_vec,
     zero_subspace,
 )
@@ -435,17 +435,15 @@ def subalgebras(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     """All bracket-closed subspaces, over a finite prime field.
 
     The list is computed once per algebra; every call still checks the
-    budget and returns a fresh list."""
+    budget against the number of subspaces and returns a fresh list."""
+    require_subspaces(alg.field, alg.dim, range(alg.dim + 1), budget)
     found = alg._cache.get("subalgebras")
     if found is None:
-        found = [
+        found = alg._cache["subalgebras"] = [
             s
             for s in enumerate_subspaces(alg.field, alg.dim, budget=budget)
             if is_subalgebra(alg, s)
         ]
-        alg._cache["subalgebras"] = found
-    else:
-        require_enumerable(alg.field, alg.dim, budget, f"subspaces of F^{alg.dim}")
     return list(found)
 
 

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
-import random
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -49,7 +47,6 @@ from .algebra import (
     series,
     squares_ideal,
     subalgebras,
-    validate,
 )
 from .errors import (
     BadDimension,
@@ -102,14 +99,10 @@ VERDICTS = (
 )
 
 
-def all_subalgebras(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
-    return subalgebras(alg, budget=budget)
-
-
 def in_class_q(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     """Whether every subalgebra is a quasi-ideal; returns (flag, failing
     subalgebra or None)."""
-    for s in all_subalgebras(alg, budget=budget):
+    for s in subalgebras(alg, budget=budget):
         if not is_quasi_ideal(alg, s).holds:
             return False, s
     return True, None
@@ -176,15 +169,6 @@ def match_non_lie_almost_abelian(alg: LeibnizAlgebra):
     return h
 
 
-def _z_coefficient(alg, ideal_row, v):
-    """c with v = c * ideal_row, or None if v leaves the line."""
-    pivot = next((j for j, s in enumerate(ideal_row) if s), None)
-    c = v[pivot]
-    if v != vec_scale(c, ideal_row):
-        return None
-    return c
-
-
 def match_extraspecial_sum(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     """(dim_e, dim_z) for the E + Z shape, or None.
 
@@ -212,7 +196,7 @@ def match_extraspecial_sum(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     for u in reps:
         row = []
         for v in reps:
-            coeff = _z_coefficient(alg, z_row, alg.bracket(u, v))
+            coeff = _z_coefficient(z_row, alg.bracket(u, v))
             if coeff is None:
                 return None
             row.append(coeff)
@@ -248,7 +232,7 @@ def match_char2_family(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     )
     h = lift(abar)
     z = alg.bracket(h, h)
-    if _z_coefficient(alg, ideal.rows[0], z) in (None, alg.field.zero) or not any(z):
+    if _z_coefficient(ideal.rows[0], z) in (None, alg.field.zero) or not any(z):
         return None
     qfull = quot.algebra.full()
     qder = bracket_subspaces(quot.algebra, qfull, qfull)
@@ -265,7 +249,7 @@ def match_char2_family(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
             return None
         for j, cj in enumerate(cs):
             val = alg.bracket(ci, cj)
-            coeff = _z_coefficient_vec(alg, z, val)
+            coeff = _z_coefficient(z, val)
             if coeff is None:
                 return None
             if alg.bracket(cj, ci) != val:
@@ -286,8 +270,9 @@ def match_char2_family(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     return k
 
 
-def _z_coefficient_vec(alg, z_vec, v):
-    """c with v = c * z_vec for a not-necessarily-echelon line vector."""
+def _z_coefficient(z_vec, v):
+    """c with v = c * z_vec for a nonzero z_vec, or None if v leaves the
+    line."""
     pivot = next((j for j, s in enumerate(z_vec) if s), None)
     if pivot is None:
         return None
@@ -519,16 +504,9 @@ def canonical_table_key(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> tu
 _EXHAUSTIVE_LIMITS = {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)}
 
 
-def _cube_from_flat(n, flat):
-    it = iter(flat)
-    return tuple(
-        tuple(tuple(next(it) for _ in range(n)) for _ in range(n)) for _ in range(n)
-    )
-
-
 @dataclass
 class ClassEntry:
-    key: tuple | int
+    key: tuple
     algebra: LeibnizAlgebra
     invariants: tuple
     subalgebra_count: int
@@ -566,8 +544,6 @@ class ClassEntry:
 class CensusReport:
     field: Field
     dim: int
-    mode: str
-    seed: int | None
     totals: dict
     classes: list
     dim_i_distribution: dict
@@ -579,8 +555,8 @@ class CensusReport:
             "params": {
                 "field": self.field.to_json(),
                 "dim": self.dim,
-                "mode": self.mode,
-                "seed": self.seed,
+                "mode": "exhaustive",
+                "seed": None,
             },
             "totals": self.totals,
             "classes": [c.to_json() for c in self.classes],
@@ -596,7 +572,7 @@ class CensusReport:
 
 
 def _analyze_class(key, alg, budget, check_oracle) -> ClassEntry:
-    subs = all_subalgebras(alg, budget=budget)
+    subs = subalgebras(alg, budget=budget)
     quasis = [s for s in subs if is_quasi_ideal(alg, s).holds]
     in_q = len(quasis) == len(subs)
     failure = None
@@ -625,9 +601,6 @@ def _analyze_class(key, alg, budget, check_oracle) -> ClassEntry:
 def sweep_tables(
     field: Field,
     dim: int,
-    mode: str = "exhaustive",
-    sample_size: int = 0,
-    seed: int = 0,
     workers: int = 1,
     budget: int = DEFAULT_BUDGET,
     run_lemmas: bool = False,
@@ -636,34 +609,25 @@ def sweep_tables(
     """Find the Leibniz multiplication tables of one size, dedup them by
     isomorphism, and analyze one representative per class.
 
-    Exhaustive mode supports GF(2) up to dimension 3 and GF(3) up to
-    dimension 2.  It constructs the valid tables instead of filtering every
-    candidate (by the Liesation route at GF(2) dimension 3, by
-    ``_generic_exhaustive`` elsewhere); ``totals.scanned`` is still the size
-    of the candidate space.  ``mode='sample'`` draws seeded random
-    candidates instead.  ``workers`` is accepted for compatibility and no
-    longer changes the work: every engine runs in this process.  ``dim``
-    must be at least 1 in either mode.
+    The census is exhaustive and supports GF(2) up to dimension 3 and
+    GF(3) up to dimension 2; ``dim`` must be at least 1.  It constructs the
+    valid tables by the Liesation route (``_liesation_orbits``) instead of
+    filtering every candidate, so ``totals.scanned`` is the size of the
+    candidate space and ``totals.valid`` the sum of the orbit sizes.
+    ``workers`` is accepted for compatibility and does not change the work:
+    the census runs in this process.
     """
     if dim < 1:
         raise BadDimension(f"the census needs dim >= 1, got dim={dim}")
     if not isinstance(field, PrimeField):
         raise UnsupportedField("the census runs over finite prime fields")
     p = field.p
-    if mode == "exhaustive":
-        if (p, dim) not in _EXHAUSTIVE_LIMITS:
-            sizes = ", ".join(f"GF({q}) dim {n}" for q, n in sorted(_EXHAUSTIVE_LIMITS))
-            raise BudgetExceeded(
-                f"no exhaustive census for GF({p}) dim {dim}; supported sizes: {sizes}"
-            )
-        if p == 2 and dim == 3:
-            scanned, valid, reps = _liesation_census(field, dim, budget)
-        else:
-            scanned, valid, reps = _generic_exhaustive(field, dim, budget)
-    elif mode == "sample":
-        scanned, valid, reps = _sampled_sweep(field, dim, sample_size, seed, budget)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    if (p, dim) not in _EXHAUSTIVE_LIMITS:
+        sizes = ", ".join(f"GF({q}) dim {n}" for q, n in sorted(_EXHAUSTIVE_LIMITS))
+        raise BudgetExceeded(
+            f"no exhaustive census for GF({p}) dim {dim}; supported sizes: {sizes}"
+        )
+    scanned, valid, reps = _census(field, dim, budget)
 
     classes = [
         _analyze_class(key, alg, budget, check_oracle) for key, alg in reps
@@ -692,96 +656,12 @@ def sweep_tables(
     return CensusReport(
         field=field,
         dim=dim,
-        mode=mode if mode == "exhaustive" else f"sample({sample_size})",
-        seed=seed if mode == "sample" else None,
         totals={"scanned": scanned, "valid": valid, "classes": len(classes)},
         classes=classes,
         dim_i_distribution=dim_i_distribution,
         discrepancies=discrepancies,
         lemma_failures=lemma_failures,
     )
-
-
-def _leibniz_residuals(mats, m: int, p: int, n: int):
-    """The entries of sum_k R_m[j][k] R_k - (R_j R_m - R_m R_j) mod p for
-    every j, given the right-multiplication matrices R_k = mats[k]; all zero
-    exactly when [x, [y, e_m]] = [[x, y], e_m] - [[x, e_m], y] for all x, y.
-    They are generated one at a time, so ``any`` stops at the first nonzero
-    entry."""
-    idx = range(n)
-    rm = mats[m]
-    return (
-        (
-            sum(rm[j][k] * mats[k][r][c] for k in idx)
-            - sum(mats[j][r][s] * rm[s][c] - rm[r][s] * mats[j][s][c] for s in idx)
-        )
-        % p
-        for j in idx
-        for r in idx
-        for c in idx
-    )
-
-
-def _solved_tables(p: int, n: int) -> list:
-    """Every Leibniz table over GF(p) of dimension n, flattened as in
-    ``_flat_table``.
-
-    In right-multiplication form, R_m[i][k] = c[i][m][k], the identity is
-    sum_k R_m[j][k] R_k = R_j R_m - R_m R_j for all j, m.  With the last
-    matrix R_{n-1} fixed, its n equations are affine-linear in the entries
-    of R_0 .. R_{n-2}: they are solved by elimination, and only the
-    solutions are checked against the equations for the other m.
-    """
-    field = PrimeField(p)
-    last, size = n - 1, n * n
-    unknowns = last * size
-    idx = range(n)
-
-    def matrices(x, fixed):
-        return [
-            tuple(tuple(x[k * size + r * n : k * size + r * n + n]) for r in idx)
-            for k in range(last)
-        ] + [fixed]
-
-    zero = [0] * unknowns
-    tables = []
-    for entries in itertools.product(range(p), repeat=size):
-        fixed = tuple(entries[r * n : r * n + n] for r in idx)
-        # the affine map from the unknowns to the residuals of the m = n-1
-        # equations: its value at 0 and its columns at the unit vectors
-        offset = list(_leibniz_residuals(matrices(zero, fixed), last, p, n))
-        columns = []
-        for u in range(unknowns):
-            unit = zero[:u] + [1] + zero[u + 1 :]
-            images = _leibniz_residuals(matrices(unit, fixed), last, p, n)
-            columns.append([(y - y0) % p for y, y0 in zip(images, offset)])
-        system = [
-            tuple(col[e] for col in columns) + (-offset[e] % p,)
-            for e in range(len(offset))
-        ]
-        reduced, pivots = raw_rref(field, system, unknowns + 1)
-        if unknowns in pivots:
-            continue
-        particular = list(zero)
-        for row, col in zip(reduced, pivots):
-            particular[col] = row[unknowns]
-        kernel = []
-        for free in (u for u in range(unknowns) if u not in pivots):
-            v = list(zero)
-            v[free] = 1
-            for row, col in zip(reduced, pivots):
-                v[col] = -row[free] % p
-            kernel.append(v)
-        for coeffs in itertools.product(range(p), repeat=len(kernel)):
-            x = list(particular)
-            for c, v in zip(coeffs, kernel):
-                if c:
-                    x = [(a + c * b) % p for a, b in zip(x, v)]
-            mats = matrices(x, fixed)
-            if any(any(_leibniz_residuals(mats, m, p, n)) for m in range(last)):
-                continue
-            tables.append(tuple(mats[j][i][k] for i in idx for j in idx for k in idx))
-    return tables
 
 
 def _mark_orbits(tables, p: int, n: int) -> list:
@@ -799,26 +679,6 @@ def _mark_orbits(tables, p: int, n: int) -> list:
         seen |= orbit
         orbits.append(orbit)
     return orbits
-
-
-def _generic_exhaustive(field, dim, budget):
-    """Solve for every Leibniz table and collect them into GL(dim, p)
-    orbits; each class is keyed by the minimum of its orbit.  The orbits
-    must partition the solved tables (orbit-stabiliser), or the run fails."""
-    _check_base_change_space(field, dim, budget)
-    p = field.p
-    solved = _solved_tables(p, dim)
-    orbits = _mark_orbits(solved, p, dim)
-    covered = sum(len(orbit) for orbit in orbits)
-    if covered != len(solved) or set().union(*orbits) != set(solved):
-        raise VerificationFailed(
-            f"GL({dim},{p}) orbits cover {covered} tables;"
-            f" the solve found {len(solved)}"
-        )
-    keys = sorted(min(orbit) for orbit in orbits)
-    return p ** (dim**3), len(solved), [
-        (key, _canonical_rep(field, dim, key)) for key in keys
-    ]
 
 
 def _right_identity_holds(flat, p: int, n: int, triples=None) -> bool:
@@ -909,50 +769,31 @@ def _liesation_orbits(p: int, n: int) -> list:
     return orbits
 
 
-def _liesation_census(field, dim, budget):
-    """The census by ``_liesation_orbits``.  Each class is keyed by the
-    minimum over its orbit of the base-p id with flat entry s at digit s
-    (at GF(2) dimension 3 the 27-bit id c[i][j][k] << (9i + 3j + k)), and
-    ``totals.valid`` is the sum of the orbit sizes."""
+def _census(field, dim, budget):
+    """(scanned, valid, [(key, representative)]) by ``_liesation_orbits``.
+    Each class is keyed by the minimum of its orbit, the classes are sorted
+    by key, and ``valid`` is the sum of the orbit sizes."""
     _check_base_change_space(field, dim, budget)
     p = field.p
     orbits = _liesation_orbits(p, dim)
-    digits = [p**s for s in range(dim**3)]
-    classes = sorted(
-        min((sum(map(operator.mul, t, digits)), t) for t in orbit) for orbit in orbits
-    )
+    # GF(2) dim 3 compares reversed tuples, the order of the 27-bit id with
+    # c[i][j][k] at bit 9i + 3j + k, so its pinned report keeps its bytes
+    order = (lambda t: t[::-1]) if (p, dim) == (2, 3) else None
+    keys = sorted((min(orbit, key=order) for orbit in orbits), key=order)
     return p ** (dim**3), sum(map(len, orbits)), [
-        (key, _canonical_rep(field, dim, table)) for key, table in classes
+        (key, _canonical_rep(field, dim, key)) for key in keys
     ]
 
 
 def _canonical_rep(field, dim, key) -> LeibnizAlgebra:
     """The algebra of a flat table, checked against the right identity in
     full: a class representative that fails it is a defect of the engine."""
-    cube = _cube_from_flat(dim, [field(c) for c in key])
+    entries = iter(map(field, key))
+    cube = [[[next(entries) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
     try:
         return LeibnizAlgebra(MultiplicationTable(field, dim, cube))
     except NotLeibniz as exc:
         raise VerificationFailed(f"class representative {key} is not Leibniz") from exc
-
-
-def _sampled_sweep(field, dim, sample_size, seed, budget):
-    rng = random.Random(seed)
-    elems = list(field.elements())
-    keys = set()
-    valid = 0
-    for _ in range(sample_size):
-        flat = [rng.choice(elems) for _ in range(dim**3)]
-        cube = _cube_from_flat(dim, flat)
-        table = MultiplicationTable(field, dim, cube)
-        if not validate(table, "right").ok:
-            continue
-        valid += 1
-        alg = LeibnizAlgebra(table, _checked=True)
-        keys.add(canonical_table_key(alg, budget=budget))
-    return sample_size, valid, [
-        (key, _canonical_rep(field, dim, key)) for key in sorted(keys)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -978,7 +819,7 @@ class HarnessReport:
 
 
 def _harness_one(label, alg, budget, report):
-    subs = all_subalgebras(alg, budget=budget)
+    subs = subalgebras(alg, budget=budget)
     quasis = [s for s in subs if is_quasi_ideal(alg, s).holds]
 
     def note(suite_report, context):

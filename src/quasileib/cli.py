@@ -163,14 +163,9 @@ def _cmd_family(args):
 
 
 def _cmd_census(args):
-    field = parse_field(args.field)
-    mode = "sample" if args.sample else "exhaustive"
     report = census_mod.sweep_tables(
-        field,
+        parse_field(args.field),
         args.dim,
-        mode=mode,
-        sample_size=args.sample or 0,
-        seed=args.seed,
         workers=args.workers,
         budget=args.budget,
         run_lemmas=args.lemmas,
@@ -289,17 +284,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_family)
 
-    p = sub.add_parser("census", help="sweep small multiplication tables")
-    p.add_argument("--field", required=True)
+    p = sub.add_parser(
+        "census",
+        help="classify every Leibniz table of one size: GF(2) up to dim 3, "
+        "GF(3) up to dim 2",
+    )
+    p.add_argument("--field", required=True, help="gf2 or gf3")
     p.add_argument("--dim", type=_count, required=True)
-    p.add_argument("--sample", type=_count, help="sample this many tables instead")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument(
         "--workers",
         type=_worker_count,
         default=1,
-        help="accepted for compatibility, 1 up to the CPU count; every census "
-        "runs in one process, so the value no longer changes the work",
+        help="accepted for compatibility, 1 up to the CPU count; the census "
+        "runs in one process, so the value does not change the work",
     )
     p.add_argument("--lemmas", action="store_true", help="also run the lemma harness")
     common(p)

@@ -310,6 +310,25 @@ def require_enumerable(field: Field, n: int, budget: int, what: str):
         raise BudgetExceeded(f"{what}: {count} exceeds budget {budget}")
 
 
+def gaussian_binomial(q: int, n: int, k: int) -> int:
+    """The number of k-dimensional subspaces of GF(q)^n (0 when k > n)."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def require_subspaces(field: Field, n: int, dims, budget: int):
+    """Raise unless F is finite and F^n has at most ``budget`` subspaces of
+    the dimensions ``dims``."""
+    if not field.is_finite:
+        raise UnsupportedField(f"enumeration needs a finite field, got {field}")
+    count = sum(gaussian_binomial(field.order, n, k) for k in dims)
+    if count > budget:
+        raise BudgetExceeded(f"subspaces of F^{n}: {count} exceeds budget {budget}")
+
+
 def all_vectors(field: Field, n: int, budget: int = DEFAULT_BUDGET):
     """Every vector of F^n, lexicographically."""
     require_enumerable(field, n, budget, f"vectors of F^{n}")
@@ -339,13 +358,16 @@ def enumerate_subspaces(
     row-echelon bases: choose pivot columns, then fill the free entries.
 
     The order (dimension, pivot set, free values) is deterministic, so the
-    stream can be partitioned and restarted.
+    stream can be partitioned and restarted.  The budget bounds the number
+    of subspaces yielded, counted before the first one.
     """
-    require_enumerable(field, n, budget, f"subspaces of F^{n}")
     if dims is None:
         dims = range(n + 1)
     elif isinstance(dims, int):
         dims = (dims,)
+    else:
+        dims = tuple(dims)
+    require_subspaces(field, n, dims, budget)
     elems = [s.value for s in field.elements()]
     z, o = field.raw_zero, field.raw_one
     for k in dims:

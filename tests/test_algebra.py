@@ -479,6 +479,7 @@ def test_subalgebras_enumerated_once_per_algebra(monkeypatch):
     assert len(calls) == 1
     assert again == subalgebras(two_dim_solvable_cyclic(GF3))
     assert again is not subalgebras(alg)
+    # the budget counts the 6 subspaces of GF(3)^2, on a memo hit as well
     with pytest.raises(BudgetExceeded):
-        subalgebras(alg, budget=8)
-    assert len(subalgebras(alg, budget=9)) == len(again)
+        subalgebras(alg, budget=5)
+    assert len(subalgebras(alg, budget=6)) == len(again)

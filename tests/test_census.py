@@ -27,7 +27,6 @@ from quasileib.census import (
     OUTSIDE_CATALOGUE,
     TWO_DIM_SOLVABLE,
     algebra_invariants,
-    all_subalgebras,
     are_isomorphic,
     canonical_table_key,
     classify_q_member,
@@ -55,7 +54,7 @@ from quasileib.families import (
     two_dim_solvable_cyclic,
 )
 from quasileib.fields import GF2, GF3, QQ, FunctionField, PrimeField
-from quasileib.linalg import DEFAULT_BUDGET, echelonize, vec
+from quasileib.linalg import DEFAULT_BUDGET, echelonize, raw_rref, vec
 from tests.conftest import gf2_dim3_class_representatives
 
 F2T = FunctionField(2)
@@ -63,15 +62,15 @@ F2T = FunctionField(2)
 
 def test_all_subalgebras_fixtures():
     solv = two_dim_solvable_cyclic(GF2)
-    subs = all_subalgebras(solv)
+    subs = subalgebras(solv)
     assert {s.rows for s in subs if 0 < s.dim < 2} == {
         (vec(GF2, (0, 1)),),
         (vec(GF2, (1, 1)),),
     }
     ab = abelian(GF2, 2)
-    assert len(all_subalgebras(ab)) == 5
+    assert len(subalgebras(ab)) == 5
     nl = non_lie_almost_abelian(GF2, 2)
-    subs = all_subalgebras(nl)
+    subs = subalgebras(nl)
     ideal = echelonize(GF2, 3, [vec(GF2, (1, 0, 0)), vec(GF2, (0, 1, 0))])
     for s in subs:
         if ideal.contains(s):
@@ -217,6 +216,43 @@ def test_sweep_classes_pairwise_non_isomorphic():
             assert not forward
 
 
+def _lie(field, brackets):
+    """The Lie algebra on x1, x2, x3 with the given [x_a, x_b] for a > b,
+    as {(a, b): {c: coefficient}} with 0-based indices."""
+    products = {}
+    for (a, b), image in brackets.items():
+        products[a, b] = image
+        products[b, a] = {c: -v for c, v in image.items()}
+    return LeibnizAlgebra(build_table(field, ("x1", "x2", "x3"), products))
+
+
+def test_gf2_dim3_lie_classes_match_de_graaf():
+    """The solvable 3-dimensional Lie algebras in de Graaf, "Classification
+    of solvable Lie algebras", Experimental Math. 14 (2005): L^1 abelian;
+    L^2 with [x3, x1] = x1, [x3, x2] = x2; L^3_a with [x3, x1] = x2,
+    [x3, x2] = a x1 + x2; L^4_a with [x3, x1] = x2, [x3, x2] = a x1.  Over
+    GF(2), a runs over {0, 1} in both families (1 is the only nonzero
+    square class).  They are built here without the census and must be
+    exactly its solvable Lie classes; the census has one more Lie class,
+    which is not solvable."""
+    algebras = [abelian(GF2, 3), _lie(GF2, {(2, 0): {0: 1}, (2, 1): {1: 1}})]
+    for a in (0, 1):
+        algebras.append(_lie(GF2, {(2, 0): {1: 1}, (2, 1): {0: a, 1: 1}}))
+        algebras.append(_lie(GF2, {(2, 0): {1: 1}, (2, 1): {0: a}}))
+    built = {canonical_table_key(alg) for alg in algebras}
+    assert len(built) == 6
+
+    report = sweep_tables(GF2, 3, check_oracle=False)
+    lie = [entry for entry in report.classes if entry.invariants[5]]
+    assert len(lie) == 7
+    solvable = {
+        canonical_table_key(entry.algebra)
+        for entry in lie
+        if entry.classification.facts["is_solvable"]
+    }
+    assert solvable == built
+
+
 def test_canonical_key_constant_on_orbits():
     solv = two_dim_solvable_cyclic(GF3)
     swapped = LeibnizAlgebra(
@@ -314,28 +350,10 @@ def test_sweep_rejects_large_exhaustive():
         sweep_tables(QQ, 2)
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "sample"])
-@pytest.mark.parametrize("dim", [0, -1])
-def test_sweep_rejects_dim_below_one(dim, mode):
+@pytest.mark.parametrize("dim", [0, -1], ids=["0-exhaustive", "-1-exhaustive"])
+def test_sweep_rejects_dim_below_one(dim):
     with pytest.raises(BadDimension, match=f"dim={dim}"):
-        sweep_tables(GF2, dim, mode=mode, sample_size=3)
-
-
-def test_sweep_sample_mode_deterministic():
-    r1 = sweep_tables(GF3, 2, mode="sample", sample_size=500, seed=42)
-    r2 = sweep_tables(GF3, 2, mode="sample", sample_size=500, seed=42)
-    assert r1.to_bytes() == r2.to_bytes()
-    assert r1.totals["scanned"] == 500
-    r3 = sweep_tables(GF3, 2, mode="sample", sample_size=500, seed=43)
-    assert r3.totals["valid"] <= 500
-
-
-def test_sampled_classes_all_valid():
-    report = sweep_tables(GF2, 2, mode="sample", sample_size=200, seed=7)
-    from quasileib.algebra import validate
-
-    for entry in report.classes:
-        assert validate(entry.algebra.table, "right").ok
+        sweep_tables(GF2, dim)
 
 
 def test_central_squares_instance_on_extraspecial():
@@ -474,17 +492,17 @@ def _orbit_union(p, n):
 
 @pytest.mark.parametrize("p, n, valid", [(2, 1, 1), (2, 2, 13), (3, 1, 1), (3, 2, 41)])
 def test_liesation_generator_matches_generic_engine(p, n, valid):
-    # the same orbits as the solved tables of the generic engine, moved by
-    # the plain base change, and the same forward minima as its class keys
+    # the same orbits as the tables of the per-matrix solve, moved by the
+    # plain base change, and the census keys are their forward minima
     orbits = census._liesation_orbits(p, n)
     assert sum(len(orbit) for orbit in orbits) == valid
     group = _plain_general_linear(p, n)
     expected = {
         frozenset(_plain_transform(t, g, p, n) for g in group)
-        for t in census._solved_tables(p, n)
+        for t in _solved_tables(p, n)
     }
     assert len(orbits) == len(expected) and set(orbits) == expected
-    _, _, reps = census._generic_exhaustive(PrimeField(p), n, DEFAULT_BUDGET)
+    _, _, reps = census._census(PrimeField(p), n, DEFAULT_BUDGET)
     assert sorted(min(orbit) for orbit in orbits) == [key for key, _ in reps]
 
 
@@ -557,6 +575,89 @@ def _plain_transform(flat, pair, p, n):
     )
 
 
+def _leibniz_residuals(mats, m, p, n):
+    """The entries of sum_k R_m[j][k] R_k - (R_j R_m - R_m R_j) mod p for
+    every j, given the right-multiplication matrices R_k = mats[k]; all zero
+    exactly when [x, [y, e_m]] = [[x, y], e_m] - [[x, e_m], y] for all x, y.
+    They are generated one at a time, so ``any`` stops at the first nonzero
+    entry."""
+    idx = range(n)
+    rm = mats[m]
+    return (
+        (
+            sum(rm[j][k] * mats[k][r][c] for k in idx)
+            - sum(mats[j][r][s] * rm[s][c] - rm[r][s] * mats[j][s][c] for s in idx)
+        )
+        % p
+        for j in idx
+        for r in idx
+        for c in idx
+    )
+
+
+def _solved_tables(p, n):
+    """Every Leibniz table over GF(p) of dimension n, flattened with
+    [e_i, e_j] at e_k in entry (i*n + j)*n + k, by the per-matrix solve: a
+    reference for the census engine that shares no code with it.
+
+    In right-multiplication form, R_m[i][k] = c[i][m][k], the identity is
+    sum_k R_m[j][k] R_k = R_j R_m - R_m R_j for all j, m.  With the last
+    matrix R_{n-1} fixed, its n equations are affine-linear in the entries
+    of R_0 .. R_{n-2}: they are solved by elimination, and only the
+    solutions are checked against the equations for the other m.
+    """
+    field = PrimeField(p)
+    last, size = n - 1, n * n
+    unknowns = last * size
+    idx = range(n)
+
+    def matrices(x, fixed):
+        return [
+            tuple(tuple(x[k * size + r * n : k * size + r * n + n]) for r in idx)
+            for k in range(last)
+        ] + [fixed]
+
+    zero = [0] * unknowns
+    tables = []
+    for entries in itertools.product(range(p), repeat=size):
+        fixed = tuple(entries[r * n : r * n + n] for r in idx)
+        # the affine map from the unknowns to the residuals of the m = n-1
+        # equations: its value at 0 and its columns at the unit vectors
+        offset = list(_leibniz_residuals(matrices(zero, fixed), last, p, n))
+        columns = []
+        for u in range(unknowns):
+            unit = zero[:u] + [1] + zero[u + 1 :]
+            images = _leibniz_residuals(matrices(unit, fixed), last, p, n)
+            columns.append([(y - y0) % p for y, y0 in zip(images, offset)])
+        system = [
+            tuple(col[e] for col in columns) + (-offset[e] % p,)
+            for e in range(len(offset))
+        ]
+        reduced, pivots = raw_rref(field, system, unknowns + 1)
+        if unknowns in pivots:
+            continue
+        particular = list(zero)
+        for row, col in zip(reduced, pivots):
+            particular[col] = row[unknowns]
+        kernel = []
+        for free in (u for u in range(unknowns) if u not in pivots):
+            v = list(zero)
+            v[free] = 1
+            for row, col in zip(reduced, pivots):
+                v[col] = -row[free] % p
+            kernel.append(v)
+        for coeffs in itertools.product(range(p), repeat=len(kernel)):
+            x = list(particular)
+            for c, v in zip(coeffs, kernel):
+                if c:
+                    x = [(a + c * b) % p for a, b in zip(x, v)]
+            mats = matrices(x, fixed)
+            if any(any(_leibniz_residuals(mats, m, p, n)) for m in range(last)):
+                continue
+            tables.append(tuple(mats[j][i][k] for i in idx for j in idx for k in idx))
+    return tables
+
+
 @pytest.mark.parametrize("p, n, valid", [(2, 1, 1), (2, 2, 13), (3, 1, 1), (3, 2, 41)])
 def test_generic_engine_matches_brute_force(p, n, valid):
     field = PrimeField(p)
@@ -568,10 +669,10 @@ def test_generic_engine_matches_brute_force(p, n, valid):
         if validate(MultiplicationTable(field, n, cube), "right").ok:
             expected.add(flat)
     assert len(expected) == valid
-    solved = census._solved_tables(p, n)
+    solved = _solved_tables(p, n)
     assert len(solved) == len(set(solved)) and set(solved) == expected
 
-    scanned, count, reps = census._generic_exhaustive(field, n, DEFAULT_BUDGET)
+    scanned, count, reps = census._census(field, n, DEFAULT_BUDGET)
     assert (scanned, count) == (p ** (n**3), valid)
     group = _plain_general_linear(p, n)
     minima = {min(_plain_transform(t, g, p, n) for g in group) for t in expected}
@@ -670,11 +771,11 @@ def _orbit_with_a_stranger(real, flat, p, n):
 
 @pytest.mark.parametrize("broken", [_orbit_over_half_the_group, _orbit_with_a_stranger])
 def test_orbit_check_catches_a_broken_orbit(monkeypatch, broken):
-    # orbits that overlap or cover a table the solve did not find fail the
-    # run with a raise, which python -O keeps
+    # orbits that overlap, or whose size does not divide |GL(2,3)|, fail
+    # the run with a raise, which python -O keeps
     real = census._base_changes
     monkeypatch.setattr(
         census, "_base_changes", lambda flat, p, n: broken(real, flat, p, n)
     )
     with pytest.raises(VerificationFailed):
-        census._generic_exhaustive(GF3, 2, DEFAULT_BUDGET)
+        census._census(GF3, 2, DEFAULT_BUDGET)

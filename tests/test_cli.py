@@ -248,24 +248,26 @@ def _main_exit_code(monkeypatch, argv):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--sample", "-5"],
-        ["--sample", "0"],
         ["--workers", "0"],
         ["--workers", "-1"],
         ["--workers", "3"],
         ["--workers", "two"],
+        ["--sample", "3"],
+        ["--seed", "1"],
     ],
     ids=[
-        "sample_negative",
-        "sample_zero",
         "workers_zero",
         "workers_negative",
         "workers_above_cpus",
         "workers_not_int",
+        "sample",
+        "seed",
     ],
 )
 def test_census_count_flags_reject_nonsense(monkeypatch, capsys, flags):
-    # rejected while parsing, before any census (or process pool) starts
+    # rejected while parsing, before any census starts; the census is
+    # exhaustive at every supported size, so it neither samples nor takes a
+    # seed
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     argv = ["census", "--field", "gf2", "--dim", "2", *flags]
     assert _main_exit_code(monkeypatch, argv) == 2
@@ -277,8 +279,8 @@ def test_census_count_flags_reject_nonsense(monkeypatch, capsys, flags):
 
 @pytest.mark.parametrize("dim", ["-1", "0"])
 def test_census_dim_must_be_positive(monkeypatch, capsys, dim):
-    # sample mode used to draw from a -1 or 0 dimensional cube
-    argv = ["census", "--field", "gf2", "--dim", dim, "--sample", "3"]
+    # rejected while parsing, naming the flag
+    argv = ["census", "--field", "gf2", "--dim", dim]
     assert _main_exit_code(monkeypatch, argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -287,7 +289,7 @@ def test_census_dim_must_be_positive(monkeypatch, capsys, dim):
 
 
 def test_seed_flag_only_on_census(monkeypatch, capsys, example_algebra):
-    # only the census samples, so no other command takes --seed
+    # no command samples, so none takes --seed
     argv = ["validate", "--seed", "1", str(example_algebra)]
     assert _main_exit_code(monkeypatch, argv) == 2
     captured = capsys.readouterr()
@@ -297,7 +299,7 @@ def test_seed_flag_only_on_census(monkeypatch, capsys, example_algebra):
 
 
 def test_census_workers_up_to_cpu_count_accepted(monkeypatch, capsys):
-    # GF(2) dim 2 runs the generic engine, which starts no process pool
+    # the census runs in one process whatever the worker count
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     argv = ["census", "--field", "gf2", "--dim", "2", "--workers", "2"]
     assert _main_exit_code(monkeypatch, argv) == 0
@@ -327,6 +329,25 @@ def test_gf2_dim3_census_runs_without_numpy(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "71982c0690df13d0aa60b5dd112db81027c708be027f357b3b97066b1e418d52"
     )
+
+
+# sha256 of the `census --lemmas` report at every supported size
+CENSUS_REPORTS = {
+    ("gf2", "1"): "32c3fc28e3961784f51909a0e8566d0912e04e4a6f1b639c384261cb2aa52798",
+    ("gf2", "2"): "df83f40529e7ea8a582661f0db648beab44de27e652424e37e762019859d83a1",
+    ("gf2", "3"): "71982c0690df13d0aa60b5dd112db81027c708be027f357b3b97066b1e418d52",
+    ("gf3", "1"): "f572be530b862698433a3016afcee9111edf53047eff4c5ed473fdd5ab35a846",
+    ("gf3", "2"): "9fbbd58fcac8446b13b3378db48671568d75bfdb32a40301a296d00693e8584d",
+}
+
+
+@pytest.mark.parametrize("field, dim", sorted(CENSUS_REPORTS))
+def test_census_report_bytes_pinned(tmp_path, field, dim):
+    out = tmp_path / "report.json"
+    argv = ["census", "--field", field, "--dim", dim, "--lemmas", "--out", str(out)]
+    assert run(argv) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == CENSUS_REPORTS[field, dim]
 
 
 def test_census_budget_error(capsys):

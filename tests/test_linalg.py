@@ -108,6 +108,21 @@ def test_enumerate_unique_and_canonical():
     assert len(seen) == 28
 
 
+def test_enumeration_budget_counts_subspaces():
+    # GF(2)^7 has 29,212 subspaces but only 128 vectors: the budget bounds
+    # the subspaces, and is checked before the first one is yielded
+    total = sum(gaussian_binomial(2, 7, k) for k in range(8))
+    assert total == 29212
+    stream = enumerate_subspaces(GF2, 7, budget=200)
+    with pytest.raises(BudgetExceeded, match="29212"):
+        next(stream)
+    assert sum(1 for _ in enumerate_subspaces(GF2, 7, budget=total)) == total
+    lines = gaussian_binomial(2, 7, 1)
+    assert sum(1 for _ in enumerate_subspaces(GF2, 7, dims=1, budget=lines)) == lines
+    with pytest.raises(BudgetExceeded):
+        next(enumerate_subspaces(GF2, 7, dims=(1, 2), budget=lines))
+
+
 def test_dim_filter_zero():
     assert list(enumerate_subspaces(GF3, 3, dims=0)) == [zero_subspace(GF3, 3)]
 
