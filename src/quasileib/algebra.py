@@ -38,7 +38,6 @@ from .linalg import (
     raw_left_kernel,
     require_subspaces,
     unit_vec,
-    zero_subspace,
 )
 
 
@@ -264,9 +263,6 @@ class LeibnizAlgebra:
         if found is None:
             found = self._cache["full"] = full_subspace(self.field, self.dim)
         return found
-
-    def zero_space(self) -> Subspace:
-        return zero_subspace(self.field, self.dim)
 
     def __eq__(self, other):
         if not isinstance(other, LeibnizAlgebra):

@@ -50,7 +50,6 @@ from .algebra import (
 )
 from .errors import (
     BadDimension,
-    BudgetExceeded,
     MixedFields,
     NotLeibniz,
     UnsupportedField,
@@ -65,6 +64,7 @@ from .linalg import (
     projective_points,
     raw_identity,
     raw_rref,
+    require_enumerable,
     unit_vec,
     vec_scale,
     vec_sub,
@@ -196,7 +196,7 @@ def match_extraspecial_sum(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     for u in reps:
         row = []
         for v in reps:
-            coeff = _z_coefficient(z_row, alg.bracket(u, v))
+            coeff = _scalar_multiple((z_row,), (alg.bracket(u, v),))
             if coeff is None:
                 return None
             row.append(coeff)
@@ -232,7 +232,7 @@ def match_char2_family(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     )
     h = lift(abar)
     z = alg.bracket(h, h)
-    if _z_coefficient(ideal.rows[0], z) in (None, alg.field.zero) or not any(z):
+    if _scalar_multiple((ideal.rows[0],), (z,)) in (None, alg.field.zero) or not any(z):
         return None
     qfull = quot.algebra.full()
     qder = bracket_subspaces(quot.algebra, qfull, qfull)
@@ -249,7 +249,7 @@ def match_char2_family(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
             return None
         for j, cj in enumerate(cs):
             val = alg.bracket(ci, cj)
-            coeff = _z_coefficient(z, val)
+            coeff = _scalar_multiple((z,), (val,))
             if coeff is None:
                 return None
             if alg.bracket(cj, ci) != val:
@@ -268,18 +268,6 @@ def match_char2_family(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     if not is_anisotropic(alg.field, gram, budget=budget):
         return None
     return k
-
-
-def _z_coefficient(z_vec, v):
-    """c with v = c * z_vec for a nonzero z_vec, or None if v leaves the
-    line."""
-    pivot = next((j for j, s in enumerate(z_vec) if s), None)
-    if pivot is None:
-        return None
-    c = v[pivot] / z_vec[pivot]
-    if v != vec_scale(c, z_vec):
-        return None
-    return c
 
 
 @dataclass(frozen=True)
@@ -464,8 +452,9 @@ def _base_changes(flat: tuple, p: int, n: int):
 
 
 def _check_base_change_space(field: Field, n: int, budget: int) -> None:
-    if field.order ** (n * n) > budget:
-        raise BudgetExceeded("base-change space exceeds budget")
+    """Raise unless the p^(n^2) square matrices that hold GL(n, p) fit in
+    the budget."""
+    require_enumerable(field, n * n, budget, f"{n} x {n} matrices over {field}")
 
 
 def are_isomorphic(
@@ -500,9 +489,6 @@ def canonical_table_key(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> tu
 # ---------------------------------------------------------------------------
 # table sweeps
 # ---------------------------------------------------------------------------
-
-_EXHAUSTIVE_LIMITS = {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)}
-
 
 @dataclass
 class ClassEntry:
@@ -609,11 +595,12 @@ def sweep_tables(
     """Find the Leibniz multiplication tables of one size, dedup them by
     isomorphism, and analyze one representative per class.
 
-    The census is exhaustive and supports GF(2) up to dimension 3 and
-    GF(3) up to dimension 2; ``dim`` must be at least 1.  It constructs the
-    valid tables by the Liesation route (``_liesation_orbits``) instead of
-    filtering every candidate, so ``totals.scanned`` is the size of the
-    candidate space and ``totals.valid`` the sum of the orbit sizes.
+    The census is exhaustive over any prime field, for ``dim`` at least 1;
+    the budget alone bounds the sizes, through |GL(dim, p)| and the
+    alternating tables (``_census``).  It constructs the valid tables by
+    the Liesation route (``_liesation_orbits``) instead of filtering every
+    candidate, so ``totals.scanned`` is the size of the candidate space and
+    ``totals.valid`` the sum of the orbit sizes.
     ``workers`` is accepted for compatibility and does not change the work:
     the census runs in this process.
     """
@@ -621,12 +608,6 @@ def sweep_tables(
         raise BadDimension(f"the census needs dim >= 1, got dim={dim}")
     if not isinstance(field, PrimeField):
         raise UnsupportedField("the census runs over finite prime fields")
-    p = field.p
-    if (p, dim) not in _EXHAUSTIVE_LIMITS:
-        sizes = ", ".join(f"GF({q}) dim {n}" for q, n in sorted(_EXHAUSTIVE_LIMITS))
-        raise BudgetExceeded(
-            f"no exhaustive census for GF({p}) dim {dim}; supported sizes: {sizes}"
-        )
     scanned, valid, reps = _census(field, dim, budget)
 
     classes = [
@@ -707,25 +688,14 @@ def _right_identity_holds(flat, p: int, n: int, triples=None) -> bool:
     return True
 
 
-def _liesation_tables(p: int, n: int):
-    """Leibniz tables over GF(p) of dimension n that include a basis change
-    of every Leibniz table, by the Liesation route.
-
-    The ideal of squares I satisfies [L, I] = 0, and L/I is Lie.  In a basis
-    g_0 .. g_{m-1} of a complement followed by a basis x_0 .. x_{d-1} of I
-    (d = dim I, m = n - d), a table is a Lie table on g plus a map omega:
-    g x g -> I in the products [g_a, g_b], a right action rho of g on I in
-    [x_r, g_a] = x_r rho_a, and zero for [g, I] and [I, I].  For d = 0 the
-    candidates are the alternating tables; for d >= 1, g runs over one
-    representative of each Lie class of dimension m, with every rho and
-    every omega.  The candidates that pass the right identity are kept.
-    On an alternating table that identity is the Jacobi identity, whose
-    failure is alternating in (i, j, k), so triples i < j < k suffice."""
-    at = lambda i, j, k: (i * n + j) * n + k
+def _lie_tables(p: int, n: int):
+    """The Lie tables over GF(p) of dimension n: the alternating tables that
+    satisfy the Jacobi identity.  On an alternating table the right identity
+    is the Jacobi identity, whose failure is alternating in (i, j, k), so
+    triples i < j < k suffice."""
     pairs = [
-        (at(i, j, k), at(j, i, k))
-        for i in range(n)
-        for j in range(i + 1, n)
+        ((i * n + j) * n + k, (j * n + i) * n + k)
+        for i, j in itertools.combinations(range(n), 2)
         for k in range(n)
     ]
     jacobi = list(itertools.combinations(range(n), 3))
@@ -735,18 +705,31 @@ def _liesation_tables(p: int, n: int):
             flat[s], flat[t] = c, -c % p
         if _right_identity_holds(flat, p, n, jacobi):
             yield tuple(flat)
+
+
+def _liesation_tables(p: int, n: int):
+    """Leibniz tables over GF(p) of dimension n that include a basis change
+    of every Leibniz table, by the Liesation route.
+
+    The ideal of squares I satisfies [L, I] = 0, and L/I is Lie.  In a basis
+    g_0 .. g_{m-1} of a complement followed by a basis x_0 .. x_{d-1} of I
+    (d = dim I, m = n - d), a table is a Lie table on g plus a map omega:
+    g x g -> I in the products [g_a, g_b], a right action rho of g on I in
+    [x_r, g_a] = x_r rho_a, and zero for [g, I] and [I, I].  For d = 0 the
+    candidates are the Lie tables; for d >= 1, g runs over the minimum of
+    each GL(m, p) orbit of Lie tables, with every rho and every omega.  The
+    candidates that pass the right identity are kept."""
+    yield from _lie_tables(p, n)
+    at = lambda i, j, k: (i * n + j) * n + k
     for d in range(1, n):
         m = n - d
         omega = [at(a, b, m + r) for a in range(m) for b in range(m) for r in range(d)]
         rho = [
             at(m + r, a, m + q) for a in range(m) for r in range(d) for q in range(d)
         ]
-        for orbit in _liesation_orbits(p, m):
-            g = min(orbit)
-            if not is_lie(_canonical_rep(PrimeField(p), m, g)):
-                continue
+        for orbit in _mark_orbits(_lie_tables(p, m), p, m):
             flat = [0] * n**3
-            for (a, b, k), c in zip(itertools.product(range(m), repeat=3), g):
+            for (a, b, k), c in zip(itertools.product(range(m), repeat=3), min(orbit)):
                 flat[at(a, b, k)] = c
             for values in itertools.product(range(p), repeat=len(rho) + len(omega)):
                 for s, c in zip(rho + omega, values):
@@ -772,8 +755,11 @@ def _liesation_orbits(p: int, n: int) -> list:
 def _census(field, dim, budget):
     """(scanned, valid, [(key, representative)]) by ``_liesation_orbits``.
     Each class is keyed by the minimum of its orbit, the classes are sorted
-    by key, and ``valid`` is the sum of the orbit sizes."""
+    by key, and ``valid`` is the sum of the orbit sizes.  The budget bounds
+    |GL(dim, p)| and the alternating tables of the d = 0 step."""
     _check_base_change_space(field, dim, budget)
+    pairs = dim * dim * (dim - 1) // 2
+    require_enumerable(field, pairs, budget, f"alternating tables of {field} dim {dim}")
     p = field.p
     orbits = _liesation_orbits(p, dim)
     # GF(2) dim 3 compares reversed tuples, the order of the 27-bit id with

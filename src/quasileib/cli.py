@@ -286,10 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "census",
-        help="classify every Leibniz table of one size: GF(2) up to dim 3, "
-        "GF(3) up to dim 2",
+        help="classify every Leibniz table of one size over GF(p), as far as "
+        "--budget allows",
     )
-    p.add_argument("--field", required=True, help="gf2 or gf3")
+    p.add_argument("--field", required=True, help="a prime field: gf2, gf3, gf5, ...")
     p.add_argument("--dim", type=_count, required=True)
     p.add_argument(
         "--workers",

@@ -302,12 +302,16 @@ def left_kernel(field: Field, rows) -> Subspace:
 
 
 def require_enumerable(field: Field, n: int, budget: int, what: str):
-    """Raise unless F^n is finite and its q^n vectors fit in the budget."""
+    """Raise unless F^n is finite and its q^n vectors fit in the budget.
+    Since q >= 2, an n of at least budget.bit_length() exceeds it before
+    q^n is built; the message builds q^n only below twice that n."""
     if not field.is_finite:
         raise UnsupportedField(f"enumeration needs a finite field, got {field}")
-    count = field.order**n
-    if count > budget:
-        raise BudgetExceeded(f"{what}: {count} exceeds budget {budget}")
+    q = field.order
+    if n < budget.bit_length() and q**n <= budget:
+        return
+    count = q**n if n < 2 * budget.bit_length() else f"{q}^{n}"
+    raise BudgetExceeded(f"{what}: {count} exceeds budget {budget}")
 
 
 def gaussian_binomial(q: int, n: int, k: int) -> int:

@@ -84,6 +84,12 @@ SYMMETRIC_FAMILIES = (
 
 
 @pytest.fixture(scope="session")
+def gf3_dim3_census():
+    """The GF(3) dim-3 census with the lemma harness, run once per session."""
+    return sweep_tables(GF3, 3, run_lemmas=True)
+
+
+@pytest.fixture(scope="session")
 def family_corpus():
     return finite_family_corpus()
 

@@ -24,6 +24,7 @@ from quasileib.census import (
     CHAR2_FAMILY,
     EXTRASPECIAL_SUM,
     K2_LIKE,
+    NON_LIE_ALMOST_ABELIAN,
     OUTSIDE_CATALOGUE,
     TWO_DIM_SOLVABLE,
     algebra_invariants,
@@ -226,31 +227,57 @@ def _lie(field, brackets):
     return LeibnizAlgebra(build_table(field, ("x1", "x2", "x3"), products))
 
 
-def test_gf2_dim3_lie_classes_match_de_graaf():
+def _check_lie_classes_match_de_graaf(field, report):
     """The solvable 3-dimensional Lie algebras in de Graaf, "Classification
     of solvable Lie algebras", Experimental Math. 14 (2005): L^1 abelian;
     L^2 with [x3, x1] = x1, [x3, x2] = x2; L^3_a with [x3, x1] = x2,
-    [x3, x2] = a x1 + x2; L^4_a with [x3, x1] = x2, [x3, x2] = a x1.  Over
-    GF(2), a runs over {0, 1} in both families (1 is the only nonzero
-    square class).  They are built here without the census and must be
-    exactly its solvable Lie classes; the census has one more Lie class,
-    which is not solvable."""
-    algebras = [abelian(GF2, 3), _lie(GF2, {(2, 0): {0: 1}, (2, 1): {1: 1}})]
-    for a in (0, 1):
-        algebras.append(_lie(GF2, {(2, 0): {1: 1}, (2, 1): {0: a, 1: 1}}))
-        algebras.append(_lie(GF2, {(2, 0): {1: 1}, (2, 1): {0: a}}))
+    [x3, x2] = a x1 + x2; L^4_a with [x3, x1] = x2, [x3, x2] = a x1.  L^3_a
+    gives one class for each a, and L^4_a one for each a up to nonzero
+    square factors.  Over GF(2) and GF(3), 1 is the only nonzero square, so
+    a runs over the whole field in both families: 2 + 2q classes.  They are
+    built here without the census and must be exactly its solvable Lie
+    classes; the census has one more Lie class, which is not solvable."""
+    q = field.p
+    algebras = [abelian(field, 3), _lie(field, {(2, 0): {0: 1}, (2, 1): {1: 1}})]
+    for a in range(q):
+        algebras.append(_lie(field, {(2, 0): {1: 1}, (2, 1): {0: a, 1: 1}}))
+        algebras.append(_lie(field, {(2, 0): {1: 1}, (2, 1): {0: a}}))
     built = {canonical_table_key(alg) for alg in algebras}
-    assert len(built) == 6
+    assert len(built) == 2 + 2 * q
 
-    report = sweep_tables(GF2, 3, check_oracle=False)
     lie = [entry for entry in report.classes if entry.invariants[5]]
-    assert len(lie) == 7
+    assert len(lie) == len(built) + 1
     solvable = {
         canonical_table_key(entry.algebra)
         for entry in lie
         if entry.classification.facts["is_solvable"]
     }
     assert solvable == built
+
+
+def test_gf2_dim3_lie_classes_match_de_graaf():
+    # 6 solvable classes out of 7 Lie classes
+    _check_lie_classes_match_de_graaf(GF2, sweep_tables(GF2, 3, check_oracle=False))
+
+
+def test_gf3_dim3_lie_classes_match_de_graaf(gf3_dim3_census):
+    # 8 solvable classes out of 9 Lie classes
+    _check_lie_classes_match_de_graaf(GF3, gf3_dim3_census)
+
+
+def test_gf3_dim3_census(gf3_dim3_census):
+    # six classes have only quasi-ideal subalgebras; the one outside the
+    # catalogue has the shape I + Fh with dim I = 2
+    report = gf3_dim3_census
+    assert report.totals == {"scanned": 3**27, "valid": 15_861, "classes": 27}
+    members = [entry.classification for entry in report.classes if entry.in_q]
+    assert sorted(c.verdict for c in members) == sorted(
+        [ABELIAN, ALMOST_ABELIAN_LIE, OUTSIDE_CATALOGUE] + [EXTRASPECIAL_SUM] * 3
+    )
+    outside = [c.facts for c in members if c.verdict == OUTSIDE_CATALOGUE]
+    assert [(f["shape"], f["dim_i"]) for f in outside] == [(NON_LIE_ALMOST_ABELIAN, 2)]
+    assert all(entry.oracle_mismatches == 0 for entry in report.classes)
+    assert report.lemma_failures == []
 
 
 def test_canonical_key_constant_on_orbits():
@@ -299,10 +326,10 @@ def test_sweep_gf3_dim2():
     assert all(c.in_q for c in report.classes)
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
 def test_dim2_valid_count_closed_form(q):
     """There are q**3 + 2 q**2 - q - 1 Leibniz tables of dimension 2 over
-    GF(q): 13 at q = 2 and 41 at q = 3.
+    GF(q): 13, 41, 169, 433, 1561 and 2521 at q = 2, 3, 5, 7, 11 and 13.
 
     Derivation, as the sum of |GL(2,q)| / |Aut| over the four classes, with
     |GL(2,q)| = (q**2 - 1)(q**2 - q).  Write phi(x) = a x + b y for a basis
@@ -344,10 +371,51 @@ def test_report_count_consistency():
 
 
 def test_sweep_rejects_large_exhaustive():
+    # the budget alone bounds the sizes: GF(2) dim 4 has 2^24 alternating
+    # tables, and GL(3,3) lies among 3^9 matrices
     with pytest.raises(BudgetExceeded):
-        sweep_tables(GF3, 3)
+        sweep_tables(GF2, 4)
+    with pytest.raises(BudgetExceeded):
+        sweep_tables(GF3, 3, budget=10_000)
     with pytest.raises(UnsupportedField):
         sweep_tables(QQ, 2)
+
+
+_HUGE_SIZES = """
+import time
+from quasileib.census import sweep_tables
+from quasileib.cli import run
+from quasileib.errors import BudgetExceeded
+from quasileib.fields import GF3
+
+start = time.perf_counter()
+code = run(["census", "--field", "gf3", "--dim", "5000"])
+cli_s = time.perf_counter() - start
+start = time.perf_counter()
+try:
+    sweep_tables(GF3, 10**6)
+    raise SystemExit("GF(3) dim 10^6 was accepted")
+except BudgetExceeded:
+    api_s = time.perf_counter() - start
+print(code, cli_s, api_s)
+"""
+
+
+def test_huge_sizes_refused_without_building_the_count():
+    # 3^25000000 and 3^(10^12) would take seconds to minutes to build; the
+    # exponent alone shows they exceed the budget
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    result = subprocess.run(
+        [sys.executable, "-c", _HUGE_SIZES],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    code, cli_s, api_s = result.stdout.split()
+    assert code == "2" and result.stderr.count("\n") == 1
+    assert float(cli_s) < 1 and float(api_s) < 1
 
 
 @pytest.mark.parametrize("dim", [0, -1], ids=["0-exhaustive", "-1-exhaustive"])
@@ -521,13 +589,15 @@ def test_quotients_by_every_ideal_are_leibniz(family_corpus):
     assert checked > len(algebras)
 
 
-def test_unsupported_exhaustive_size_lists_supported_sizes():
-    # sample mode finds no valid table at these sizes, so it is not offered
+def test_budget_refusal_names_count_and_budget():
     with pytest.raises(BudgetExceeded) as exc:
         sweep_tables(GF2, 4)
     message = str(exc.value)
-    assert "GF(2) dim 3" in message and "GF(3) dim 2" in message
-    assert "sample" not in message
+    assert "16777216" in message and str(DEFAULT_BUDGET) in message
+    with pytest.raises(BudgetExceeded) as exc:
+        sweep_tables(GF3, 3, budget=10_000)
+    message = str(exc.value)
+    assert "19683" in message and "10000" in message
 
 
 @functools.lru_cache(maxsize=None)

@@ -331,13 +331,14 @@ def test_gf2_dim3_census_runs_without_numpy(tmp_path):
     )
 
 
-# sha256 of the `census --lemmas` report at every supported size
+# sha256 of the `census --lemmas` report at each pinned size
 CENSUS_REPORTS = {
     ("gf2", "1"): "32c3fc28e3961784f51909a0e8566d0912e04e4a6f1b639c384261cb2aa52798",
     ("gf2", "2"): "df83f40529e7ea8a582661f0db648beab44de27e652424e37e762019859d83a1",
     ("gf2", "3"): "71982c0690df13d0aa60b5dd112db81027c708be027f357b3b97066b1e418d52",
     ("gf3", "1"): "f572be530b862698433a3016afcee9111edf53047eff4c5ed473fdd5ab35a846",
     ("gf3", "2"): "9fbbd58fcac8446b13b3378db48671568d75bfdb32a40301a296d00693e8584d",
+    ("gf3", "3"): "dc392e2d2d5e92ef8860016e98bb3af181716bb1139bf4af5264c3ae95e0bf10",
 }
 
 
@@ -351,7 +352,13 @@ def test_census_report_bytes_pinned(tmp_path, field, dim):
 
 
 def test_census_budget_error(capsys):
-    assert run(["census", "--field", "gf3", "--dim", "3"]) == 2
+    # GL(3,3) lies among 3^9 matrices, over a budget of 10000; GF(2) dim 4
+    # has 2^24 alternating tables, over the default budget
+    for argv in (["gf3", "--dim", "3", "--budget", "10000"], ["gf2", "--dim", "4"]):
+        assert run(["census", "--field", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["-5", "0", "many"])
