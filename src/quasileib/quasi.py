@@ -14,9 +14,10 @@ Justification: by bilinearity it is enough to permute with every
 one-dimensional subspace Fx, which says exactly that every vector of L/H is
 an eigenvector of both induced operators, and an operator all of whose
 vectors are eigenvectors is a scalar.  Over finite prime fields the
-definitional check (one representative per projective point) is available as
-:func:`is_quasi_ideal_oracle`, and the test suite enforces agreement of the
-two routes on the whole finite-field corpus.
+definitional check is available as :func:`is_quasi_ideal_oracle`: H closed,
+then the definition at one representative per line of L/H (every point of L
+outside H gives the same condition as the line of L/H it lies on).  The test
+suite enforces agreement of the two routes on the whole finite-field corpus.
 
 The "generated by left Engel elements" hypothesis of the Engel clause is
 tested on the basis generators of H, a sufficient instance of the general
@@ -205,39 +206,49 @@ def _raw_projective_points(field, n: int) -> tuple:
 def is_quasi_ideal_oracle(
     alg: LeibnizAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET
 ) -> bool:
-    """Definitional check over a finite prime field: permute with Fx for one
-    representative x per projective point.  By bilinearity this is equivalent
-    to permuting with every subspace ([H, sum Fx_i] = sum [H, Fx_i]).
+    """Definitional check over a finite prime field: H permutes with every
+    subspace K.  By bilinearity it is enough to permute with every line Fx
+    ([H, sum Fx_i] = sum [H, Fx_i]), and the lines are checked in two parts.
 
-    Membership in H + Fx is tested by reducing mod H: with x' the reduction
-    of x, a bracket v lies in H + Fx exactly when its reduction is c x',
-    where c is read off the leading nonzero entry of x'.  When x lies in H
-    (x' = 0), v must reduce to 0."""
+    1. H is closed.  For x in H, H + Fx = H, so the condition at every such
+       x says [x,h], [h,x] in H; by bilinearity that is [u,v] in H for every
+       ordered pair of basis rows, which :func:`is_subalgebra` checks.
+    2. One line of L/H at a time.  If [H,H] <= H, the condition at x depends
+       only on the line of x in L/H: for c != 0 and h' in H,
+       [cx + h', h] = c[x,h] + [h',h] = c[x,h] (mod H), the same on the other
+       side, and H + F(cx + h') = H + Fx.  So x runs over one projective
+       point y of F^(n - dim H) per line, written on H's non-pivot columns
+       with zeros at the pivots.  Such an x is already reduced mod H and has
+       a leading 1, so a bracket v lies in H + Fx exactly when its reduction
+       mod H is c x, with c the reduction's entry at x's leading column.
+
+    The budget is checked against the projective points of F^n, those of
+    the definition."""
     if not alg.field.is_finite:
         raise UnsupportedField("the oracle enumerates projective points")
     alg.check_subspace(h)
     field, n = alg.field, alg.dim
     require_enumerable(field, n, budget, f"projective points of F^{n}")
+    if not is_subalgebra(alg, h):
+        return False
     br = alg.table.raw_bracket
-    axpy, inv, zero = field.raw_axpy, field.raw_inv, field.raw_zero
+    axpy, zero = field.raw_axpy, field.raw_zero
     reduce, hrows = h.raw_reduce, h.raw_rows
+    comp = h.non_pivots()
     zeros = (zero,) * n
-    for x in _raw_projective_points(field, n):
-        xbar = reduce(x)
-        lead = next((i for i, c in enumerate(xbar) if c != zero), None)
-        if lead is None:
-            # x in H: every c x' is 0, whichever entry c is read from
-            lead = 0
-        else:
-            # a leading 1, so that c is the reduction's entry at lead
-            xbar = axpy(inv(xbar[lead]), zeros, xbar)
-        multiples = {}  # c -> c x'
+    for y in _raw_projective_points(field, len(comp)):
+        x = list(zeros)
+        for col, c in zip(comp, y):
+            x[col] = c
+        x = tuple(x)
+        lead = comp[next(i for i, c in enumerate(y) if c != zero)]
+        multiples = {}  # c -> c x
         for hrow in hrows:
             for r in (reduce(br(x, hrow)), reduce(br(hrow, x))):
                 c = r[lead]
                 cx = multiples.get(c)
                 if cx is None:
-                    cx = multiples[c] = tuple(axpy(c, zeros, xbar))
+                    cx = multiples[c] = tuple(axpy(c, zeros, x))
                 if r != cx:
                     return False
     return True

@@ -676,56 +676,105 @@ def _solved_tables(p, n):
     of R_0 .. R_{n-2}: they are solved by elimination, and only the
     solutions are checked against the equations for the other m.
     """
-    field = PrimeField(p)
-    last, size = n - 1, n * n
-    unknowns = last * size
-    idx = range(n)
-
-    def matrices(x, fixed):
-        return [
-            tuple(tuple(x[k * size + r * n : k * size + r * n + n]) for r in idx)
-            for k in range(last)
-        ] + [fixed]
-
-    zero = [0] * unknowns
     tables = []
-    for entries in itertools.product(range(p), repeat=size):
-        fixed = tuple(entries[r * n : r * n + n] for r in idx)
-        # the affine map from the unknowns to the residuals of the m = n-1
-        # equations: its value at 0 and its columns at the unit vectors
-        offset = list(_leibniz_residuals(matrices(zero, fixed), last, p, n))
-        columns = []
-        for u in range(unknowns):
-            unit = zero[:u] + [1] + zero[u + 1 :]
-            images = _leibniz_residuals(matrices(unit, fixed), last, p, n)
-            columns.append([(y - y0) % p for y, y0 in zip(images, offset)])
-        system = [
-            tuple(col[e] for col in columns) + (-offset[e] % p,)
-            for e in range(len(offset))
-        ]
-        reduced, pivots = raw_rref(field, system, unknowns + 1)
-        if unknowns in pivots:
-            continue
-        particular = list(zero)
-        for row, col in zip(reduced, pivots):
-            particular[col] = row[unknowns]
-        kernel = []
-        for free in (u for u in range(unknowns) if u not in pivots):
-            v = list(zero)
-            v[free] = 1
-            for row, col in zip(reduced, pivots):
-                v[col] = -row[free] % p
-            kernel.append(v)
-        for coeffs in itertools.product(range(p), repeat=len(kernel)):
-            x = list(particular)
-            for c, v in zip(coeffs, kernel):
-                if c:
-                    x = [(a + c * b) % p for a, b in zip(x, v)]
-            mats = matrices(x, fixed)
-            if any(any(_leibniz_residuals(mats, m, p, n)) for m in range(last)):
-                continue
-            tables.append(tuple(mats[j][i][k] for i in idx for j in idx for k in idx))
+    for entries in itertools.product(range(p), repeat=n * n):
+        fixed = tuple(entries[r * n : r * n + n] for r in range(n))
+        tables += _tables_with_last(p, n, fixed, *_last_matrix_solutions(p, n, fixed))
     return tables
+
+
+def _last_matrices(x, fixed, n):
+    """R_0 .. R_{n-2} read from the unknowns x, then R_{n-1} = fixed."""
+    size = n * n
+    return [
+        tuple(tuple(x[k * size + r * n : k * size + r * n + n]) for r in range(n))
+        for k in range(n - 1)
+    ] + [fixed]
+
+
+def _last_matrix_solutions(p, n, fixed):
+    """The solutions of the m = n-1 equations with R_{n-1} = fixed, in the
+    (n-1) n^2 entries of R_0 .. R_{n-2}: a particular solution (None when
+    the system is inconsistent) and a basis of the kernel of its linear
+    part, whose length is the dimension of the solution space."""
+    last = n - 1
+    unknowns = last * n * n
+    zero = [0] * unknowns
+    # the affine map from the unknowns to the residuals: its value at 0 and
+    # its columns at the unit vectors
+    offset = list(_leibniz_residuals(_last_matrices(zero, fixed, n), last, p, n))
+    columns = []
+    for u in range(unknowns):
+        unit = zero[:u] + [1] + zero[u + 1 :]
+        images = _leibniz_residuals(_last_matrices(unit, fixed, n), last, p, n)
+        columns.append([(y - y0) % p for y, y0 in zip(images, offset)])
+    system = [
+        tuple(col[e] for col in columns) + (-offset[e] % p,)
+        for e in range(len(offset))
+    ]
+    reduced, pivots = raw_rref(PrimeField(p), system, unknowns + 1)
+    solved = [(row, col) for row, col in zip(reduced, pivots) if col < unknowns]
+    kernel = []
+    for free in (u for u in range(unknowns) if u not in pivots):
+        v = list(zero)
+        v[free] = 1
+        for row, col in solved:
+            v[col] = -row[free] % p
+        kernel.append(v)
+    if unknowns in pivots:
+        return None, kernel
+    particular = list(zero)
+    for row, col in solved:
+        particular[col] = row[unknowns]
+    return particular, kernel
+
+
+def _tables_with_last(p, n, fixed, particular, kernel):
+    """Every Leibniz table with R_{n-1} = fixed, from the solutions of its
+    equations: each is checked against the equations for the other m."""
+    if particular is None:
+        return []
+    idx = range(n)
+    tables = []
+    for coeffs in itertools.product(range(p), repeat=len(kernel)):
+        x = list(particular)
+        for c, v in zip(coeffs, kernel):
+            if c:
+                x = [(a + c * b) % p for a, b in zip(x, v)]
+        mats = _last_matrices(x, fixed, n)
+        if any(any(_leibniz_residuals(mats, m, p, n)) for m in range(n - 1)):
+            continue
+        tables.append(tuple(mats[j][i][k] for i in idx for j in idx for k in idx))
+    return tables
+
+
+def test_gf3_dim3_per_matrix_solve_sample(gf3_dim3_census):
+    """The per-matrix solve against the engine at GF(3) dim 3, on twelve
+    seeded values of the last matrix R_2 whose solution space has dimension
+    at most 7 (an inconsistent system, with no solutions, qualifies; 19,650
+    of the 3^9 values do).  The engine's tables are the base-change orbits
+    of the 27 class keys."""
+    orbits = [set(census._base_changes(e.key, 3, 3)) for e in gf3_dim3_census.classes]
+    assert len(orbits) == 27 and sum(len(orbit) for orbit in orbits) == 15_861
+    by_last = {}
+    for t in set().union(*orbits):
+        # R_2[i][k] = c[i][2][k]
+        r2 = tuple(tuple(t[(i * 3 + 2) * 3 + k] for k in range(3)) for i in range(3))
+        by_last.setdefault(r2, set()).add(t)
+    rng = random.Random(0)
+    checked, found = set(), 0
+    while len(checked) < 12:
+        entries = [rng.randrange(3) for _ in range(9)]
+        fixed = tuple(tuple(entries[r * 3 : r * 3 + 3]) for r in range(3))
+        particular, kernel = _last_matrix_solutions(3, 3, fixed)
+        if fixed in checked or (particular is not None and len(kernel) > 7):
+            continue
+        checked.add(fixed)
+        tables = _tables_with_last(3, 3, fixed, particular, kernel)
+        assert len(tables) == len(set(tables))
+        assert set(tables) == by_last.get(fixed, set()), fixed
+        found += len(tables)
+    assert found
 
 
 @pytest.mark.parametrize("p, n, valid", [(2, 1, 1), (2, 2, 13), (3, 1, 1), (3, 2, 41)])

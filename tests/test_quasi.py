@@ -2,6 +2,7 @@ import pytest
 
 from quasileib.algebra import (
     LeibnizAlgebra,
+    MultiplicationTable,
     build_table,
     is_ideal,
     is_nilpotent,
@@ -16,6 +17,7 @@ from quasileib.errors import (
     VerificationFailed,
 )
 from quasileib.families import (
+    almost_abelian_lie,
     k2,
     non_lie_almost_abelian,
     two_dim_nilpotent_cyclic,
@@ -164,6 +166,47 @@ def test_oracle_matches_row_reduction_reference(family_corpus):
     assert verdicts[True] and verdicts[False]
 
 
+def test_oracle_matches_reference_where_the_quotient_is_widest(gf3_dim3_census):
+    # every subspace of the GF(3) dim-3 classes and of two GF(3) dim-4
+    # algebras, where L/H has up to 13 lines over GF(3)
+    algebras = [
+        LeibnizAlgebra(MultiplicationTable(GF3, 3, entry.algebra.table.cube))
+        for entry in gf3_dim3_census.classes
+    ]
+    assert len(algebras) == 27
+    algebras += [almost_abelian_lie(GF3, 4), non_lie_almost_abelian(GF3, 3)]
+    verdicts = {True: 0, False: 0}
+    for alg in algebras:
+        for s in enumerate_subspaces(alg.field, alg.dim):
+            expected = _reference_oracle(alg, s)
+            assert is_quasi_ideal_oracle(alg, s) == expected, (alg, s)
+            verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_oracle_asks_only_for_the_lines_of_the_quotient(monkeypatch):
+    # H closed: the points of F^(n - dim H), one per line of L/H, so F^0 or
+    # nothing for H = L and F^n only for H = 0; H not closed: no points
+    from quasileib import quasi
+
+    calls = []
+    real = quasi._raw_projective_points
+
+    def recording(field, n):
+        calls.append((field, n))
+        return real(field, n)
+
+    monkeypatch.setattr(quasi, "_raw_projective_points", recording)
+    for alg in (almost_abelian_lie(GF3, 3), non_lie_almost_abelian(GF2, 3)):
+        field, n = alg.field, alg.dim
+        for s in enumerate_subspaces(field, n):
+            calls.clear()
+            is_quasi_ideal_oracle(alg, s)
+            assert set(calls) <= {(field, n - s.dim)}, (s, calls)
+            if s.is_zero():
+                assert calls == [(field, n)]
+
+
 def test_oracle_refutes_known_non_quasi_ideals():
     # Fx in k2 is a subalgebra, but [x, y] = z escapes Fx + Fy; span{h + x}
     # in the non-Lie almost abelian algebra is not even a subalgebra
@@ -186,6 +229,17 @@ def test_oracle_checks_both_bracket_orders():
         h = line(GF2, 3, coords)
         assert not is_quasi_ideal_oracle(alg, h)
         assert not is_quasi_ideal(alg, h).holds
+
+
+def test_oracle_checks_every_line_of_the_quotient():
+    # [e3, e1] = e2 + e3: y -> [y, e1] on L/Fe1 has the eigenvectors e2 and
+    # e2 + e3, so of the three lines of L/Fe1 only the last, e3, refutes Fe1
+    alg = LeibnizAlgebra(build_table(GF2, ("e1", "e2", "e3"), {(2, 0): {1: 1, 2: 1}}))
+    h = line(GF2, 3, (1, 0, 0))
+    assert not is_quasi_ideal_oracle(alg, h)
+    assert not _reference_oracle(alg, h)
+    verdict = is_quasi_ideal(alg, h)
+    assert not verdict.holds and verdict.witness[1] == vec(GF2, (0, 0, 1))
 
 
 def test_oracle_rejects_infinite_fields():
