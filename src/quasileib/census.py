@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
 from .algebra import (
     LeibnizAlgebra,
@@ -50,6 +50,7 @@ from .algebra import (
 )
 from .errors import (
     BadDimension,
+    BudgetExceeded,
     MixedFields,
     NotLeibniz,
     UnsupportedField,
@@ -62,8 +63,6 @@ from .linalg import (
     Subspace,
     echelonize,
     projective_points,
-    raw_identity,
-    raw_rref,
     require_enumerable,
     unit_vec,
     vec_scale,
@@ -357,65 +356,49 @@ def algebra_invariants(alg: LeibnizAlgebra) -> tuple:
     )
 
 
-@lru_cache(maxsize=8)
-def _general_linear(p: int, n: int):
-    """Every invertible n x n matrix over GF(p) paired with its inverse, as
-    raw rows, in lexicographic order of the rows.  Each row is chosen
-    outside the span of the rows before it, and [P | I] row-reduces to
-    [I | P^-1]."""
-    field = PrimeField(p)
-    vectors = list(itertools.product(range(p), repeat=n))
-    identity = raw_identity(field, n)
-    out = []
-
-    def extend(rows, span):
-        if len(rows) == n:
-            reduced, _ = raw_rref(field, [r + e for r, e in zip(rows, identity)], 2 * n)
-            out.append((rows, tuple(r[n:] for r in reduced)))
-            return
-        for v in vectors:
-            if v in span:
-                continue
-            wider = span
-            if len(rows) + 1 < n:
-                wider = {
-                    tuple((a + c * b) % p for a, b in zip(s, v))
-                    for s in span
-                    for c in range(p)
-                }
-            extend(rows + (v,), wider)
-
-    extend((), {(0,) * n})
-    return tuple(out)
+def _primitive_root(p: int) -> int:
+    """The least g of order p - 1 mod p, a generator of GF(p)^*: g^m != 1 for
+    every proper divisor m of p - 1, found by trial division."""
+    proper = set()
+    for d in range(1, math.isqrt(p - 1) + 1):
+        if (p - 1) % d == 0:
+            proper |= {d, (p - 1) // d}
+    proper.discard(p - 1)
+    return next(g for g in range(1, p) if all(pow(g, m, p) != 1 for m in proper))
 
 
-@lru_cache(maxsize=4)
-def _transports(p: int, n: int):
-    """(lane width, transports): for each element P of
-    ``_general_linear(p, n)``, the packed image under P of the unit table
-    at each flat entry s = (a*n + b)*n + k, whose entry (i, j, l) is
-    P[i][a] P[j][b] P^-1[k][l].
+def _generators(p: int, n: int) -> list:
+    """Generators of GL(n, p), each a pair (P, P^-1) of raw rows: T = I + E_01
+    and the n-cycle C with rows C_i = e_{i+1}, C_{n-1} = s e_0 (both for
+    n >= 2), and D = diag(z, 1, ..., 1) for a primitive root z (for p > 2).
+    s = -1 when n is even, so that det C = 1.
 
-    A table packs as one integer with flat entry t in the lane at bit
-    (n^3 - 1 - t) * width, so integer order is lexicographic order once the
-    lanes are reduced mod p.  The image is the product of column a of P, column
-    b of P and row k of P^-1, packed at lane strides n^2, n and 1: each lane
-    of the product receives exactly one term, at most (p - 1)^3.  Over
-    GF(2) the lanes are single bits and images combine by XOR; otherwise
-    images combine by sums of c * image whose lanes never carry (they reach
-    n^3 (p - 1)^4 at most), and are reduced mod p when unpacked."""
-    width = 1 if p == 2 else (n**3 * (p - 1) ** 4).bit_length()
+    Why they generate: conjugation by C shifts the indices of E_ij by one
+    (up to sign at the wrap), so it turns T into the transvections between
+    adjacent basis vectors e_i, e_{i+1} and e_{n-1}, e_0.  Over a prime field
+    I + aE_ij = (I + E_ij)^a, and [I + aE_ij, I + bE_jk] = I + abE_ik for
+    distinct i, j, k, so these give every elementary transvection, and the
+    transvections generate SL(n, p).  D has determinant z, which generates
+    GF(p)^*, so it adds every determinant; GL(1, p) is D alone, and
+    GL(n, 2) = SL(n, 2) needs no D."""
+    idx = range(n)
 
-    def packed(vector, stride):
-        return sum(x << ((n - 1 - i) * stride * width) for i, x in enumerate(vector))
+    def matrix(changed):
+        return tuple(
+            tuple(changed.get((i, j), int(i == j)) % p for j in idx) for i in idx
+        )
 
-    out = []
-    for rows, inverse in _general_linear(p, n):
-        cols = list(zip(*rows))
-        wide, narrow = [packed(c, n * n) for c in cols], [packed(c, n) for c in cols]
-        last = [packed(row, 1) for row in inverse]
-        out.append(tuple(u * v * w for u in wide for v in narrow for w in last))
-    return width, tuple(out)
+    pairs = []
+    if n > 1:
+        cycle = {(i, i): 0 for i in idx} | {(i, i + 1): 1 for i in range(n - 1)}
+        cycle[n - 1, 0] = -1 if n % 2 == 0 else 1
+        # a permutation matrix with signs +-1 is inverted by its transpose
+        transpose = {(j, i): x for (i, j), x in cycle.items()}
+        pairs += [({(0, 1): 1}, {(0, 1): -1}), (cycle, transpose)]
+    if p > 2:
+        z = _primitive_root(p)
+        pairs.append(({(0, 0): z}, {(0, 0): pow(z, -1, p)}))
+    return [(matrix(a), matrix(b)) for a, b in pairs]
 
 
 def _flat_table(alg: LeibnizAlgebra) -> tuple:
@@ -423,38 +406,53 @@ def _flat_table(alg: LeibnizAlgebra) -> tuple:
     return tuple(x for row in alg.table.raw for product in row for x in product)
 
 
-_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+def _orbit(flat: tuple, p: int, n: int, budget: int, counted: int = 0) -> frozenset:
+    """The GL(n, p) orbit of a flattened table over GF(p) (plain ints, laid
+    out as in ``_flat_table``): its breadth-first closure under
+    ``_generators``.  The budget bounds ``counted`` plus the members, counted
+    as they are found.
 
+    The image under P has [P_i, P_j], in the coordinates of the basis P, at
+    (i, j): its entry (i, j, l) is the sum of P[i][a] P[j][b] c[a][b][k]
+    P^-1[k][l].  A table packs as one integer with flat entry t in the lane
+    at bit (n^3 - 1 - t) * width.  The transport of flat entry
+    s = (a*n + b)*n + k, the image of the unit table at s, is the product of
+    column a of P, column b of P and row k of P^-1, packed at lane strides
+    n^2, n and 1: each lane of the product receives exactly one term, at most
+    (p - 1)^3.  An image is the sum of c * transport over the table's nonzero
+    entries c; its lanes never carry (they reach n^3 (p - 1)^4 at most), and
+    are reduced mod p when unpacked."""
+    width = (n**3 * (p - 1) ** 4).bit_length()
 
-def _base_changes(flat: tuple, p: int, n: int):
-    """A flattened table over GF(p) (plain ints, laid out as in
-    ``_flat_table``) written in every basis of GF(p)^n: one image per
-    element of GL(n, p), in the order of ``_general_linear``.  The image
-    under P has [P_i, P_j], in the coordinates of the basis P, at (i, j);
-    it is the combination of the transports of the table's nonzero
-    entries."""
-    width, transports = _transports(p, n)
-    terms = [(s, c) for s, c in enumerate(flat) if c]
-    size = n**3
-    if p == 2:
-        fmt = f"0{size}b"
-        for images in transports:
-            x = 0
-            for s, _ in terms:
-                x ^= images[s]
-            yield tuple(format(x, fmt).encode().translate(_BINARY_DIGITS))
-    else:
-        mask = (1 << width) - 1
-        shifts = range((size - 1) * width, -1, -width)
-        for images in transports:
-            x = sum(c * images[s] for s, c in terms)
-            yield tuple(((x >> shift) & mask) % p for shift in shifts)
+    def packed(vector, stride):
+        return sum(x << ((n - 1 - i) * stride * width) for i, x in enumerate(vector))
 
-
-def _check_base_change_space(field: Field, n: int, budget: int) -> None:
-    """Raise unless the p^(n^2) square matrices that hold GL(n, p) fit in
-    the budget."""
-    require_enumerable(field, n * n, budget, f"{n} x {n} matrices over {field}")
+    transports = []
+    for rows, inverse in _generators(p, n):
+        cols = list(zip(*rows))
+        wide, narrow = [packed(c, n * n) for c in cols], [packed(c, n) for c in cols]
+        last = [packed(row, 1) for row in inverse]
+        transports.append([u * v * w for u in wide for v in narrow for w in last])
+    mask = (1 << width) - 1
+    shifts = range((n**3 - 1) * width, -1, -width)
+    orbit, frontier = {flat}, [flat]
+    while frontier:
+        fresh = []
+        for table in frontier:
+            terms = [(s, c) for s, c in enumerate(table) if c]
+            for images in transports:
+                x = sum(c * images[s] for s, c in terms)
+                image = tuple(((x >> shift) & mask) % p for shift in shifts)
+                if image not in orbit:
+                    orbit.add(image)
+                    fresh.append(image)
+                    if counted + len(orbit) > budget:
+                        raise BudgetExceeded(
+                            f"tables in GL({n},{p}) orbits: at least "
+                            f"{counted + len(orbit)} exceeds budget {budget}"
+                        )
+        frontier = fresh
+    return frozenset(orbit)
 
 
 def are_isomorphic(
@@ -468,13 +466,9 @@ def are_isomorphic(
         raise UnsupportedField("isomorphism search needs a finite prime field")
     if a.dim != b.dim:
         return False
-    _check_base_change_space(a.field, a.dim, budget)
     if algebra_invariants(a) != algebra_invariants(b):
         return False
-    target = _flat_table(a)
-    return any(
-        image == target for image in _base_changes(_flat_table(b), a.field.p, a.dim)
-    )
+    return _flat_table(a) in _orbit(_flat_table(b), a.field.p, a.dim, budget)
 
 
 def canonical_table_key(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
@@ -482,8 +476,7 @@ def canonical_table_key(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> tu
     two algebras over the same prime field share the key iff isomorphic."""
     if not isinstance(alg.field, PrimeField):
         raise UnsupportedField("canonical keys need a finite prime field")
-    _check_base_change_space(alg.field, alg.dim, budget)
-    return min(_base_changes(_flat_table(alg), alg.field.p, alg.dim))
+    return min(_orbit(_flat_table(alg), alg.field.p, alg.dim, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -596,11 +589,12 @@ def sweep_tables(
     isomorphism, and analyze one representative per class.
 
     The census is exhaustive over any prime field, for ``dim`` at least 1;
-    the budget alone bounds the sizes, through |GL(dim, p)| and the
-    alternating tables (``_census``).  It constructs the valid tables by
+    the budget alone bounds the sizes, through the alternating tables and
+    the valid tables found (``_census``).  It constructs the valid tables by
     the Liesation route (``_liesation_orbits``) instead of filtering every
     candidate, so ``totals.scanned`` is the size of the candidate space and
-    ``totals.valid`` the sum of the orbit sizes.
+    ``totals.valid`` the sum of the orbit sizes; each orbit is closed under
+    generators of GL(dim, p).
     ``workers`` is accepted for compatibility and does not change the work:
     the census runs in this process.
     """
@@ -645,16 +639,17 @@ def sweep_tables(
     )
 
 
-def _mark_orbits(tables, p: int, n: int) -> list:
+def _mark_orbits(tables, p: int, n: int, budget: int) -> list:
     """The GL(n, p) orbits of the given flat tables, as frozensets, each
-    started from the first table that no earlier orbit covers.  Orbits that
-    overlap can only come from a broken base change, and fail the run."""
+    started from the first table that no earlier orbit covers.  The budget
+    bounds the running sum of the orbit sizes.  Orbits that overlap can only
+    come from a broken base change, and fail the run."""
     seen = set()
     orbits = []
     for table in tables:
         if table in seen:
             continue
-        orbit = frozenset(_base_changes(table, p, n))
+        orbit = _orbit(table, p, n, budget, len(seen))
         if table not in orbit or not seen.isdisjoint(orbit):
             raise VerificationFailed(f"GL({n},{p}) moves {table} off its orbit")
         seen |= orbit
@@ -707,7 +702,7 @@ def _lie_tables(p: int, n: int):
             yield tuple(flat)
 
 
-def _liesation_tables(p: int, n: int):
+def _liesation_tables(p: int, n: int, budget: int):
     """Leibniz tables over GF(p) of dimension n that include a basis change
     of every Leibniz table, by the Liesation route.
 
@@ -727,7 +722,7 @@ def _liesation_tables(p: int, n: int):
         rho = [
             at(m + r, a, m + q) for a in range(m) for r in range(d) for q in range(d)
         ]
-        for orbit in _mark_orbits(_lie_tables(p, m), p, m):
+        for orbit in _mark_orbits(_lie_tables(p, m), p, m, budget):
             flat = [0] * n**3
             for (a, b, k), c in zip(itertools.product(range(m), repeat=3), min(orbit)):
                 flat[at(a, b, k)] = c
@@ -738,12 +733,13 @@ def _liesation_tables(p: int, n: int):
                     yield tuple(flat)
 
 
-def _liesation_orbits(p: int, n: int) -> list:
+def _liesation_orbits(p: int, n: int, budget: int = DEFAULT_BUDGET) -> list:
     """The GL(n, p) orbits of the Leibniz tables over GF(p) of dimension n:
-    the orbits of ``_liesation_tables``.  Every orbit size must divide
-    |GL(n, p)|, or the run fails."""
-    orbits = _mark_orbits(_liesation_tables(p, n), p, n)
-    order = len(_general_linear(p, n))
+    the orbits of ``_liesation_tables``, whose sizes the budget bounds.
+    Every orbit size must divide |GL(n, p)| = prod (p^n - p^i), or the run
+    fails."""
+    orbits = _mark_orbits(_liesation_tables(p, n, budget), p, n, budget)
+    order = math.prod(p**n - p**i for i in range(n))
     for orbit in orbits:
         if order % len(orbit):
             raise VerificationFailed(
@@ -756,12 +752,12 @@ def _census(field, dim, budget):
     """(scanned, valid, [(key, representative)]) by ``_liesation_orbits``.
     Each class is keyed by the minimum of its orbit, the classes are sorted
     by key, and ``valid`` is the sum of the orbit sizes.  The budget bounds
-    |GL(dim, p)| and the alternating tables of the d = 0 step."""
-    _check_base_change_space(field, dim, budget)
+    the alternating tables of the d = 0 step, before any is built, and the
+    running sum of the orbit sizes as the orbits are closed."""
     pairs = dim * dim * (dim - 1) // 2
     require_enumerable(field, pairs, budget, f"alternating tables of {field} dim {dim}")
     p = field.p
-    orbits = _liesation_orbits(p, dim)
+    orbits = _liesation_orbits(p, dim, budget)
     # GF(2) dim 3 compares reversed tuples, the order of the 27-bit id with
     # c[i][j][k] at bit 9i + 3j + k, so its pinned report keeps its bytes
     order = (lambda t: t[::-1]) if (p, dim) == (2, 3) else None

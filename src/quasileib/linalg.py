@@ -345,7 +345,8 @@ def projective_points(field: Field, n: int, budget: int = DEFAULT_BUDGET):
     """One representative per 1-dimensional subspace of F^n: the leading
     nonzero coordinate is 1."""
     require_enumerable(field, n, budget, f"projective points of F^{n}")
-    elems = list(field.elements())
+    # only n > 1 has free entries; F^1 has the one point (1)
+    elems = list(field.elements()) if n > 1 else ()
     z, o = field.zero, field.one
     for lead in range(n):
         for tail in itertools.product(elems, repeat=n - lead - 1):
@@ -372,7 +373,8 @@ def enumerate_subspaces(
     else:
         dims = tuple(dims)
     require_subspaces(field, n, dims, budget)
-    elems = [s.value for s in field.elements()]
+    # only n > 1 has free entries
+    elems = [s.value for s in field.elements()] if n > 1 else ()
     z, o = field.raw_zero, field.raw_one
     for k in dims:
         if k == 0:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -187,8 +188,15 @@ def test_are_isomorphic_fixtures():
 def test_are_isomorphic_guards():
     with pytest.raises(UnsupportedField):
         are_isomorphic(two_dim_solvable_cyclic(QQ), two_dim_solvable_cyclic(QQ))
+    # the budget counts the members of one orbit: the abelian table's orbit
+    # is that table alone, and two_dim_solvable_cyclic's has 48 / 2 = 24
+    assert are_isomorphic(abelian(GF3, 4), abelian(GF3, 4), budget=1)
+    solv = two_dim_solvable_cyclic(GF3)
+    assert are_isomorphic(solv, solv, budget=24)
     with pytest.raises(BudgetExceeded):
-        are_isomorphic(abelian(GF3, 4), abelian(GF3, 4), budget=100)
+        are_isomorphic(solv, solv, budget=2)
+    with pytest.raises(BudgetExceeded):
+        canonical_table_key(solv, budget=23)
     assert not are_isomorphic(abelian(GF2, 2), abelian(GF2, 3))
 
 
@@ -326,10 +334,11 @@ def test_sweep_gf3_dim2():
     assert all(c.in_q for c in report.classes)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 31])
 def test_dim2_valid_count_closed_form(q):
     """There are q**3 + 2 q**2 - q - 1 Leibniz tables of dimension 2 over
-    GF(q): 13, 41, 169, 433, 1561 and 2521 at q = 2, 3, 5, 7, 11 and 13.
+    GF(q): 13, 41, 169, 433, 1561, 2521 and 31,681 at q = 2, 3, 5, 7, 11,
+    13 and 31.
 
     Derivation, as the sum of |GL(2,q)| / |Aut| over the four classes, with
     |GL(2,q)| = (q**2 - 1)(q**2 - q).  Write phi(x) = a x + b y for a basis
@@ -372,7 +381,7 @@ def test_report_count_consistency():
 
 def test_sweep_rejects_large_exhaustive():
     # the budget alone bounds the sizes: GF(2) dim 4 has 2^24 alternating
-    # tables, and GL(3,3) lies among 3^9 matrices
+    # tables, and GF(3) dim 3 has 3^9, over a budget of 10000
     with pytest.raises(BudgetExceeded):
         sweep_tables(GF2, 4)
     with pytest.raises(BudgetExceeded):
@@ -754,7 +763,7 @@ def test_gf3_dim3_per_matrix_solve_sample(gf3_dim3_census):
     at most 7 (an inconsistent system, with no solutions, qualifies; 19,650
     of the 3^9 values do).  The engine's tables are the base-change orbits
     of the 27 class keys."""
-    orbits = [set(census._base_changes(e.key, 3, 3)) for e in gf3_dim3_census.classes]
+    orbits = [census._orbit(e.key, 3, 3, DEFAULT_BUDGET) for e in gf3_dim3_census.classes]
     assert len(orbits) == 27 and sum(len(orbit) for orbit in orbits) == 15_861
     by_last = {}
     for t in set().union(*orbits):
@@ -807,9 +816,9 @@ def test_generic_engine_matches_brute_force(p, n, valid):
 
 
 # Breaks the Liesation engine in two ways and expects each to fail the run.
-# A base change that drops the last element of GL(2,2) (GL(1,2) is left
-# whole) shrinks the orbit of the class with trivial automorphism group to
-# 5 tables, which does not divide |GL(2,2)| = 6.  A class whose table is
+# Pairing the generator T = I + E_01 with I instead of its inverse closes the
+# GF(2) dim-2 tables under maps that are not base changes; one orbit grows to
+# 12 tables, which does not divide |GL(2,2)| = 6.  A class whose table is
 # not Leibniz fails the full right identity when its representative is
 # built.
 _BROKEN_ENGINE = """
@@ -817,24 +826,29 @@ from quasileib import census
 from quasileib.errors import VerificationFailed
 from quasileib.fields import GF2
 
-real_base_changes = census._base_changes
+real_generators = census._generators
 
 
-def drop_last(flat, p, n):
-    images = list(real_base_changes(flat, p, n))
-    return images[:-1] if n > 1 else images
+def wrong_inverse(p, n):
+    gens = real_generators(p, n)
+    if n > 1:
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        gens[0] = (gens[0][0], identity)
+    return gens
 
 
-census._base_changes = drop_last
+census._generators = wrong_inverse
 try:
     census._liesation_orbits(2, 2)
-    raise SystemExit("an orbit that misses a table was accepted")
+    raise SystemExit("an orbit under a wrong inverse was accepted")
 except VerificationFailed as exc:
     assert "|GL| = 6" in str(exc), exc
-census._base_changes = real_base_changes
+census._generators = real_generators
 
 # [e_0, e_0] = e_0 is not Leibniz
-census._liesation_orbits = lambda p, n: [frozenset({(1,) + (0,) * (n**3 - 1)})]
+census._liesation_orbits = lambda p, n, budget: [
+    frozenset({(1,) + (0,) * (n**3 - 1)})
+]
 try:
     census.sweep_tables(GF2, 3)
     raise SystemExit("a representative that is not Leibniz was accepted")
@@ -862,39 +876,120 @@ def test_liesation_self_checks_fire(flags):
 
 @pytest.mark.parametrize("p, n", [(2, 3), (3, 2)])
 def test_base_changes_match_plain_transform(p, n):
-    # the packed transports give the plain transform's images, in the order
-    # of the plain search for GL(n, p)
+    # the closure under the generators, on packed transports, gives the
+    # plain transform's images under every element of GL(n, p); tables that
+    # are not Leibniz are moved as well
     group = _plain_general_linear(p, n)
-    assert list(census._general_linear(p, n)) == group
     rng = random.Random(13)
     tables = [(0,) * n**3, (p - 1,) * n**3] + [
         tuple(rng.randrange(p) for _ in range(n**3)) for _ in range(4)
     ]
     for t in tables:
-        assert list(census._base_changes(t, p, n)) == [
+        assert census._orbit(t, p, n, DEFAULT_BUDGET) == {
             _plain_transform(t, g, p, n) for g in group
-        ]
+        }
 
 
-def _orbit_over_half_the_group(real, flat, p, n):
+def _orbit_over_half_the_group(real, flat, *args):
     # misses tables of a class, which then start orbits that overlap it
-    images = list(real(flat, p, n))
-    return images[: len(images) // 2]
+    orbit = sorted(real(flat, *args))
+    return frozenset(orbit[: len(orbit) // 2]) | {flat}
 
 
-def _orbit_with_a_stranger(real, flat, p, n):
+def _orbit_with_a_stranger(real, flat, *args):
     # the all-ones table is not Leibniz over GF(3): [e_0, e_0 + e_1] = 2s
     # while [[e_0, y], z] - [[e_0, z], y] = 0, with s = e_0 + e_1
-    return [*real(flat, p, n), (1,) * n**3]
+    return real(flat, *args) | {(1,) * len(flat)}
 
 
 @pytest.mark.parametrize("broken", [_orbit_over_half_the_group, _orbit_with_a_stranger])
 def test_orbit_check_catches_a_broken_orbit(monkeypatch, broken):
     # orbits that overlap, or whose size does not divide |GL(2,3)|, fail
     # the run with a raise, which python -O keeps
-    real = census._base_changes
-    monkeypatch.setattr(
-        census, "_base_changes", lambda flat, p, n: broken(real, flat, p, n)
-    )
+    real = census._orbit
+    monkeypatch.setattr(census, "_orbit", lambda *args: broken(real, *args))
     with pytest.raises(VerificationFailed):
         census._census(GF3, 2, DEFAULT_BUDGET)
+
+
+@pytest.mark.parametrize(
+    "p, n, order",
+    [(2, 2, 6), (2, 3, 168), (3, 2, 48), (3, 3, 11_232), (2, 4, 20_160), (5, 2, 480)],
+)
+def test_generators_close_to_the_general_linear_group(p, n, order):
+    # each generator is paired with its inverse, and closing the identity
+    # matrix under right multiplication by the generators reaches all
+    # prod (p^n - p^i) invertible matrices
+    idx = range(n)
+    identity = tuple(tuple(int(i == j) for j in idx) for i in idx)
+
+    def mul(a, b):
+        return tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in idx) % p for j in idx) for i in idx
+        )
+
+    gens = census._generators(p, n)
+    assert all(mul(mat, inv) == identity for mat, inv in gens)
+    assert order == math.prod(p**n - p**i for i in idx)
+    group, frontier = {identity}, [identity]
+    while frontier:
+        fresh = {mul(a, mat) for a in frontier for mat, _ in gens} - group
+        group |= fresh
+        frontier = list(fresh)
+    assert len(group) == order
+
+
+def test_census_budget_counts_the_valid_tables():
+    # GF(31) dim 2 has 31^2 alternating tables, within the budget, and
+    # 31,681 valid tables, over it: the closure refuses the 30,001st
+    with pytest.raises(BudgetExceeded) as exc:
+        sweep_tables(PrimeField(31), 2, check_oracle=False, budget=30_000)
+    message = str(exc.value)
+    assert "30001" in message and "30000" in message
+
+
+def test_dim1_census_of_a_large_field():
+    # at dim 1 only the zero table is Leibniz, and no step enumerates the
+    # field's elements
+    report = sweep_tables(PrimeField(999983), 1, check_oracle=False)
+    assert report.totals == {"scanned": 999983, "valid": 1, "classes": 1}
+
+
+def _plain_inverse(mat, p):
+    """The inverse of a square matrix over GF(p) by Gauss-Jordan elimination
+    on [mat | I], or None when it is singular."""
+    n = len(mat)
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] % p), None)
+        if pivot is None:
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        scale = pow(work[col][col], -1, p)
+        work[col] = [x * scale % p for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[col])]
+    return tuple(tuple(row[n:]) for row in work)
+
+
+def test_keys_invariant_under_random_base_changes(gf3_dim3_census):
+    # every GF(3) dim-3 class representative, written in three seeded random
+    # bases, keeps its canonical key and stays isomorphic to itself
+    rng = random.Random(7)
+    checked = 0
+    for entry in gf3_dim3_census.classes:
+        key = canonical_table_key(entry.algebra)
+        assert key == entry.key
+        for _ in range(3):
+            inverse = None
+            while inverse is None:
+                mat = tuple(tuple(rng.randrange(3) for _ in range(3)) for _ in range(3))
+                inverse = _plain_inverse(mat, 3)
+            moved = _plain_transform(key, (mat, inverse), 3, 3)
+            alg = census._canonical_rep(GF3, 3, moved)
+            assert canonical_table_key(alg) == key
+            assert are_isomorphic(alg, entry.algebra)
+            checked += 1
+    assert checked == 81
