@@ -340,13 +340,19 @@ def is_subalgebra(alg: LeibnizAlgebra, s: Subspace) -> bool:
 
 
 def is_ideal(alg: LeibnizAlgebra, s: Subspace) -> bool:
+    """Whether [s, L] + [L, s] <= s, decided once per subspace of the
+    algebra."""
     alg.check_subspace(s)
-    br, units = alg.table.raw_bracket, raw_identity(alg.field, alg.dim)
-    return all(
-        s.raw_contains(br(u, e)) and s.raw_contains(br(e, u))
-        for u in s.raw_rows
-        for e in units
-    )
+    cache = alg._cache.setdefault("is_ideal", {})
+    found = cache.get(s.raw_rows)
+    if found is None:
+        br, units = alg.table.raw_bracket, raw_identity(alg.field, alg.dim)
+        found = cache[s.raw_rows] = all(
+            s.raw_contains(br(u, e)) and s.raw_contains(br(e, u))
+            for u in s.raw_rows
+            for e in units
+        )
+    return found
 
 
 def subalgebra_closure(alg: LeibnizAlgebra, s: Subspace) -> Subspace:

@@ -605,6 +605,9 @@ class FunctionField(Field):
 
     def raw_add(self, a, b):
         (an, ad), (bn, bd) = a, b
+        if ad == bd == (1,):
+            # polynomials: gcd(num, 1) = 1, so the sum is already reduced
+            return (poly_add(self.p, an, bn), (1,))
         num = poly_add(self.p, poly_mul(self.p, an, bd), poly_mul(self.p, bn, ad))
         return self._reduce(num, poly_mul(self.p, ad, bd))
 
@@ -612,6 +615,9 @@ class FunctionField(Field):
         return (poly_neg(self.p, a[0]), a[1])
 
     def raw_mul(self, a, b):
+        if a[1] == b[1] == (1,):
+            # polynomials: the product is already reduced, as in raw_add
+            return (poly_mul(self.p, a[0], b[0]), (1,))
         return self._reduce(poly_mul(self.p, a[0], b[0]), poly_mul(self.p, a[1], b[1]))
 
     def raw_inv(self, a):

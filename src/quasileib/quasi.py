@@ -257,15 +257,22 @@ def is_quasi_ideal_oracle(
 def core(alg: LeibnizAlgebra, h: Subspace) -> Subspace:
     """The largest ideal of L contained in H, as a greatest fixpoint:
     N_0 = H and N_{k+1} = {v in N_k : [v, e_j], [e_j, v] in N_k for all j}.
+
+    N_{k+1} = N_k exactly when N_k is an ideal, so the loop stops at the
+    first N_k that :func:`is_ideal` accepts instead of computing one more
+    kernel to confirm it.  The core is computed once per subspace of the
+    algebra.
     """
     alg.check_subspace(h)
+    cache = alg._cache.setdefault("core", {})
+    found = cache.get(h.raw_rows)
+    if found is not None:
+        return found
     field, n = alg.field, alg.dim
     br = alg.table.raw_bracket
     units = raw_identity(field, n)
     cur = h
-    while True:
-        if cur.is_zero():
-            return cur
+    while not is_ideal(alg, cur):
         rows = []
         for b in cur.raw_rows:
             flat = []
@@ -275,27 +282,31 @@ def core(alg: LeibnizAlgebra, h: Subspace) -> Subspace:
             rows.append(flat)
         kernel = raw_left_kernel(field, rows)
         gens = [raw_combination(field, c, cur.raw_rows, n) for c in kernel.raw_rows]
-        nxt = raw_echelonize(field, n, gens)
-        if nxt == cur:
-            return cur
-        cur = nxt
+        cur = raw_echelonize(field, n, gens)
+    cache[h.raw_rows] = cur
+    return cur
 
 
 def is_left_engel(alg: LeibnizAlgebra, x: tuple) -> bool:
     """x is left Engel when y -> [y,x] is nilpotent (the finite-dimensional
     form of: for each y some power kills y).  The images L, [L,x], [[L,x],x],
     ... descend, and the map is nilpotent exactly when they reach 0 before
-    they stop shrinking."""
+    they stop shrinking.  The answer depends only on the line Fx, so it is
+    decided once per line, keyed by the line's echelon row."""
     if len(x) != alg.dim:
         raise DimensionMismatch("vectors must live in the algebra")
     line = echelonize(alg.field, alg.dim, [x])
-    cur = alg.full()
-    while not cur.is_zero():
-        nxt = bracket_subspaces(alg, cur, line)
-        if nxt.dim == cur.dim:
-            return False
-        cur = nxt
-    return True
+    cache = alg._cache.setdefault("is_left_engel", {})
+    found = cache.get(line.raw_rows)
+    if found is None:
+        cur = alg.full()
+        while not cur.is_zero():
+            nxt = bracket_subspaces(alg, cur, line)
+            if nxt.dim == cur.dim:
+                break
+            cur = nxt
+        found = cache[line.raw_rows] = cur.is_zero()
+    return found
 
 
 @dataclass(frozen=True)
@@ -466,10 +477,16 @@ def lemma_suite(
     sq_at = _saturating(sq_chain)
     der_at = _saturating(der_chain)
 
+    wraps = alg._cache.setdefault("wrap", {})
+
     def wrap(space):
-        return bracket_subspaces(alg, full, space).sum(
-            bracket_subspaces(alg, space, full)
-        )
+        # [L, S] + [S, L], computed once per subspace of the algebra
+        found = wraps.get(space.raw_rows)
+        if found is None:
+            found = wraps[space.raw_rows] = bracket_subspaces(alg, full, space).sum(
+                bracket_subspaces(alg, space, full)
+            )
+        return found
 
     # bracket reflection: h in H, x in L, [x,h] in H  =>  [h,x] in H
     if direct:

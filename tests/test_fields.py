@@ -13,9 +13,11 @@ from quasileib.fields import (
     field_from_json,
     parse_field,
     parse_scalar,
+    poly_add,
     poly_gcd,
     poly_mul,
     poly_sqrt,
+    poly_trim,
 )
 
 F2T = FunctionField(2)
@@ -56,6 +58,43 @@ def test_function_field_gcd_canonicalization():
     s = F2T.from_polys((0, 1, 1), (0, 0, 1))
     assert s == F2T.from_polys((1, 1), (0, 1))
     assert s.value == ((1, 1), (0, 1))
+
+
+def _general_add(field, a, b):
+    p, (an, ad), (bn, bd) = field.p, a, b
+    num = poly_add(p, poly_mul(p, an, bd), poly_mul(p, bn, ad))
+    return field._reduce(num, poly_mul(p, ad, bd))
+
+
+def _general_mul(field, a, b):
+    p = field.p
+    return field._reduce(poly_mul(p, a[0], b[0]), poly_mul(p, a[1], b[1]))
+
+
+def test_function_field_polynomial_fast_paths_match_the_general_formula():
+    # raw_add and raw_mul skip _reduce when both denominators are 1; their
+    # values must be the canonical ones the general formula gives
+    for field in (F2T, F3T):
+        p = field.p
+        rng = random.Random(f"polynomial fast paths/{p}")
+        polys = [(), (1,), (p - 1,), (0, 1)] + [
+            poly_trim(rng.randrange(p) for _ in range(rng.randrange(1, 7)))
+            for _ in range(40)
+        ]
+        fractions = [random_scalar(field, rng).value for _ in range(20)]
+        values = [(num, (1,)) for num in polys] + fractions
+        for a in values:
+            for b in rng.sample(values, 12):
+                assert field.raw_add(a, b) == _general_add(field, a, b)
+                assert field.raw_mul(a, b) == _general_mul(field, a, b)
+    # an operand with a denominator is still reduced: 1/t * t = 1 and
+    # 1/t + (t - 1)/t = 1
+    for field in (F2T, F3T):
+        one, over_t, t = field.raw_one, ((1,), (0, 1)), ((0, 1), (1,))
+        assert field.raw_mul(over_t, t) == one
+        assert field.raw_mul(t, over_t) == one
+        t_minus_one_over_t = ((field.p - 1, 1), (0, 1))
+        assert field.raw_add(over_t, t_minus_one_over_t) == one
 
 
 def test_division_by_zero():

@@ -8,6 +8,7 @@ from quasileib.algebra import (
     is_nilpotent,
     subalgebras,
 )
+from quasileib.census import lemma_harness
 from quasileib.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -25,10 +26,14 @@ from quasileib.families import (
 )
 from quasileib.fields import GF2, GF3, QQ, FunctionField
 from quasileib.linalg import (
+    all_vectors,
     echelonize,
     enumerate_subspaces,
     projective_points,
+    raw_combination,
     raw_echelonize,
+    raw_identity,
+    raw_left_kernel,
     vec,
     zero_subspace,
 )
@@ -348,6 +353,101 @@ def test_core_free_quotient(family_corpus):
             q = quotient(alg, c)
             image = q.project_subspace(s)
             assert core(q.algebra, image).is_zero()
+
+
+def _fresh(alg):
+    """The same table in a new algebra, with every memo empty."""
+    table = MultiplicationTable(alg.field, alg.dim, alg.table.cube)
+    return LeibnizAlgebra(table, _checked=True)
+
+
+def _core_by_fixpoint(alg, h):
+    """The core by iterating N_{k+1} = {v in N_k : [v, e_j], [e_j, v] in N_k}
+    until a step returns N_k itself, with no memo and no ideal test."""
+    field, n = alg.field, alg.dim
+    br = alg.table.raw_bracket
+    units = raw_identity(field, n)
+    cur = h
+    while not cur.is_zero():
+        rows = []
+        for b in cur.raw_rows:
+            flat = []
+            for e in units:
+                flat.extend(cur.raw_reduce(br(b, e)))
+                flat.extend(cur.raw_reduce(br(e, b)))
+            rows.append(flat)
+        kernel = raw_left_kernel(field, rows)
+        gens = [raw_combination(field, c, cur.raw_rows, n) for c in kernel.raw_rows]
+        nxt = raw_echelonize(field, n, gens)
+        if nxt == cur:
+            break
+        cur = nxt
+    return cur
+
+
+def test_memoised_facts_match_a_fresh_algebra(family_corpus, gf3_dim3_census):
+    # every fact is asked twice of one warmed algebra, so the second answer
+    # comes from its memo; a fresh copy of the table decides it from scratch
+    corpus = [alg for _, alg in family_corpus if alg.field.order**alg.dim <= 100]
+    lemma_harness(corpus)
+    representatives = [entry.algebra for entry in gf3_dim3_census.classes]
+    assert len(representatives) == 27
+    for alg in corpus + representatives:
+        subspaces = list(enumerate_subspaces(alg.field, alg.dim))
+        vectors = list(all_vectors(alg.field, alg.dim))
+        for _ in range(2):
+            cores = [core(alg, s) for s in subspaces]
+            ideals = [is_ideal(alg, s) for s in subspaces]
+            engel = [is_left_engel(alg, x) for x in vectors]
+        for s, c, ideal in zip(subspaces, cores, ideals):
+            assert c == core(_fresh(alg), s) == _core_by_fixpoint(_fresh(alg), s)
+            assert ideal == is_ideal(_fresh(alg), s)
+        for x, e in zip(vectors, engel):
+            assert e == is_left_engel(_fresh(alg), x)
+
+
+def test_fact_memos_still_check_their_inputs():
+    # zero subspaces of other spaces share the memo key (), and a vector
+    # over GF(3) can have the echelon row of a cached GF(2) line, so the
+    # field and ambient checks must run on every call
+    alg = two_dim_solvable_cyclic(GF2)
+    zero = zero_subspace(GF2, 2)
+    assert is_ideal(alg, zero) and core(alg, zero).is_zero()
+    assert not is_left_engel(alg, vec(GF2, (1, 0)))
+    assert () in alg._cache["is_ideal"] and () in alg._cache["core"]
+    assert ((1, 0),) in alg._cache["is_left_engel"]
+    for fact in (is_ideal, core):
+        with pytest.raises(DimensionMismatch):
+            fact(alg, zero_subspace(GF2, 3))
+        with pytest.raises(MixedFields):
+            fact(alg, zero_subspace(GF3, 2))
+    with pytest.raises(DimensionMismatch):
+        is_left_engel(alg, vec(GF2, (1, 0, 0)))
+    with pytest.raises(MixedFields):
+        is_left_engel(alg, vec(GF3, (1, 0)))
+
+
+def test_core_of_an_ideal_and_a_repeated_harness_compute_no_kernel(monkeypatch):
+    import quasileib.quasi as quasi_module
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return raw_left_kernel(*args)
+
+    monkeypatch.setattr(quasi_module, "raw_left_kernel", counted)
+    alg = non_lie_almost_abelian(GF3, 2)
+    ideals = [s for s in subalgebras(alg) if is_ideal(alg, s)]
+    assert len(ideals) > 2
+    for j in ideals:
+        assert core(alg, j) == j
+    assert calls == []
+    first = lemma_harness([alg])
+    assert calls  # the harness takes the core of some non-ideal
+    kernels = len(calls)
+    assert lemma_harness([alg]).to_json() == first.to_json()
+    assert len(calls) == kernels
 
 
 def test_left_engel_fixtures():
