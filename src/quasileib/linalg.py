@@ -14,7 +14,6 @@ without the prefix are the scalar edge over them.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .errors import BudgetExceeded, DimensionMismatch, MixedFields, UnsupportedField
 from .fields import Field, Scalar
@@ -241,10 +240,7 @@ def zero_subspace(field: Field, n: int) -> Subspace:
     return Subspace(field, n, (), ())
 
 
-@lru_cache(maxsize=64)
 def raw_identity(field: Field, n: int) -> tuple:
-    """The n x n identity as raw rows, built once per field and size (the
-    rows are tuples, so callers cannot change it)."""
     zero, one = field.raw_zero, field.raw_one
     return tuple(tuple(one if j == i else zero for j in range(n)) for i in range(n))
 

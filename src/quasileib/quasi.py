@@ -260,14 +260,9 @@ def core(alg: LeibnizAlgebra, h: Subspace) -> Subspace:
 
     N_{k+1} = N_k exactly when N_k is an ideal, so the loop stops at the
     first N_k that :func:`is_ideal` accepts instead of computing one more
-    kernel to confirm it.  The core is computed once per subspace of the
-    algebra.
+    kernel to confirm it.
     """
     alg.check_subspace(h)
-    cache = alg._cache.setdefault("core", {})
-    found = cache.get(h.raw_rows)
-    if found is not None:
-        return found
     field, n = alg.field, alg.dim
     br = alg.table.raw_bracket
     units = raw_identity(field, n)
@@ -283,7 +278,6 @@ def core(alg: LeibnizAlgebra, h: Subspace) -> Subspace:
         kernel = raw_left_kernel(field, rows)
         gens = [raw_combination(field, c, cur.raw_rows, n) for c in kernel.raw_rows]
         cur = raw_echelonize(field, n, gens)
-    cache[h.raw_rows] = cur
     return cur
 
 
@@ -480,7 +474,8 @@ def lemma_suite(
     wraps = alg._cache.setdefault("wrap", {})
 
     def wrap(space):
-        # [L, S] + [S, L], computed once per subspace of the algebra
+        # [L, S] + [S, L] once per subspace of the algebra: bracket_subspaces
+        # keeps the two products, this keeps the echelon form of their sum
         found = wraps.get(space.raw_rows)
         if found is None:
             found = wraps[space.raw_rows] = bracket_subspaces(alg, full, space).sum(

@@ -387,7 +387,8 @@ def _core_by_fixpoint(alg, h):
 
 def test_memoised_facts_match_a_fresh_algebra(family_corpus, gf3_dim3_census):
     # every fact is asked twice of one warmed algebra, so the second answer
-    # comes from its memo; a fresh copy of the table decides it from scratch
+    # reads its memos (core its ideal tests); a fresh copy of the table
+    # decides it from scratch
     corpus = [alg for _, alg in family_corpus if alg.field.order**alg.dim <= 100]
     lemma_harness(corpus)
     representatives = [entry.algebra for entry in gf3_dim3_census.classes]
@@ -414,7 +415,7 @@ def test_fact_memos_still_check_their_inputs():
     zero = zero_subspace(GF2, 2)
     assert is_ideal(alg, zero) and core(alg, zero).is_zero()
     assert not is_left_engel(alg, vec(GF2, (1, 0)))
-    assert () in alg._cache["is_ideal"] and () in alg._cache["core"]
+    assert () in alg._cache["is_ideal"]
     assert ((1, 0),) in alg._cache["is_left_engel"]
     for fact in (is_ideal, core):
         with pytest.raises(DimensionMismatch):
@@ -427,7 +428,7 @@ def test_fact_memos_still_check_their_inputs():
         is_left_engel(alg, vec(GF3, (1, 0)))
 
 
-def test_core_of_an_ideal_and_a_repeated_harness_compute_no_kernel(monkeypatch):
+def test_core_of_an_ideal_computes_no_kernel(monkeypatch):
     import quasileib.quasi as quasi_module
 
     calls = []
@@ -438,16 +439,16 @@ def test_core_of_an_ideal_and_a_repeated_harness_compute_no_kernel(monkeypatch):
 
     monkeypatch.setattr(quasi_module, "raw_left_kernel", counted)
     alg = non_lie_almost_abelian(GF3, 2)
-    ideals = [s for s in subalgebras(alg) if is_ideal(alg, s)]
+    subs = subalgebras(alg)
+    ideals = [s for s in subs if is_ideal(alg, s)]
     assert len(ideals) > 2
     for j in ideals:
         assert core(alg, j) == j
     assert calls == []
-    first = lemma_harness([alg])
-    assert calls  # the harness takes the core of some non-ideal
-    kernels = len(calls)
-    assert lemma_harness([alg]).to_json() == first.to_json()
-    assert len(calls) == kernels
+    # a non-ideal still takes at least one kernel step
+    h = next(s for s in subs if not is_ideal(alg, s))
+    assert core(alg, h) != h
+    assert calls
 
 
 def test_left_engel_fixtures():
