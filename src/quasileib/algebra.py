@@ -16,6 +16,7 @@ with the polarized products ``[e_i, e_j] + [e_j, e_i]`` (expand
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -176,44 +177,77 @@ class ValidationResult:
         return out
 
 
+def raw_leibniz_failure(field: Field, cube, triples, side: str = "right"):
+    """The first basis triple (i, j, k) of ``triples`` at which the raw cube
+    fails the right identity, or the left one for ``side="left"``, as
+    ((i, j, k), lhs, rhs) with both sides raw; None when every triple
+    passes.  Both sides expand over the structure constants, skipping the
+    zero ones: [e_i, v] = sum_b v_b [e_i, e_b] and [v, e_k] = sum_a v_a
+    [e_a, e_k]."""
+    axpy, neg, zero = field.raw_axpy, field.raw_neg, field.raw_zero
+    n = len(cube)
+    for i, j, k in triples:
+        ci = cube[i]
+        lhs = [zero] * n
+        for b, x in enumerate(cube[j][k]):
+            if x != zero:
+                lhs = axpy(x, lhs, ci[b])
+        rhs = [zero] * n
+        for a, x in enumerate(ci[j]):
+            if x != zero:
+                rhs = axpy(x, rhs, cube[a][k])
+        if side == "left":
+            for b, x in enumerate(ci[k]):
+                if x != zero:
+                    rhs = axpy(x, rhs, cube[j][b])
+        else:
+            for a, x in enumerate(ci[k]):
+                if x != zero:
+                    rhs = axpy(neg(x), rhs, cube[a][j])
+        if lhs != rhs:
+            return (i, j, k), tuple(lhs), tuple(rhs)
+    return None
+
+
+def raw_alternation_failure(field: Field, cube):
+    """The first i with [e_i, e_i] != 0 as (i, i), else the first i < j
+    with [e_i, e_j] + [e_j, e_i] != 0 as (i, j); None when the raw cube is
+    alternating."""
+    add, zero = field.raw_add, field.raw_zero
+    n = len(cube)
+    for i in range(n):
+        if any(x != zero for x in cube[i][i]):
+            return i, i
+    for i, j in itertools.combinations(range(n), 2):
+        if any(add(a, b) != zero for a, b in zip(cube[i][j], cube[j][i])):
+            return i, j
+    return None
+
+
 def validate(table: MultiplicationTable, mode: str = "right") -> ValidationResult:
-    """Check the chosen identity on all basis triples.
+    """Check the chosen identity on all basis triples, in lexicographic
+    order; a failure carries the first failing triple and both sides.
 
     ``right``: [x,[y,z]] = [[x,y],z] - [[x,z],y]
     ``left`` : [x,[y,z]] = [[x,y],z] + [y,[x,z]]
-    ``lie``  : right identity plus [e_i, e_i] = 0 and antisymmetry
+    ``lie``  : [e_i, e_i] = 0 and antisymmetry (the witness is the first
+    failing pair), then the right identity
     """
     if mode not in ("right", "left", "lie"):
         raise ValueError(f"unknown mode {mode!r}")
-    field, n, cube = table.field, table.dim, table.raw
-    add, neg, zero = field.raw_add, field.raw_neg, field.raw_zero
+    field, cube = table.field, table.raw
     if mode == "lie":
-        for i in range(n):
-            if any(x != zero for x in cube[i][i]):
-                return ValidationResult(False, mode, (i, i), table.cube[i][i], None)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if any(add(a, b) != zero for a, b in zip(cube[i][j], cube[j][i])):
-                    return ValidationResult(
-                        False, mode, (i, j), table.cube[i][j], table.cube[j][i]
-                    )
-    br = table.raw_bracket
-    unit = raw_identity(field, n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = br(unit[i], cube[j][k])
-                if mode == "left":
-                    rhs = tuple(map(add, br(cube[i][j], unit[k]), br(unit[j], cube[i][k])))
-                else:
-                    rhs = tuple(
-                        map(add, br(cube[i][j], unit[k]), map(neg, br(cube[i][k], unit[j])))
-                    )
-                if lhs != rhs:
-                    return ValidationResult(
-                        False, mode, (i, j, k), field.wrap(lhs), field.wrap(rhs)
-                    )
-    return ValidationResult(True, mode)
+        pair = raw_alternation_failure(field, cube)
+        if pair is not None:
+            i, j = pair
+            rhs = None if i == j else table.cube[j][i]
+            return ValidationResult(False, mode, pair, table.cube[i][j], rhs)
+    triples = itertools.product(range(table.dim), repeat=3)
+    found = raw_leibniz_failure(field, cube, triples, "left" if mode == "left" else "right")
+    if found is None:
+        return ValidationResult(True, mode)
+    triple, lhs, rhs = found
+    return ValidationResult(False, mode, triple, field.wrap(lhs), field.wrap(rhs))
 
 
 class LeibnizAlgebra:
@@ -409,24 +443,11 @@ def is_abelian(alg: LeibnizAlgebra) -> bool:
 
 
 def is_lie(alg: LeibnizAlgebra) -> bool:
-    """Whether the algebra is Lie, decided once per algebra.  Alternation is
-    enough: [e_i, e_i] = 0 and [e_i, e_j] + [e_j, e_i] = 0 give [x, x] = 0
-    for every x, and with [x, x] = 0 the right identity the algebra already
-    passed is the Jacobi identity."""
-    found = alg._cache.get("is_lie")
-    if found is None:
-        cube, add, zero = alg.table.raw, alg.field.raw_add, alg.field.raw_zero
-        n = alg.dim
-        found = alg._cache["is_lie"] = all(
-            all(x == zero for x in cube[i][i])
-            and all(
-                add(a, b) == zero
-                for j in range(i + 1, n)
-                for a, b in zip(cube[i][j], cube[j][i])
-            )
-            for i in range(n)
-        )
-    return found
+    """Whether the algebra is Lie.  Alternation is enough: [e_i, e_i] = 0
+    and [e_i, e_j] + [e_j, e_i] = 0 give [x, x] = 0 for every x, and with
+    [x, x] = 0 the right identity the algebra already passed is the Jacobi
+    identity."""
+    return raw_alternation_failure(alg.field, alg.table.raw) is None
 
 
 def is_symmetric(alg: LeibnizAlgebra) -> bool:

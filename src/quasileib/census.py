@@ -44,6 +44,7 @@ from .algebra import (
     is_solvable,
     is_symmetric,
     quotient,
+    raw_leibniz_failure,
     series,
     squares_ideal,
     subalgebras,
@@ -62,7 +63,7 @@ from .linalg import (
     DEFAULT_BUDGET,
     Subspace,
     echelonize,
-    projective_points,
+    raw_projective_points,
     require_enumerable,
     unit_vec,
     vec_scale,
@@ -73,6 +74,7 @@ from .quasi import (
     is_quasi_ideal,
     is_quasi_ideal_oracle,
     lemma_suite,
+    quasi_ideals,
     subquasi_chain,
 )
 
@@ -550,26 +552,19 @@ class CensusReport:
         return json.dumps(self.to_json(), sort_keys=True, indent=1).encode()
 
 
-def _analyze_class(key, alg, budget, check_oracle) -> ClassEntry:
+def _analyze_class(key, alg, budget) -> ClassEntry:
     subs = subalgebras(alg, budget=budget)
-    quasis = [s for s in subs if is_quasi_ideal(alg, s).holds]
-    in_q = len(quasis) == len(subs)
-    failure = None
-    if not in_q:
-        failure = next(s for s in subs if not is_quasi_ideal(alg, s).holds)
-    mismatches = 0
-    if check_oracle:
-        for s in subs:
-            if is_quasi_ideal(alg, s).holds != is_quasi_ideal_oracle(
-                alg, s, budget=budget
-            ):
-                mismatches += 1
+    in_q, failure = in_class_q(alg, budget=budget)
+    mismatches = sum(
+        is_quasi_ideal(alg, s).holds != is_quasi_ideal_oracle(alg, s, budget=budget)
+        for s in subs
+    )
     return ClassEntry(
         key=key,
         algebra=alg,
         invariants=algebra_invariants(alg),
         subalgebra_count=len(subs),
-        quasi_ideal_count=len(quasis),
+        quasi_ideal_count=len(quasi_ideals(alg, budget=budget)),
         in_q=in_q,
         in_q_failure=failure,
         classification=classify_q_member(alg, budget=budget),
@@ -583,7 +578,6 @@ def sweep_tables(
     workers: int = 1,
     budget: int = DEFAULT_BUDGET,
     run_lemmas: bool = False,
-    check_oracle: bool = True,
 ) -> CensusReport:
     """Find the Leibniz multiplication tables of one size, dedup them by
     isomorphism, and analyze one representative per class.
@@ -594,7 +588,8 @@ def sweep_tables(
     the Liesation route (``_liesation_orbits``) instead of filtering every
     candidate, so ``totals.scanned`` is the size of the candidate space and
     ``totals.valid`` the sum of the orbit sizes; each orbit is closed under
-    generators of GL(dim, p).
+    generators of GL(dim, p).  Every class compares the exact predicate with
+    the oracle on each of its subalgebras (``oracle_mismatches``).
     ``workers`` is accepted for compatibility and does not change the work:
     the census runs in this process.
     """
@@ -604,9 +599,7 @@ def sweep_tables(
         raise UnsupportedField("the census runs over finite prime fields")
     scanned, valid, reps = _census(field, dim, budget)
 
-    classes = [
-        _analyze_class(key, alg, budget, check_oracle) for key, alg in reps
-    ]
+    classes = [_analyze_class(key, alg, budget) for key, alg in reps]
     dim_i_distribution = {}
     discrepancies = []
     for entry in classes:
@@ -657,30 +650,12 @@ def _mark_orbits(tables, p: int, n: int, budget: int) -> list:
     return orbits
 
 
-def _right_identity_holds(flat, p: int, n: int, triples=None) -> bool:
-    """Whether a flat table over GF(p) satisfies the right Leibniz identity
-    [e_i, [e_j, e_k]] = [[e_i, e_j], e_k] - [[e_i, e_k], e_j] on the given
-    basis triples (i, j, k), every triple by default, skipping zero
-    structure constants."""
+def _cube(flat, n: int) -> tuple:
+    """The cube of a flat table: [e_i, e_j] is the slice at (i*n + j)*n."""
     idx = range(n)
-    c = [[flat[(a * n + b) * n : (a * n + b + 1) * n] for b in idx] for a in idx]
-    if triples is None:
-        triples = itertools.product(idx, repeat=3)
-    for i, j, k in triples:
-        ci = c[i]
-        v = [0] * n
-        for b, x in enumerate(c[j][k]):
-            if x:
-                v = [s + x * t for s, t in zip(v, ci[b])]
-        for a, x in enumerate(ci[j]):
-            if x:
-                v = [s - x * t for s, t in zip(v, c[a][k])]
-        for a, x in enumerate(ci[k]):
-            if x:
-                v = [s + x * t for s, t in zip(v, c[a][j])]
-        if any(s % p for s in v):
-            return False
-    return True
+    return tuple(
+        tuple(flat[(a * n + b) * n : (a * n + b + 1) * n] for b in idx) for a in idx
+    )
 
 
 def _lie_tables(p: int, n: int):
@@ -688,6 +663,7 @@ def _lie_tables(p: int, n: int):
     satisfy the Jacobi identity.  On an alternating table the right identity
     is the Jacobi identity, whose failure is alternating in (i, j, k), so
     triples i < j < k suffice."""
+    field = PrimeField(p)
     pairs = [
         ((i * n + j) * n + k, (j * n + i) * n + k)
         for i, j in itertools.combinations(range(n), 2)
@@ -698,7 +674,7 @@ def _lie_tables(p: int, n: int):
         flat = [0] * n**3
         for (s, t), c in zip(pairs, values):
             flat[s], flat[t] = c, -c % p
-        if _right_identity_holds(flat, p, n, jacobi):
+        if raw_leibniz_failure(field, _cube(flat, n), jacobi) is None:
             yield tuple(flat)
 
 
@@ -715,6 +691,8 @@ def _liesation_tables(p: int, n: int, budget: int):
     each GL(m, p) orbit of Lie tables, with every rho and every omega.  The
     candidates that pass the right identity are kept."""
     yield from _lie_tables(p, n)
+    field = PrimeField(p)
+    triples = list(itertools.product(range(n), repeat=3))
     at = lambda i, j, k: (i * n + j) * n + k
     for d in range(1, n):
         m = n - d
@@ -729,7 +707,7 @@ def _liesation_tables(p: int, n: int, budget: int):
             for values in itertools.product(range(p), repeat=len(rho) + len(omega)):
                 for s, c in zip(rho + omega, values):
                     flat[s] = c
-                if _right_identity_holds(flat, p, n):
+                if raw_leibniz_failure(field, _cube(flat, n), triples) is None:
                     yield tuple(flat)
 
 
@@ -770,8 +748,7 @@ def _census(field, dim, budget):
 def _canonical_rep(field, dim, key) -> LeibnizAlgebra:
     """The algebra of a flat table, checked against the right identity in
     full: a class representative that fails it is a defect of the engine."""
-    entries = iter(map(field, key))
-    cube = [[[next(entries) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+    cube = [[field.wrap(v) for v in row] for row in _cube(key, dim)]
     try:
         return LeibnizAlgebra(MultiplicationTable(field, dim, cube))
     except NotLeibniz as exc:
@@ -802,7 +779,7 @@ class HarnessReport:
 
 def _harness_one(label, alg, budget, report):
     subs = subalgebras(alg, budget=budget)
-    quasis = [s for s in subs if is_quasi_ideal(alg, s).holds]
+    quasis = quasi_ideals(alg, budget=budget)
 
     def note(suite_report, context):
         for name, (status, detail) in suite_report.clauses.items():
@@ -850,10 +827,11 @@ def _harness_one(label, alg, budget, report):
 
     ideal = squares_ideal(alg)
     if ideal.dim == 1:
+        br, zero = alg.table.raw_bracket, alg.field.raw_zero
         hypothesis = all(
-            any(s for s in alg.bracket(x, x))
-            for x in projective_points(alg.field, alg.dim, budget=budget)
-            if not ideal.contains_vector(x)
+            any(s != zero for s in br(x, x))
+            for x in raw_projective_points(alg.field, alg.dim, budget)
+            if not ideal.raw_contains(x)
         )
         if hypothesis:
             report.clauses_checked += 1

@@ -157,7 +157,7 @@ def _cmd_family(args):
     if args.rank is not None:
         params["gram"] = families_mod.default_anisotropic_gram(field, args.rank)
     spec = families_mod.FamilySpec(args.name, field, params)
-    alg = families_mod.build(spec)
+    alg = families_mod.build(spec, budget=args.budget)
     _emit(alg.table.to_json(), args.out)
     return 0
 
@@ -224,8 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def out(p):
         p.add_argument("--out", help="write the JSON report here instead of stdout")
+
+    def common(p):
+        out(p)
         p.add_argument(
             "--budget",
             type=_count,
@@ -236,12 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check a multiplication table identity")
     p.add_argument("algebra", help="algebra JSON file")
     p.add_argument("--mode", choices=("right", "left", "lie"), default="right")
-    common(p)
+    out(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("info", help="print structural invariants")
     p.add_argument("algebra")
-    common(p)
+    out(p)
     p.set_defaults(func=_cmd_info)
 
     p = sub.add_parser("quasi", help="quasi-ideal verdicts")
@@ -254,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("core", help="largest ideal inside a subspace")
     p.add_argument("--algebra", required=True)
     p.add_argument("--subspace", required=True)
-    common(p)
+    out(p)
     p.set_defaults(func=_cmd_core)
 
     p = sub.add_parser("series", help="descending series of a subalgebra")
@@ -265,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("lower_central", "derived", "omega_of_square"),
         default="lower_central",
     )
-    common(p)
+    out(p)
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("classify", help="match against the catalogue")

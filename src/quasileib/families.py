@@ -277,9 +277,7 @@ def extraspecial_sum(
     return LeibnizAlgebra(build_table(field, names, products))
 
 
-def char2_nonperfect(
-    field: Field, lambdas=None, gram=None, budget: int = DEFAULT_BUDGET
-) -> LeibnizAlgebra:
+def char2_nonperfect(field: Field, lambdas=None, gram=None) -> LeibnizAlgebra:
     """C + Fz + Fh over a characteristic-2 field: [c_i, c_j] = G[i][j] z
     (symmetric), [c_i, h] = [h, c_i] = c_i, [h, h] = z.
 
@@ -376,7 +374,9 @@ class FamilySpec:
     params: dict = dc_field(default_factory=dict)
 
 
-def build(spec: FamilySpec) -> LeibnizAlgebra:
+def build(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> LeibnizAlgebra:
+    """The family instance of a spec; the budget bounds the projective
+    points that the anisotropy check of ``extraspecial_sum`` enumerates."""
     name, field, p = spec.name, spec.field, spec.params
     if name == "abelian":
         return abelian(field, p.get("dim", 1))
@@ -391,7 +391,7 @@ def build(spec: FamilySpec) -> LeibnizAlgebra:
     if name == "two_dim_solvable_cyclic":
         return two_dim_solvable_cyclic(field)
     if name == "extraspecial_sum":
-        return extraspecial_sum(field, p.get("gram"), p.get("dim_z", 0))
+        return extraspecial_sum(field, p.get("gram"), p.get("dim_z", 0), budget)
     if name == "char2_nonperfect":
         return char2_nonperfect(field, p.get("lambdas"), p.get("gram"))
     if name == "char2_nonperfect_minimal":

@@ -326,9 +326,14 @@ class Field:
     is_finite = False
 
     def __call__(self, value) -> Scalar:
+        if isinstance(value, Scalar):
+            if value.field != self:
+                raise MixedFields(f"{self} vs {value.field}")
+            return Scalar(self, value.value)
         return Scalar(self, self.canon(value))
 
     def canon(self, value):
+        """The canonical raw value of a plain value (not a Scalar)."""
         raise NotImplementedError
 
     def characteristic(self) -> int:
@@ -420,10 +425,6 @@ class PrimeField(Field):
         self.p = p
 
     def canon(self, value):
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise MixedFields(f"{self} vs {value.field}")
-            return value.value
         return int(value) % self.p
 
     def characteristic(self) -> int:
@@ -490,10 +491,6 @@ class RationalField(Field):
     raw_one = Fraction(1)
 
     def canon(self, value):
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise MixedFields(f"{self} vs {value.field}")
-            return value.value
         return Fraction(value)
 
     def characteristic(self) -> int:
@@ -578,10 +575,6 @@ class FunctionField(Field):
         return (num, den)
 
     def canon(self, value):
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise MixedFields(f"{self} vs {value.field}")
-            return value.value
         if isinstance(value, int):
             v = value % self.p
             return ((v,) if v else (), (1,))
@@ -637,10 +630,8 @@ class FunctionField(Field):
         rd = poly_sqrt(self.p, a[1])
         if rn is None or rd is None:
             return None
-        if rd and rd[-1] != 1:
-            inv_lead = pow(rd[-1], -1, self.p)
-            rn = poly_scale(self.p, inv_lead, rn)
-            rd = poly_scale(self.p, inv_lead, rd)
+        # the denominator is monic, and so is its root: poly_sqrt leads with
+        # sqrt_mod_prime(1, p) = 1 (with the coefficient itself at p = 2)
         return (rn, rd)
 
     def even_odd_parts(self, s: Scalar):

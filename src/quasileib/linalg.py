@@ -341,16 +341,22 @@ def all_vectors(field: Field, n: int, budget: int = DEFAULT_BUDGET):
         yield combo
 
 
-def projective_points(field: Field, n: int, budget: int = DEFAULT_BUDGET):
-    """One representative per 1-dimensional subspace of F^n: the leading
-    nonzero coordinate is 1."""
+def raw_projective_points(field: Field, n: int, budget: int = DEFAULT_BUDGET):
+    """One raw representative per 1-dimensional subspace of F^n: the leading
+    nonzero coordinate is 1.  The budget bounds the q^n vectors of F^n."""
     require_enumerable(field, n, budget, f"projective points of F^{n}")
     # only n > 1 has free entries; F^1 has the one point (1)
-    elems = list(field.elements()) if n > 1 else ()
-    z, o = field.zero, field.one
+    elems = [s.value for s in field.elements()] if n > 1 else ()
+    z, o = field.raw_zero, field.raw_one
     for lead in range(n):
         for tail in itertools.product(elems, repeat=n - lead - 1):
             yield (z,) * lead + (o,) + tail
+
+
+def projective_points(field: Field, n: int, budget: int = DEFAULT_BUDGET):
+    """``raw_projective_points`` as vectors of scalars."""
+    for point in raw_projective_points(field, n, budget):
+        yield field.wrap(point)
 
 
 def enumerate_subspaces(

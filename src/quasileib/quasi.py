@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
 from .algebra import (
     LeibnizAlgebra,
@@ -55,6 +54,7 @@ from .linalg import (
     raw_echelonize,
     raw_identity,
     raw_left_kernel,
+    raw_projective_points,
     require_enumerable,
     vec,
 )
@@ -195,14 +195,6 @@ def is_quasi_ideal(alg: LeibnizAlgebra, h: Subspace) -> QuasiIdealVerdict:
     return is_quasi_ideal_in(alg, h, None)
 
 
-@lru_cache(maxsize=32)
-def _raw_projective_points(field, n: int) -> tuple:
-    """``projective_points`` as raw vectors, built once per field and
-    dimension; callers check the budget themselves."""
-    points = projective_points(field, n, budget=field.order**n)
-    return tuple(field.unwrap(point) for point in points)
-
-
 def is_quasi_ideal_oracle(
     alg: LeibnizAlgebra, h: Subspace, budget: int = DEFAULT_BUDGET
 ) -> bool:
@@ -236,7 +228,7 @@ def is_quasi_ideal_oracle(
     reduce, hrows = h.raw_reduce, h.raw_rows
     comp = h.non_pivots()
     zeros = (zero,) * n
-    for y in _raw_projective_points(field, len(comp)):
+    for y in raw_projective_points(field, len(comp), budget):
         x = list(zeros)
         for col, c in zip(comp, y):
             x[col] = c
@@ -313,15 +305,11 @@ class EngelReport:
         return self.holds
 
 
-def is_engel_algebra(
-    alg: LeibnizAlgebra,
-    budget: int = DEFAULT_BUDGET,
-    samples: int = 32,
-    seed: int = 0,
-) -> EngelReport:
+def is_engel_algebra(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> EngelReport:
     """Every element left Engel.  Exhaustive over finite fields within budget
     (nilpotency of y -> [y,x] only depends on Fx, so projective points
-    suffice); otherwise basis vectors plus seeded samples, reported as such.
+    suffice); otherwise the basis vectors plus 32 samples drawn from seed 0,
+    reported as such.
     """
     if alg.dim == 0:
         return EngelReport(True, True)
@@ -330,12 +318,11 @@ def is_engel_algebra(
             if not is_left_engel(alg, x):
                 return EngelReport(False, True, x)
         return EngelReport(True, True)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     candidates = [alg.basis_vector(i) for i in range(alg.dim)]
-    for _ in range(samples):
-        candidates.append(
-            vec(alg.field, [rng.randrange(-9, 10) for _ in range(alg.dim)])
-        )
+    candidates += [
+        vec(alg.field, [rng.randrange(-9, 10) for _ in range(alg.dim)]) for _ in range(32)
+    ]
     for x in candidates:
         if not is_left_engel(alg, x):
             return EngelReport(False, False, x)

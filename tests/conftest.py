@@ -51,7 +51,7 @@ def finite_family_corpus(max_dim: int = 4):
 def gf2_dim3_class_representatives():
     """One algebra per isomorphism class of the GF(2) dim-3 census, rebuilt
     from the report's tables so that each starts with empty caches."""
-    report = sweep_tables(GF2, 3, check_oracle=False)
+    report = sweep_tables(GF2, 3)
     assert report.totals["classes"] == 20
     return [
         LeibnizAlgebra(MultiplicationTable(GF2, 3, entry.algebra.table.cube))

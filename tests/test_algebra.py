@@ -58,21 +58,52 @@ def reference_bracket(table, u, v):
     return tuple(out)
 
 
-def reference_right_identity(table):
-    """Independent full check of the right identity on basis triples."""
+def reference_failure(table, mode):
+    """Independent first failure of the check ``validate`` makes, or None.
+
+    ``lie`` first looks for the first i with [e_i, e_i] != 0, returned as
+    ((i, i), [e_i, e_i], None), then for the first i < j with
+    [e_i, e_j] + [e_j, e_i] != 0, returned as ((i, j), [e_i, e_j],
+    [e_j, e_i]).  Every mode then returns (triple, lhs, rhs) at the first
+    basis triple, in lexicographic order, that fails the right identity
+    (the left one for ``left``)."""
     n, field = table.dim, table.field
     unit = lambda i: unit_vec(field, n, i)
     br = lambda u, v: reference_bracket(table, u, v)
+    if mode == "lie":
+        for i in range(n):
+            if any(br(unit(i), unit(i))):
+                return (i, i), br(unit(i), unit(i)), None
+        for i, j in itertools.combinations(range(n), 2):
+            ij, ji = br(unit(i), unit(j)), br(unit(j), unit(i))
+            if any(a + b for a, b in zip(ij, ji)):
+                return (i, j), ij, ji
     for i, j, m in itertools.product(range(n), repeat=3):
-        lhs = br(unit(i), br(unit(j), unit(m)))
-        rhs = tuple(
-            a - b
-            for a, b in zip(br(br(unit(i), unit(j)), unit(m)),
-                            br(br(unit(i), unit(m)), unit(j)))
-        )
+        x, y, z = unit(i), unit(j), unit(m)
+        lhs = br(x, br(y, z))
+        if mode == "left":
+            rhs = tuple(a + b for a, b in zip(br(br(x, y), z), br(y, br(x, z))))
+        else:
+            rhs = tuple(a - b for a, b in zip(br(br(x, y), z), br(br(x, z), y)))
         if lhs != rhs:
-            return False
-    return True
+            return (i, j, m), lhs, rhs
+    return None
+
+
+def reference_right_identity(table):
+    """Independent full check of the right identity on basis triples."""
+    return reference_failure(table, "right") is None
+
+
+def validate_matches_reference(table, mode):
+    """Assert that ``validate`` reports the reference's first failure, with
+    its witness and both sides; return the first failure."""
+    result = validate(table, mode)
+    expected = reference_failure(table, mode)
+    assert result.ok == (expected is None)
+    if expected is not None:
+        assert (result.witness, result.lhs, result.rhs) == expected
+    return expected
 
 
 def example_char2_table():
@@ -107,10 +138,8 @@ def test_is_lie_matches_lie_validation(family_corpus, nine_families):
             algebras.append(LeibnizAlgebra(MultiplicationTable(field, n, cube)))
     verdicts = set()
     for alg in algebras:
-        fresh = LeibnizAlgebra(alg.table)
         expected = validate(alg.table, "lie").ok
-        assert is_lie(fresh) == expected
-        assert fresh._cache["is_lie"] == expected
+        assert is_lie(alg) == expected
         verdicts.add(expected)
     assert verdicts == {True, False}
 
@@ -133,15 +162,27 @@ def test_char2_example_satisfies_both_identities():
 
 
 def test_validate_agrees_with_reference_on_random_tables():
+    # the verdict, the first failing triple or pair and both sides, in all
+    # three modes; a third of the tables are alternating, so that the lie
+    # mode also reaches the identity
     rng = random.Random(23)
+    witnesses = {"right": set(), "left": set(), "lie": set()}
     for _ in range(300):
         n = rng.randrange(1, 4)
         cube = [
             [[GF3(rng.randrange(3)) for _ in range(n)] for _ in range(n)]
             for _ in range(n)
         ]
+        if rng.random() < 1 / 3:
+            for i in range(n):
+                cube[i][i] = [GF3.zero] * n
+                for j in range(i):
+                    cube[i][j] = [-x for x in cube[j][i]]
         table = MultiplicationTable(GF3, n, cube)
-        assert validate(table, "right").ok == reference_right_identity(table)
+        for mode, seen in witnesses.items():
+            failure = validate_matches_reference(table, mode)
+            seen.add(None if failure is None else len(failure[0]))
+    assert witnesses == {"right": {None, 3}, "left": {None, 3}, "lie": {None, 2, 3}}
 
 
 def random_entry(field, rng):
@@ -166,15 +207,14 @@ def test_raw_kernels_agree_with_reference_over_qq_and_gf2t(field):
             for _ in range(n)
         ]
         table = MultiplicationTable(field, n, cube)
-        ok = validate(table, "right").ok
-        assert ok == reference_right_identity(table)
-        outcomes.add(ok)
+        for mode in ("right", "left"):
+            outcomes.add((mode, validate_matches_reference(table, mode) is None))
         alg = LeibnizAlgebra(table, _checked=True)
         for _ in range(3):
             u = tuple(random_entry(field, rng) + field.one for _ in range(n))
             v = tuple(random_entry(field, rng) for _ in range(n))
             assert alg.bracket(u, v) == reference_bracket(table, u, v)
-    assert outcomes == {True, False}
+    assert outcomes == {(mode, ok) for mode in ("right", "left") for ok in (True, False)}
 
 
 def _entry(field, rng):

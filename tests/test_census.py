@@ -217,7 +217,7 @@ def test_sweep_classes_pairwise_non_isomorphic():
     # the canonical-form dedup must agree with the search: distinct classes
     # are never isomorphic, and the relation is symmetric
     for field, dim in ((GF2, 2), (GF3, 2), (GF2, 3)):
-        report = sweep_tables(field, dim, check_oracle=False)
+        report = sweep_tables(field, dim)
         algs = [c.algebra for c in report.classes]
         for a, b in itertools.combinations(algs, 2):
             forward = are_isomorphic(a, b)
@@ -265,7 +265,7 @@ def _check_lie_classes_match_de_graaf(field, report):
 
 def test_gf2_dim3_lie_classes_match_de_graaf():
     # 6 solvable classes out of 7 Lie classes
-    _check_lie_classes_match_de_graaf(GF2, sweep_tables(GF2, 3, check_oracle=False))
+    _check_lie_classes_match_de_graaf(GF2, sweep_tables(GF2, 3))
 
 
 def test_gf3_dim3_lie_classes_match_de_graaf(gf3_dim3_census):
@@ -364,14 +364,14 @@ def test_dim2_valid_count_closed_form(q):
     automorphisms = (gl, q * (q - 1), q * (q - 1), q - 1)
     closed_form = q**3 + 2 * q**2 - q - 1
     assert sum(gl // a for a in automorphisms) == closed_form
-    report = sweep_tables(PrimeField(q), 2, check_oracle=False)
+    report = sweep_tables(PrimeField(q), 2)
     assert report.totals["valid"] == closed_form
     assert report.totals["classes"] == len(automorphisms)
 
 
 def test_report_count_consistency():
     for field, dim in ((GF2, 2), (GF3, 2), (GF2, 3)):
-        r = sweep_tables(field, dim, check_oracle=False)
+        r = sweep_tables(field, dim)
         assert r.totals["classes"] <= r.totals["valid"] <= r.totals["scanned"]
         assert r.totals["classes"] == len(r.classes)
         for c in r.classes:
@@ -943,7 +943,7 @@ def test_census_budget_counts_the_valid_tables():
     # GF(31) dim 2 has 31^2 alternating tables, within the budget, and
     # 31,681 valid tables, over it: the closure refuses the 30,001st
     with pytest.raises(BudgetExceeded) as exc:
-        sweep_tables(PrimeField(31), 2, check_oracle=False, budget=30_000)
+        sweep_tables(PrimeField(31), 2, budget=30_000)
     message = str(exc.value)
     assert "30001" in message and "30000" in message
 
@@ -951,7 +951,7 @@ def test_census_budget_counts_the_valid_tables():
 def test_dim1_census_of_a_large_field():
     # at dim 1 only the zero table is Leibniz, and no step enumerates the
     # field's elements
-    report = sweep_tables(PrimeField(999983), 1, check_oracle=False)
+    report = sweep_tables(PrimeField(999983), 1)
     assert report.totals == {"scanned": 999983, "valid": 1, "classes": 1}
 
 

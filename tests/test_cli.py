@@ -379,6 +379,35 @@ def test_budget_flag_rejects_nonsense(tmp_path, monkeypatch, capsys, command, va
     assert "--budget" in captured.err
 
 
+def test_family_budget_bounds_the_anisotropy_check(capsys):
+    # the rank-2 form over GF(3) is checked on the projective points of
+    # GF(3)^2, whose 9 vectors exceed a budget of 3
+    argv = ["family", "extraspecial_sum", "--field", "gf3", "--rank", "2"]
+    assert run([*argv, "--budget", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "budget 3" in captured.err
+    assert run([*argv, "--budget", "9"]) == 0
+
+
+@pytest.mark.parametrize("command", ["validate", "info", "core", "series"])
+def test_budget_flag_only_where_something_is_enumerated(
+    tmp_path, monkeypatch, capsys, example_algebra, command
+):
+    # these commands enumerate nothing, so they take no --budget
+    argv = [command, str(example_algebra)]
+    if command in ("core", "series"):
+        argv = [command, "--algebra", str(example_algebra)]
+    if command == "core":
+        argv += ["--subspace", write_generators(tmp_path / "h.json", [])]
+    assert _main_exit_code(monkeypatch, [*argv, "--budget", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--budget" in captured.err
+
+
 def test_census_exhaustive_flag_removed(monkeypatch, capsys):
     argv = ["census", "--field", "gf2", "--dim", "2", "--exhaustive"]
     assert _main_exit_code(monkeypatch, argv) == 2

@@ -91,7 +91,7 @@ def test_core_over_the_rationals():
 def test_oracle_agreement_on_all_subspaces_of_all_dim3_classes():
     # the load-bearing equivalence, on every subspace (not only the
     # subalgebras) of every isomorphism class the dimension-3 census finds
-    report = sweep_tables(GF2, 3, check_oracle=False)
+    report = sweep_tables(GF2, 3)
     assert report.totals["classes"] == 20
     for entry in report.classes:
         alg = entry.algebra
@@ -100,7 +100,7 @@ def test_oracle_agreement_on_all_subspaces_of_all_dim3_classes():
 
 
 def test_negative_witnesses_replay_on_dim3_classes():
-    report = sweep_tables(GF2, 3, check_oracle=False)
+    report = sweep_tables(GF2, 3)
     seen = 0
     for entry in report.classes:
         alg = entry.algebra
@@ -255,7 +255,7 @@ def test_bit_canonicalization_agrees_with_isomorphism_search():
     # that the census brute-force tests already run
     ids = _reference_survivors(0)[0] | _reference_survivors(4)[0]
     picks = random.Random(211).sample(sorted(ids), 25)
-    report = sweep_tables(GF2, 3, check_oracle=False)
+    report = sweep_tables(GF2, 3)
     classes = {
         sum(c << s for s, c in enumerate(entry.key)): entry.algebra
         for entry in report.classes

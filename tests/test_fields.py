@@ -109,6 +109,12 @@ def test_mixed_fields_rejected():
         GF2(1) + GF3(1)
     with pytest.raises(MixedFields):
         F2T.t * F3T.t
+    # coercing a scalar into a field, for every field kind
+    for field, other in ((GF3, GF2(1)), (QQ, GF3(1)), (F3T, F2T.t)):
+        with pytest.raises(MixedFields):
+            field(other)
+    for s in (GF3(2), QQ(Fraction(-1, 2)), F2T.t):
+        assert s.field(s) == s
 
 
 @pytest.mark.parametrize(
@@ -164,6 +170,8 @@ def test_sqrt_round_trip():
             assert sq.is_square()
             root = sq.sqrt()
             assert root is not None and root * root == sq
+            # already canonical: a GF(p)(t) root has a monic denominator
+            assert field(root.value).value == root.value
             if a.is_square():
                 r = a.sqrt()
                 assert r * r == a

@@ -18,6 +18,7 @@ from quasileib.linalg import (
     left_kernel,
     mat_identity,
     projective_points,
+    raw_projective_points,
     rref,
     solve_left,
     unit_vec,
@@ -132,6 +133,13 @@ def test_projective_point_counts():
     assert sum(1 for _ in projective_points(GF3, 4)) == 40
     pts = list(projective_points(GF3, 2))
     assert len(set(echelonize(GF3, 2, [p]) for p in pts)) == len(pts)
+    # the raw kernel: leading coordinate first, then the tail in order
+    assert list(raw_projective_points(GF3, 2)) == [(1, 0), (1, 1), (1, 2), (0, 1)]
+    assert list(raw_projective_points(GF2, 3)) == [
+        (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (0, 1, 0), (0, 1, 1), (0, 0, 1)
+    ]
+    assert list(raw_projective_points(GF3, 1)) == [(1,)]
+    assert list(raw_projective_points(GF3, 0)) == []
 
 
 def test_enumeration_budget_and_field_guards():
