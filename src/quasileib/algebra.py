@@ -495,6 +495,20 @@ class QuotientAlgebra:
         )
 
 
+def _raw_project(j: Subspace, comp: tuple, v: tuple) -> tuple:
+    r = j.raw_reduce(v)
+    return tuple([r[c] for c in comp])
+
+
+def raw_quotient_cube(alg: LeibnizAlgebra, j: Subspace) -> tuple:
+    """The raw structure constants of L/J for an ideal J, on the non-pivot
+    coordinates of J's echelon form: the raw table of ``quotient(alg, j)``
+    without building it."""
+    comp = j.non_pivots()
+    raw = alg.table.raw
+    return tuple(tuple(_raw_project(j, comp, raw[a][b]) for b in comp) for a in comp)
+
+
 def quotient(alg: LeibnizAlgebra, j: Subspace) -> QuotientAlgebra:
     """L/J for a verified ideal J; the quotient basis is the set of non-pivot
     coordinates of J's echelon form, which makes tables reproducible."""
@@ -502,14 +516,11 @@ def quotient(alg: LeibnizAlgebra, j: Subspace) -> QuotientAlgebra:
         raise NotAnIdeal("quotient by a non-ideal")
     comp = j.non_pivots()
     field = alg.field
-
-    def project(v):
-        r = j.raw_reduce(v)
-        return field.wrap([r[c] for c in comp])
-
-    cube = [[project(alg.table.raw[a][b]) for b in comp] for a in comp]
+    cube = [[field.wrap(v) for v in row] for row in raw_quotient_cube(alg, j)]
     names = tuple(alg.basis_names[c] for c in comp)
     table = MultiplicationTable(field, len(comp), cube, names)
     quot = LeibnizAlgebra(table, _checked=True)  # L/J is Leibniz: J is an ideal
-    projection = tuple(project(e) for e in raw_identity(field, alg.dim))
+    projection = tuple(
+        field.wrap(_raw_project(j, comp, e)) for e in raw_identity(field, alg.dim)
+    )
     return QuotientAlgebra(alg, j, quot, projection)

@@ -45,6 +45,7 @@ from .algebra import (
     is_symmetric,
     quotient,
     raw_leibniz_failure,
+    raw_quotient_cube,
     series,
     squares_ideal,
     subalgebras,
@@ -805,15 +806,16 @@ def _harness_one(label, alg, budget, report):
     in_q = len(quasis) == len(subs)
     if in_q:
         # quotients by every ideal stay in the class; many ideals give the
-        # same quotient table, which is decided once
+        # same quotient table, which is built and decided once
         decided = {}
         for j in subs:
             if not is_ideal(alg, j):
                 continue
-            q = quotient(alg, j).algebra
-            ok = decided.get(q.table)
+            key = raw_quotient_cube(alg, j)
+            ok = decided.get(key)
             if ok is None:
-                ok = decided[q.table] = in_class_q(q, budget=budget)[0]
+                q = quotient(alg, j).algebra
+                ok = decided[key] = in_class_q(q, budget=budget)[0]
             report.clauses_checked += 1
             if not ok:
                 report.failures.append(

@@ -94,13 +94,16 @@ def _cmd_info(args):
     return 0
 
 
-def _cmd_quasi(args):
+def _cmd_quasi_check(args):
     alg = _load_algebra(args.algebra)
-    if args.action == "check":
-        h = _load_subspace(alg, args.subspace)
-        verdict = is_quasi_ideal(alg, h)
-        _emit(verdict.to_json(), args.out)
-        return 0 if verdict.holds else 1
+    h = _load_subspace(alg, args.subspace)
+    verdict = is_quasi_ideal(alg, h)
+    _emit(verdict.to_json(), args.out)
+    return 0 if verdict.holds else 1
+
+
+def _cmd_quasi_list(args):
+    alg = _load_algebra(args.algebra)
     found = quasi_ideals(alg, budget=args.budget)
     _emit({"count": len(found), "quasi_ideals": [s.to_json() for s in found]}, args.out)
     return 0
@@ -248,11 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_info)
 
     p = sub.add_parser("quasi", help="quasi-ideal verdicts")
-    p.add_argument("action", choices=("check", "list"))
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--subspace", help="generator file (needed for check)")
-    common(p)
-    p.set_defaults(func=_cmd_quasi)
+    actions = p.add_subparsers(dest="action", required=True)
+    q = actions.add_parser("check", help="decide one subspace, with a certificate")
+    q.add_argument("--algebra", required=True)
+    q.add_argument("--subspace", required=True, help="generator file")
+    out(q)
+    q.set_defaults(func=_cmd_quasi_check)
+    q = actions.add_parser("list", help="every quasi-ideal, over a finite field")
+    q.add_argument("--algebra", required=True)
+    common(q)
+    q.set_defaults(func=_cmd_quasi_list)
 
     p = sub.add_parser("core", help="largest ideal inside a subspace")
     p.add_argument("--algebra", required=True)

@@ -109,7 +109,9 @@ def is_quasi_ideal_in(
 
     Verdicts are memoised per pair (H, M); the field and ambient dimension
     of both are checked on every call, H <= M only before a verdict is
-    first decided (a cached pair has passed it).
+    first decided (a cached pair has passed it; every H lies in M = L).
+    Closure is read from the memoised :func:`is_subalgebra` verdict, and
+    when M = L the decision computes in L's own coordinates.
     """
     if m is None:
         m = alg.full()
@@ -119,13 +121,23 @@ def is_quasi_ideal_in(
     key = (h.raw_rows, m.raw_rows)
     verdict = cache.get(key)
     if verdict is None:
-        if not m.contains(h):
+        if m.dim != alg.dim and not m.contains(h):
             raise DimensionMismatch("H must be contained in M")
         verdict = cache[key] = _decide_quasi_in(alg, h, m)
     return verdict
 
 
 def _decide_quasi_in(alg, h, m):
+    """The verdict on H in M, with H <= M.
+
+    H must be closed; that verdict is read from :func:`is_subalgebra`, and
+    only an H that is not closed is bracketed here again, to find the first
+    basis bracket escaping H as the witness.  Then each basis row of H must
+    act as a scalar on M/H from both sides, which is decided in M's
+    coordinates: v in M -> (v[p] for p in M.pivots).  When M = L those are
+    L's own coordinates, H is already in echelon form in them (the RREF is
+    unique) and every bracket lies in M, so nothing is rewritten or tested
+    for membership in M."""
     field = alg.field
     add, zero = field.raw_add, field.raw_zero
     br = alg.table.raw_bracket
@@ -137,18 +149,22 @@ def _decide_quasi_in(alg, h, m):
             raise VerificationFailed(f"witness {witness} lands in H + Fx")
         return QuasiIdealVerdict(False, witness=witness)
 
-    # subalgebra test first, with a bracket escaping H (= H + Fw) as witness
-    for u in hrows:
-        for w in hrows:
-            val = br(u, w)
-            if not h.raw_contains(val):
-                return refuted(u, w, val)
+    if not is_subalgebra(alg, h):
+        # a bracket escaping H (= H + Fw) is the witness
+        for u in hrows:
+            for w in hrows:
+                val = br(u, w)
+                if not h.raw_contains(val):
+                    return refuted(u, w, val)
 
-    # coordinates of M: v in M  ->  (v[p] for p in M.pivots); the rows of M
-    # at the coordinates outside H represent a basis of M/H
-    mpiv = m.pivots
-    to_m = lambda v: tuple([v[p] for p in mpiv])
-    h_in_m = raw_echelonize(field, m.dim, [to_m(r) for r in hrows])
+    whole = m.dim == alg.dim
+    if whole:
+        h_in_m = h
+    else:
+        mpiv = m.pivots
+        to_m = lambda v: tuple([v[p] for p in mpiv])
+        h_in_m = raw_echelonize(field, m.dim, [to_m(r) for r in hrows])
+    # the rows of M at the coordinates outside H represent a basis of M/H
     comp = h_in_m.non_pivots()
     if not comp:
         cert = tuple((field.zero, field.zero) for _ in hrows)
@@ -158,12 +174,16 @@ def _decide_quasi_in(alg, h, m):
     def scalar_of(hrow, side):
         # the scalar of the induced operator on M/H, or a refuting triple
         images = [br(x, hrow) if side == "right" else br(hrow, x) for x in reps]
-        for x, w in zip(reps, images):
-            if not m.raw_contains(w):
-                # the bracket leaves M entirely, so it cannot land in H + Fx
-                return None, (hrow, x, w)
+        coords = images
+        if not whole:
+            for x, w in zip(reps, images):
+                if not m.raw_contains(w):
+                    # the bracket leaves M entirely, so it cannot land in
+                    # H + Fx
+                    return None, (hrow, x, w)
+            coords = [to_m(w) for w in images]
         # rows of the induced operator in the comp coordinates
-        t = [h_in_m.raw_reduce(to_m(w)) for w in images]
+        t = [h_in_m.raw_reduce(w) for w in coords]
         for a in range(len(comp)):
             for b, cb in enumerate(comp):
                 if a != b and t[a][cb] != zero:

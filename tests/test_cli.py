@@ -408,6 +408,30 @@ def test_budget_flag_only_where_something_is_enumerated(
     assert "--budget" in captured.err
 
 
+@pytest.mark.parametrize(
+    "action, flags, named",
+    [
+        ("check", [], "--subspace"),
+        ("check", ["--subspace", "h.json", "--budget", "5"], "--budget"),
+        ("list", ["--subspace", "h.json"], "--subspace"),
+    ],
+    ids=["check_needs_subspace", "check_takes_no_budget", "list_takes_no_subspace"],
+)
+def test_quasi_flags_belong_to_their_action(
+    tmp_path, monkeypatch, capsys, example_algebra, action, flags, named
+):
+    # check decides the one subspace it is given and enumerates nothing;
+    # list enumerates every subspace and is given none
+    write_generators(tmp_path / "h.json", [])
+    monkeypatch.chdir(tmp_path)
+    argv = ["quasi", action, "--algebra", str(example_algebra), *flags]
+    assert _main_exit_code(monkeypatch, argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+
+
 def test_census_exhaustive_flag_removed(monkeypatch, capsys):
     argv = ["census", "--field", "gf2", "--dim", "2", "--exhaustive"]
     assert _main_exit_code(monkeypatch, argv) == 2

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from quasileib.algebra import (
@@ -27,6 +29,7 @@ from quasileib.families import (
 from quasileib.fields import GF2, GF3, QQ, FunctionField
 from quasileib.linalg import (
     all_vectors,
+    apply_row,
     echelonize,
     enumerate_subspaces,
     projective_points,
@@ -34,10 +37,12 @@ from quasileib.linalg import (
     raw_echelonize,
     raw_identity,
     raw_left_kernel,
+    rref,
     vec,
     zero_subspace,
 )
 from quasileib.quasi import (
+    QuasiIdealVerdict,
     core,
     is_engel_algebra,
     is_left_engel,
@@ -312,6 +317,110 @@ def test_relative_verdict_in_non_closed_host():
     assert not m.contains_vector(value)
     probe = fx.sum(echelonize(GF2, 3, [x]))
     assert not probe.contains_vector(value)
+
+
+def _reference_decide(alg, h, m):
+    """The decision procedure with nothing shared: every pair of H's basis
+    rows is bracketed for closure, and H and every bracket are rewritten in
+    M's pivot coordinates and tested for membership in M, whatever M is."""
+    field = alg.field
+    add, zero = field.raw_add, field.raw_zero
+    br = alg.table.raw_bracket
+    hrows = h.raw_rows
+
+    def refuted(hrow, x, value):
+        witness = tuple(field.wrap(v) for v in (hrow, x, value))
+        return QuasiIdealVerdict(False, witness=witness)
+
+    for u in hrows:
+        for w in hrows:
+            if not h.raw_contains(br(u, w)):
+                return refuted(u, w, br(u, w))
+    to_m = lambda v: tuple(v[p] for p in m.pivots)
+    h_in_m = raw_echelonize(field, m.dim, [to_m(r) for r in hrows])
+    comp = h_in_m.non_pivots()
+    if not comp:
+        return QuasiIdealVerdict(
+            True, certificate=tuple((field.zero, field.zero) for _ in hrows)
+        )
+    reps = [m.raw_rows[c] for c in comp]
+    certificate = []
+    for hrow in hrows:
+        pair = []
+        for side in ("right", "left"):
+            act = (lambda x: br(x, hrow)) if side == "right" else (lambda x: br(hrow, x))
+            images = [act(x) for x in reps]
+            for x, w in zip(reps, images):
+                if not m.raw_contains(w):
+                    return refuted(hrow, x, w)
+            t = [h_in_m.raw_reduce(to_m(w)) for w in images]
+            for a in range(len(comp)):
+                for b, cb in enumerate(comp):
+                    if a != b and t[a][cb] != zero:
+                        return refuted(hrow, reps[a], images[a])
+            diag = [t[i][c] for i, c in enumerate(comp)]
+            for i in range(1, len(comp)):
+                if diag[i] != diag[0]:
+                    x = tuple(map(add, reps[0], reps[i]))
+                    return refuted(hrow, x, act(x))
+            pair.append(diag[0])
+        certificate.append(field.wrap(pair))
+    return QuasiIdealVerdict(True, certificate=tuple(certificate))
+
+
+def _base_changed(alg, rng):
+    """alg in the seeded random basis e'_i = sum_a P[i][a] e_a."""
+    field, n = alg.field, alg.dim
+    elements = list(field.elements())
+    units = [vec(field, [int(i == j) for j in range(n)]) for i in range(n)]
+    while True:
+        mat = [vec(field, [rng.choice(elements) for _ in range(n)]) for _ in range(n)]
+        reduced, pivots = rref(field, [a + b for a, b in zip(mat, units)], 2 * n)
+        if pivots == tuple(range(n)):
+            break
+    inverse = tuple(row[n:] for row in reduced)
+    cube = [[apply_row(alg.bracket(a, b), inverse) for b in mat] for a in mat]
+    return LeibnizAlgebra(MultiplicationTable(field, n, cube))
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold_memo", "warm_memo"])
+def test_decision_matches_reference_on_every_subspace(family_corpus, warm):
+    # every subspace H, closed or not, in M = L and in every proper
+    # subspace M that contains it (each subalgebra among them); with the
+    # subalgebra memo empty before each H is first decided, or filled by
+    # subalgebras() beforehand
+    labelled = dict(family_corpus)
+    rng = random.Random(14)
+    seen = dict.fromkeys(
+        ("not_closed", "whole", "proper_holds", "proper_fails", "subalgebra_host"), 0
+    )
+    for label in (
+        "k2/gf2",
+        "non_lie_almost_abelian_2/gf3",
+        "extraspecial_r2_z1/gf3",
+        "non_lie_almost_abelian_3/gf3",
+    ):
+        alg = _base_changed(labelled[label], rng)
+        ref = _fresh(alg)
+        spaces = list(enumerate_subspaces(alg.field, alg.dim))
+        hosts = [m for m in spaces if m.dim < alg.dim]
+        closed = set(m.raw_rows for m in subalgebras(ref))
+        if warm:
+            subalgebras(alg)
+        for h in spaces:
+            memo = alg._cache.get("is_subalgebra", {})
+            assert (h.raw_rows in memo) == warm
+            for m in [alg.full()] + [m for m in hosts if m.contains(h)]:
+                verdict = is_quasi_ideal_in(alg, h, m)
+                assert verdict == _reference_decide(ref, h, m), (label, h, m)
+                if h.raw_rows not in closed:
+                    seen["not_closed"] += 1
+                elif m.dim == alg.dim:
+                    seen["whole"] += 1
+                else:
+                    seen["proper_" + ("holds" if verdict.holds else "fails")] += 1
+                    seen["subalgebra_host"] += m.raw_rows in closed
+    assert all(seen.values()), seen
 
 
 def test_core_fixtures():
