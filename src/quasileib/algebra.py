@@ -288,7 +288,7 @@ class LeibnizAlgebra:
         """Raise unless s is a subspace of this algebra's underlying space."""
         if s.ambient_dim != self.dim:
             raise DimensionMismatch("subspaces must live in the algebra")
-        if s.field != self.field:
+        if s.field is not self.field and s.field != self.field:
             raise MixedFields(f"{s.field} vs {self.field}")
 
     def full(self) -> Subspace:

@@ -3,7 +3,8 @@
 Supported fields:
 
 * ``GF(p)``    -- prime fields; elements are residues in ``[0, p)``.
-* ``QQ``       -- the rationals, backed by ``fractions.Fraction``.
+* ``QQ``       -- the rationals.  An element is a reduced pair ``(num, den)``
+  of ints with ``den > 0``.
 * ``GF(p)(t)`` -- rational functions over a prime field.  An element is a
   reduced fraction ``num/den`` of dense polynomials (ascending-degree
   coefficient tuples) with ``gcd(num, den) = 1`` and a monic denominator.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import DivisionByZero, MalformedInput, MixedFields, UnsupportedField
 
@@ -484,50 +485,93 @@ class PrimeField(Field):
 
 
 class RationalField(Field):
-    """The rationals, with reduced positive-denominator fractions."""
+    """The rationals.
+
+    Raw values are pairs ``(num, den)`` of ints with ``gcd(num, den) = 1``
+    and ``den > 0``; zero is ``(0, 1)``.
+    """
 
     kind = "rationals"
-    raw_zero = Fraction(0)
-    raw_one = Fraction(1)
+    raw_zero = (0, 1)
+    raw_one = (1, 1)
 
     def canon(self, value):
-        return Fraction(value)
+        # a raw pair, reduced here as GF(p)(t) reduces one; else an int, a
+        # Fraction or anything else Fraction takes
+        if isinstance(value, tuple):
+            num, den = value
+            if not den:
+                raise DivisionByZero("zero denominator in QQ")
+            if den < 0:
+                num, den = -num, -den
+            return _q_reduce(num, den)
+        if isinstance(value, int):
+            return (int(value), 1)
+        q = Fraction(value)
+        return (q.numerator, q.denominator)
 
     def characteristic(self) -> int:
         return 0
 
     def raw_add(self, a, b):
-        return a + b
+        (an, ad), (bn, bd) = a, b
+        if ad == bd:
+            return _q_reduce(an + bn, ad)
+        return _q_reduce(an * bd + bn * ad, ad * bd)
 
     def raw_neg(self, a):
-        return -a
+        return (-a[0], a[1])
 
     def raw_mul(self, a, b):
-        return a * b
+        (an, ad), (bn, bd) = a, b
+        if ad == bd == 1:
+            # integers: the product is already reduced
+            return (an * bn, 1)
+        return _q_reduce(an * bn, ad * bd)
 
     def raw_inv(self, a):
-        if a == 0:
+        num, den = a
+        if not num:
             raise DivisionByZero("inverse of 0 in QQ")
-        return 1 / a
+        return (den, num) if num > 0 else (-den, -num)
+
+    def raw_axpy(self, c, x, y) -> list:
+        cn, cd = c
+        out = []
+        for a, (bn, bd) in zip(x, y):
+            if not bn:
+                out.append(a)
+                continue
+            an, ad = a
+            den = ad * cd * bd
+            num = an * cd * bd + cn * bn * ad
+            out.append((num, 1) if den == 1 else _q_reduce(num, den))
+        return out
 
     def raw_is_square(self, a) -> bool:
         return self.raw_sqrt(a) is not None
 
     def raw_sqrt(self, a):
-        if a < 0:
+        num, den = a
+        if num < 0:
             return None
-        rn, rd = isqrt(a.numerator), isqrt(a.denominator)
-        if rn * rn != a.numerator or rd * rd != a.denominator:
+        rn, rd = isqrt(num), isqrt(den)
+        if rn * rn != num or rd * rd != den:
             return None
-        return Fraction(rn, rd)
+        # reduced: a common factor of rn and rd would divide num and den
+        return (rn, rd)
 
     def encode(self, a):
-        return f"{a.numerator}/{a.denominator}"
+        return f"{a[0]}/{a[1]}"
 
     def decode(self, obj) -> Scalar:
-        if not isinstance(obj, str) or not re.fullmatch(r"-?\d+(/\d+)?", obj):
+        if not isinstance(obj, str):
             raise MalformedInput(f"bad rational scalar: {obj!r}")
-        return Scalar(self, Fraction(obj))
+        return Scalar(self, _parse_rational(obj))
+
+    def format(self, a) -> str:
+        num, den = a
+        return str(num) if den == 1 else f"{num}/{den}"
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -540,6 +584,26 @@ class RationalField(Field):
 
     def to_json(self):
         return {"kind": "rationals"}
+
+
+def _q_reduce(num: int, den: int) -> tuple:
+    """The raw QQ value of num/den for den > 0."""
+    if den == 1:
+        return (num, 1)
+    g = gcd(num, den)
+    return (num // g, den // g)
+
+
+def _parse_rational(text: str) -> tuple:
+    """The raw QQ value of ``a`` or ``a/b`` text (``a`` signed, ``b``
+    unsigned and nonzero)."""
+    m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", text)
+    if not m:
+        raise MalformedInput(f"bad rational scalar: {text!r}")
+    den = int(m.group(2)) if m.group(2) is not None else 1
+    if not den:
+        raise MalformedInput(f"zero denominator in rational scalar: {text!r}")
+    return _q_reduce(int(m.group(1)), den)
 
 
 class FunctionField(Field):
@@ -741,7 +805,7 @@ def parse_scalar(field: Field, text: str) -> Scalar:
     if isinstance(field, PrimeField):
         return field(int(t))
     if isinstance(field, RationalField):
-        return field(Fraction(t))
+        return Scalar(field, _parse_rational(t))
     parts = t.split("/")
     if len(parts) > 2:
         raise MalformedInput(f"cannot parse scalar {text!r}")

@@ -374,21 +374,25 @@ def _subquasi_bfs(alg: LeibnizAlgebra, budget: int):
     cache = alg._cache.get("subquasi_bfs")
     if cache is not None:
         return cache
-    subs = subalgebras(alg, budget=budget)
     full = alg.full()
     depth = {full: 0}
     parent = {full: None}
+    # the subalgebras not yet placed, in enumeration order; L is the only
+    # one of full dimension
+    unplaced = [s for s in subalgebras(alg, budget=budget) if s.dim < alg.dim]
     frontier = [full]
     while frontier:
         nxt = []
         for m in frontier:
-            for s in subs:
-                if s in depth or s.dim >= m.dim or not m.contains(s):
-                    continue
-                if is_quasi_ideal_in(alg, s, m).holds:
+            rest = []
+            for s in unplaced:
+                if s.dim < m.dim and m.contains(s) and is_quasi_ideal_in(alg, s, m).holds:
                     depth[s] = depth[m] + 1
                     parent[s] = m
                     nxt.append(s)
+                else:
+                    rest.append(s)
+            unplaced = rest
         frontier = nxt
     alg._cache["subquasi_bfs"] = (depth, parent)
     return depth, parent

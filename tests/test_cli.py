@@ -494,3 +494,71 @@ def test_subspace_inputs_are_canonicalized(tmp_path, capsys):
     )
     assert code == 0 and out["holds"]
     assert len(out["certificate"]) == 1  # canonicalized to a single basis row
+
+
+def test_qq_zero_denominator_exits_2(tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text(
+        json.dumps(
+            {
+                "field": {"kind": "rationals"},
+                "dim": 1,
+                "basis_names": ["e1"],
+                "table": [[["1/0"]]],
+            }
+        )
+    )
+    for argv in (
+        ["validate", str(path)],
+        ["family", "char2_nonperfect", "--field", "q", "--lambda", "1/0"],
+    ):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# A 3-dimensional extraspecial algebra over QQ (rank-2 default form, no
+# central summand) written in a basis with non-integral change of basis,
+# so its table and its series terms carry denominators 3, 4, 5 and more.
+QQ_BASE_CHANGED = {
+    "field": {"kind": "rationals"},
+    "dim": 3,
+    "basis_names": ["f1", "f2", "f3"],
+    "table": [
+        [["-1/1", "1/4", "4/3"], ["-4/5", "1/5", "16/15"], ["-3/5", "3/20", "4/5"]],
+        [["-4/5", "1/5", "16/15"], ["-16/5", "4/5", "64/15"], ["0/1", "0/1", "0/1"]],
+        [["-3/5", "3/20", "4/5"], ["0/1", "0/1", "0/1"], ["-9/20", "9/80", "3/5"]],
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["info", "{alg}"],
+            "1b8a78b16deabe89fcf70251e342c30f994df0fdd9cbe3710e6bdafd958d05db",
+        ),
+        (
+            ["classify", "--algebra", "{alg}"],
+            "09735e6f5772c2de7dfcda974f4cc718424b292c69f46acf0c3e118c769740c4",
+        ),
+        (
+            ["series", "--algebra", "{alg}"],
+            "4fdeec19024916bce068ed6f3eabe7eeb3ce35fb2f0bcf16a6d8805ab5bba0a4",
+        ),
+        (
+            ["series", "--algebra", "{alg}", "--kind", "derived"],
+            "ade98df0bc394bf171c93e428089d671bea1528239a6a3ee325763bde41b7a6f",
+        ),
+    ],
+    ids=["info", "classify", "series", "series_derived"],
+)
+def test_qq_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    path = tmp_path / "qq.json"
+    path.write_text(json.dumps(QQ_BASE_CHANGED))
+    assert run([a.format(alg=path) for a in argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+    if argv[0] == "series":
+        assert json.loads(out)["terms"][1] == [["1/1", "-1/4", "-4/3"]]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -245,3 +246,102 @@ def test_characteristics():
     assert F3T.characteristic() == 3
     assert PrimeField(7).order == 7
     assert list(GF3.elements()) == [GF3(0), GF3(1), GF3(2)]
+
+
+def _qq_values(rng, count):
+    """Seeded rationals as Fractions: zero, ones, negatives and values with
+    numerators and denominators far past a machine word."""
+    out = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 4), Fraction(-7, 3)]
+    while len(out) < count:
+        scale = rng.choice((10, 10**6, 10**30))
+        out.append(Fraction(rng.randrange(-scale, scale + 1), rng.randrange(1, scale + 1)))
+    return out
+
+
+def _is_qq_raw(a):
+    num, den = a
+    return (
+        type(num) is int
+        and type(den) is int
+        and den > 0
+        and math.gcd(num, den) == 1
+    )
+
+
+def test_qq_raw_kernels_match_fraction():
+    rng = random.Random(23)
+    values = _qq_values(rng, 60)
+    raw = {q: QQ.canon(q) for q in values}
+    for q, a in raw.items():
+        assert _is_qq_raw(a) and a == (q.numerator, q.denominator)
+        assert QQ.raw_neg(a) == QQ.canon(-q)
+        if q:
+            assert QQ.raw_inv(a) == QQ.canon(1 / q)
+        else:
+            with pytest.raises(DivisionByZero):
+                QQ.raw_inv(a)
+    for _ in range(2000):
+        p, q, c = rng.choice(values), rng.choice(values), rng.choice(values)
+        a, b = raw[p], raw[q]
+        for got, want in (
+            (QQ.raw_add(a, b), p + q),
+            (QQ.raw_mul(a, b), p * q),
+        ):
+            assert _is_qq_raw(got) and got == QQ.canon(want)
+        x = [rng.choice(values) for _ in range(4)]
+        y = [rng.choice(values) for _ in range(4)]
+        got = QQ.raw_axpy(raw[c], [raw[v] for v in x], [raw[v] for v in y])
+        assert all(_is_qq_raw(g) for g in got)
+        assert got == [QQ.canon(u + c * v) for u, v in zip(x, y)]
+
+
+def test_qq_raw_sqrt_matches_fraction():
+    rng = random.Random(29)
+    for q in _qq_values(rng, 200):
+        sq = QQ.canon(q * q)
+        root = QQ.raw_sqrt(sq)
+        assert QQ.raw_is_square(sq) and _is_qq_raw(root)
+        assert root == QQ.canon(abs(q))
+        # off the squares: a negative, or a square times a prime
+        for off in (-q * q - 1, q * q * 2 if q else Fraction(2, 9)):
+            assert QQ.raw_sqrt(QQ.canon(off)) is None
+            assert not QQ.raw_is_square(QQ.canon(off))
+
+
+def test_qq_text_round_trips():
+    rng = random.Random(31)
+    for q in _qq_values(rng, 200):
+        s = QQ(q)
+        text = s.to_json()
+        assert text == f"{q.numerator}/{q.denominator}"
+        assert QQ.decode(text) == s and parse_scalar(QQ, text) == s
+        assert repr(s) == str(q)
+    half = QQ.decode("2/4")
+    assert half.value == (1, 2) and half.to_json() == "1/2"
+    assert parse_scalar(QQ, "-6/4").value == (-3, 2)
+    assert QQ.decode("-0/5").value == QQ.raw_zero == (0, 1)
+    # a raw pair is accepted and canonicalised, as for GF(p)(t)
+    assert QQ((2, -4)).value == (-1, 2)
+    with pytest.raises(DivisionByZero):
+        QQ((1, 0))
+    for bad in ("1/0", "-3/0", "0/0", "1/-2", "1.5", "x", "1/2/3"):
+        with pytest.raises(MalformedInput):
+            QQ.decode(bad)
+        with pytest.raises(MalformedInput):
+            parse_scalar(QQ, bad)
+    with pytest.raises(MalformedInput):
+        QQ.decode(3)
+
+
+def test_qq_scalars_compare_and_hash_with_ints():
+    rng = random.Random(37)
+    for q in _qq_values(rng, 100):
+        s = QQ(q)
+        assert not isinstance(s.value, Fraction)
+        assert s == QQ(Fraction(q)) and hash(s) == hash(QQ(Fraction(q)))
+        assert (s * 2 - s - s).is_zero()
+    for n in range(-5, 6):
+        assert QQ(n) == n and QQ(Fraction(n)) == n and QQ(n).value == (n, 1)
+        assert hash(QQ(n)) == hash(QQ(Fraction(n, 1)))
+        assert QQ(n) + 1 == n + 1 and 3 * QQ(n) == 3 * n
+    assert QQ(Fraction(1, 2)) != 0 and len({QQ(2), QQ(Fraction(4, 2)), QQ((6, 3))}) == 1

@@ -28,6 +28,7 @@ from quasileib.families import (
 )
 from quasileib.fields import GF2, GF3, QQ, FunctionField
 from quasileib.linalg import (
+    DEFAULT_BUDGET,
     all_vectors,
     apply_row,
     echelonize,
@@ -43,6 +44,7 @@ from quasileib.linalg import (
 )
 from quasileib.quasi import (
     QuasiIdealVerdict,
+    _subquasi_bfs,
     core,
     is_engel_algebra,
     is_left_engel,
@@ -598,6 +600,38 @@ def test_quasi_ideal_chain_of_length_one():
     h = line(GF2, 3, (0, 0, 1))
     chain = subquasi_chain(alg, h)
     assert chain.m == 1
+
+
+def _reference_subquasi_bfs(alg):
+    """The breadth-first search as first written: every frontier member
+    re-tests every subalgebra for a depth already assigned."""
+    subs = subalgebras(alg)
+    full = alg.full()
+    depth = {full: 0}
+    parent = {full: None}
+    frontier = [full]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for s in subs:
+                if s in depth or s.dim >= m.dim or not m.contains(s):
+                    continue
+                if is_quasi_ideal_in(alg, s, m).holds:
+                    depth[s] = depth[m] + 1
+                    parent[s] = m
+                    nxt.append(s)
+        frontier = nxt
+    return depth, parent
+
+
+def test_subquasi_bfs_matches_reference_loop(family_corpus):
+    for label, alg in family_corpus:
+        alg._cache.pop("subquasi_bfs", None)
+        depth, parent = _subquasi_bfs(alg, DEFAULT_BUDGET)
+        want_depth, want_parent = _reference_subquasi_bfs(alg)
+        # same depths and parents, placed in the same order
+        assert list(depth.items()) == list(want_depth.items()), label
+        assert list(parent.items()) == list(want_parent.items()), label
 
 
 def test_lemma_suite_on_k2_center_line():
