@@ -27,7 +27,7 @@ from .errors import (
     NotASubalgebra,
     NotLeibniz,
 )
-from .fields import Field, Scalar, field_from_json
+from .fields import Field, Scalar, field_from_json, is_json_int
 from .linalg import (
     DEFAULT_BUDGET,
     Subspace,
@@ -122,7 +122,7 @@ def table_from_json(obj) -> MultiplicationTable:
             raise MalformedInput(f"algebra file is missing {key!r}")
     field = field_from_json(obj["field"])
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if not is_json_int(dim) or dim < 0:
         raise MalformedInput(f"bad dimension: {dim!r}")
     raw = obj["table"]
     nested = lambda x: isinstance(x, list) and len(x) == dim
@@ -373,18 +373,38 @@ def is_subalgebra(alg: LeibnizAlgebra, s: Subspace) -> bool:
     return found
 
 
+def action(alg: LeibnizAlgebra, s: Subspace) -> tuple:
+    """How L's basis acts on s from both sides, modulo s: for each basis
+    row u of s the pair ([u, e_j] mod s for every j, [e_j, u] mod s for
+    every j), each entry the canonical raw representative of
+    :meth:`Subspace.raw_reduce`.  Computed once per subspace of the
+    algebra; :func:`is_ideal`, ``quasi.core``, the reflection clause of
+    ``quasi.lemma_suite`` and the quasi-ideal decision in L all read it."""
+    alg.check_subspace(s)
+    cache = alg._cache.setdefault("action", {})
+    found = cache.get(s.raw_rows)
+    if found is None:
+        br, reduce, units = alg.table.raw_bracket, s.raw_reduce, alg.full().raw_rows
+        found = cache[s.raw_rows] = tuple(
+            (
+                tuple([reduce(br(u, e)) for e in units]),
+                tuple([reduce(br(e, u)) for e in units]),
+            )
+            for u in s.raw_rows
+        )
+    return found
+
+
 def is_ideal(alg: LeibnizAlgebra, s: Subspace) -> bool:
-    """Whether [s, L] + [L, s] <= s, decided once per subspace of the
-    algebra."""
+    """Whether [s, L] + [L, s] <= s: every entry of :func:`action` is zero.
+    Decided once per subspace of the algebra."""
     alg.check_subspace(s)
     cache = alg._cache.setdefault("is_ideal", {})
     found = cache.get(s.raw_rows)
     if found is None:
-        br, units = alg.table.raw_bracket, raw_identity(alg.field, alg.dim)
+        zero = (alg.field.raw_zero,) * alg.dim
         found = cache[s.raw_rows] = all(
-            s.raw_contains(br(u, e)) and s.raw_contains(br(e, u))
-            for u in s.raw_rows
-            for e in units
+            v == zero for pair in action(alg, s) for side in pair for v in side
         )
     return found
 

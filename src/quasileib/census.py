@@ -806,7 +806,9 @@ def _harness_one(label, alg, budget, report):
     in_q = len(quasis) == len(subs)
     if in_q:
         # quotients by every ideal stay in the class; many ideals give the
-        # same quotient table, which is built and decided once
+        # same quotient table, which is built and decided once.  L/0 has
+        # L's own table, so it is decided on L, whose memos already hold
+        # its subalgebras and verdicts
         decided = {}
         for j in subs:
             if not is_ideal(alg, j):
@@ -814,7 +816,7 @@ def _harness_one(label, alg, budget, report):
             key = raw_quotient_cube(alg, j)
             ok = decided.get(key)
             if ok is None:
-                q = quotient(alg, j).algebra
+                q = alg if j.is_zero() else quotient(alg, j).algebra
                 ok = decided[key] = in_class_q(q, budget=budget)[0]
             report.clauses_checked += 1
             if not ok:

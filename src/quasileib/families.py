@@ -33,6 +33,7 @@ from .algebra import LeibnizAlgebra, build_table
 from .errors import (
     BadCharacteristic,
     BadDimension,
+    BudgetExceeded,
     IsotropicForm,
     SquareLambda,
     UnsupportedField,
@@ -253,6 +254,10 @@ def extraspecial_sum(
     Fz the centre of E and keeps every square off the centre nonzero.  All
     products land in the centre, so both Leibniz identities hold; the right
     identity is re-checked by the LeibnizAlgebra constructor anyway.
+
+    The budget bounds the projective points of the anisotropy check and,
+    when Z is nonzero, the n^3 structure constants of the table, before it
+    is built.
     """
     if gram is None:
         gram = default_anisotropic_gram(field, 1)
@@ -264,6 +269,9 @@ def extraspecial_sum(
         raise BadDimension("the form matrix must be square and nonempty")
     if dim_z < 0:
         raise BadDimension("the central summand dimension must be nonnegative")
+    if dim_z:
+        # without Z the table is sized by the form alone, k + 1
+        _require_table(k + 1 + dim_z, budget)
     if not is_anisotropic(field, gram, budget=budget):
         raise IsotropicForm("the supplied form has a nontrivial zero")
     names = (
@@ -374,18 +382,36 @@ class FamilySpec:
     params: dict = dc_field(default_factory=dict)
 
 
+def _require_table(n: int, budget: int):
+    """Raise unless the n^3 structure constants of a dim-n table fit in the
+    budget, before any of them is built."""
+    if n**3 > budget:
+        raise BudgetExceeded(
+            f"structure constants of a dim-{n} table: {n**3} exceeds budget {budget}"
+        )
+
+
 def build(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> LeibnizAlgebra:
-    """The family instance of a spec; the budget bounds the projective
-    points that the anisotropy check of ``extraspecial_sum`` enumerates."""
+    """The family instance of a spec.  The budget bounds the n^3 structure
+    constants of a table whose size a parameter sets (``dim``, ``dim_i``, or
+    a nonzero ``dim_z``), checked before the table is built, and the
+    projective points that the anisotropy check of ``extraspecial_sum``
+    enumerates."""
     name, field, p = spec.name, spec.field, spec.params
     if name == "abelian":
-        return abelian(field, p.get("dim", 1))
+        dim = p.get("dim", 1)
+        _require_table(dim, budget)
+        return abelian(field, dim)
     if name == "almost_abelian_lie":
-        return almost_abelian_lie(field, p.get("dim", 2))
+        dim = p.get("dim", 2)
+        _require_table(dim, budget)
+        return almost_abelian_lie(field, dim)
     if name == "k2":
         return k2(field)
     if name == "non_lie_almost_abelian":
-        return non_lie_almost_abelian(field, p.get("dim_i", 1))
+        dim_i = p.get("dim_i", 1)
+        _require_table(dim_i + 1, budget)
+        return non_lie_almost_abelian(field, dim_i)
     if name == "two_dim_nilpotent_cyclic":
         return two_dim_nilpotent_cyclic(field)
     if name == "two_dim_solvable_cyclic":

@@ -467,7 +467,7 @@ class PrimeField(Field):
         return a
 
     def decode(self, obj) -> Scalar:
-        if not isinstance(obj, int) or not 0 <= obj < self.p:
+        if not is_json_int(obj) or not 0 <= obj < self.p:
             raise MalformedInput(f"bad GF({self.p}) scalar: {obj!r}")
         return Scalar(self, obj)
 
@@ -726,7 +726,7 @@ class FunctionField(Field):
             and set(obj) == {"num", "den"}
             and all(
                 isinstance(obj[k], list)
-                and all(isinstance(c, int) and 0 <= c < self.p for c in obj[k])
+                and all(is_json_int(c) and 0 <= c < self.p for c in obj[k])
                 for k in ("num", "den")
             )
         )
@@ -775,13 +775,25 @@ def field_from_json(obj) -> Field:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise MalformedInput(f"bad field descriptor: {obj!r}")
     kind = obj["kind"]
-    if kind == "prime":
-        return PrimeField(int(obj["p"]))
     if kind == "rationals":
         return RationalField()
-    if kind == "rational_function":
-        return FunctionField(int(obj["p"]), str(obj.get("var", "t")))
-    raise MalformedInput(f"unknown field kind: {kind!r}")
+    if kind not in ("prime", "rational_function"):
+        raise MalformedInput(f"unknown field kind: {kind!r}")
+    p = obj.get("p")
+    if not is_json_int(p):
+        raise MalformedInput(f"field characteristic must be an integer: {p!r}")
+    if kind == "prime":
+        return PrimeField(p)
+    var = obj.get("var", "t")
+    if not isinstance(var, str):
+        raise MalformedInput(f"field variable must be a string: {var!r}")
+    return FunctionField(p, var)
+
+
+def is_json_int(x) -> bool:
+    """Whether a decoded JSON value is an integer: ``true`` and ``false``
+    decode to bools, which Python counts as ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def parse_field(text: str) -> Field:

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import (
     LeibnizAlgebra,
+    action,
     bracket_subspaces,
     is_ideal,
     is_subalgebra,
@@ -49,10 +50,8 @@ from .linalg import (
     DEFAULT_BUDGET,
     Subspace,
     echelonize,
-    projective_points,
     raw_combination,
     raw_echelonize,
-    raw_identity,
     raw_left_kernel,
     raw_projective_points,
     require_enumerable,
@@ -136,8 +135,11 @@ def _decide_quasi_in(alg, h, m):
     act as a scalar on M/H from both sides, which is decided in M's
     coordinates: v in M -> (v[p] for p in M.pivots).  When M = L those are
     L's own coordinates, H is already in echelon form in them (the RREF is
-    unique) and every bracket lies in M, so nothing is rewritten or tested
-    for membership in M."""
+    unique), the representatives of L/H are the unit vectors at H's
+    non-pivot columns, and the reduced images of the induced operators are
+    read from :func:`action`; nothing is rewritten or tested for membership
+    in M, and only a witness brackets again (through the memoised raw
+    brackets)."""
     field = alg.field
     add, zero = field.raw_add, field.raw_zero
     br = alg.table.raw_bracket
@@ -171,40 +173,55 @@ def _decide_quasi_in(alg, h, m):
         return QuasiIdealVerdict(True, certificate=cert)
     reps = [m.raw_rows[c] for c in comp]
 
-    def scalar_of(hrow, side):
-        # the scalar of the induced operator on M/H, or a refuting triple
-        images = [br(x, hrow) if side == "right" else br(hrow, x) for x in reps]
-        coords = images
-        if not whole:
+    def image(hrow, side, x):
+        return br(x, hrow) if side == "right" else br(hrow, x)
+
+    if whole:
+        acted = action(alg, h)
+
+        def induced(k, hrow, side):
+            # [e_c, h] or [h, e_c] mod H for the unit vectors e_c = reps
+            h_e, e_h = acted[k]
+            reduced = e_h if side == "right" else h_e
+            return [reduced[c] for c in comp], None
+
+    else:
+
+        def induced(k, hrow, side):
+            images = [image(hrow, side, x) for x in reps]
             for x, w in zip(reps, images):
                 if not m.raw_contains(w):
                     # the bracket leaves M entirely, so it cannot land in
                     # H + Fx
                     return None, (hrow, x, w)
-            coords = [to_m(w) for w in images]
-        # rows of the induced operator in the comp coordinates
-        t = [h_in_m.raw_reduce(w) for w in coords]
+            return [h_in_m.raw_reduce(to_m(w)) for w in images], None
+
+    def scalar_of(k, hrow, side):
+        # the scalar of the induced operator on M/H, or a refuting triple
+        t, witness = induced(k, hrow, side)
+        if witness is not None:
+            return None, witness
+        # t holds the rows of the induced operator in the comp coordinates
         for a in range(len(comp)):
             for b, cb in enumerate(comp):
                 if a != b and t[a][cb] != zero:
                     # reps[a] is not an eigenvector
-                    return None, (hrow, reps[a], images[a])
+                    return None, (hrow, reps[a], image(hrow, side, reps[a]))
         diag = [t[i][c] for i, c in enumerate(comp)]
         for i in range(1, len(comp)):
             if diag[i] != diag[0]:
                 # distinct eigenvalues: the sum of the two eigenvectors is
                 # not an eigenvector
                 x = tuple(map(add, reps[0], reps[i]))
-                val = br(x, hrow) if side == "right" else br(hrow, x)
-                return None, (hrow, x, val)
+                return None, (hrow, x, image(hrow, side, x))
         return diag[0], None
 
     certificate = []
-    for hrow in hrows:
-        alpha, witness = scalar_of(hrow, "right")
+    for k, hrow in enumerate(hrows):
+        alpha, witness = scalar_of(k, hrow, "right")
         if witness is not None:
             return refuted(*witness)
-        beta, witness = scalar_of(hrow, "left")
+        beta, witness = scalar_of(k, hrow, "left")
         if witness is not None:
             return refuted(*witness)
         certificate.append(field.wrap((alpha, beta)))
@@ -272,20 +289,20 @@ def core(alg: LeibnizAlgebra, h: Subspace) -> Subspace:
 
     N_{k+1} = N_k exactly when N_k is an ideal, so the loop stops at the
     first N_k that :func:`is_ideal` accepts instead of computing one more
-    kernel to confirm it.
+    kernel to confirm it.  The kernel's row for a basis row b of N_k is
+    [b, e_j] mod N_k, [e_j, b] mod N_k for j = 1..n, read from
+    :func:`action`.
     """
     alg.check_subspace(h)
     field, n = alg.field, alg.dim
-    br = alg.table.raw_bracket
-    units = raw_identity(field, n)
     cur = h
     while not is_ideal(alg, cur):
         rows = []
-        for b in cur.raw_rows:
+        for b_e, e_b in action(alg, cur):
             flat = []
-            for e in units:
-                flat.extend(cur.raw_reduce(br(b, e)))
-                flat.extend(cur.raw_reduce(br(e, b)))
+            for be, eb in zip(b_e, e_b):
+                flat.extend(be)
+                flat.extend(eb)
             rows.append(flat)
         kernel = raw_left_kernel(field, rows)
         gens = [raw_combination(field, c, cur.raw_rows, n) for c in kernel.raw_rows]
@@ -302,16 +319,23 @@ def is_left_engel(alg: LeibnizAlgebra, x: tuple) -> bool:
     if len(x) != alg.dim:
         raise DimensionMismatch("vectors must live in the algebra")
     line = echelonize(alg.field, alg.dim, [x])
+    return _left_engel(alg, line.raw_rows, line.pivots)
+
+
+def _left_engel(alg, rows, pivots):
+    """:func:`is_left_engel` for the line whose echelon basis is ``rows``
+    (a raw row with leading entry 1 at its pivot, or none for x = 0)."""
     cache = alg._cache.setdefault("is_left_engel", {})
-    found = cache.get(line.raw_rows)
+    found = cache.get(rows)
     if found is None:
+        line = Subspace(alg.field, alg.dim, rows, pivots)
         cur = alg.full()
         while not cur.is_zero():
             nxt = bracket_subspaces(alg, cur, line)
             if nxt.dim == cur.dim:
                 break
             cur = nxt
-        found = cache[line.raw_rows] = cur.is_zero()
+        found = cache[rows] = cur.is_zero()
     return found
 
 
@@ -333,10 +357,12 @@ def is_engel_algebra(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Engel
     """
     if alg.dim == 0:
         return EngelReport(True, True)
-    if alg.field.is_finite and alg.field.order**alg.dim <= budget:
-        for x in projective_points(alg.field, alg.dim, budget=budget):
-            if not is_left_engel(alg, x):
-                return EngelReport(False, True, x)
+    field = alg.field
+    if field.is_finite and field.order**alg.dim <= budget:
+        # each point is already its line's echelon row, leading entry 1
+        for x in raw_projective_points(field, alg.dim, budget=budget):
+            if not _left_engel(alg, (x,), (x.index(field.raw_one),)):
+                return EngelReport(False, True, field.wrap(x))
         return EngelReport(True, True)
     rng = random.Random(0)
     candidates = [alg.basis_vector(i) for i in range(alg.dim)]
@@ -497,14 +523,12 @@ def lemma_suite(
     # bracket reflection: h in H, x in L, [x,h] in H  =>  [h,x] in H
     if direct:
         ok, detail = True, None
-        br = alg.table.raw_bracket
-        units = raw_identity(alg.field, alg.dim)
-        for hrow, raw_hrow in zip(h.rows, h.raw_rows):
-            for j, x in enumerate(units):
-                if h.raw_contains(br(x, raw_hrow)):
-                    if not h.raw_contains(br(raw_hrow, x)):
-                        ok, detail = False, f"basis pair (h={hrow}, x=e{j+1})"
-                        break
+        zero = (alg.field.raw_zero,) * alg.dim
+        for hrow, (h_e, e_h) in zip(h.rows, action(alg, h)):
+            for j, (hx, xh) in enumerate(zip(h_e, e_h)):
+                if xh == zero and hx != zero:
+                    ok, detail = False, f"basis pair (h={hrow}, x=e{j+1})"
+                    break
         report.clauses["reflected_brackets"] = (PASS if ok else FAIL, detail)
     else:
         report.clauses["reflected_brackets"] = (SKIPPED, "not a direct quasi-ideal")
@@ -574,9 +598,10 @@ def lemma_suite(
     else:
         report.clauses["perfect_subquasi_is_ideal"] = (VACUOUS, "H^2 != H")
 
-    # a quasi-ideal generated by left Engel elements is an ideal
+    # a quasi-ideal generated by left Engel elements is an ideal; H's
+    # echelon rows are already the lines' keys
     if direct:
-        if all(is_left_engel(alg, hrow) for hrow in h.rows):
+        if all(_left_engel(alg, (row,), (p,)) for row, p in zip(h.raw_rows, h.pivots)):
             status = PASS if is_ideal(alg, h) else FAIL
             report.clauses["engel_generated_is_ideal"] = (status, None)
         else:

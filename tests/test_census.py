@@ -16,6 +16,7 @@ from quasileib.algebra import (
     build_table,
     is_ideal,
     quotient,
+    raw_quotient_cube,
     subalgebras,
     validate,
 )
@@ -56,7 +57,7 @@ from quasileib.families import (
     two_dim_solvable_cyclic,
 )
 from quasileib.fields import GF2, GF3, QQ, FunctionField, PrimeField
-from quasileib.linalg import DEFAULT_BUDGET, echelonize, raw_rref, vec
+from quasileib.linalg import DEFAULT_BUDGET, echelonize, raw_rref, vec, zero_subspace
 from tests.conftest import gf2_dim3_class_representatives
 
 F2T = FunctionField(2)
@@ -482,6 +483,18 @@ def test_harness_decides_each_quotient_table_once(monkeypatch):
     assert report.ok()
     assert len(decided) == len(tables)
     assert set(decided) == tables
+
+
+def test_quotient_by_zero_has_the_algebras_own_table(family_corpus, gf3_dim3_census):
+    # the harness decides L/0 on L itself, which is sound because the raw
+    # table of L/0 is L's
+    algebras = [alg for _, alg in family_corpus]
+    algebras += [entry.algebra for entry in gf3_dim3_census.classes]
+    assert len(algebras) == 35 + 27
+    for alg in algebras:
+        zero = zero_subspace(alg.field, alg.dim)
+        assert raw_quotient_cube(alg, zero) == alg.table.raw
+        assert quotient(alg, zero).algebra.table == alg.table
 
 
 def test_harness_reports_quotient_failures_per_ideal(monkeypatch):

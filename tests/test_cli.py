@@ -102,6 +102,94 @@ def test_malformed_table_exits_2_with_one_line(tmp_path, capsys, table):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"field": {"kind": "prime"}, "dim": 1, "table": [[[0]]]}',
+        '{"field": {"kind": "prime", "p": null}, "dim": 1, "table": [[[0]]]}',
+        '{"field": {"kind": "prime", "p": 1e400}, "dim": 1, "table": [[[0]]]}',
+        '{"field": {"kind": "prime", "p": 3.9}, "dim": 1, "table": [[[0]]]}',
+        '{"field": {"kind": "prime", "p": "3"}, "dim": 1, "table": [[[0]]]}',
+        '{"field": {"kind": "prime", "p": true}, "dim": 1, "table": [[[0]]]}',
+        '{"field": {"kind": "rational_function", "p": 2.0}, "dim": 1, "table": [[[0]]]}',
+        '{"field": {"kind": "rational_function", "p": 2, "var": 3}, "dim": 1, '
+        '"table": [[[{"num": [], "den": [1]}]]]}',
+        '{"field": {"kind": "prime", "p": 3}, "dim": false, "table": []}',
+        '{"field": {"kind": "prime", "p": 3}, "dim": 1, "table": [[[true]]]}',
+        '{"field": {"kind": "rational_function", "p": 3}, "dim": 1, '
+        '"table": [[[{"num": [true], "den": [1]}]]]}',
+    ],
+    ids=[
+        "missing_p",
+        "null_p",
+        "overflowing_p",
+        "float_p",
+        "string_p",
+        "bool_p",
+        "float_function_field_p",
+        "non_string_var",
+        "bool_dim",
+        "bool_gf_p_scalar",
+        "bool_polynomial_coefficient",
+    ],
+)
+def test_malformed_field_or_json_bool_exits_2(tmp_path, capsys, text):
+    # JSON integers only: no bools, floats, strings or nulls where the field,
+    # the dimension or a scalar needs an integer
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(["info", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+_HUGE_FAMILIES = """
+import time
+from quasileib.cli import run
+
+for argv in (
+    ["abelian", "--field", "q", "--dim", "100000"],
+    ["almost_abelian_lie", "--field", "gf2", "--dim", "101"],
+    ["non_lie_almost_abelian", "--field", "gf3", "--dim-i", "100000"],
+    ["extraspecial_sum", "--field", "q", "--dim-z", "100000"],
+):
+    start = time.perf_counter()
+    code = run(["family", *argv])
+    print(code, time.perf_counter() - start)
+"""
+
+
+def test_family_refuses_tables_over_budget_before_building():
+    # a dim-100000 cube would take every byte of memory; n^3 > budget is
+    # refused first, in a fresh process so that a regression cannot take
+    # the test run down with it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    result = subprocess.run(
+        [sys.executable, "-c", _HUGE_FAMILIES],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    runs = [line.split() for line in result.stdout.splitlines()]
+    assert [code for code, _ in runs] == ["2"] * 4
+    assert all(float(seconds) < 1 for _, seconds in runs), runs
+    errors = result.stderr.splitlines()
+    assert len(errors) == 4
+    assert all(e.startswith("error: structure constants of a dim-") for e in errors)
+    assert "1030301 exceeds budget 1000000" in errors[1]
+
+
+def test_family_budget_admits_a_table_at_the_bound(capsys):
+    argv = ["family", "abelian", "--field", "gf2", "--dim", "3"]
+    assert run([*argv, "--budget", "26"]) == 2
+    assert "27 exceeds budget 26" in capsys.readouterr().err
+    assert run([*argv, "--budget", "27"]) == 0
+
+
 @pytest.mark.parametrize("gens", [5, [1, 0, 0], {"rows": []}])
 def test_malformed_subspace_exits_2(tmp_path, capsys, example_algebra, gens):
     sub = write_generators(tmp_path / "sub.json", gens)

@@ -1,13 +1,17 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from quasileib.algebra import (
     LeibnizAlgebra,
     MultiplicationTable,
+    action,
     build_table,
     is_ideal,
     is_nilpotent,
+    series,
     subalgebras,
 )
 from quasileib.census import lemma_harness
@@ -521,9 +525,9 @@ def test_fact_memos_still_check_their_inputs():
     zero = zero_subspace(GF2, 2)
     assert is_ideal(alg, zero) and core(alg, zero).is_zero()
     assert not is_left_engel(alg, vec(GF2, (1, 0)))
-    assert () in alg._cache["is_ideal"]
+    assert () in alg._cache["is_ideal"] and () in alg._cache["action"]
     assert ((1, 0),) in alg._cache["is_left_engel"]
-    for fact in (is_ideal, core):
+    for fact in (is_ideal, core, action):
         with pytest.raises(DimensionMismatch):
             fact(alg, zero_subspace(GF2, 3))
         with pytest.raises(MixedFields):
@@ -532,6 +536,136 @@ def test_fact_memos_still_check_their_inputs():
         is_left_engel(alg, vec(GF2, (1, 0, 0)))
     with pytest.raises(MixedFields):
         is_left_engel(alg, vec(GF3, (1, 0)))
+
+
+def _is_ideal_by_definition(alg, s):
+    """[v, x] and [x, v] in S for every element v of S and x of L over
+    GF(p), every product summed from the structure constants."""
+    p, n, d = alg.field.p, alg.dim, s.dim
+    cube = np.array(alg.table.raw, dtype=np.int64).reshape(n, n, n)
+    vectors = np.array(list(itertools.product(range(p), repeat=n))).reshape(p**n, n)
+    coeffs = np.array(list(itertools.product(range(p), repeat=d))).reshape(p**d, d)
+    members = coeffs @ np.array(s.raw_rows, dtype=np.int64).reshape(d, n) % p
+    weights = p ** np.arange(n)
+    inside = set((members @ weights).tolist())
+    for a, b in ((members, vectors), (vectors, members)):
+        products = np.einsum("ai,bj,ijk->abk", a, b, cube) % p
+        if not set((products.reshape(-1, n) @ weights).tolist()) <= inside:
+            return False
+    return True
+
+
+def test_is_ideal_matches_the_definition_on_every_small_subspace(family_corpus):
+    # each verdict is first decided on a fresh algebra (its action and
+    # is_ideal memos empty), then read from an algebra whose memos the
+    # harness and core filled through their own routes
+    seen = {True: 0, False: 0}
+    for label, alg in family_corpus:
+        if alg.field.order**alg.dim > 100:
+            continue
+        spaces = list(enumerate_subspaces(alg.field, alg.dim))
+        want = [_is_ideal_by_definition(alg, s) for s in spaces]
+        cold = _fresh(alg)
+        assert [is_ideal(cold, s) for s in spaces] == want, label
+        warm = _fresh(alg)
+        lemma_harness([warm])
+        for s in spaces:
+            core(warm, s)
+        assert all(s.raw_rows in warm._cache["is_ideal"] for s in spaces)
+        assert [is_ideal(warm, s) for s in spaces] == want, label
+        for verdict in want:
+            seen[verdict] += 1
+    assert seen[True] and seen[False], seen
+
+
+def test_action_is_the_reduced_basis_brackets(family_corpus):
+    # the pair of each basis row u is ([u, e_j] mod S, [e_j, u] mod S) in
+    # that order, from the scalar bracket and reduction
+    for label, alg in family_corpus:
+        if alg.field.order**alg.dim > 100:
+            continue
+        field = alg.field
+        units = [alg.basis_vector(j) for j in range(alg.dim)]
+        for s in enumerate_subspaces(field, alg.dim):
+            want = tuple(
+                (
+                    tuple(field.unwrap(s.reduce(alg.bracket(u, e))) for e in units),
+                    tuple(field.unwrap(s.reduce(alg.bracket(e, u))) for e in units),
+                )
+                for u in s.rows
+            )
+            assert action(alg, s) == want, (label, s)
+
+
+def _reference_reflection(alg, h):
+    """The reflection clause by membership tests of the raw brackets."""
+    br = alg.table.raw_bracket
+    ok, detail = True, None
+    for hrow, raw_hrow in zip(h.rows, h.raw_rows):
+        for j, x in enumerate(raw_identity(alg.field, alg.dim)):
+            if h.raw_contains(br(x, raw_hrow)):
+                if not h.raw_contains(br(raw_hrow, x)):
+                    ok, detail = False, f"basis pair (h={hrow}, x=e{j+1})"
+                    break
+    return ("pass" if ok else "fail", detail)
+
+
+def _reference_engel(alg, h):
+    """The Engel clause through the public is_left_engel."""
+    if all(is_left_engel(alg, hrow) for hrow in h.rows):
+        return ("pass" if is_ideal(alg, h) else "fail", None)
+    return ("vacuous", "some basis generator is not left Engel")
+
+
+def test_lemma_suite_matches_the_clause_loops(family_corpus):
+    # every quasi-ideal and every subalgebra with a chain of length >= 2;
+    # the reference decides each clause on a fresh copy of the algebra
+    seen = set()
+    for label, alg in family_corpus:
+        cases = [(h, None) for h in quasi_ideals(alg)]
+        for s in subalgebras(alg):
+            chain = subquasi_chain(alg, s)
+            if chain is not None and chain.m >= 2:
+                cases.append((s, chain))
+        for h, chain in cases:
+            got = lemma_suite(alg, h, chain).clauses
+            ref = _fresh(alg)
+            if is_quasi_ideal(ref, h).holds:
+                reflection, engel = _reference_reflection(ref, h), _reference_engel(ref, h)
+            else:
+                reflection = ("skipped", "not a direct quasi-ideal")
+                engel = ("skipped", "needs m = 1")
+            if _core_by_fixpoint(ref, h).is_zero():
+                nilpotent = series(ref, h, "omega_of_square")[-1].is_zero()
+                corefree = ("pass" if nilpotent else "fail", None)
+            else:
+                corefree = ("vacuous", "core is nonzero")
+            assert got["reflected_brackets"] == reflection, (label, h)
+            assert got["engel_generated_is_ideal"] == engel, (label, h)
+            assert got["corefree_square_nilpotent"] == corefree, (label, h)
+            seen.update((chain is None, clause[0]) for clause in (reflection, engel))
+    assert seen >= {(True, "pass"), (True, "vacuous"), (False, "skipped")}, seen
+
+
+def test_engel_memo_is_keyed_by_the_lines_echelon_row(family_corpus):
+    # is_engel_algebra, the Engel clause and is_left_engel all key a line by
+    # its echelon row, leading entry 1, so every vector of a line, whatever
+    # its multiple, finds one entry
+    for label, alg in family_corpus:
+        if alg.field.order**alg.dim > 100:
+            continue
+        alg = _fresh(alg)
+        field, n = alg.field, alg.dim
+        is_engel_algebra(alg)
+        for h in quasi_ideals(alg):
+            lemma_suite(alg, h)
+        for x in all_vectors(field, n):
+            is_left_engel(alg, x)
+        memo = alg._cache["is_left_engel"]
+        lines = (field.order**n - 1) // (field.order - 1)
+        assert len(memo) == lines + 1, label  # and the zero vector's ()
+        for key in memo:
+            assert key == () or next(c for c in key[0] if c) == 1, (label, key)
 
 
 def test_core_of_an_ideal_computes_no_kernel(monkeypatch):
