@@ -17,7 +17,7 @@ with the polarized products ``[e_i, e_j] + [e_j, e_i]`` (expand
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     DimensionMismatch,
@@ -158,13 +158,12 @@ def build_table(field: Field, basis_names, products) -> MultiplicationTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    mode: str
-    witness: tuple | None = None  # (i, j, k) basis triple, or (i, j) for lie
-    lhs: tuple | None = None
-    rhs: tuple | None = None
+class ValidationResult(
+    namedtuple("ValidationResult", "ok mode witness lhs rhs", defaults=(None,) * 3)
+):
+    # witness: the (i, j, k) basis triple, or (i, j) for lie; lhs and rhs:
+    # the two sides there
+    __slots__ = ()
 
     def to_json(self):
         out = {"ok": self.ok, "mode": self.mode}
@@ -495,12 +494,11 @@ def subalgebras(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientAlgebra:
-    parent: LeibnizAlgebra
-    modulus: Subspace
-    algebra: LeibnizAlgebra
-    projection: tuple  # dim(parent) rows, each of length dim(quotient)
+class QuotientAlgebra(
+    namedtuple("QuotientAlgebra", "parent modulus algebra projection")
+):
+    # projection: dim(parent) rows, each of length dim(quotient)
+    __slots__ = ()
 
     def project_vector(self, v: tuple) -> tuple:
         r = self.modulus.reduce(v)

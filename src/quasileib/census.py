@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 
 from .algebra import (
     LeibnizAlgebra,
@@ -272,11 +272,10 @@ def match_char2_family(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     return k
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
-    verdict: str
-    params: dict
-    facts: dict
+class ClassificationResult(
+    namedtuple("ClassificationResult", "verdict params facts")
+):
+    __slots__ = ()
 
     def to_json(self):
         return {"verdict": self.verdict, "params": self.params, "facts": self.facts}
@@ -486,17 +485,40 @@ def canonical_table_key(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> tu
 # table sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ClassEntry:
-    key: tuple
-    algebra: LeibnizAlgebra
-    invariants: tuple
-    subalgebra_count: int
-    quasi_ideal_count: int
-    in_q: bool
-    in_q_failure: Subspace | None
-    classification: ClassificationResult
-    oracle_mismatches: int
+    __slots__ = (
+        "key",
+        "algebra",
+        "invariants",
+        "subalgebra_count",
+        "quasi_ideal_count",
+        "in_q",
+        "in_q_failure",
+        "classification",
+        "oracle_mismatches",
+    )
+
+    def __init__(
+        self,
+        key: tuple,
+        algebra: LeibnizAlgebra,
+        invariants: tuple,
+        subalgebra_count: int,
+        quasi_ideal_count: int,
+        in_q: bool,
+        in_q_failure: Subspace | None,
+        classification: ClassificationResult,
+        oracle_mismatches: int,
+    ):
+        self.key = key
+        self.algebra = algebra
+        self.invariants = invariants
+        self.subalgebra_count = subalgebra_count
+        self.quasi_ideal_count = quasi_ideal_count
+        self.in_q = in_q
+        self.in_q_failure = in_q_failure
+        self.classification = classification
+        self.oracle_mismatches = oracle_mismatches
 
     def to_json(self):
         inv = self.invariants
@@ -522,15 +544,34 @@ class ClassEntry:
         return out
 
 
-@dataclass
 class CensusReport:
-    field: Field
-    dim: int
-    totals: dict
-    classes: list
-    dim_i_distribution: dict
-    discrepancies: list
-    lemma_failures: list
+    __slots__ = (
+        "field",
+        "dim",
+        "totals",
+        "classes",
+        "dim_i_distribution",
+        "discrepancies",
+        "lemma_failures",
+    )
+
+    def __init__(
+        self,
+        field: Field,
+        dim: int,
+        totals: dict,
+        classes: list,
+        dim_i_distribution: dict,
+        discrepancies: list,
+        lemma_failures: list,
+    ):
+        self.field = field
+        self.dim = dim
+        self.totals = totals
+        self.classes = classes
+        self.dim_i_distribution = dim_i_distribution
+        self.discrepancies = discrepancies
+        self.lemma_failures = lemma_failures
 
     def to_json(self):
         return {
@@ -731,10 +772,12 @@ def _census(field, dim, budget):
     """(scanned, valid, [(key, representative)]) by ``_liesation_orbits``.
     Each class is keyed by the minimum of its orbit, the classes are sorted
     by key, and ``valid`` is the sum of the orbit sizes.  The budget bounds
-    the alternating tables of the d = 0 step, before any is built, and the
-    running sum of the orbit sizes as the orbits are closed."""
+    the alternating tables of the d = 0 step and the projective points of
+    F^dim that every class's oracle enumerates, before any table is built,
+    and the running sum of the orbit sizes as the orbits are closed."""
     pairs = dim * dim * (dim - 1) // 2
     require_enumerable(field, pairs, budget, f"alternating tables of {field} dim {dim}")
+    require_enumerable(field, dim, budget, f"projective points of F^{dim}")
     p = field.p
     orbits = _liesation_orbits(p, dim, budget)
     # GF(2) dim 3 compares reversed tuples, the order of the 27-bit id with
@@ -761,11 +804,15 @@ def _canonical_rep(field, dim, key) -> LeibnizAlgebra:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class HarnessReport:
-    algebras: int = 0
-    clauses_checked: int = 0
-    failures: list = dc_field(default_factory=list)
+    __slots__ = ("algebras", "clauses_checked", "failures")
+
+    def __init__(
+        self, algebras: int = 0, clauses_checked: int = 0, failures: list | None = None
+    ):
+        self.algebras = algebras
+        self.clauses_checked = clauses_checked
+        self.failures = [] if failures is None else failures
 
     def ok(self) -> bool:
         return not self.failures

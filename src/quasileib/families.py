@@ -27,7 +27,7 @@ checked against the left identity by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 
 from .algebra import LeibnizAlgebra, build_table
 from .errors import (
@@ -375,11 +375,11 @@ FAMILY_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    name: str
-    field: Field
-    params: dict = dc_field(default_factory=dict)
+class FamilySpec(namedtuple("FamilySpec", "name field params")):
+    __slots__ = ()
+
+    def __new__(cls, name: str, field: Field, params: dict | None = None):
+        return super().__new__(cls, name, field, {} if params is None else params)
 
 
 def _require_table(n: int, budget: int):

@@ -24,7 +24,6 @@ JSON encodings (used by all file formats of the CLI):
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import DivisionByZero, MalformedInput, MixedFields, UnsupportedField
@@ -34,18 +33,38 @@ from .errors import DivisionByZero, MalformedInput, MixedFields, UnsupportedFiel
 # ---------------------------------------------------------------------------
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality for every
+# n below this bound (Sorenson and Webster, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin; a modulus from
+    PRIMALITY_BOUND up is refused rather than guessed at."""
+    if n >= PRIMALITY_BOUND:
+        raise UnsupportedField(
+            f"primality is decided only below {PRIMALITY_BOUND}; "
+            f"the modulus has {n.bit_length()} bits"
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -507,6 +526,8 @@ class RationalField(Field):
             return _q_reduce(num, den)
         if isinstance(value, int):
             return (int(value), 1)
+        from fractions import Fraction  # only here: its import is slow
+
         q = Fraction(value)
         return (q.numerator, q.denominator)
 

@@ -28,7 +28,7 @@ inspection).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 
 from .algebra import (
     LeibnizAlgebra,
@@ -65,14 +65,14 @@ def permutes_with(alg: LeibnizAlgebra, h: Subspace, k: Subspace) -> bool:
     return h.sum(k).contains(hk)
 
 
-@dataclass(frozen=True)
-class QuasiIdealVerdict:
-    holds: bool
-    # one (alpha, beta) pair per basis row of H: the induced operators of
-    # y -> [y,h] and y -> [h,y] on the quotient are alpha*id and beta*id
-    certificate: tuple | None = None
-    # (h, x, value) with value = [x,h] or [h,x] outside H + Fx
-    witness: tuple | None = None
+class QuasiIdealVerdict(
+    namedtuple("QuasiIdealVerdict", "holds certificate witness", defaults=(None, None))
+):
+    # certificate: one (alpha, beta) pair per basis row of H, the induced
+    # operators of y -> [y,h] and y -> [h,y] on the quotient being alpha*id
+    # and beta*id; witness: (h, x, value) with value = [x,h] or [h,x]
+    # outside H + Fx
+    __slots__ = ()
 
     def __bool__(self):
         return self.holds
@@ -339,11 +339,11 @@ def _left_engel(alg, rows, pivots):
     return found
 
 
-@dataclass(frozen=True)
-class EngelReport:
-    holds: bool
-    exhaustive: bool  # False when only basis vectors plus samples were tried
-    counterexample: tuple | None = None
+class EngelReport(
+    namedtuple("EngelReport", "holds exhaustive counterexample", defaults=(None,))
+):
+    # exhaustive: False when only basis vectors plus samples were tried
+    __slots__ = ()
 
     def __bool__(self):
         return self.holds
@@ -380,12 +380,11 @@ def is_engel_algebra(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Engel
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubquasiChain:
-    """Chain H = H_m qu H_{m-1} qu ... qu H_0 = L, stored ascending from H;
-    every term is a quasi-ideal of the next."""
+class SubquasiChain(namedtuple("SubquasiChain", "chain")):
+    """Chain H = H_m qu H_{m-1} qu ... qu H_0 = L, stored ascending from H
+    as ``chain`` = (H, ..., L); every term is a quasi-ideal of the next."""
 
-    chain: tuple  # (H, ..., L)
+    __slots__ = ()
 
     @property
     def m(self) -> int:
@@ -453,9 +452,11 @@ def subquasi_chain(
 PASS, FAIL, VACUOUS, SKIPPED = "pass", "fail", "vacuous", "skipped"
 
 
-@dataclass
 class LemmaSuiteReport:
-    clauses: dict = dc_field(default_factory=dict)
+    __slots__ = ("clauses",)
+
+    def __init__(self, clauses: dict | None = None):
+        self.clauses = {} if clauses is None else clauses
 
     @property
     def failures(self):

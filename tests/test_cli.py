@@ -108,6 +108,8 @@ def test_malformed_table_exits_2_with_one_line(tmp_path, capsys, table):
         '{"field": {"kind": "prime"}, "dim": 1, "table": [[[0]]]}',
         '{"field": {"kind": "prime", "p": null}, "dim": 1, "table": [[[0]]]}',
         '{"field": {"kind": "prime", "p": 1e400}, "dim": 1, "table": [[[0]]]}',
+        '{"field": {"kind": "prime", "p": 1000000000000000000000000000057}, "dim": 1, '
+        '"table": [[[0]]]}',
         '{"field": {"kind": "prime", "p": 3.9}, "dim": 1, "table": [[[0]]]}',
         '{"field": {"kind": "prime", "p": "3"}, "dim": 1, "table": [[[0]]]}',
         '{"field": {"kind": "prime", "p": true}, "dim": 1, "table": [[[0]]]}',
@@ -123,6 +125,7 @@ def test_malformed_table_exits_2_with_one_line(tmp_path, capsys, table):
         "missing_p",
         "null_p",
         "overflowing_p",
+        "p_past_primality_bound",
         "float_p",
         "string_p",
         "bool_p",
@@ -135,7 +138,8 @@ def test_malformed_table_exits_2_with_one_line(tmp_path, capsys, table):
 )
 def test_malformed_field_or_json_bool_exits_2(tmp_path, capsys, text):
     # JSON integers only: no bools, floats, strings or nulls where the field,
-    # the dimension or a scalar needs an integer
+    # the dimension or a scalar needs an integer; and no p past the bound
+    # below which primality is decided
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert run(["info", str(path)]) == 2
@@ -181,6 +185,43 @@ def test_family_refuses_tables_over_budget_before_building():
     assert len(errors) == 4
     assert all(e.startswith("error: structure constants of a dim-") for e in errors)
     assert "1030301 exceeds budget 1000000" in errors[1]
+
+
+_HUGE_PRIMES = """
+import time
+from quasileib.cli import run
+
+p = 2**61 - 1
+for argv in (
+    ["family", "abelian", "--field", f"gf{p}", "--dim", "1"],
+    ["census", "--field", f"gf{p}", "--dim", "1"],
+):
+    start = time.perf_counter()
+    code = run(argv)
+    print(code, time.perf_counter() - start)
+"""
+
+
+def test_huge_prime_moduli_answer_in_bounded_time():
+    # primality of 2^61 - 1 takes Miller-Rabin, not trial division; the
+    # dim-1 census is refused by the oracle's count of F^1 before any group
+    # generator (a primitive root of p) is looked for
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    result = subprocess.run(
+        [sys.executable, "-c", _HUGE_PRIMES],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    runs = [line.split() for line in result.stdout.splitlines() if line[:1].isdigit()]
+    assert [code for code, _ in runs] == ["0", "2"]
+    assert all(float(seconds) < 1 for _, seconds in runs), runs
+    assert '"p": 2305843009213693951' in result.stdout
+    assert result.stderr == (
+        "error: projective points of F^1: 2305843009213693951 exceeds budget 1000000\n"
+    )
 
 
 def test_family_budget_admits_a_table_at_the_bound(capsys):
@@ -392,6 +433,32 @@ def test_census_workers_up_to_cpu_count_accepted(monkeypatch, capsys):
     argv = ["census", "--field", "gf2", "--dim", "2", "--workers", "2"]
     assert _main_exit_code(monkeypatch, argv) == 0
     assert json.loads(capsys.readouterr().out)["totals"]["classes"] == 4
+
+
+_SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal")
+
+
+def test_cli_import_loads_no_slow_modules():
+    # each of these costs start-up time in every CLI process; fractions is
+    # imported only when QQ canonicalises a value that is not an int or a pair
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import quasileib.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "quasileib.cli" in loaded
+    assert not loaded & set(_SLOW_IMPORTS), sorted(loaded & set(_SLOW_IMPORTS))
 
 
 def test_gf2_dim3_census_runs_without_numpy(tmp_path):

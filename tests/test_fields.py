@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from quasileib.errors import DivisionByZero, MalformedInput, MixedFields
+from quasileib.errors import DivisionByZero, MalformedInput, MixedFields, UnsupportedField
 from quasileib.fields import (
     GF2,
     GF3,
+    PRIMALITY_BOUND,
     QQ,
     FunctionField,
     PrimeField,
     field_from_json,
+    is_prime,
     parse_field,
     parse_scalar,
     poly_add,
@@ -248,6 +250,35 @@ def test_characteristics():
     assert list(GF3.elements()) == [GF3(0), GF3(1), GF3(2)]
 
 
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == _trial_division(n) for n in range(-3, 10**5))
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # Carmichael numbers, strong pseudoprimes to base 2 and to bases 2, 3,
+    # 5, 7, and the least strong pseudoprime to the first 12 prime bases,
+    # which only the 13th base, 41, exposes
+    for n in (561, 41041, 2047, 3215031751, 318665857834031151167461):
+        assert not is_prime(n)
+    assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+
+
+def test_moduli_from_the_primality_bound_are_refused():
+    # from the bound up Miller-Rabin with 13 bases can be fooled (the bound
+    # itself passes all 13), so no field is built there
+    for make in (is_prime, PrimeField, FunctionField):
+        with pytest.raises(UnsupportedField, match=str(PRIMALITY_BOUND)):
+            make(PRIMALITY_BOUND)
+    with pytest.raises(UnsupportedField):
+        parse_field(f"gf{10**30 + 57}")
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+
+
 def _qq_values(rng, count):
     """Seeded rationals as Fractions: zero, ones, negatives and values with
     numerators and denominators far past a machine word."""
@@ -345,3 +376,11 @@ def test_qq_scalars_compare_and_hash_with_ints():
         assert hash(QQ(n)) == hash(QQ(Fraction(n, 1)))
         assert QQ(n) + 1 == n + 1 and 3 * QQ(n) == 3 * n
     assert QQ(Fraction(1, 2)) != 0 and len({QQ(2), QQ(Fraction(4, 2)), QQ((6, 3))}) == 1
+
+
+def test_qq_canon_takes_other_values_through_fraction():
+    # ints and raw pairs are canonicalised directly; a Fraction, a decimal
+    # string or a float goes through the fallback that imports fractions
+    assert QQ.canon(Fraction(-6, 8)) == (-3, 4)
+    assert QQ(Fraction(3, 4)).value == (3, 4)
+    assert QQ.canon("0.75") == (3, 4) and QQ.canon(0.5) == (1, 2)

@@ -7,14 +7,16 @@ import pytest
 from quasileib.algebra import (
     LeibnizAlgebra,
     MultiplicationTable,
+    ValidationResult,
     action,
     build_table,
     is_ideal,
     is_nilpotent,
+    quotient,
     series,
     subalgebras,
 )
-from quasileib.census import lemma_harness
+from quasileib.census import ClassificationResult, HarnessReport, lemma_harness
 from quasileib.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -24,7 +26,9 @@ from quasileib.errors import (
     VerificationFailed,
 )
 from quasileib.families import (
+    FamilySpec,
     almost_abelian_lie,
+    build,
     k2,
     non_lie_almost_abelian,
     two_dim_nilpotent_cyclic,
@@ -47,7 +51,10 @@ from quasileib.linalg import (
     zero_subspace,
 )
 from quasileib.quasi import (
+    EngelReport,
+    LemmaSuiteReport,
     QuasiIdealVerdict,
+    SubquasiChain,
     _subquasi_bfs,
     core,
     is_engel_algebra,
@@ -817,3 +824,51 @@ def test_quasi_ideals_listing():
     assert len(found) == 10
     dims = sorted(s.dim for s in found)
     assert dims == [0, 1, 1, 1, 1, 2, 2, 2, 2, 3]
+
+
+def test_result_records():
+    # truth follows the verdict
+    assert bool(QuasiIdealVerdict(False)) is False
+    assert bool(EngelReport(True, True)) is True
+    assert bool(EngelReport(False, True, None)) is False
+    # keyword construction with the other fields left at None, as the
+    # reference decision procedure builds verdicts
+    refuted = QuasiIdealVerdict(False, witness=("h", "x", "value"))
+    held = QuasiIdealVerdict(True, certificate=())
+    assert refuted.certificate is None and refuted.witness == ("h", "x", "value")
+    assert held.holds and held.witness is None
+    assert refuted == QuasiIdealVerdict(False, None, ("h", "x", "value")) != held
+    spec = FamilySpec("non_lie_almost_abelian", GF3, {"dim_i": 2})
+    assert (spec.name, spec.field, spec.params) == (
+        "non_lie_almost_abelian",
+        GF3,
+        {"dim_i": 2},
+    )
+    assert build(spec).dim == 3
+    # mutable defaults are fresh per instance
+    first, second = HarnessReport(), HarnessReport()
+    first.algebras += 1
+    first.failures.append({"clause": "x"})
+    assert (second.algebras, second.clauses_checked, second.failures) == (0, 0, [])
+    assert not first.ok() and second.ok()
+    first, second = LemmaSuiteReport(), LemmaSuiteReport()
+    first.clauses["x"] = ("fail", None)
+    assert first.failures == ["x"] and second.clauses == {} and second.ok()
+    first, second = FamilySpec("k2", F2T), FamilySpec("k2", F2T)
+    first.params["dim"] = 5
+    assert second.params == {} and build(second).dim == 3
+    # frozen records refuse assignment, to a field or to a new attribute
+    alg = two_dim_solvable_cyclic(GF3)
+    frozen = [
+        (QuasiIdealVerdict(True), "holds"),
+        (EngelReport(True, True), "exhaustive"),
+        (SubquasiChain((alg.full(),)), "chain"),
+        (ValidationResult(True, "right"), "ok"),
+        (ClassificationResult("abelian", {}, {}), "verdict"),
+        (FamilySpec("k2", F2T), "name"),
+        (quotient(alg, zero_subspace(GF3, 2)), "algebra"),
+    ]
+    for record, name in frozen:
+        for attr in (name, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, attr, None)
