@@ -35,7 +35,6 @@ from .linalg import (
     enumerate_subspaces,
     full_subspace,
     raw_echelonize,
-    raw_identity,
     raw_left_kernel,
     require_subspaces,
     unit_vec,
@@ -495,9 +494,8 @@ def subalgebras(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
 
 
 class QuotientAlgebra(
-    namedtuple("QuotientAlgebra", "parent modulus algebra projection")
+    namedtuple("QuotientAlgebra", "parent modulus algebra")
 ):
-    # projection: dim(parent) rows, each of length dim(quotient)
     __slots__ = ()
 
     def project_vector(self, v: tuple) -> tuple:
@@ -538,7 +536,4 @@ def quotient(alg: LeibnizAlgebra, j: Subspace) -> QuotientAlgebra:
     names = tuple(alg.basis_names[c] for c in comp)
     table = MultiplicationTable(field, len(comp), cube, names)
     quot = LeibnizAlgebra(table, _checked=True)  # L/J is Leibniz: J is an ideal
-    projection = tuple(
-        field.wrap(_raw_project(j, comp, e)) for e in raw_identity(field, alg.dim)
-    )
-    return QuotientAlgebra(alg, j, quot, projection)
+    return QuotientAlgebra(alg, j, quot)

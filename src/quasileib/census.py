@@ -63,12 +63,10 @@ from .fields import Field, PrimeField
 from .linalg import (
     DEFAULT_BUDGET,
     Subspace,
-    echelonize,
+    raw_echelonize,
+    raw_identity,
     raw_projective_points,
     require_enumerable,
-    unit_vec,
-    vec_scale,
-    vec_sub,
 )
 from .quasi import (
     is_engel_algebra,
@@ -112,29 +110,47 @@ def in_class_q(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
 
 # ---------------------------------------------------------------------------
 # catalogue matchers
+#
+# The matchers compute on raw vectors (``Field.unwrap``) and return them raw:
+# census code only tests them against None or lifts them from a quotient.
 # ---------------------------------------------------------------------------
 
 
-def _scalar_multiple(rows, images):
-    """The common c with images[i] = c * rows[i], or None."""
+def _scalar_multiple(field: Field, rows, images):
+    """The common raw c with images[i] = c * rows[i] for raw vectors, or
+    None."""
+    mul, zero = field.raw_mul, field.raw_zero
     c = None
     for row, img in zip(rows, images):
-        pivot = next((j for j, s in enumerate(row) if s), None)
+        pivot = next((j for j, s in enumerate(row) if s != zero), None)
         if pivot is None:
             return None
-        ci = img[pivot] / row[pivot]
+        ci = mul(img[pivot], field.raw_inv(row[pivot]))
         if c is None:
             c = ci
         elif ci != c:
             return None
-        if img != vec_scale(ci, row):
+        if img != tuple([mul(ci, a) for a in row]):
             return None
     return c
 
 
+def _acting_unit(alg: LeibnizAlgebra, s: Subspace):
+    """w / c for the unit vector w at the first non-pivot column of S, when
+    [x, w] = c x on S with c != 0, as a raw vector; else None."""
+    field, br = alg.field, alg.table.raw_bracket
+    col = s.non_pivots()[0]
+    w = raw_identity(field, alg.dim)[col]
+    c = _scalar_multiple(field, s.raw_rows, [br(x, w) for x in s.raw_rows])
+    if c is None or c == field.raw_zero:
+        return None
+    inv = field.raw_inv(c)
+    return tuple(field.raw_mul(inv, a) for a in w)
+
+
 def match_almost_abelian_lie(alg: LeibnizAlgebra):
     """The normalized element a with [x, a] = x on the derived subalgebra,
-    or None when the algebra is not almost abelian Lie."""
+    as a raw vector, or None when the algebra is not almost abelian Lie."""
     if not is_lie(alg) or alg.dim < 2:
         return None
     full = alg.full()
@@ -143,30 +159,25 @@ def match_almost_abelian_lie(alg: LeibnizAlgebra):
         return None
     if not bracket_subspaces(alg, derived, derived).is_zero():
         return None
-    w = unit_vec(alg.field, alg.dim, derived.non_pivots()[0])
-    c = _scalar_multiple(derived.rows, [alg.bracket(x, w) for x in derived.rows])
-    if c is None or not c:
-        return None
-    return vec_scale(c.inv(), w)
+    return _acting_unit(alg, derived)
 
 
 def match_non_lie_almost_abelian(alg: LeibnizAlgebra):
     """The normalized h with L = I + Fh, [x, h] = x, [h, x] = [h, h] = 0
-    where I is the ideal of squares, or None."""
+    where I is the ideal of squares, as a raw vector, or None."""
     ideal = squares_ideal(alg)
     if ideal.dim != alg.dim - 1 or ideal.dim < 1:
         return None
-    w = unit_vec(alg.field, alg.dim, ideal.non_pivots()[0])
-    c = _scalar_multiple(ideal.rows, [alg.bracket(x, w) for x in ideal.rows])
-    if c is None or not c:
+    h0 = _acting_unit(alg, ideal)
+    if h0 is None:
         return None
-    h0 = vec_scale(c.inv(), w)
-    h = vec_sub(h0, alg.bracket(h0, h0))
-    if any(alg.bracket(x, h) != x for x in ideal.rows):
-        return None
-    if any(any(s for s in alg.bracket(h, x)) for x in ideal.rows):
-        return None
-    if any(s for s in alg.bracket(h, h)):
+    field, br = alg.field, alg.table.raw_bracket
+    # h = h0 - [h0, h0]
+    h = tuple(field.raw_axpy(field.raw_neg(field.raw_one), h0, br(h0, h0)))
+    zeros = (field.raw_zero,) * alg.dim
+    if br(h, h) != zeros or any(
+        br(x, h) != x or br(h, x) != zeros for x in ideal.raw_rows
+    ):
         return None
     return h
 
@@ -192,18 +203,15 @@ def match_extraspecial_sum(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     comp = zl.non_pivots()
     if not comp:
         return None
-    z_row = ideal.rows[0]
-    reps = [unit_vec(alg.field, alg.dim, c) for c in comp]
-    gram = []
-    for u in reps:
-        row = []
-        for v in reps:
-            coeff = _scalar_multiple((z_row,), (alg.bracket(u, v),))
-            if coeff is None:
-                return None
-            row.append(coeff)
-        gram.append(tuple(row))
-    if not is_anisotropic(alg.field, tuple(gram), budget=budget):
+    field, br = alg.field, alg.table.raw_bracket
+    eye = raw_identity(field, alg.dim)
+    gram = [
+        [_scalar_multiple(field, ideal.raw_rows, (br(eye[u], eye[v]),)) for v in comp]
+        for u in comp
+    ]
+    if any(None in row for row in gram):
+        return None
+    if not is_anisotropic(field, tuple(map(field.wrap, gram)), budget=budget):
         return None
     return (alg.dim - zl.dim + 1, zl.dim - 1)
 
@@ -218,7 +226,8 @@ def match_char2_family(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     extended diagonal (the squares form) must be anisotropic, which forces
     the diagonal coefficients outside the squares of the field.
     """
-    if alg.field.characteristic() != 2 or is_lie(alg):
+    field = alg.field
+    if field.characteristic() != 2 or is_lie(alg):
         return None
     ideal = squares_ideal(alg)
     zl = center(alg)
@@ -228,46 +237,44 @@ def match_char2_family(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     abar = match_almost_abelian_lie(quot.algebra)
     if abar is None:
         return None
+    br, zero = alg.table.raw_bracket, field.raw_zero
     comp = zl.non_pivots()
     lift = lambda qv: tuple(
-        qv[comp.index(c)] if c in comp else alg.field.zero for c in range(alg.dim)
+        qv[comp.index(c)] if c in comp else zero for c in range(alg.dim)
     )
     h = lift(abar)
-    z = alg.bracket(h, h)
-    if _scalar_multiple((ideal.rows[0],), (z,)) in (None, alg.field.zero) or not any(z):
+    z = br(h, h)
+    # a zero z is the multiple 0 of the ideal's row
+    if _scalar_multiple(field, ideal.raw_rows, (z,)) in (None, zero):
         return None
     qfull = quot.algebra.full()
     qder = bracket_subspaces(quot.algebra, qfull, qfull)
-    cs = [alg.bracket(lift(row), h) for row in qder.rows]
+    cs = [br(lift(row), h) for row in qder.raw_rows]
     basis = cs + [z, h]
-    basis_space = echelonize(alg.field, alg.dim, basis)
-    if basis_space.dim != alg.dim:
+    if raw_echelonize(field, alg.dim, basis).dim != alg.dim:
         return None
     k = len(cs)
     # verify the family table in the reconstructed basis
     diag = []
     for i, ci in enumerate(cs):
-        if alg.bracket(ci, h) != ci or alg.bracket(h, ci) != ci:
+        if br(ci, h) != ci or br(h, ci) != ci:
             return None
         for j, cj in enumerate(cs):
-            val = alg.bracket(ci, cj)
-            coeff = _scalar_multiple((z,), (val,))
-            if coeff is None:
-                return None
-            if alg.bracket(cj, ci) != val:
+            val = br(ci, cj)
+            coeff = _scalar_multiple(field, (z,), (val,))
+            if coeff is None or br(cj, ci) != val:
                 return None
             if i == j:
                 diag.append(coeff)
-    for v in basis:
-        if any(any(s for s in w) for w in (alg.bracket(v, z), alg.bracket(z, v))):
-            return None
-    one = alg.field.one
-    zero = alg.field.zero
-    ext = diag + [one]
+    zeros = (zero,) * alg.dim
+    if any(br(v, z) != zeros or br(z, v) != zeros for v in basis):
+        return None
+    ext = diag + [field.raw_one]
     gram = tuple(
-        tuple(ext[i] if i == j else zero for j in range(k + 1)) for i in range(k + 1)
+        field.wrap(ext[i] if i == j else zero for j in range(k + 1))
+        for i in range(k + 1)
     )
-    if not is_anisotropic(alg.field, gram, budget=budget):
+    if not is_anisotropic(field, gram, budget=budget):
         return None
     return k
 
@@ -485,40 +492,15 @@ def canonical_table_key(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> tu
 # table sweeps
 # ---------------------------------------------------------------------------
 
-class ClassEntry:
-    __slots__ = (
-        "key",
-        "algebra",
-        "invariants",
-        "subalgebra_count",
-        "quasi_ideal_count",
-        "in_q",
-        "in_q_failure",
-        "classification",
-        "oracle_mismatches",
-    )
 
-    def __init__(
-        self,
-        key: tuple,
-        algebra: LeibnizAlgebra,
-        invariants: tuple,
-        subalgebra_count: int,
-        quasi_ideal_count: int,
-        in_q: bool,
-        in_q_failure: Subspace | None,
-        classification: ClassificationResult,
-        oracle_mismatches: int,
-    ):
-        self.key = key
-        self.algebra = algebra
-        self.invariants = invariants
-        self.subalgebra_count = subalgebra_count
-        self.quasi_ideal_count = quasi_ideal_count
-        self.in_q = in_q
-        self.in_q_failure = in_q_failure
-        self.classification = classification
-        self.oracle_mismatches = oracle_mismatches
+class ClassEntry(
+    namedtuple(
+        "ClassEntry",
+        "key algebra invariants subalgebra_count quasi_ideal_count in_q "
+        "in_q_failure classification oracle_mismatches",
+    )
+):
+    __slots__ = ()
 
     def to_json(self):
         inv = self.invariants
@@ -544,34 +526,13 @@ class ClassEntry:
         return out
 
 
-class CensusReport:
-    __slots__ = (
-        "field",
-        "dim",
-        "totals",
-        "classes",
-        "dim_i_distribution",
-        "discrepancies",
-        "lemma_failures",
+class CensusReport(
+    namedtuple(
+        "CensusReport",
+        "field dim totals classes dim_i_distribution discrepancies lemma_failures",
     )
-
-    def __init__(
-        self,
-        field: Field,
-        dim: int,
-        totals: dict,
-        classes: list,
-        dim_i_distribution: dict,
-        discrepancies: list,
-        lemma_failures: list,
-    ):
-        self.field = field
-        self.dim = dim
-        self.totals = totals
-        self.classes = classes
-        self.dim_i_distribution = dim_i_distribution
-        self.discrepancies = discrepancies
-        self.lemma_failures = lemma_failures
+):
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -595,19 +556,22 @@ class CensusReport:
 
 
 def _analyze_class(key, alg, budget) -> ClassEntry:
+    """One class's entry; each subalgebra's exact verdict is taken once and
+    gives membership, the first failure, the quasi-ideal count and the
+    comparison with the oracle."""
     subs = subalgebras(alg, budget=budget)
-    in_q, failure = in_class_q(alg, budget=budget)
+    holds = [is_quasi_ideal(alg, s).holds for s in subs]
+    failure = next((s for s, ok in zip(subs, holds) if not ok), None)
     mismatches = sum(
-        is_quasi_ideal(alg, s).holds != is_quasi_ideal_oracle(alg, s, budget=budget)
-        for s in subs
+        ok != is_quasi_ideal_oracle(alg, s, budget=budget) for s, ok in zip(subs, holds)
     )
     return ClassEntry(
         key=key,
         algebra=alg,
         invariants=algebra_invariants(alg),
         subalgebra_count=len(subs),
-        quasi_ideal_count=len(quasi_ideals(alg, budget=budget)),
-        in_q=in_q,
+        quasi_ideal_count=sum(holds),
+        in_q=failure is None,
         in_q_failure=failure,
         classification=classify_q_member(alg, budget=budget),
         oracle_mismatches=mismatches,
@@ -829,19 +793,22 @@ def _harness_one(label, alg, budget, report):
     subs = subalgebras(alg, budget=budget)
     quasis = quasi_ideals(alg, budget=budget)
 
+    def record(clause, ok, context=None, detail=None):
+        report.clauses_checked += 1
+        if not ok:
+            report.failures.append(
+                {
+                    "algebra": label,
+                    "clause": clause,
+                    "context": context,
+                    "detail": detail,
+                }
+            )
+
     def note(suite_report, context):
         for name, (status, detail) in suite_report.clauses.items():
             if status in ("pass", "fail"):
-                report.clauses_checked += 1
-            if status == "fail":
-                report.failures.append(
-                    {
-                        "algebra": label,
-                        "clause": name,
-                        "context": context,
-                        "detail": detail,
-                    }
-                )
+                record(name, status == "pass", context, detail)
 
     for h in quasis:
         note(lemma_suite(alg, h), f"quasi-ideal dim {h.dim}")
@@ -850,8 +817,7 @@ def _harness_one(label, alg, budget, report):
         if chain is not None and chain.m >= 2:
             note(lemma_suite(alg, s, chain), f"{chain.m}-step chain dim {s.dim}")
 
-    in_q = len(quasis) == len(subs)
-    if in_q:
+    if len(quasis) == len(subs):
         # quotients by every ideal stay in the class; many ideals give the
         # same quotient table, which is built and decided once.  L/0 has
         # L's own table, so it is decided on L, whose memos already hold
@@ -865,16 +831,7 @@ def _harness_one(label, alg, budget, report):
             if ok is None:
                 q = alg if j.is_zero() else quotient(alg, j).algebra
                 ok = decided[key] = in_class_q(q, budget=budget)[0]
-            report.clauses_checked += 1
-            if not ok:
-                report.failures.append(
-                    {
-                        "algebra": label,
-                        "clause": "quotient_closure",
-                        "context": f"ideal dim {j.dim}",
-                        "detail": None,
-                    }
-                )
+            record("quotient_closure", ok, f"ideal dim {j.dim}")
 
     ideal = squares_ideal(alg)
     if ideal.dim == 1:
@@ -885,29 +842,15 @@ def _harness_one(label, alg, budget, report):
             if not ideal.raw_contains(x)
         )
         if hypothesis:
-            report.clauses_checked += 1
-            if not center(alg).contains(ideal):
-                report.failures.append(
-                    {
-                        "algebra": label,
-                        "clause": "squares_ideal_central",
-                        "context": "all squares off the ideal nonzero",
-                        "detail": None,
-                    }
-                )
+            record(
+                "squares_ideal_central",
+                center(alg).contains(ideal),
+                "all squares off the ideal nonzero",
+            )
 
     engel = is_engel_algebra(alg, budget=budget)
     if engel.holds and engel.exhaustive:
-        report.clauses_checked += 1
-        if not is_nilpotent(alg):
-            report.failures.append(
-                {
-                    "algebra": label,
-                    "clause": "engel_implies_nilpotent",
-                    "context": None,
-                    "detail": None,
-                }
-            )
+        record("engel_implies_nilpotent", is_nilpotent(alg))
 
 
 def lemma_harness(corpus, budget: int = DEFAULT_BUDGET) -> HarnessReport:

@@ -127,10 +127,6 @@ def poly_neg(p: int, a: tuple) -> tuple:
     return tuple((-c) % p for c in a)
 
 
-def poly_sub(p: int, a: tuple, b: tuple) -> tuple:
-    return poly_add(p, a, poly_neg(p, b))
-
-
 def poly_mul(p: int, a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return ()
@@ -342,7 +338,6 @@ class Scalar:
 class Field:
     """Common surface of the three field kinds."""
 
-    kind = ""
     is_finite = False
 
     def __call__(self, value) -> Scalar:
@@ -388,7 +383,7 @@ class Field:
         return [a if b == zero else add(a, mul(c, b)) for a, b in zip(x, y)]
 
     def raw_is_square(self, a) -> bool:
-        raise NotImplementedError
+        return self.raw_sqrt(a) is not None
 
     def raw_sqrt(self, a):
         raise NotImplementedError
@@ -434,7 +429,6 @@ class Field:
 class PrimeField(Field):
     """GF(p) for a prime p, elements stored as machine-word residues."""
 
-    kind = "prime"
     is_finite = True
     raw_zero = 0
     raw_one = 1
@@ -476,9 +470,6 @@ class PrimeField(Field):
         p = self.p
         return [(a + c * b) % p for a, b in zip(x, y)]
 
-    def raw_is_square(self, a) -> bool:
-        return sqrt_mod_prime(a, self.p) is not None
-
     def raw_sqrt(self, a):
         return sqrt_mod_prime(a, self.p)
 
@@ -510,7 +501,6 @@ class RationalField(Field):
     and ``den > 0``; zero is ``(0, 1)``.
     """
 
-    kind = "rationals"
     raw_zero = (0, 1)
     raw_one = (1, 1)
 
@@ -568,9 +558,6 @@ class RationalField(Field):
             num = an * cd * bd + cn * bn * ad
             out.append((num, 1) if den == 1 else _q_reduce(num, den))
         return out
-
-    def raw_is_square(self, a) -> bool:
-        return self.raw_sqrt(a) is not None
 
     def raw_sqrt(self, a):
         num, den = a
@@ -634,7 +621,6 @@ class FunctionField(Field):
     ``gcd(num, den) = 1`` and monic ``den``; zero is ``((), (1,))``.
     """
 
-    kind = "rational_function"
     raw_zero = ((), (1,))
     raw_one = ((1,), (1,))
 
@@ -703,14 +689,10 @@ class FunctionField(Field):
             raise DivisionByZero(f"inverse of 0 in {self}")
         return self._reduce(a[1], a[0])
 
-    def raw_is_square(self, a) -> bool:
+    def raw_sqrt(self, a):
         # Reduced n/d is a square iff both n and d are square polynomials:
         # n*d' = d*n' with coprime parts forces matching square factors, and
         # the monic denominator fixes the unit.
-        num, den = a
-        return poly_sqrt(self.p, num) is not None and poly_sqrt(self.p, den) is not None
-
-    def raw_sqrt(self, a):
         rn = poly_sqrt(self.p, a[0])
         rd = poly_sqrt(self.p, a[1])
         if rn is None or rd is None:

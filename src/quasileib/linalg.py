@@ -34,14 +34,6 @@ def unit_vec(field: Field, n: int, i: int) -> tuple:
     return tuple(o if j == i else z for j in range(n))
 
 
-def vec_sub(u: tuple, v: tuple) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: Scalar, u: tuple) -> tuple:
-    return tuple(c * a for a in u)
-
-
 def mat_identity(field: Field, n: int) -> tuple:
     return tuple(unit_vec(field, n, i) for i in range(n))
 

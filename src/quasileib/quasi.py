@@ -525,9 +525,10 @@ def lemma_suite(
     if direct:
         ok, detail = True, None
         zero = (alg.field.raw_zero,) * alg.dim
-        for hrow, (h_e, e_h) in zip(h.rows, action(alg, h)):
+        for hrow, (h_e, e_h) in zip(h.raw_rows, action(alg, h)):
             for j, (hx, xh) in enumerate(zip(h_e, e_h)):
                 if xh == zero and hx != zero:
+                    hrow = alg.field.wrap(hrow)
                     ok, detail = False, f"basis pair (h={hrow}, x=e{j+1})"
                     break
         report.clauses["reflected_brackets"] = (PASS if ok else FAIL, detail)

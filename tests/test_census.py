@@ -37,6 +37,7 @@ from quasileib.census import (
     lemma_harness,
     sweep_tables,
 )
+from quasileib.quasi import LemmaSuiteReport, lemma_suite
 from quasileib.errors import (
     BadDimension,
     BudgetExceeded,
@@ -511,6 +512,71 @@ def test_harness_reports_quotient_failures_per_ideal(monkeypatch):
         f"ideal dim {j.dim}" for j in ideals
     )
     assert report.clauses_checked == clauses
+
+
+def test_harness_failure_records(monkeypatch):
+    # every clause site records a failure as one four-key dict and counts
+    # the clause whether it holds or not; the extraspecial sum of rank 2
+    # over GF(3) reaches every site: it is in the class, its squares off
+    # the ideal of squares are nonzero, and it is Engel
+    alg = extraspecial_sum(GF3, default_anisotropic_gram(GF3, 2))
+    suite_clauses = []
+
+    def spying_suite(*args):
+        suite = lemma_suite(*args)
+        statuses = [status for status, _ in suite.clauses.values()]
+        suite_clauses.extend(s for s in statuses if s in ("pass", "fail"))
+        return suite
+
+    def harness_with(name, replacement):
+        with monkeypatch.context() as patch:
+            patch.setattr(census, name, replacement)
+            return lemma_harness([("es", alg)])
+
+    clean = harness_with("lemma_suite", spying_suite)
+    assert clean.ok() and clean.clauses_checked > len(suite_clauses) > 0
+
+    def failure(clause, context=None, detail=None):
+        return {"algebra": "es", "clause": clause, "context": context, "detail": detail}
+
+    calls = []
+
+    def stub_suite(alg, h, chain=None):
+        calls.append((h, chain))
+        return LemmaSuiteReport(
+            {"stub_fail": ("fail", "stub detail"), "stub_vacuous": ("vacuous", "H = L")}
+        )
+
+    report = harness_with("lemma_suite", stub_suite)
+    contexts = [
+        f"{chain.m}-step chain dim {h.dim}" if chain else f"quasi-ideal dim {h.dim}"
+        for h, chain in calls
+    ]
+    assert contexts and report.failures == [
+        failure("stub_fail", context, "stub detail") for context in contexts
+    ]
+    # the stub's one failing clause replaces each suite's checked clauses
+    checked = clean.clauses_checked - len(suite_clauses) + len(calls)
+    assert report.clauses_checked == checked
+
+    ideal_dims = [j.dim for j in subalgebras(alg) if is_ideal(alg, j)]
+    sites = [
+        (
+            "in_class_q",
+            lambda q, budget=DEFAULT_BUDGET: (False, q),
+            [failure("quotient_closure", f"ideal dim {d}") for d in ideal_dims],
+        ),
+        (
+            "center",
+            lambda alg: zero_subspace(alg.field, alg.dim),
+            [failure("squares_ideal_central", "all squares off the ideal nonzero")],
+        ),
+        ("is_nilpotent", lambda alg: False, [failure("engel_implies_nilpotent")]),
+    ]
+    for name, replacement, expected in sites:
+        report = harness_with(name, replacement)
+        assert report.failures == expected
+        assert report.clauses_checked == clean.clauses_checked
 
 
 def test_harness_clause_count_on_family_corpus(family_corpus):

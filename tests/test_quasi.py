@@ -16,7 +16,12 @@ from quasileib.algebra import (
     series,
     subalgebras,
 )
-from quasileib.census import ClassificationResult, HarnessReport, lemma_harness
+from quasileib.census import (
+    ClassificationResult,
+    HarnessReport,
+    lemma_harness,
+    sweep_tables,
+)
 from quasileib.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -859,6 +864,7 @@ def test_result_records():
     assert second.params == {} and build(second).dim == 3
     # frozen records refuse assignment, to a field or to a new attribute
     alg = two_dim_solvable_cyclic(GF3)
+    census = sweep_tables(GF3, 2)
     frozen = [
         (QuasiIdealVerdict(True), "holds"),
         (EngelReport(True, True), "exhaustive"),
@@ -867,6 +873,8 @@ def test_result_records():
         (ClassificationResult("abelian", {}, {}), "verdict"),
         (FamilySpec("k2", F2T), "name"),
         (quotient(alg, zero_subspace(GF3, 2)), "algebra"),
+        (census.classes[0], "in_q"),
+        (census, "totals"),
     ]
     for record, name in frozen:
         for attr in (name, "extra"):
