@@ -1,8 +1,9 @@
 """Leibniz algebras presented by structure constants.
 
 An n-dimensional algebra is a cube ``c`` with ``[e_i, e_j] = sum_k
-c[i][j][k] e_k``; the cube is stored as ``cube[i][j] = that product vector``.
-A raw :class:`MultiplicationTable` promises nothing; a
+c[i][j][k] e_k``; the cube is stored as raw field values, ``raw[i][j] =
+that product vector``.
+A :class:`MultiplicationTable` alone promises nothing; a
 :class:`LeibnizAlgebra` has been checked against the right Leibniz identity
 
     [x, [y, z]] = [[x, y], z] - [[x, z], y]
@@ -27,7 +28,7 @@ from .errors import (
     NotASubalgebra,
     NotLeibniz,
 )
-from .fields import Field, Scalar, field_from_json, is_json_int
+from .fields import Field, field_from_json, is_json_int
 from .linalg import (
     DEFAULT_BUDGET,
     Subspace,
@@ -44,29 +45,34 @@ from .linalg import (
 class MultiplicationTable:
     """Structure constants; no identity is promised.
 
-    ``cube`` holds the products as scalars, ``raw`` the same cube as raw
-    field values, which the kernels compute on.  ``_products`` memoises
-    :meth:`raw_bracket` for the life of the table; it takes no part in
-    equality or hashing."""
+    ``raw`` holds the products as raw field values, which the kernels
+    compute on; :attr:`cube` wraps them into scalars on each access.
+    ``_products`` memoises :meth:`raw_bracket` for the life of the table;
+    it takes no part in equality or hashing."""
 
-    __slots__ = ("field", "dim", "cube", "raw", "basis_names", "_products")
+    __slots__ = ("field", "dim", "raw", "basis_names", "_products")
 
-    def __init__(self, field: Field, dim: int, cube, basis_names=None):
-        cube = tuple(tuple(tuple(v) for v in row) for row in cube)
-        if len(cube) != dim or any(
-            len(row) != dim or any(len(v) != dim for v in row) for row in cube
+    def __init__(self, field: Field, dim: int, raw, basis_names=None):
+        raw = tuple(tuple(tuple(v) for v in row) for row in raw)
+        if len(raw) != dim or any(
+            len(row) != dim or any(len(v) != dim for v in row) for row in raw
         ):
             raise DimensionMismatch(f"cube is not {dim}x{dim}x{dim}")
-        self.raw = tuple(tuple(field.unwrap(v) for v in row) for row in cube)
         if basis_names is None:
             basis_names = tuple(f"e{i+1}" for i in range(dim))
         if len(basis_names) != dim:
             raise DimensionMismatch("one basis name per dimension")
         self.field = field
         self.dim = dim
-        self.cube = cube
+        self.raw = raw
         self.basis_names = tuple(basis_names)
         self._products = {}
+
+    @property
+    def cube(self) -> tuple:
+        """The products as scalars: ``cube[i][j]`` is [e_i, e_j]."""
+        wrap = self.field.wrap
+        return tuple(tuple(wrap(v) for v in row) for row in self.raw)
 
     def __eq__(self, other):
         if not isinstance(other, MultiplicationTable):
@@ -103,13 +109,12 @@ class MultiplicationTable:
         return f"<table dim {self.dim} over {self.field}>"
 
     def to_json(self):
+        encode = self.field.encode
         return {
             "field": self.field.to_json(),
             "dim": self.dim,
             "basis_names": list(self.basis_names),
-            "table": [
-                [[s.to_json() for s in v] for v in row] for row in self.cube
-            ],
+            "table": [[[encode(x) for x in v] for v in row] for row in self.raw],
         }
 
 
@@ -123,33 +128,32 @@ def table_from_json(obj) -> MultiplicationTable:
     dim = obj["dim"]
     if not is_json_int(dim) or dim < 0:
         raise MalformedInput(f"bad dimension: {dim!r}")
-    raw = obj["table"]
+    table = obj["table"]
     nested = lambda x: isinstance(x, list) and len(x) == dim
     if not (
-        nested(raw)
-        and all(nested(row) for row in raw)
-        and all(nested(v) for row in raw for v in row)
+        nested(table)
+        and all(nested(row) for row in table)
+        and all(nested(v) for row in table for v in row)
     ):
         raise MalformedInput(f"table is not a {dim}x{dim}x{dim} cube of nested lists")
-    cube = tuple(
-        tuple(tuple(field.decode(s) for s in v) for v in row) for row in raw
-    )
+    decode = field.decode
+    raw = [[[decode(x) for x in v] for v in row] for row in table]
     names = obj.get("basis_names")
     if names is not None and not (
         isinstance(names, list) and all(isinstance(x, str) for x in names)
     ):
         raise MalformedInput("basis_names must be a list of strings")
-    return MultiplicationTable(field, dim, cube, names)
+    return MultiplicationTable(field, dim, raw, names)
 
 
 def build_table(field: Field, basis_names, products) -> MultiplicationTable:
     """Table from a sparse product map {(i, j): {k: coeff}}."""
     n = len(basis_names)
-    cube = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
+    raw = [[[field.raw_zero] * n for _ in range(n)] for _ in range(n)]
     for (i, j), entry in products.items():
         for k, coeff in entry.items():
-            cube[i][j][k] = coeff if isinstance(coeff, Scalar) else field(coeff)
-    return MultiplicationTable(field, n, cube, basis_names)
+            raw[i][j][k] = field(coeff).value
+    return MultiplicationTable(field, n, raw, basis_names)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +242,8 @@ def validate(table: MultiplicationTable, mode: str = "right") -> ValidationResul
         pair = raw_alternation_failure(field, cube)
         if pair is not None:
             i, j = pair
-            rhs = None if i == j else table.cube[j][i]
-            return ValidationResult(False, mode, pair, table.cube[i][j], rhs)
+            rhs = None if i == j else field.wrap(cube[j][i])
+            return ValidationResult(False, mode, pair, field.wrap(cube[i][j]), rhs)
     triples = itertools.product(range(table.dim), repeat=3)
     found = raw_leibniz_failure(field, cube, triples, "left" if mode == "left" else "right")
     if found is None:
@@ -531,9 +535,7 @@ def quotient(alg: LeibnizAlgebra, j: Subspace) -> QuotientAlgebra:
     if not is_ideal(alg, j):
         raise NotAnIdeal("quotient by a non-ideal")
     comp = j.non_pivots()
-    field = alg.field
-    cube = [[field.wrap(v) for v in row] for row in raw_quotient_cube(alg, j)]
     names = tuple(alg.basis_names[c] for c in comp)
-    table = MultiplicationTable(field, len(comp), cube, names)
+    table = MultiplicationTable(alg.field, len(comp), raw_quotient_cube(alg, j), names)
     quot = LeibnizAlgebra(table, _checked=True)  # L/J is Leibniz: J is an ideal
     return QuotientAlgebra(alg, j, quot)

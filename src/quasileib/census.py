@@ -581,7 +581,6 @@ def _analyze_class(key, alg, budget) -> ClassEntry:
 def sweep_tables(
     field: Field,
     dim: int,
-    workers: int = 1,
     budget: int = DEFAULT_BUDGET,
     run_lemmas: bool = False,
 ) -> CensusReport:
@@ -596,8 +595,6 @@ def sweep_tables(
     ``totals.valid`` the sum of the orbit sizes; each orbit is closed under
     generators of GL(dim, p).  Every class compares the exact predicate with
     the oracle on each of its subalgebras (``oracle_mismatches``).
-    ``workers`` is accepted for compatibility and does not change the work:
-    the census runs in this process.
     """
     if dim < 1:
         raise BadDimension(f"the census needs dim >= 1, got dim={dim}")
@@ -756,9 +753,8 @@ def _census(field, dim, budget):
 def _canonical_rep(field, dim, key) -> LeibnizAlgebra:
     """The algebra of a flat table, checked against the right identity in
     full: a class representative that fails it is a defect of the engine."""
-    cube = [[field.wrap(v) for v in row] for row in _cube(key, dim)]
     try:
-        return LeibnizAlgebra(MultiplicationTable(field, dim, cube))
+        return LeibnizAlgebra(MultiplicationTable(field, dim, _cube(key, dim)))
     except NotLeibniz as exc:
         raise VerificationFailed(f"class representative {key} is not Leibniz") from exc
 

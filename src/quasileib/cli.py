@@ -28,9 +28,9 @@ from .algebra import (
     table_from_json,
     validate,
 )
-from .errors import MalformedInput, QuasileibError
+from .errors import DimensionMismatch, MalformedInput, QuasileibError
 from .fields import parse_field, parse_scalar
-from .linalg import DEFAULT_BUDGET, echelonize
+from .linalg import DEFAULT_BUDGET, raw_echelonize
 from .quasi import core, is_quasi_ideal, quasi_ideals
 
 
@@ -51,8 +51,11 @@ def _load_subspace(alg, path):
     gens = _load_json(path)
     if not (isinstance(gens, list) and all(isinstance(row, list) for row in gens)):
         raise MalformedInput("a subspace file is a list of generator lists")
-    vectors = [tuple(alg.field.decode(s) for s in row) for row in gens]
-    return echelonize(alg.field, alg.dim, vectors)
+    for row in gens:
+        if len(row) != alg.dim:
+            raise DimensionMismatch(f"vector length {len(row)} in F^{alg.dim}")
+    decode = alg.field.decode
+    return raw_echelonize(alg.field, alg.dim, [[decode(x) for x in row] for row in gens])
 
 
 def _emit(obj, out_path):
@@ -169,7 +172,6 @@ def _cmd_census(args):
     report = census_mod.sweep_tables(
         parse_field(args.field),
         args.dim,
-        workers=args.workers,
         budget=args.budget,
         run_lemmas=args.lemmas,
     )

@@ -391,7 +391,8 @@ class Field:
     def encode(self, a):
         raise NotImplementedError
 
-    def decode(self, obj) -> Scalar:
+    def decode(self, obj):
+        """The raw value of a JSON scalar: the inverse of :meth:`encode`."""
         raise NotImplementedError
 
     def format(self, a) -> str:
@@ -476,10 +477,10 @@ class PrimeField(Field):
     def encode(self, a):
         return a
 
-    def decode(self, obj) -> Scalar:
+    def decode(self, obj):
         if not is_json_int(obj) or not 0 <= obj < self.p:
             raise MalformedInput(f"bad GF({self.p}) scalar: {obj!r}")
-        return Scalar(self, obj)
+        return obj
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -572,10 +573,10 @@ class RationalField(Field):
     def encode(self, a):
         return f"{a[0]}/{a[1]}"
 
-    def decode(self, obj) -> Scalar:
+    def decode(self, obj):
         if not isinstance(obj, str):
             raise MalformedInput(f"bad rational scalar: {obj!r}")
-        return Scalar(self, _parse_rational(obj))
+        return _parse_rational(obj)
 
     def format(self, a) -> str:
         num, den = a
@@ -723,7 +724,7 @@ class FunctionField(Field):
     def encode(self, a):
         return {"num": list(a[0]), "den": list(a[1])}
 
-    def decode(self, obj) -> Scalar:
+    def decode(self, obj):
         ok = (
             isinstance(obj, dict)
             and set(obj) == {"num", "den"}
@@ -735,7 +736,7 @@ class FunctionField(Field):
         )
         if not ok:
             raise MalformedInput(f"bad {self} scalar: {obj!r}")
-        return Scalar(self, self._reduce(poly_trim(obj["num"]), poly_trim(obj["den"])))
+        return self._reduce(poly_trim(obj["num"]), poly_trim(obj["den"]))
 
     def format(self, a) -> str:
         num, den = a

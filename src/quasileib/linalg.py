@@ -103,22 +103,19 @@ class Subspace:
     """A subspace of F^n held as its reduced row-echelon basis.
 
     ``raw_rows`` is the basis as raw field values, which the kernels compute
-    on; ``rows`` is the same basis as scalars."""
+    on; ``rows`` wraps it into scalars on each access."""
 
-    __slots__ = ("field", "ambient_dim", "raw_rows", "pivots", "_rows")
+    __slots__ = ("field", "ambient_dim", "raw_rows", "pivots")
 
     def __init__(self, field: Field, ambient_dim: int, raw_rows: tuple, pivots: tuple):
         self.field = field
         self.ambient_dim = ambient_dim
         self.raw_rows = raw_rows
         self.pivots = pivots
-        self._rows = None
 
     @property
     def rows(self) -> tuple:
-        if self._rows is None:
-            self._rows = tuple(self.field.wrap(r) for r in self.raw_rows)
-        return self._rows
+        return tuple(self.field.wrap(r) for r in self.raw_rows)
 
     @property
     def dim(self) -> int:

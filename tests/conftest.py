@@ -54,7 +54,7 @@ def gf2_dim3_class_representatives():
     report = sweep_tables(GF2, 3)
     assert report.totals["classes"] == 20
     return [
-        LeibnizAlgebra(MultiplicationTable(GF2, 3, entry.algebra.table.cube))
+        LeibnizAlgebra(MultiplicationTable(GF2, 3, entry.algebra.table.raw))
         for entry in report.classes
     ]
 

@@ -48,13 +48,13 @@ F2T = FunctionField(2)
 
 def reference_bracket(table, u, v):
     """Independent bilinear expansion used as the test oracle."""
-    n = table.dim
+    n, cube = table.dim, table.cube
     out = [table.field.zero] * n
     for i in range(n):
         for j in range(n):
             c = u[i] * v[j]
             for k in range(n):
-                out[k] = out[k] + c * table.cube[i][j][k]
+                out[k] = out[k] + c * cube[i][j][k]
     return tuple(out)
 
 
@@ -133,7 +133,7 @@ def test_is_lie_matches_lie_validation(family_corpus, nine_families):
     for field, n in ((GF2, 3), (GF3, 2)):
         tables = sorted(set().union(*census._liesation_orbits(field.p, n)))
         for flat in rng.sample(tables, 30):
-            entries = iter(field(c) for c in flat)
+            entries = iter(flat)
             cube = [[[next(entries) for _ in range(n)] for _ in range(n)] for _ in range(n)]
             algebras.append(LeibnizAlgebra(MultiplicationTable(field, n, cube)))
     verdicts = set()
@@ -169,15 +169,12 @@ def test_validate_agrees_with_reference_on_random_tables():
     witnesses = {"right": set(), "left": set(), "lie": set()}
     for _ in range(300):
         n = rng.randrange(1, 4)
-        cube = [
-            [[GF3(rng.randrange(3)) for _ in range(n)] for _ in range(n)]
-            for _ in range(n)
-        ]
+        cube = [[[rng.randrange(3) for _ in range(n)] for _ in range(n)] for _ in range(n)]
         if rng.random() < 1 / 3:
             for i in range(n):
-                cube[i][i] = [GF3.zero] * n
+                cube[i][i] = [0] * n
                 for j in range(i):
-                    cube[i][j] = [-x for x in cube[j][i]]
+                    cube[i][j] = [-x % 3 for x in cube[j][i]]
         table = MultiplicationTable(GF3, n, cube)
         for mode, seen in witnesses.items():
             failure = validate_matches_reference(table, mode)
@@ -203,7 +200,7 @@ def test_raw_kernels_agree_with_reference_over_qq_and_gf2t(field):
     for _ in range(60):
         n = rng.randrange(1, 4)
         cube = [
-            [[random_entry(field, rng) for _ in range(n)] for _ in range(n)]
+            [[random_entry(field, rng).value for _ in range(n)] for _ in range(n)]
             for _ in range(n)
         ]
         table = MultiplicationTable(field, n, cube)
@@ -231,7 +228,7 @@ def test_memoised_bracket_matches_reference_on_repeat(field):
     for _ in range(20):
         n = rng.randrange(1, 4)
         cube = [
-            [[_entry(field, rng) for _ in range(n)] for _ in range(n)]
+            [[_entry(field, rng).value for _ in range(n)] for _ in range(n)]
             for _ in range(n)
         ]
         table = MultiplicationTable(field, n, cube)
@@ -303,7 +300,7 @@ def test_bracket_rejects_foreign_field_entries():
         with pytest.raises(MixedFields):
             alg.bracket(good, bad)
     with pytest.raises(MixedFields):
-        MultiplicationTable(GF2, 1, [[(GF3.zero,)]])
+        build_table(GF2, ("e1",), {(0, 0): {0: GF3.zero}})
 
 
 def test_bracket_and_adjoint_fixtures():
@@ -491,10 +488,22 @@ def test_subalgebra_enumeration_fixture():
 
 
 def test_table_json_round_trip():
-    for table in (example_char2_table(), k2(GF2).table):
-        blob = json.dumps(table.to_json())
-        back = table_from_json(json.loads(blob))
-        assert back == table
+    # a table's JSON is each entry's scalar encoding, and it decodes back
+    # to the same raw cube
+    t = F2T.t
+    qq = build_table(QQ, ("x", "y"), {(0, 1): {0: QQ(-3) / 2, 1: 5}, (1, 1): {0: -1}})
+    f2t = build_table(F2T, ("u", "v"), {(0, 0): {1: t / (t + 1)}, (1, 0): {0: t * t}})
+    alg = non_lie_almost_abelian(GF2, 2)
+    quot = quotient(alg, echelonize(GF2, 3, [vec(GF2, (1, 0, 0))])).algebra.table
+    for table in (example_char2_table(), k2(GF2).table, qq, f2t, quot):
+        obj = table.to_json()
+        assert obj["table"] == [
+            [[s.to_json() for s in v] for v in row] for row in table.cube
+        ]
+        back = table_from_json(json.loads(json.dumps(obj)))
+        assert back == table and back.basis_names == table.basis_names
+    assert qq.to_json()["table"][0][1] == ["-3/2", "5/1"]
+    assert quot.basis_names == ("y", "h")
     with pytest.raises(MalformedInput):
         table_from_json({"dim": 1})
     with pytest.raises(MalformedInput):

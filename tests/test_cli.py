@@ -231,12 +231,17 @@ def test_family_budget_admits_a_table_at_the_bound(capsys):
     assert run([*argv, "--budget", "27"]) == 0
 
 
-@pytest.mark.parametrize("gens", [5, [1, 0, 0], {"rows": []}])
+@pytest.mark.parametrize(
+    "gens", [5, [1, 0, 0], {"rows": []}, [[1, 0]], [[1, 0, 0, 0]]]
+)
 def test_malformed_subspace_exits_2(tmp_path, capsys, example_algebra, gens):
+    # the example algebra has dimension 3, so the last two rows are short
+    # and long
     sub = write_generators(tmp_path / "sub.json", gens)
     argv = ["quasi", "check", "--algebra", str(example_algebra), "--subspace", sub]
     assert run(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_info_output(capsys, example_algebra):

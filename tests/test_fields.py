@@ -161,7 +161,8 @@ def test_canonicalization_idempotent():
         for _ in range(200):
             s = random_scalar(field, rng)
             assert field(s.value if isinstance(field, PrimeField) else s) == s
-            assert field.decode(s.to_json()) == s
+            a = s.value
+            assert field.decode(field.encode(a)) == a
 
 
 def test_sqrt_round_trip():
@@ -345,12 +346,12 @@ def test_qq_text_round_trips():
         s = QQ(q)
         text = s.to_json()
         assert text == f"{q.numerator}/{q.denominator}"
-        assert QQ.decode(text) == s and parse_scalar(QQ, text) == s
+        assert QQ.decode(text) == s.value and parse_scalar(QQ, text) == s
         assert repr(s) == str(q)
     half = QQ.decode("2/4")
-    assert half.value == (1, 2) and half.to_json() == "1/2"
+    assert half == (1, 2) and QQ.encode(half) == "1/2"
     assert parse_scalar(QQ, "-6/4").value == (-3, 2)
-    assert QQ.decode("-0/5").value == QQ.raw_zero == (0, 1)
+    assert QQ.decode("-0/5") == QQ.raw_zero == (0, 1)
     # a raw pair is accepted and canonicalised, as for GF(p)(t)
     assert QQ((2, -4)).value == (-1, 2)
     with pytest.raises(DivisionByZero):

@@ -198,7 +198,7 @@ def test_oracle_matches_reference_where_the_quotient_is_widest(gf3_dim3_census):
     # every subspace of the GF(3) dim-3 classes and of two GF(3) dim-4
     # algebras, where L/H has up to 13 lines over GF(3)
     algebras = [
-        LeibnizAlgebra(MultiplicationTable(GF3, 3, entry.algebra.table.cube))
+        LeibnizAlgebra(MultiplicationTable(GF3, 3, entry.algebra.table.raw))
         for entry in gf3_dim3_census.classes
     ]
     assert len(algebras) == 27
@@ -397,7 +397,7 @@ def _base_changed(alg, rng):
         if pivots == tuple(range(n)):
             break
     inverse = tuple(row[n:] for row in reduced)
-    cube = [[apply_row(alg.bracket(a, b), inverse) for b in mat] for a in mat]
+    cube = [[field.unwrap(apply_row(alg.bracket(a, b), inverse)) for b in mat] for a in mat]
     return LeibnizAlgebra(MultiplicationTable(field, n, cube))
 
 
@@ -479,7 +479,7 @@ def test_core_free_quotient(family_corpus):
 
 def _fresh(alg):
     """The same table in a new algebra, with every memo empty."""
-    table = MultiplicationTable(alg.field, alg.dim, alg.table.cube)
+    table = MultiplicationTable(alg.field, alg.dim, alg.table.raw)
     return LeibnizAlgebra(table, _checked=True)
 
 
