@@ -32,7 +32,6 @@ from .fields import Field, field_from_json, is_json_int
 from .linalg import (
     DEFAULT_BUDGET,
     Subspace,
-    echelonize,
     enumerate_subspaces,
     full_subspace,
     raw_echelonize,
@@ -147,7 +146,8 @@ def table_from_json(obj) -> MultiplicationTable:
 
 
 def build_table(field: Field, basis_names, products) -> MultiplicationTable:
-    """Table from a sparse product map {(i, j): {k: coeff}}."""
+    """Table from a sparse product map {(i, j): {k: coeff}}, each coeff a
+    scalar of the field or a plain or raw value that ``field`` takes."""
     n = len(basis_names)
     raw = [[[field.raw_zero] * n for _ in range(n)] for _ in range(n)]
     for (i, j), entry in products.items():
@@ -506,13 +506,6 @@ class QuotientAlgebra(
         r = self.modulus.reduce(v)
         comp = self.modulus.non_pivots()
         return tuple(r[c] for c in comp)
-
-    def project_subspace(self, s: Subspace) -> Subspace:
-        return echelonize(
-            self.algebra.field,
-            self.algebra.dim,
-            [self.project_vector(r) for r in s.rows],
-        )
 
 
 def _raw_project(j: Subspace, comp: tuple, v: tuple) -> tuple:

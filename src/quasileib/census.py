@@ -211,7 +211,7 @@ def match_extraspecial_sum(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     ]
     if any(None in row for row in gram):
         return None
-    if not is_anisotropic(field, tuple(map(field.wrap, gram)), budget=budget):
+    if not is_anisotropic(field, gram, budget=budget):
         return None
     return (alg.dim - zl.dim + 1, zl.dim - 1)
 
@@ -271,8 +271,7 @@ def match_char2_family(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
         return None
     ext = diag + [field.raw_one]
     gram = tuple(
-        field.wrap(ext[i] if i == j else zero for j in range(k + 1))
-        for i in range(k + 1)
+        tuple(ext[i] if i == j else zero for j in range(k + 1)) for i in range(k + 1)
     )
     if not is_anisotropic(field, gram, budget=budget):
         return None

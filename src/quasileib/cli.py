@@ -16,18 +16,7 @@ import sys
 
 from . import census as census_mod
 from . import families as families_mod
-from .algebra import (
-    LeibnizAlgebra,
-    center,
-    is_lie,
-    is_nilpotent,
-    is_solvable,
-    is_symmetric,
-    series,
-    squares_ideal,
-    table_from_json,
-    validate,
-)
+from .algebra import LeibnizAlgebra, series, table_from_json, validate
 from .errors import DimensionMismatch, MalformedInput, QuasileibError
 from .fields import parse_field, parse_scalar
 from .linalg import DEFAULT_BUDGET, raw_echelonize
@@ -76,19 +65,20 @@ def _cmd_validate(args):
 
 def _cmd_info(args):
     alg = _load_algebra(args.algebra)
-    lower = [s.dim for s in series(alg, kind="lower_central")]
-    derived = [s.dim for s in series(alg, kind="derived")]
+    dim, lower, derived, squares, center, lie, symmetric = (
+        census_mod.algebra_invariants(alg)
+    )
     _emit(
         {
-            "dim": alg.dim,
+            "dim": dim,
             "field": alg.field.to_json(),
             "basis_names": list(alg.basis_names),
-            "is_lie": is_lie(alg),
-            "is_symmetric": is_symmetric(alg),
-            "is_nilpotent": is_nilpotent(alg),
-            "is_solvable": is_solvable(alg),
-            "dim_squares_ideal": squares_ideal(alg).dim,
-            "dim_center": center(alg).dim,
+            "is_lie": lie,
+            "is_symmetric": symmetric,
+            "is_nilpotent": lower[-1] == 0,
+            "is_solvable": derived[-1] == 0,
+            "dim_squares_ideal": squares,
+            "dim_center": center,
             "lower_central_dims": lower,
             "derived_dims": derived,
         },

@@ -43,31 +43,32 @@ from .fields import (
     GF2,
     Field,
     FunctionField,
-    Scalar,
     poly_add,
     poly_mul,
     poly_sqrt,
     poly_trim,
 )
-from .linalg import DEFAULT_BUDGET, projective_points, rref, solve_left
+from .linalg import DEFAULT_BUDGET, raw_projective_points, raw_rref, raw_solve_left
 
 # ---------------------------------------------------------------------------
-# quadratic-form helpers
+# quadratic-form helpers, on raw values
 # ---------------------------------------------------------------------------
 
 
-def evaluate_form(gram, point) -> Scalar:
-    """q(x) = x G x^T for a square matrix of scalars."""
-    total = None
-    for i, xi in enumerate(point):
-        for j, xj in enumerate(point):
-            term = xi * gram[i][j] * xj
-            total = term if total is None else total + term
+def evaluate_form(field: Field, gram, point):
+    """q(x) = x G x^T for a square matrix and a vector of raw values."""
+    add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
+    total = zero
+    for xi, row in zip(point, gram):
+        if xi == zero:
+            continue
+        for gij, xj in zip(row, point):
+            total = add(total, mul(mul(xi, gij), xj))
     return total
 
 
-def artin_schreier_root(field: FunctionField, d: Scalar):
-    """A root of y**2 + y = d over GF(2)(t), or None.
+def artin_schreier_root(field: FunctionField, d):
+    """A raw root of y**2 + y = d over GF(2)(t) for a raw d, or None.
 
     With y = n/m reduced, m**2 must be the (monic) denominator of d and
     n**2 + n m = num(d); squaring and multiplying by a fixed m are both
@@ -76,7 +77,7 @@ def artin_schreier_root(field: FunctionField, d: Scalar):
     """
     if field.p != 2:
         raise UnsupportedField("Artin-Schreier roots only in characteristic 2")
-    num, den = d.value
+    num, den = d
     m = poly_sqrt(2, den)
     if m is None:
         return None
@@ -84,9 +85,7 @@ def artin_schreier_root(field: FunctionField, d: Scalar):
     # 2 deg n = deg num, so this degree bound covers every solution
     bound = max(len(num) - 1, len(m) - 1, 1)
     width = 2 * bound + len(m)
-    pad = lambda poly: tuple(
-        GF2(poly[i] if i < len(poly) else 0) for i in range(width)
-    )
+    pad = lambda poly: tuple(poly[i] if i < len(poly) else 0 for i in range(width))
     rows = []
     basis_polys = []
     for k in range(bound + 1):
@@ -94,36 +93,37 @@ def artin_schreier_root(field: FunctionField, d: Scalar):
         img = poly_add(2, poly_trim([0] * (2 * k) + [1]), poly_mul(2, tk, m))
         rows.append(pad(img))
         basis_polys.append(tk)
-    coeffs = solve_left(GF2, rows, pad(num))
+    coeffs = raw_solve_left(GF2, rows, pad(num))
     if coeffs is None:
         return None
     n = ()
     for c, tk in zip(coeffs, basis_polys):
         if c:
             n = poly_add(2, n, tk)
-    y = field.from_polys(n, m)
-    if y * y + y != d:
-        raise VerificationFailed(f"{y} is not a root of y^2 + y = {d}")
+    y = field.canon((n, m))
+    if field.raw_add(field.raw_mul(y, y), y) != d:
+        raise VerificationFailed(
+            f"{field.format(y)} is not a root of y^2 + y = {field.format(d)}"
+        )
     return y
 
 
 def char2_diagonal_anisotropic(field: FunctionField, diagonal) -> bool:
-    """Whether sum d_i x_i**2 has only the trivial zero over GF(2)(t).
+    """Whether sum d_i x_i**2 has only the trivial zero over GF(2)(t), for
+    raw coefficients d_i.
 
     Writing d_i = u_i**2 + t v_i**2, the form vanishes at x exactly when
     sum x_i u_i = sum x_i v_i = 0, so anisotropy is full rank of the
     (u_i, v_i) rows (forcing at most two variables over GF(2)(t)).
     """
-    rows = []
-    for d in diagonal:
-        u, v = field.even_odd_parts(d)
-        rows.append((u, v))
-    _, pivots = rref(field, rows, 2)
+    rows = [field.even_odd_parts(d) for d in diagonal]
+    _, pivots = raw_rref(field, rows, 2)
     return len(pivots) == len(rows)
 
 
 def is_anisotropic(field: Field, gram, budget: int = DEFAULT_BUDGET) -> bool:
-    """Decide whether q(x) = x G x^T vanishes only at 0.
+    """Decide whether q(x) = x G x^T vanishes only at 0, for a Gram matrix
+    of raw values.
 
     Finite prime fields are handled by projective-point enumeration.  Over
     infinite fields: rank 1 directly; rank 2 by the discriminant (odd or
@@ -133,30 +133,31 @@ def is_anisotropic(field: Field, gram, budget: int = DEFAULT_BUDGET) -> bool:
     k = len(gram)
     if k == 0:
         return True
+    add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
     if field.is_finite:
-        for pt in projective_points(field, k, budget=budget):
-            if not evaluate_form(gram, pt):
-                return False
-        return True
+        return all(
+            evaluate_form(field, gram, pt) != zero
+            for pt in raw_projective_points(field, k, budget=budget)
+        )
     char2 = field.characteristic() == 2
     polar_zero = all(
-        not (gram[i][j] + gram[j][i]) for i in range(k) for j in range(i + 1, k)
+        add(gram[i][j], gram[j][i]) == zero for i in range(k) for j in range(i + 1, k)
     )
     if char2 and polar_zero:
         return char2_diagonal_anisotropic(field, [gram[i][i] for i in range(k)])
     if k == 1:
-        return bool(gram[0][0])
+        return gram[0][0] != zero
     if k == 2:
         a = gram[0][0]
-        b = gram[0][1] + gram[1][0]
+        b = add(gram[0][1], gram[1][0])
         c = gram[1][1]
-        if not a:
+        if a == zero:
             return False
         if not char2:
-            disc = b * b - 4 * a * c
-            return not disc.is_square()
+            four_ac = mul(field.canon(4), mul(a, c))
+            return not field.raw_is_square(add(mul(b, b), field.raw_neg(four_ac)))
         # a x^2 + b x y + c y^2 with b != 0: substitute x = (b/a) w y
-        d = c * a / (b * b)
+        d = mul(mul(c, a), field.raw_inv(mul(b, b)))
         return artin_schreier_root(field, d) is None
     raise UnsupportedField(
         f"anisotropy of a rank-{k} form with cross terms over {field}"
@@ -261,9 +262,7 @@ def extraspecial_sum(
     """
     if gram is None:
         gram = default_anisotropic_gram(field, 1)
-    gram = tuple(
-        tuple(s if isinstance(s, Scalar) else field(s) for s in row) for row in gram
-    )
+    gram = tuple(tuple(field(s).value for s in row) for row in gram)
     k = len(gram)
     if k < 1 or any(len(row) != k for row in gram):
         raise BadDimension("the form matrix must be square and nonempty")
@@ -279,8 +278,12 @@ def extraspecial_sum(
         + ("z",)
         + tuple(f"w{i+1}" for i in range(dim_z))
     )
+    zero = field.raw_zero
     products = {
-        (i, j): {k: gram[i][j]} for i in range(k) for j in range(k) if gram[i][j]
+        (i, j): {k: gram[i][j]}
+        for i in range(k)
+        for j in range(k)
+        if gram[i][j] != zero
     }
     return LeibnizAlgebra(build_table(field, names, products))
 
@@ -296,22 +299,17 @@ def char2_nonperfect(field: Field, lambdas=None, gram=None) -> LeibnizAlgebra:
     """
     if field.characteristic() != 2:
         raise BadCharacteristic("this family lives in characteristic 2")
+    zero, one = field.raw_zero, field.raw_one
     if gram is None:
         if lambdas is None:
             lambdas = (field.t,) if isinstance(field, FunctionField) else (field.one,)
-        lambdas = tuple(
-            s if isinstance(s, Scalar) else field(s) for s in lambdas
-        )
-        zero = field.zero
+        lambdas = [field(s).value for s in lambdas]
         gram = tuple(
             tuple(lambdas[i] if i == j else zero for j in range(len(lambdas)))
             for i in range(len(lambdas))
         )
     else:
-        gram = tuple(
-            tuple(s if isinstance(s, Scalar) else field(s) for s in row)
-            for row in gram
-        )
+        gram = tuple(tuple(field(s).value for s in row) for row in gram)
     k = len(gram)
     if k < 1 or any(len(row) != k for row in gram):
         raise BadDimension("the coefficient matrix must be square and nonempty")
@@ -321,10 +319,10 @@ def char2_nonperfect(field: Field, lambdas=None, gram=None) -> LeibnizAlgebra:
                 raise ValueError("the coefficient matrix must be symmetric")
     diagonal = [gram[i][i] for i in range(k)]
     for lam in diagonal:
-        if lam.is_square():
-            raise SquareLambda(f"{lam!r} is a square in {field}")
+        if field.raw_is_square(lam):
+            raise SquareLambda(f"{field.format(lam)} is a square in {field}")
     # squares live on the diagonal extended by the [h,h] coefficient 1
-    extended = diagonal + [field.one]
+    extended = diagonal + [one]
     if isinstance(field, FunctionField):
         if not char2_diagonal_anisotropic(field, extended):
             raise SquareLambda(
@@ -336,12 +334,12 @@ def char2_nonperfect(field: Field, lambdas=None, gram=None) -> LeibnizAlgebra:
     products = {}
     for i in range(k):
         for j in range(k):
-            if gram[i][j]:
+            if gram[i][j] != zero:
                 products[(i, j)] = {k: gram[i][j]}
     for i in range(k):
-        products[(i, k + 1)] = {i: field.one}
-        products[(k + 1, i)] = {i: field.one}
-    products[(k + 1, k + 1)] = {k: field.one}
+        products[(i, k + 1)] = {i: one}
+        products[(k + 1, i)] = {i: one}
+    products[(k + 1, k + 1)] = {k: one}
     return LeibnizAlgebra(build_table(field, names, products))
 
 

@@ -702,24 +702,21 @@ class FunctionField(Field):
         # sqrt_mod_prime(1, p) = 1 (with the coefficient itself at p = 2)
         return (rn, rd)
 
-    def even_odd_parts(self, s: Scalar):
-        """Write ``s = u**2 + t * v**2`` (characteristic 2 only).
+    def even_odd_parts(self, a):
+        """Raw u and v with ``a = u**2 + t * v**2`` for a raw value a
+        (characteristic 2 only).
 
-        Uses s = n/d = (n*d)/d**2 and the even/odd split of n*d; this is the
+        Uses a = n/d = (n*d)/d**2 and the even/odd split of n*d; this is the
         coordinate map of GF(2)(t) as a rank-2 module over its subfield of
         squares, with basis {1, t}.
         """
         if self.p != 2:
             raise UnsupportedField("even/odd split needs characteristic 2")
-        if s.field != self:
-            raise MixedFields(f"{self} vs {s.field}")
-        num, den = s.value
+        num, den = a
         nd = poly_mul(self.p, num, den)
         even = poly_trim(nd[i] for i in range(0, len(nd), 2))
         odd = poly_trim(nd[i] for i in range(1, len(nd), 2))
-        u = self._reduce(even, den)
-        v = self._reduce(odd, den)
-        return Scalar(self, u), Scalar(self, v)
+        return self._reduce(even, den), self._reduce(odd, den)
 
     def encode(self, a):
         return {"num": list(a[0]), "den": list(a[1])}

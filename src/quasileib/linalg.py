@@ -1,14 +1,16 @@
 """Exact vectors, matrices and echelon-form subspaces over any supported field.
 
-Vectors are tuples of scalars and matrices are tuples of row vectors; all
-operators act on row vectors from the right, so ``apply_row(v, M)`` is
+Vectors are tuples and matrices are tuples of row vectors; matrices act on
+row vectors from the right, so ``raw_combination(field, v, M, n)`` is
 ``v @ M``.  A :class:`Subspace` stores the reduced row-echelon basis of a
 row space, which makes subspace equality structural equality.
 
-The ``raw_*`` functions and methods are the kernels: they take and return
-tuples of raw field values (``Field.unwrap``) and compute with the field's
-``raw_*`` arithmetic, one code path for every field kind.  The functions
-without the prefix are the scalar edge over them.
+The ``raw_*`` functions and methods are the only linear algebra: they take
+and return tuples of raw field values (``Field.unwrap``) and compute with
+the field's ``raw_*`` arithmetic, one code path for every field kind.
+Scalars appear only at the edge: :func:`vec`, :func:`unit_vec`,
+:func:`echelonize`, and :class:`Subspace`'s ``rows``, ``reduce`` and
+``contains_vector``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import BudgetExceeded, DimensionMismatch, MixedFields, UnsupportedField
-from .fields import Field, Scalar
+from .fields import Field
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -26,27 +28,14 @@ DEFAULT_BUDGET = 1_000_000
 
 
 def vec(field: Field, values) -> tuple:
-    return tuple(v if isinstance(v, Scalar) else field(v) for v in values)
+    """A vector of scalars of ``field``; a scalar of another field raises
+    MixedFields."""
+    return tuple(field(v) for v in values)
 
 
 def unit_vec(field: Field, n: int, i: int) -> tuple:
     z, o = field.zero, field.one
     return tuple(o if j == i else z for j in range(n))
-
-
-def mat_identity(field: Field, n: int) -> tuple:
-    return tuple(unit_vec(field, n, i) for i in range(n))
-
-
-def apply_row(v: tuple, a: tuple) -> tuple:
-    """v @ a for a row vector v."""
-    if len(v) != len(a):
-        raise DimensionMismatch(f"vector of length {len(v)} vs {len(a)} rows")
-    if not a:
-        return ()
-    field = v[0].field
-    rows = [field.unwrap(r) for r in a]
-    return field.wrap(raw_combination(field, field.unwrap(v), rows, len(rows[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +79,6 @@ def raw_rref(field: Field, rows, ncols: int):
         pivots.append(c)
         r += 1
     return tuple(tuple(row) for row in work[:r]), tuple(pivots)
-
-
-def rref(field: Field, rows, ncols: int):
-    """Reduced row-echelon form of rows of scalars.  Returns (rows, pivot
-    columns); zero rows are dropped."""
-    reduced, pivots = raw_rref(field, [field.unwrap(r) for r in rows], ncols)
-    return tuple(field.wrap(r) for r in reduced), pivots
 
 
 class Subspace:
@@ -238,13 +220,12 @@ def full_subspace(field: Field, n: int) -> Subspace:
     return Subspace(field, n, raw_identity(field, n), tuple(range(n)))
 
 
-def solve_left(field: Field, rows, target: tuple):
-    """Some x with x @ rows = target, or None if the system is inconsistent.
+def raw_solve_left(field: Field, rows, target: tuple):
+    """Some raw x with x @ rows = target, or None if the system is
+    inconsistent.
 
-    ``rows`` is a sequence of r equal-length vectors; x has length r.
+    ``rows`` is a sequence of r equal-length raw vectors; x has length r.
     """
-    rows = [field.unwrap(row) for row in rows]
-    target = field.unwrap(target)
     r = len(rows)
     if r == 0:
         return () if all(t == field.raw_zero for t in target) else None
@@ -259,7 +240,7 @@ def solve_left(field: Field, rows, target: tuple):
     x = [field.raw_zero] * r
     for row, p in zip(reduced, pivots):
         x[p] = row[r]
-    return field.wrap(x)
+    return tuple(x)
 
 
 def raw_left_kernel(field: Field, rows) -> Subspace:
@@ -278,11 +259,6 @@ def raw_left_kernel(field: Field, rows) -> Subspace:
             v[p] = field.raw_neg(row[f])
         basis.append(v)
     return raw_echelonize(field, nrows, basis)
-
-
-def left_kernel(field: Field, rows) -> Subspace:
-    """All v with v @ rows = 0, i.e. the left null space of the matrix."""
-    return raw_left_kernel(field, [field.unwrap(r) for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +298,6 @@ def require_subspaces(field: Field, n: int, dims, budget: int):
         raise BudgetExceeded(f"subspaces of F^{n}: {count} exceeds budget {budget}")
 
 
-def all_vectors(field: Field, n: int, budget: int = DEFAULT_BUDGET):
-    """Every vector of F^n, lexicographically."""
-    require_enumerable(field, n, budget, f"vectors of F^{n}")
-    elems = list(field.elements())
-    for combo in itertools.product(elems, repeat=n):
-        yield combo
-
-
 def raw_projective_points(field: Field, n: int, budget: int = DEFAULT_BUDGET):
     """One raw representative per 1-dimensional subspace of F^n: the leading
     nonzero coordinate is 1.  The budget bounds the q^n vectors of F^n."""
@@ -340,12 +308,6 @@ def raw_projective_points(field: Field, n: int, budget: int = DEFAULT_BUDGET):
     for lead in range(n):
         for tail in itertools.product(elems, repeat=n - lead - 1):
             yield (z,) * lead + (o,) + tail
-
-
-def projective_points(field: Field, n: int, budget: int = DEFAULT_BUDGET):
-    """``raw_projective_points`` as vectors of scalars."""
-    for point in raw_projective_points(field, n, budget):
-        yield field.wrap(point)
 
 
 def enumerate_subspaces(

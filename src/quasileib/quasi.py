@@ -52,10 +52,10 @@ from .linalg import (
     echelonize,
     raw_combination,
     raw_echelonize,
+    raw_identity,
     raw_left_kernel,
     raw_projective_points,
     require_enumerable,
-    vec,
 )
 
 
@@ -95,9 +95,9 @@ class QuasiIdealVerdict(
 
 
 def _witness_in_span(alg, h_space, x, value) -> bool:
-    # verifies a negative witness: value must escape H + Fx
-    probe = h_space.sum(echelonize(alg.field, alg.dim, [x]))
-    return not probe.contains_vector(value)
+    # verifies a negative witness of raw vectors: value must escape H + Fx
+    probe = raw_echelonize(alg.field, alg.dim, h_space.raw_rows + (x,))
+    return not probe.raw_contains(value)
 
 
 def is_quasi_ideal_in(
@@ -147,7 +147,7 @@ def _decide_quasi_in(alg, h, m):
 
     def refuted(hrow, x, value):
         witness = (field.wrap(hrow), field.wrap(x), field.wrap(value))
-        if not _witness_in_span(alg, h, witness[1], witness[2]):
+        if not _witness_in_span(alg, h, x, value):
             raise VerificationFailed(f"witness {witness} lands in H + Fx")
         return QuasiIdealVerdict(False, witness=witness)
 
@@ -365,13 +365,15 @@ def is_engel_algebra(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Engel
                 return EngelReport(False, True, field.wrap(x))
         return EngelReport(True, True)
     rng = random.Random(0)
-    candidates = [alg.basis_vector(i) for i in range(alg.dim)]
+    candidates = list(raw_identity(field, alg.dim))
     candidates += [
-        vec(alg.field, [rng.randrange(-9, 10) for _ in range(alg.dim)]) for _ in range(32)
+        tuple(field.canon(rng.randrange(-9, 10)) for _ in range(alg.dim))
+        for _ in range(32)
     ]
     for x in candidates:
-        if not is_left_engel(alg, x):
-            return EngelReport(False, False, x)
+        line = raw_echelonize(field, alg.dim, [x])
+        if not _left_engel(alg, line.raw_rows, line.pivots):
+            return EngelReport(False, False, field.wrap(x))
     return EngelReport(True, False)
 
 

@@ -435,18 +435,71 @@ def test_sweep_rejects_dim_below_one(dim):
         sweep_tables(GF2, dim)
 
 
+SCALAR_ARITHMETIC = (
+    "__add__",
+    "__radd__",
+    "__sub__",
+    "__rsub__",
+    "__mul__",
+    "__rmul__",
+    "__truediv__",
+    "__rtruediv__",
+    "__neg__",
+    "__pow__",
+    "__bool__",
+)
+
+
+def test_census_and_classification_do_no_scalar_arithmetic(monkeypatch):
+    # below the API edge everything computes on raw values: with every
+    # Scalar arithmetic operator raising, the censuses and the catalogue
+    # verdicts come out as they do unpatched
+    from quasileib.fields import Scalar
+
+    def algebras():
+        return [
+            extraspecial_sum(QQ, default_anisotropic_gram(QQ, 2), dim_z=1),
+            extraspecial_sum(F2T, default_anisotropic_gram(F2T, 2)),
+            char2_nonperfect(F2T),
+        ]
+
+    def run(members):
+        sweeps = [
+            sweep_tables(GF3, 2, run_lemmas=True).to_bytes(),
+            sweep_tables(GF2, 3, run_lemmas=True).to_bytes(),
+        ]
+        return sweeps, [classify_q_member(alg) for alg in members]
+
+    expected = run(algebras())
+    members = algebras()
+
+    def refuse(*args):
+        raise AssertionError("Scalar arithmetic below the API edge")
+
+    with monkeypatch.context() as patch:
+        for name in SCALAR_ARITHMETIC:
+            patch.setattr(Scalar, name, refuse)
+        found = run(members)
+    assert found == expected
+    assert [res.verdict for res in found[1]] == [
+        EXTRASPECIAL_SUM,
+        EXTRASPECIAL_SUM,
+        CHAR2_FAMILY,
+    ]
+
+
 def test_central_squares_instance_on_extraspecial():
     # with all squares off the ideal of squares nonzero, that ideal is
     # central; the rank-2 form over GF(3) realizes the hypothesis
     from quasileib.algebra import center, squares_ideal
-    from quasileib.linalg import projective_points
+    from quasileib.linalg import raw_projective_points
 
     es = extraspecial_sum(GF3, default_anisotropic_gram(GF3, 2))
     ideal = squares_ideal(es)
     assert ideal.dim == 1
-    for x in projective_points(GF3, es.dim):
-        if not ideal.contains_vector(x):
-            assert any(es.bracket(x, x))
+    for x in raw_projective_points(GF3, es.dim):
+        if not ideal.raw_contains(x):
+            assert any(es.table.raw_bracket(x, x))
     assert center(es).contains(ideal)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from quasileib.algebra import (
@@ -15,6 +17,7 @@ from quasileib.errors import (
     BadCharacteristic,
     BadDimension,
     IsotropicForm,
+    MixedFields,
     SquareLambda,
     VerificationFailed,
 )
@@ -36,8 +39,8 @@ from quasileib.families import (
     two_dim_catalogue,
     two_dim_solvable_cyclic,
 )
-from quasileib.fields import GF2, GF3, QQ, FunctionField, PrimeField
-from quasileib.linalg import all_vectors, echelonize, vec
+from quasileib.fields import GF2, GF3, QQ, FunctionField, PrimeField, Scalar
+from quasileib.linalg import echelonize, vec
 from quasileib.quasi import is_quasi_ideal
 from tests.conftest import SYMMETRIC_FAMILIES
 
@@ -164,9 +167,9 @@ def test_extraspecial_sum_fixture_gf3():
     alg = extraspecial_sum(GF3, gram, dim_z=1)
     assert alg.dim == 4
     # q = a^2 + b^2 has no nontrivial zero mod 3
-    for x in all_vectors(GF3, 2):
+    for x in itertools.product(GF3.elements(), repeat=2):
         if any(x):
-            assert evaluate_form(gram, x)
+            assert evaluate_form(GF3, _raw(GF3, gram), GF3.unwrap(x)) != 0
     ideal = squares_ideal(alg)
     assert ideal.dim == 1
     assert center(alg).dim == 2
@@ -180,6 +183,8 @@ def test_extraspecial_rejects_isotropic_forms():
         extraspecial_sum(PrimeField(5), default_anisotropic_gram(PrimeField(5), 2))
     with pytest.raises(IsotropicForm):
         extraspecial_sum(QQ, ((QQ.zero,),))
+    with pytest.raises(MixedFields):
+        extraspecial_sum(GF2, ((GF3.one,),))
 
 
 def test_extraspecial_default_form_over_rationals():
@@ -199,6 +204,8 @@ def test_char2_gates():
         char2_nonperfect_minimal(F2T, lam=F2T.t * F2T.t)
     with pytest.raises(SquareLambda):
         char2_nonperfect(F2T, lambdas=(F2T.t, F2T.t))
+    with pytest.raises(SquareLambda, match=r"^1 is a square in GF\(2\)\(t\)$"):
+        char2_nonperfect(F2T, lambdas=(F2T.one,))
     assert char2_nonperfect_minimal(F2T, lam=F2T.t).dim == 3
 
 
@@ -212,46 +219,75 @@ def test_char2_off_diagonal_gram():
         char2_nonperfect(F2T, gram=((t, F2T.one), (F2T.zero, t)))
 
 
+def _raw(field, gram):
+    """A Gram matrix of scalars or plain values as rows of raw values."""
+    return tuple(field.unwrap(vec(field, row)) for row in gram)
+
+
 def test_anisotropy_decisions():
     t = F2T.t
     one, zero = F2T.one, F2T.zero
-    assert is_anisotropic(F2T, ((one, one), (zero, one)))  # x^2 + xy + y^2
-    assert is_anisotropic(F2T, ((t,),))
+    assert is_anisotropic(F2T, _raw(F2T, ((one, one), (zero, one))))  # x^2 + xy + y^2
+    assert is_anisotropic(F2T, _raw(F2T, ((t,),)))
     # x^2 + xy + (t^2 + t) y^2 has the root x = t y
-    assert not is_anisotropic(F2T, ((one, one), (zero, t * t + t)))
+    assert not is_anisotropic(F2T, _raw(F2T, ((one, one), (zero, t * t + t))))
 
 
 def test_anisotropy_rank_one_nonzero_coefficient():
     t = F2T.t
-    assert is_anisotropic(F2T, ((t * t,),))
-    assert not is_anisotropic(F2T, ((F2T.zero,),))
-    assert not is_anisotropic(GF3, ((GF3.zero,),))
-    assert is_anisotropic(QQ, ((QQ(-1),),))
+    assert is_anisotropic(F2T, _raw(F2T, ((t * t,),)))
+    assert not is_anisotropic(F2T, _raw(F2T, ((0,),)))
+    assert not is_anisotropic(GF3, ((0,),))
+    assert is_anisotropic(QQ, _raw(QQ, ((-1,),)))
     # over Q: x^2 - 2 y^2 anisotropic (2 is not a rational square)
-    assert is_anisotropic(QQ, ((QQ.one, QQ.zero), (QQ.zero, QQ(-2))))
+    assert is_anisotropic(QQ, _raw(QQ, ((1, 0), (0, -2))))
     # x^2 - 4 y^2 is isotropic
-    assert not is_anisotropic(QQ, ((QQ.one, QQ.zero), (QQ.zero, QQ(-4))))
+    assert not is_anisotropic(QQ, _raw(QQ, ((1, 0), (0, -4))))
+
+
+def test_anisotropy_matches_brute_force_on_every_small_gram():
+    # every Gram matrix of rank 1-2 over GF(2), GF(3) and GF(5) and of rank 3
+    # over GF(2), against plain-int arithmetic over every nonzero vector
+    for p, rank in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)):
+        nonzero = [x for x in itertools.product(range(p), repeat=rank) if any(x)]
+        for entries in itertools.product(range(p), repeat=rank * rank):
+            gram = tuple(entries[i * rank : (i + 1) * rank] for i in range(rank))
+            isotropic = any(
+                sum(
+                    x[i] * gram[i][j] * x[j] for i in range(rank) for j in range(rank)
+                )
+                % p
+                == 0
+                for x in nonzero
+            )
+            assert is_anisotropic(PrimeField(p), gram) == (not isotropic), (p, gram)
 
 
 def test_char2_diagonal_independence():
     t = F2T.t
-    assert char2_diagonal_anisotropic(F2T, [t, F2T.one])
-    assert not char2_diagonal_anisotropic(F2T, [t, t])
-    assert not char2_diagonal_anisotropic(F2T, [t, F2T.one, t + 1])
+    assert char2_diagonal_anisotropic(F2T, F2T.unwrap((t, F2T.one)))
+    assert not char2_diagonal_anisotropic(F2T, F2T.unwrap((t, t)))
+    assert not char2_diagonal_anisotropic(F2T, F2T.unwrap((t, F2T.one, t + 1)))
+
+
+def _root(d):
+    """artin_schreier_root of a scalar, as a scalar or None."""
+    root = artin_schreier_root(F2T, d.value)
+    return None if root is None else Scalar(F2T, root)
 
 
 def test_artin_schreier_solver():
     t = F2T.t
-    root = artin_schreier_root(F2T, t * t + t)
+    root = _root(t * t + t)
     assert root is not None and root * root + root == t * t + t
-    assert artin_schreier_root(F2T, F2T.one) is None
-    assert artin_schreier_root(F2T, F2T.zero) == F2T.zero
+    assert _root(F2T.one) is None
+    assert _root(F2T.zero) == F2T.zero
     d = (t * t * t + t) / ((t + 1) * (t + 1))
-    r = artin_schreier_root(F2T, d)
+    r = _root(d)
     if r is not None:
         assert r * r + r == d
     # denominator not a square: no root
-    assert artin_schreier_root(F2T, F2T.one / t) is None
+    assert _root(F2T.one / t) is None
 
 
 def test_artin_schreier_root_is_checked(monkeypatch):
@@ -259,11 +295,11 @@ def test_artin_schreier_root_is_checked(monkeypatch):
 
     # a wrong linear solve must not come back as a root
     monkeypatch.setattr(
-        families_mod, "solve_left", lambda field, rows, target: vec(GF2, [1] * len(rows))
+        families_mod, "raw_solve_left", lambda field, rows, target: (1,) * len(rows)
     )
     t = F2T.t
     with pytest.raises(VerificationFailed):
-        artin_schreier_root(F2T, t * t + t)
+        _root(t * t + t)
 
 
 def test_build_dispatch():
