@@ -252,10 +252,26 @@ def validate(table: MultiplicationTable, mode: str = "right") -> ValidationResul
     return ValidationResult(False, mode, triple, field.wrap(lhs), field.wrap(rhs))
 
 
-class LeibnizAlgebra:
-    """A multiplication table that passes the right Leibniz identity."""
+# the per-subspace memo tables of an algebra, each keyed by raw echelon rows
+# and created with the algebra; "full", "subalgebras" and "subquasi_bfs"
+# hold single values and are set on first use
+_MEMOS = (
+    "action",
+    "bracket_subspaces",
+    "is_ideal",
+    "is_left_engel",
+    "is_subalgebra",
+    "quasi_in",
+    "wrap",
+)
 
-    __slots__ = ("table", "_cache")
+
+class LeibnizAlgebra:
+    """A multiplication table that passes the right Leibniz identity.
+
+    ``field`` and ``dim`` are the table's, copied once."""
+
+    __slots__ = ("table", "field", "dim", "_cache")
 
     def __init__(self, table: MultiplicationTable, _checked: bool = False):
         if not _checked:
@@ -263,15 +279,9 @@ class LeibnizAlgebra:
             if not result.ok:
                 raise NotLeibniz(f"right identity fails at triple {result.witness}")
         self.table = table
-        self._cache = {}
-
-    @property
-    def field(self) -> Field:
-        return self.table.field
-
-    @property
-    def dim(self) -> int:
-        return self.table.dim
+        self.field = table.field
+        self.dim = table.dim
+        self._cache = {name: {} for name in _MEMOS}
 
     @property
     def basis_names(self):
@@ -338,7 +348,7 @@ def bracket_subspaces(alg: LeibnizAlgebra, a: Subspace, b: Subspace) -> Subspace
     """[A, B], computed once per pair of subspaces of the algebra."""
     alg.check_subspace(a)
     alg.check_subspace(b)
-    cache = alg._cache.setdefault("bracket_subspaces", {})
+    cache = alg._cache["bracket_subspaces"]
     key = (a.raw_rows, b.raw_rows)
     found = cache.get(key)
     if found is None:
@@ -365,14 +375,21 @@ def is_subalgebra(alg: LeibnizAlgebra, s: Subspace) -> bool:
     """Whether s is closed under the bracket, decided once per subspace of
     the algebra."""
     alg.check_subspace(s)
-    cache = alg._cache.setdefault("is_subalgebra", {})
-    found = cache.get(s.raw_rows)
+    cache = alg._cache["is_subalgebra"]
+    rows = s.raw_rows
+    found = cache.get(rows)
     if found is None:
-        br = alg.table.raw_bracket
-        found = cache[s.raw_rows] = all(
-            s.raw_contains(br(u, v)) for u in s.raw_rows for v in s.raw_rows
-        )
+        found = cache[rows] = _closed(alg.table.raw_bracket, s)
     return found
+
+
+def _closed(br, s: Subspace) -> bool:
+    rows, contains = s.raw_rows, s.raw_contains
+    for u in rows:
+        for v in rows:
+            if not contains(br(u, v)):
+                return False
+    return True
 
 
 def action(alg: LeibnizAlgebra, s: Subspace) -> tuple:
@@ -383,17 +400,19 @@ def action(alg: LeibnizAlgebra, s: Subspace) -> tuple:
     algebra; :func:`is_ideal`, ``quasi.core``, the reflection clause of
     ``quasi.lemma_suite`` and the quasi-ideal decision in L all read it."""
     alg.check_subspace(s)
-    cache = alg._cache.setdefault("action", {})
+    cache = alg._cache["action"]
     found = cache.get(s.raw_rows)
     if found is None:
         br, reduce, units = alg.table.raw_bracket, s.raw_reduce, alg.full().raw_rows
-        found = cache[s.raw_rows] = tuple(
-            (
-                tuple([reduce(br(u, e)) for e in units]),
-                tuple([reduce(br(e, u)) for e in units]),
+        acted = []
+        for u in s.raw_rows:
+            acted.append(
+                (
+                    tuple([reduce(br(u, e)) for e in units]),
+                    tuple([reduce(br(e, u)) for e in units]),
+                )
             )
-            for u in s.raw_rows
-        )
+        found = cache[s.raw_rows] = tuple(acted)
     return found
 
 
@@ -401,13 +420,14 @@ def is_ideal(alg: LeibnizAlgebra, s: Subspace) -> bool:
     """Whether [s, L] + [L, s] <= s: every entry of :func:`action` is zero.
     Decided once per subspace of the algebra."""
     alg.check_subspace(s)
-    cache = alg._cache.setdefault("is_ideal", {})
+    cache = alg._cache["is_ideal"]
     found = cache.get(s.raw_rows)
     if found is None:
-        zero = (alg.field.raw_zero,) * alg.dim
-        found = cache[s.raw_rows] = all(
-            v == zero for pair in action(alg, s) for side in pair for v in side
-        )
+        n = alg.dim
+        # the action of a basis row that S absorbs from both sides
+        idle = ((alg.field.raw_zero,) * n,) * n
+        acted = action(alg, s)
+        found = cache[s.raw_rows] = acted.count((idle, idle)) == len(acted)
     return found
 
 

@@ -365,14 +365,22 @@ def algebra_invariants(alg: LeibnizAlgebra) -> tuple:
 
 
 def _primitive_root(p: int) -> int:
-    """The least g of order p - 1 mod p, a generator of GF(p)^*: g^m != 1 for
-    every proper divisor m of p - 1, found by trial division."""
-    proper = set()
-    for d in range(1, math.isqrt(p - 1) + 1):
-        if (p - 1) % d == 0:
-            proper |= {d, (p - 1) // d}
-    proper.discard(p - 1)
-    return next(g for g in range(1, p) if all(pow(g, m, p) != 1 for m in proper))
+    """The least g of order p - 1 mod p, a generator of GF(p)^*:
+    g^((p - 1)/q) != 1 for every prime q dividing p - 1.  The primes come
+    from trial division, each divided out as it is found, so the trial
+    divisors stop at the square root of the cofactor left."""
+    primes = []
+    rest, d = p - 1, 2
+    while d * d <= rest:
+        if rest % d == 0:
+            primes.append(d)
+            while rest % d == 0:
+                rest //= d
+        d += 1
+    if rest > 1:
+        primes.append(rest)
+    exponents = [(p - 1) // q for q in primes]
+    return next(g for g in range(1, p) if all(pow(g, m, p) != 1 for m in exponents))
 
 
 def _generators(p: int, n: int) -> list:
@@ -734,11 +742,19 @@ def _census(field, dim, budget):
     by key, and ``valid`` is the sum of the orbit sizes.  The budget bounds
     the alternating tables of the d = 0 step and the projective points of
     F^dim that every class's oracle enumerates, before any table is built,
-    and the running sum of the orbit sizes as the orbits are closed."""
+    and the running sum of the orbit sizes as the orbits are closed.  At
+    dim 2 the valid tables are counted up front too, by their closed form
+    p^3 + 2p^2 - p - 1."""
     pairs = dim * dim * (dim - 1) // 2
     require_enumerable(field, pairs, budget, f"alternating tables of {field} dim {dim}")
     require_enumerable(field, dim, budget, f"projective points of F^{dim}")
     p = field.p
+    if dim == 2:
+        valid = p**3 + 2 * p * p - p - 1
+        if valid > budget:
+            raise BudgetExceeded(
+                f"Leibniz tables of {field} dim 2: {valid} exceeds budget {budget}"
+            )
     orbits = _liesation_orbits(p, dim, budget)
     # GF(2) dim 3 compares reversed tuples, the order of the 27-bit id with
     # c[i][j][k] at bit 9i + 3j + k, so its pinned report keeps its bytes

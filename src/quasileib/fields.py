@@ -116,11 +116,14 @@ def poly_trim(coeffs) -> tuple:
 
 
 def poly_add(p: int, a: tuple, b: tuple) -> tuple:
-    n = max(len(a), len(b))
-    return poly_trim(
-        ((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-        for i in range(n)
-    )
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, bi in enumerate(b):
+        out[i] = (out[i] + bi) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def poly_neg(p: int, a: tuple) -> tuple:
@@ -135,8 +138,12 @@ def poly_mul(p: int, a: tuple, b: tuple) -> tuple:
         if ai == 0:
             continue
         for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return poly_trim(out)
+            out[i + j] += ai * bj
+    for k, c in enumerate(out):
+        out[k] = c % p
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def poly_scale(p: int, c: int, a: tuple) -> tuple:

@@ -65,8 +65,10 @@ def raw_rref(field: Field, rows, ncols: int):
     for c in range(ncols):
         if r == nrows:
             break
-        pivot_row = next((i for i in range(r, nrows) if work[i][c] != zero), None)
-        if pivot_row is None:
+        for pivot_row in range(r, nrows):
+            if work[pivot_row][c] != zero:
+                break
+        else:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
         prow = work[r]
@@ -85,29 +87,27 @@ class Subspace:
     """A subspace of F^n held as its reduced row-echelon basis.
 
     ``raw_rows`` is the basis as raw field values, which the kernels compute
-    on; ``rows`` wraps it into scalars on each access."""
+    on; ``rows`` wraps it into scalars on each access.  ``dim`` is the
+    number of rows."""
 
-    __slots__ = ("field", "ambient_dim", "raw_rows", "pivots")
+    __slots__ = ("field", "ambient_dim", "raw_rows", "pivots", "dim")
 
     def __init__(self, field: Field, ambient_dim: int, raw_rows: tuple, pivots: tuple):
         self.field = field
         self.ambient_dim = ambient_dim
         self.raw_rows = raw_rows
         self.pivots = pivots
+        self.dim = len(raw_rows)
 
     @property
     def rows(self) -> tuple:
         return tuple(self.field.wrap(r) for r in self.raw_rows)
 
-    @property
-    def dim(self) -> int:
-        return len(self.raw_rows)
-
     def is_zero(self) -> bool:
         return not self.raw_rows
 
     def _check_ambient(self, other: "Subspace"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise MixedFields(f"{self.field} vs {other.field}")
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch(
@@ -147,7 +147,11 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.raw_contains(r) for r in other.raw_rows)
+        contains = self.raw_contains
+        for r in other.raw_rows:
+            if not contains(r):
+                return False
+        return True
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -174,7 +178,7 @@ class Subspace:
         return (
             self.ambient_dim == other.ambient_dim
             and self.raw_rows == other.raw_rows
-            and self.field == other.field
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self):

@@ -116,7 +116,7 @@ def is_quasi_ideal_in(
         m = alg.full()
     alg.check_subspace(h)
     alg.check_subspace(m)
-    cache = alg._cache.setdefault("quasi_in", {})
+    cache = alg._cache["quasi_in"]
     key = (h.raw_rows, m.raw_rows)
     verdict = cache.get(key)
     if verdict is None:
@@ -325,7 +325,7 @@ def is_left_engel(alg: LeibnizAlgebra, x: tuple) -> bool:
 def _left_engel(alg, rows, pivots):
     """:func:`is_left_engel` for the line whose echelon basis is ``rows``
     (a raw row with leading entry 1 at its pivot, or none for x = 0)."""
-    cache = alg._cache.setdefault("is_left_engel", {})
+    cache = alg._cache["is_left_engel"]
     found = cache.get(rows)
     if found is None:
         line = Subspace(alg.field, alg.dim, rows, pivots)
@@ -511,7 +511,7 @@ def lemma_suite(
     sq_at = _saturating(sq_chain)
     der_at = _saturating(der_chain)
 
-    wraps = alg._cache.setdefault("wrap", {})
+    wraps = alg._cache["wrap"]
 
     def wrap(space):
         # [L, S] + [S, L] once per subspace of the algebra: bracket_subspaces

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -739,6 +740,14 @@ def test_budget_refusal_names_count_and_budget():
         sweep_tables(GF3, 3, budget=10_000)
     message = str(exc.value)
     assert "19683" in message and "10000" in message
+    # at dim 2 the p^3 + 2p^2 - p - 1 valid tables (proved in
+    # test_dim2_valid_count_closed_form) are counted before any is built
+    with pytest.raises(BudgetExceeded) as exc:
+        sweep_tables(PrimeField(31), 2, budget=30_000)
+    assert str(exc.value) == "Leibniz tables of GF(31) dim 2: 31681 exceeds budget 30000"
+    with pytest.raises(BudgetExceeded, match="169 exceeds budget 168"):
+        sweep_tables(PrimeField(5), 2, budget=168)
+    assert sweep_tables(PrimeField(5), 2, budget=169).totals["valid"] == 169
 
 
 @functools.lru_cache(maxsize=None)
@@ -1072,12 +1081,33 @@ def test_generators_close_to_the_general_linear_group(p, n, order):
 
 
 def test_census_budget_counts_the_valid_tables():
-    # GF(31) dim 2 has 31^2 alternating tables, within the budget, and
-    # 31,681 valid tables, over it: the closure refuses the 30,001st
+    # GF(2) dim 3 has 2^9 = 512 alternating tables, within the budget, and
+    # 806 valid tables, over it: the closure refuses the 801st
     with pytest.raises(BudgetExceeded) as exc:
-        sweep_tables(PrimeField(31), 2, budget=30_000)
-    message = str(exc.value)
-    assert "30001" in message and "30000" in message
+        sweep_tables(GF2, 3, budget=800)
+    assert "at least 801 exceeds budget 800" in str(exc.value)
+
+
+def _least_root_by_order(p):
+    """The least g whose powers g, g^2, ... first reach 1 at g^(p - 1)."""
+    for g in range(1, p):
+        x, order = g, 1
+        while x != 1:
+            x, order = x * g % p, order + 1
+        if order == p - 1:
+            return g
+
+
+def test_primitive_root_matches_the_order_by_brute_force():
+    primes = [p for p in range(2, 3000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    assert len(primes) == 430
+    for p in primes:
+        assert census._primitive_root(p) == _least_root_by_order(p), p
+    # 2^61 - 1 - 1 = 2 * 3^2 * 5^2 * 7 * 11 * 13 * 31 * 41 * 61 * 151 * 331 *
+    # 1321: the trial divisors stop once the cofactor is prime
+    start = time.perf_counter()
+    assert census._primitive_root(2**61 - 1) == 37
+    assert time.perf_counter() - start < 1
 
 
 def test_dim1_census_of_a_large_field():

@@ -224,6 +224,23 @@ def test_huge_prime_moduli_answer_in_bounded_time():
     )
 
 
+def test_dim2_census_over_budget_is_refused_before_building():
+    # GF(101) dim 2 has 1,050,601 valid tables; the closed form refuses it
+    # before the closure has built a million of them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    result = subprocess.run(
+        [sys.executable, "-m", "quasileib.cli", "census", "--field", "gf101", "--dim", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == (
+        "error: Leibniz tables of GF(101) dim 2: 1050601 exceeds budget 1000000\n"
+    )
+
+
 def test_family_budget_admits_a_table_at_the_bound(capsys):
     argv = ["family", "abelian", "--field", "gf2", "--dim", "3"]
     assert run([*argv, "--budget", "26"]) == 2

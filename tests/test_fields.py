@@ -100,6 +100,74 @@ def test_function_field_polynomial_fast_paths_match_the_general_formula():
         assert field.raw_add(over_t, t_minus_one_over_t) == one
 
 
+def _schoolbook_add(p, a, b):
+    n = max(len(a), len(b))
+    out = [0] * n
+    for c in (a, b):
+        for i, x in enumerate(c):
+            out[i] = (out[i] + x) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _schoolbook_mul(p, a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _random_poly(p, rng, max_len=7):
+    coeffs = [rng.randrange(p) for _ in range(rng.randrange(max_len))]
+    if coeffs:
+        coeffs[-1] = rng.randrange(1, p)
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_poly_add_and_mul_match_schoolbook(p):
+    rng = random.Random(f"polynomial kernels/{p}")
+    polys = [(), (1,), (p - 1,), (0, 1)] + [_random_poly(p, rng) for _ in range(50)]
+    for a in polys:
+        for b in polys:
+            assert poly_add(p, a, b) == _schoolbook_add(p, a, b), (a, b)
+            assert poly_mul(p, a, b) == _schoolbook_mul(p, a, b), (a, b)
+    # sums whose leading coefficients cancel: a + (low - a) = low
+    for a in polys:
+        low = _random_poly(p, rng, max_len=max(len(a), 1))
+        b = _schoolbook_add(p, low, tuple((-x) % p for x in a))
+        assert poly_add(p, a, b) == low == _schoolbook_add(p, a, b)
+    assert poly_add(2, (1, 1), (0, 1)) == (1,)
+    assert poly_add(3, (0, 1, 2), (0, 2, 1)) == ()
+
+
+def test_function_field_sum_and_product_match_schoolbook():
+    # each result is num/den of the schoolbook formula, in lowest terms
+    # with a monic denominator
+    p = F2T.p
+    rng = random.Random("function field kernels")
+    values = [(_random_poly(p, rng), (1,)) for _ in range(10)] + [
+        random_scalar(F2T, rng).value for _ in range(20)
+    ]
+    for a in values:
+        for b in values:
+            (an, ad), (bn, bd) = a, b
+            den = _schoolbook_mul(p, ad, bd)
+            num_sum = _schoolbook_add(
+                p, _schoolbook_mul(p, an, bd), _schoolbook_mul(p, bn, ad)
+            )
+            for (gn, gd), num in (
+                (F2T.raw_add(a, b), num_sum),
+                (F2T.raw_mul(a, b), _schoolbook_mul(p, an, bn)),
+            ):
+                assert _schoolbook_mul(p, gn, den) == _schoolbook_mul(p, num, gd)
+                assert gd[-1] == 1 and poly_gcd(p, gn, gd) == (1,)
+
+
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         GF3(1) / GF3(0)

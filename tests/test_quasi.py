@@ -9,9 +9,11 @@ from quasileib.algebra import (
     MultiplicationTable,
     ValidationResult,
     action,
+    bracket_subspaces,
     build_table,
     is_ideal,
     is_nilpotent,
+    is_subalgebra,
     quotient,
     series,
     subalgebras,
@@ -39,9 +41,10 @@ from quasileib.families import (
     two_dim_nilpotent_cyclic,
     two_dim_solvable_cyclic,
 )
-from quasileib.fields import GF2, GF3, QQ, FunctionField
+from quasileib.fields import GF2, GF3, QQ, FunctionField, PrimeField
 from quasileib.linalg import (
     DEFAULT_BUDGET,
+    Subspace,
     echelonize,
     enumerate_subspaces,
     raw_combination,
@@ -536,10 +539,12 @@ def test_fact_memos_still_check_their_inputs():
     alg = two_dim_solvable_cyclic(GF2)
     zero = zero_subspace(GF2, 2)
     assert is_ideal(alg, zero) and core(alg, zero).is_zero()
+    assert is_subalgebra(alg, zero)
     assert not is_left_engel(alg, vec(GF2, (1, 0)))
     assert () in alg._cache["is_ideal"] and () in alg._cache["action"]
+    assert () in alg._cache["is_subalgebra"]
     assert ((1, 0),) in alg._cache["is_left_engel"]
-    for fact in (is_ideal, core, action):
+    for fact in (is_ideal, is_subalgebra, core, action):
         with pytest.raises(DimensionMismatch):
             fact(alg, zero_subspace(GF2, 3))
         with pytest.raises(MixedFields):
@@ -548,6 +553,40 @@ def test_fact_memos_still_check_their_inputs():
         is_left_engel(alg, vec(GF2, (1, 0, 0)))
     with pytest.raises(MixedFields):
         is_left_engel(alg, vec(GF3, (1, 0)))
+
+
+def test_fact_memos_accept_an_equal_field_built_apart():
+    # a field equal to the algebra's but not the same object takes the full
+    # equality test, and then reads the entries that its twin over GF2 left
+    other = PrimeField(2)
+    assert other is not GF2 and other == GF2
+    alg = k2(GF2)
+    spaces = list(enumerate_subspaces(GF2, alg.dim))
+    points = list(itertools.product(range(2), repeat=alg.dim))
+
+    def facts(s):
+        return (
+            bracket_subspaces(alg, s, s),
+            action(alg, s),
+            is_quasi_ideal_in(alg, s),
+            is_ideal(alg, s),
+            is_subalgebra(alg, s),
+            core(alg, s),
+        )
+
+    warm = [facts(s) for s in spaces]
+    engel = [is_left_engel(alg, vec(GF2, x)) for x in points]
+    sizes = _memo_sizes(alg)
+    for s, want in zip(spaces, warm):
+        got = facts(Subspace(other, s.ambient_dim, s.raw_rows, s.pivots))
+        assert all(a is b for a, b in zip(got[:3], want[:3]))
+        assert got[3:] == want[3:]
+    assert [is_left_engel(alg, vec(other, x)) for x in points] == engel
+    assert _memo_sizes(alg) == sizes
+
+
+def _memo_sizes(alg):
+    return {k: len(memo) for k, memo in alg._cache.items() if isinstance(memo, dict)}
 
 
 def _is_ideal_by_definition(alg, s):
