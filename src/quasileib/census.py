@@ -21,8 +21,10 @@ I + Fh with [x,h] = x; algebras of that shape with dim I >= 2 are reported
 as ``outside_catalogue`` with the shape recorded in the facts, and the
 census lists them as discrepancies whenever the oracle also puts them in
 the all-subalgebras-are-quasi-ideals class.  The dimension-of-squares
-distribution of those members is part of every report, so the tension with
-the dim <= 1 expectation is measured rather than asserted either way.
+distribution of those members is part of every report.  The dim <= 1
+expectation for that distribution does not hold for this shape: it is in
+the class for every dim I, over every field, by the argument in
+:func:`match_non_lie_almost_abelian`.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .errors import (
     VerificationFailed,
 )
 from .families import is_anisotropic
-from .fields import Field, PrimeField
+from .fields import Field, PrimeField, is_prime
 from .linalg import (
     DEFAULT_BUDGET,
     Subspace,
@@ -86,17 +88,6 @@ TWO_DIM_SOLVABLE = "two_dim_solvable"
 EXTRASPECIAL_SUM = "extraspecial_sum"
 CHAR2_FAMILY = "char2_family"
 OUTSIDE_CATALOGUE = "outside_catalogue"
-
-VERDICTS = (
-    ABELIAN,
-    ALMOST_ABELIAN_LIE,
-    K2_LIKE,
-    NON_LIE_ALMOST_ABELIAN,
-    TWO_DIM_SOLVABLE,
-    EXTRASPECIAL_SUM,
-    CHAR2_FAMILY,
-    OUTSIDE_CATALOGUE,
-)
 
 
 def in_class_q(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
@@ -164,7 +155,21 @@ def match_almost_abelian_lie(alg: LeibnizAlgebra):
 
 def match_non_lie_almost_abelian(alg: LeibnizAlgebra):
     """The normalized h with L = I + Fh, [x, h] = x, [h, x] = [h, h] = 0
-    where I is the ideal of squares, as a raw vector, or None."""
+    where I is the ideal of squares, as a raw vector, or None.
+
+    Every subalgebra of this shape is a quasi-ideal, for every dim I and
+    over every field (I is abelian):
+
+    1. Take a subalgebra S that contains x + ch, with x in I and c != 0.
+       Then [x + ch, x + ch] = cx lies in S, so x and then h lie in S.
+    2. So the subalgebras are the subspaces J of I, and the subspaces
+       Fh + J.
+    3. Take a line K = F(y + dh), with y in I.  Then [J, K] = dJ and
+       [K, J] = 0; also [h, K] = 0 and [K, h] = y = (y + dh) - dh.  Each of
+       these lies in Fh + J + K, and the first two in J + K.
+    4. So every subalgebra permutes with every line, and by bilinearity
+       ([H, K1 + K2] = [H, K1] + [H, K2]) with every subspace.
+    """
     ideal = squares_ideal(alg)
     if ideal.dim != alg.dim - 1 or ideal.dim < 1:
         return None
@@ -349,14 +354,28 @@ def classify_q_member(
 # ---------------------------------------------------------------------------
 
 
-def algebra_invariants(alg: LeibnizAlgebra) -> tuple:
+class AlgebraInvariants(
+    namedtuple(
+        "AlgebraInvariants",
+        "dim lower_central_dims derived_dims dim_squares_ideal dim_center "
+        "is_lie is_symmetric",
+    )
+):
+    # the field names are the JSON keys of a census class's invariants
+    __slots__ = ()
+
+    def to_json(self):
+        return {
+            k: list(v) if type(v) is tuple else v for k, v in self._asdict().items()
+        }
+
+
+def algebra_invariants(alg: LeibnizAlgebra) -> AlgebraInvariants:
     """A cheap isomorphism-invariant fingerprint."""
-    lower = tuple(s.dim for s in series(alg, kind="lower_central"))
-    derived = tuple(s.dim for s in series(alg, kind="derived"))
-    return (
+    return AlgebraInvariants(
         alg.dim,
-        lower,
-        derived,
+        tuple(s.dim for s in series(alg, kind="lower_central")),
+        tuple(s.dim for s in series(alg, kind="derived")),
         squares_ideal(alg).dim,
         center(alg).dim,
         is_lie(alg),
@@ -367,16 +386,18 @@ def algebra_invariants(alg: LeibnizAlgebra) -> tuple:
 def _primitive_root(p: int) -> int:
     """The least g of order p - 1 mod p, a generator of GF(p)^*:
     g^((p - 1)/q) != 1 for every prime q dividing p - 1.  The primes come
-    from trial division, each divided out as it is found, so the trial
-    divisors stop at the square root of the cofactor left."""
+    from trial division, each divided out as it is found, and the trial
+    divisors stop as soon as the cofactor left is prime (:func:`is_prime`).
+    A composite cofactor has a prime factor no larger than its square root,
+    so the worst case left is p - 1 with two large prime factors."""
     primes = []
     rest, d = p - 1, 2
-    while d * d <= rest:
-        if rest % d == 0:
-            primes.append(d)
-            while rest % d == 0:
-                rest //= d
-        d += 1
+    while rest > 1 and not is_prime(rest):
+        while rest % d:
+            d += 1
+        primes.append(d)
+        while rest % d == 0:
+            rest //= d
     if rest > 1:
         primes.append(rest)
     exponents = [(p - 1) // q for q in primes]
@@ -510,18 +531,9 @@ class ClassEntry(
     __slots__ = ()
 
     def to_json(self):
-        inv = self.invariants
         out = {
             "representative_table": self.algebra.table.to_json(),
-            "invariants": {
-                "dim": inv[0],
-                "lower_central_dims": list(inv[1]),
-                "derived_dims": list(inv[2]),
-                "dim_squares_ideal": inv[3],
-                "dim_center": inv[4],
-                "is_lie": inv[5],
-                "is_symmetric": inv[6],
-            },
+            "invariants": self.invariants.to_json(),
             "subalgebra_count": self.subalgebra_count,
             "quasi_ideal_count": self.quasi_ideal_count,
             "in_q": self.in_q,

@@ -65,22 +65,14 @@ def _cmd_validate(args):
 
 def _cmd_info(args):
     alg = _load_algebra(args.algebra)
-    dim, lower, derived, squares, center, lie, symmetric = (
-        census_mod.algebra_invariants(alg)
-    )
+    inv = census_mod.algebra_invariants(alg)
     _emit(
         {
-            "dim": dim,
+            **inv._asdict(),
             "field": alg.field.to_json(),
             "basis_names": list(alg.basis_names),
-            "is_lie": lie,
-            "is_symmetric": symmetric,
-            "is_nilpotent": lower[-1] == 0,
-            "is_solvable": derived[-1] == 0,
-            "dim_squares_ideal": squares,
-            "dim_center": center,
-            "lower_central_dims": lower,
-            "derived_dims": derived,
+            "is_nilpotent": inv.lower_central_dims[-1] == 0,
+            "is_solvable": inv.derived_dims[-1] == 0,
         },
         args.out,
     )

@@ -474,8 +474,22 @@ class LemmaSuiteReport:
         }
 
 
-def _saturating(chain):
-    return lambda k: chain[min(k - 1, len(chain) - 1)] if k >= 1 else None
+def _verdict(holds, detail=None):
+    return (PASS if holds else FAIL, detail)
+
+
+def _reflected_brackets(alg, h):
+    """h in H, x in L, [x,h] in H  =>  [h,x] in H, on basis pairs.  A failure
+    ends only the scan of its own basis row, so the detail names the last
+    failing row."""
+    zero = (alg.field.raw_zero,) * alg.dim
+    detail = None
+    for hrow, (h_e, e_h) in zip(h.raw_rows, action(alg, h)):
+        for j, (hx, xh) in enumerate(zip(h_e, e_h)):
+            if xh == zero and hx != zero:
+                detail = f"basis pair (h={alg.field.wrap(hrow)}, x=e{j+1})"
+                break
+    return _verdict(detail is None, detail)
 
 
 def lemma_suite(
@@ -491,7 +505,6 @@ def lemma_suite(
     chain is supplied; direct clauses are skipped when H is not a direct
     quasi-ideal.
     """
-    report = LemmaSuiteReport()
     direct = is_quasi_ideal(alg, h).holds
     m = None
     if chain is not None:
@@ -503,14 +516,16 @@ def lemma_suite(
         m = chain.m
     if not direct and m is None:
         raise PreconditionUnverified("H is neither a quasi-ideal nor chained")
+    # each hypothesis is decided once: H is a quasi-ideal (m = 1), or H has a
+    # chain with m >= 1; H = L (m = 0) is a quasi-ideal, so H meets one
+    chained = m is not None and m >= 1
+    not_direct = (SKIPPED, "needs m = 1")
+    unchained = (VACUOUS, "H = L") if m == 0 else (SKIPPED, "no chain")
 
     full = alg.full()
     sq = bracket_subspaces(alg, h, h)  # H^2
     sq_chain = series(alg, h, "omega_of_square")  # (H^2)^1, (H^2)^2, ...
     der_chain = series(alg, h, "derived")  # H^(1), H^(2), ...
-    sq_at = _saturating(sq_chain)
-    der_at = _saturating(der_chain)
-
     wraps = alg._cache["wrap"]
 
     def wrap(space):
@@ -523,107 +538,65 @@ def lemma_suite(
             )
         return found
 
-    # bracket reflection: h in H, x in L, [x,h] in H  =>  [h,x] in H
-    if direct:
-        ok, detail = True, None
-        zero = (alg.field.raw_zero,) * alg.dim
-        for hrow, (h_e, e_h) in zip(h.raw_rows, action(alg, h)):
-            for j, (hx, xh) in enumerate(zip(h_e, e_h)):
-                if xh == zero and hx != zero:
-                    hrow = alg.field.wrap(hrow)
-                    ok, detail = False, f"basis pair (h={hrow}, x=e{j+1})"
-                    break
-        report.clauses["reflected_brackets"] = (PASS if ok else FAIL, detail)
-    else:
-        report.clauses["reflected_brackets"] = (SKIPPED, "not a direct quasi-ideal")
+    def absorbed(outer, inner, detail=None):
+        # [L, inner] + [inner, L] <= outer
+        return _verdict(outer.contains(wrap(inner)), detail)
 
+    def descent(terms, start, low, gap, tag=None):
+        # T_k absorbs T_(k+gap) at k = n + low for n = start, start + 1, ...,
+        # with T_k = terms[k - 1] held at the last term once the series
+        # stops; the first failing n is reported after ``tag``
+        last = len(terms)
+        for n in range(start, last + 3):
+            k = n + low
+            outer, inner = terms[min(k, last) - 1], terms[min(k + gap, last) - 1]
+            if not outer.contains(wrap(inner)):
+                return (FAIL, f"n={n}" if tag is None else f"{tag}, n={n}")
+        return (PASS, tag)
+
+    c = {}
+    c["reflected_brackets"] = (
+        _reflected_brackets(alg, h) if direct else (SKIPPED, "not a direct quasi-ideal")
+    )
     # [L, H^2] + [H^2, L] <= H
-    if direct:
-        status = PASS if h.contains(wrap(sq)) else FAIL
-        report.clauses["square_bracket_absorbed"] = (status, None)
-    else:
-        report.clauses["square_bracket_absorbed"] = (SKIPPED, "needs m = 1")
-
+    c["square_bracket_absorbed"] = absorbed(h, sq) if direct else not_direct
     # [L, (H^2)^m] + [(H^2)^m, L] <= H for an m-step chain
-    if m is not None and m >= 1:
-        status = PASS if h.contains(wrap(sq_at(m))) else FAIL
-        report.clauses["chain_square_power_absorbed"] = (status, f"m={m}")
-    elif m == 0:
-        report.clauses["chain_square_power_absorbed"] = (VACUOUS, "H = L")
-    else:
-        report.clauses["chain_square_power_absorbed"] = (SKIPPED, "no chain")
-
+    c["chain_square_power_absorbed"] = (
+        absorbed(h, sq_chain[min(m, len(sq_chain)) - 1], f"m={m}")
+        if chained
+        else unchained
+    )
     # [L, (H^2)^n] + [(H^2)^n, L] <= (H^2)^(n-1) for n >= 2
-    if direct:
-        bad = None
-        for n in range(2, len(sq_chain) + 3):
-            if not sq_at(n - 1).contains(wrap(sq_at(n))):
-                bad = n
-                break
-        report.clauses["square_power_descent"] = (
-            (PASS, None) if bad is None else (FAIL, f"n={bad}")
-        )
-    else:
-        report.clauses["square_power_descent"] = (SKIPPED, "needs m = 1")
-
+    c["square_power_descent"] = descent(sq_chain, 2, -1, 1) if direct else not_direct
     # [L, (H^2)^(m+n)] + [(H^2)^(m+n), L] <= (H^2)^n for n >= 1
-    if m is not None and m >= 1:
-        bad = None
-        for n in range(1, len(sq_chain) + 3):
-            if not sq_at(n).contains(wrap(sq_at(m + n))):
-                bad = n
-                break
-        report.clauses["chain_square_power_descent"] = (
-            (PASS, f"m={m}") if bad is None else (FAIL, f"m={m}, n={bad}")
-        )
-    elif m == 0:
-        report.clauses["chain_square_power_descent"] = (VACUOUS, "H = L")
-    else:
-        report.clauses["chain_square_power_descent"] = (SKIPPED, "no chain")
-
-    # [L, H^(m+n+1)] + [H^(m+n+1), L] <= H^(m+n) for n >= 1
-    m_eff = m if m is not None and m >= 1 else 1
-    if direct or (m is not None and m >= 1):
-        bad = None
-        for n in range(1, len(der_chain) + 3):
-            if not der_at(m_eff + n).contains(wrap(der_at(m_eff + n + 1))):
-                bad = n
-                break
-        report.clauses["derived_power_descent"] = (
-            (PASS, f"m={m_eff}") if bad is None else (FAIL, f"m={m_eff}, n={bad}")
-        )
-    else:
-        report.clauses["derived_power_descent"] = (VACUOUS, "H = L")
-
+    c["chain_square_power_descent"] = (
+        descent(sq_chain, 1, 0, m, f"m={m}") if chained else unchained
+    )
+    # [L, H^(m+n+1)] + [H^(m+n+1), L] <= H^(m+n) for n >= 1, with m = 1 for
+    # a quasi-ideal without a chain
+    m_eff = m if chained else 1
+    c["derived_power_descent"] = descent(der_chain, 1, m_eff, 1, f"m={m_eff}")
     # a perfect subquasi-ideal is an ideal
-    if sq == h and not h.is_zero():
-        status = PASS if is_ideal(alg, h) else FAIL
-        report.clauses["perfect_subquasi_is_ideal"] = (status, None)
-    else:
-        report.clauses["perfect_subquasi_is_ideal"] = (VACUOUS, "H^2 != H")
-
+    perfect = sq == h and not h.is_zero()
+    c["perfect_subquasi_is_ideal"] = (
+        _verdict(is_ideal(alg, h)) if perfect else (VACUOUS, "H^2 != H")
+    )
     # a quasi-ideal generated by left Engel elements is an ideal; H's
     # echelon rows are already the lines' keys
-    if direct:
-        if all(_left_engel(alg, (row,), (p,)) for row, p in zip(h.raw_rows, h.pivots)):
-            status = PASS if is_ideal(alg, h) else FAIL
-            report.clauses["engel_generated_is_ideal"] = (status, None)
-        else:
-            report.clauses["engel_generated_is_ideal"] = (
-                VACUOUS,
-                "some basis generator is not left Engel",
-            )
+    if not direct:
+        c["engel_generated_is_ideal"] = not_direct
+    elif all(_left_engel(alg, (row,), (p,)) for row, p in zip(h.raw_rows, h.pivots)):
+        c["engel_generated_is_ideal"] = _verdict(is_ideal(alg, h))
     else:
-        report.clauses["engel_generated_is_ideal"] = (SKIPPED, "needs m = 1")
-
+        c["engel_generated_is_ideal"] = (
+            VACUOUS, "some basis generator is not left Engel"
+        )
     # a core-free subquasi-ideal has nilpotent H^2
-    if core(alg, h).is_zero():
-        status = PASS if sq_chain[-1].is_zero() else FAIL
-        report.clauses["corefree_square_nilpotent"] = (status, None)
-    else:
-        report.clauses["corefree_square_nilpotent"] = (VACUOUS, "core is nonzero")
-
-    return report
+    corefree = core(alg, h).is_zero()
+    c["corefree_square_nilpotent"] = (
+        _verdict(sq_chain[-1].is_zero()) if corefree else (VACUOUS, "core is nonzero")
+    )
+    return LemmaSuiteReport(c)
 
 
 def quasi_ideals(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
@@ -639,7 +612,6 @@ __all__ = [
     "SubquasiChain",
     "core",
     "is_engel_algebra",
-    "is_ideal",
     "is_left_engel",
     "is_quasi_ideal",
     "is_quasi_ideal_in",

@@ -192,7 +192,7 @@ def test_criterion_4_lemma_harness():
 def test_criterion_5_two_dimensional_count():
     start = time.monotonic()
     census = sweep_tables(GF2, 2)
-    non_lie = [c for c in census.classes if not c.invariants[5]]
+    non_lie = [c for c in census.classes if not c.invariants.is_lie]
     assert len(non_lie) == 2
     nilpotency = sorted(c.classification.facts["is_nilpotent"] for c in non_lie)
     assert nilpotency == [False, True]  # one nilpotent, one solvable-not

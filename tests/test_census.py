@@ -16,6 +16,7 @@ from quasileib.algebra import (
     MultiplicationTable,
     build_table,
     is_ideal,
+    is_subalgebra,
     quotient,
     raw_quotient_cube,
     subalgebras,
@@ -36,9 +37,10 @@ from quasileib.census import (
     classify_q_member,
     in_class_q,
     lemma_harness,
+    match_non_lie_almost_abelian,
     sweep_tables,
 )
-from quasileib.quasi import LemmaSuiteReport, lemma_suite
+from quasileib.quasi import LemmaSuiteReport, is_quasi_ideal, lemma_suite, permutes_with
 from quasileib.errors import (
     BadDimension,
     BudgetExceeded,
@@ -92,9 +94,69 @@ def test_in_class_q_fixtures():
     assert in_class_q(es)[0]
     held, failing = in_class_q(k2(GF2))
     assert not held and failing is not None
-    # the dim-I=2 shape passes, in tension with the dim <= 1 expectation;
-    # recorded as a discrepancy by the census rather than asserted
-    assert in_class_q(non_lie_almost_abelian(GF2, 2))[0]
+    # the I + Fh shape passes for every dim I (see
+    # match_non_lie_almost_abelian), and the census records it as a
+    # discrepancy
+    for field, top in ((GF2, 4), (GF3, 3)):
+        for dim_i in range(2, top + 1):
+            assert in_class_q(non_lie_almost_abelian(field, dim_i)) == (True, None)
+
+
+def _sample_scalar(field, rng):
+    if field is F2T:
+        return F2T.from_polys([rng.randrange(2) for _ in range(3)])
+    return field(rng.randrange(-3, 4))
+
+
+@pytest.mark.parametrize("field", [QQ, F2T], ids=["qq", "gf2t"])
+def test_non_lie_almost_abelian_argument_replays(field):
+    # the four steps in match_non_lie_almost_abelian's docstring, on a
+    # seeded sample of subspaces of I + Fh (basis x1, ..., h) for dim I = 2..5
+    rng = random.Random(0)
+    for dim_i in range(2, 6):
+        alg = non_lie_almost_abelian(field, dim_i)
+        n = dim_i + 1
+        h = alg.basis_vector(dim_i)
+        assert field.wrap(match_non_lie_almost_abelian(alg)) == h
+        ideal = echelonize(field, n, [alg.basis_vector(i) for i in range(dim_i)])
+
+        def sample(last=0):
+            # a vector of I, plus last * h
+            coords = [_sample_scalar(field, rng) for _ in range(dim_i)]
+            return vec(field, coords + [last])
+
+        for _ in range(8):
+            # step 1: a subalgebra not inside I contains h
+            rows = [sample() for _ in range(rng.randrange(n))]
+            mixed = echelonize(field, n, rows + [sample(1)])
+            assert not is_subalgebra(alg, mixed) or mixed.contains_vector(h)
+            # step 2: J and Fh + J are subalgebras
+            j = echelonize(field, n, [sample() for _ in range(rng.randrange(n))])
+            fh_j = echelonize(field, n, list(j.rows) + [h])
+            assert ideal.contains(j)
+            # steps 3 and 4: each permutes with a line F(y + dh), and is a
+            # quasi-ideal
+            k = echelonize(field, n, [sample(_sample_scalar(field, rng))])
+            for s in (j, fh_j):
+                assert is_subalgebra(alg, s), (dim_i, s)
+                assert permutes_with(alg, s, k), (dim_i, s, k)
+                assert is_quasi_ideal(alg, s).holds, (dim_i, s)
+
+
+@pytest.mark.parametrize(
+    "field, dim, shaped", [(GF2, 3, 1), (GF3, 2, 0)], ids=["gf2_dim3", "gf3_dim2"]
+)
+def test_every_q_member_is_catalogued_or_the_non_lie_shape(field, dim, shaped):
+    # the completeness gate: an in-Q class outside the catalogue has the
+    # I + Fh shape, and the discrepancies list those classes and no other
+    report = sweep_tables(field, dim)
+    outside = [
+        entry.classification.facts
+        for entry in report.classes
+        if entry.in_q and entry.classification.verdict == OUTSIDE_CATALOGUE
+    ]
+    assert [f.get("shape") for f in outside] == [NON_LIE_ALMOST_ABELIAN] * shaped
+    assert [d["facts"] for d in report.discrepancies] == outside
 
 
 EXPECTED_VERDICTS = [
@@ -256,7 +318,7 @@ def _check_lie_classes_match_de_graaf(field, report):
     built = {canonical_table_key(alg) for alg in algebras}
     assert len(built) == 2 + 2 * q
 
-    lie = [entry for entry in report.classes if entry.invariants[5]]
+    lie = [entry for entry in report.classes if entry.invariants.is_lie]
     assert len(lie) == len(built) + 1
     solvable = {
         canonical_table_key(entry.algebra)
@@ -311,7 +373,7 @@ def test_sweep_gf2_dim1():
 def test_sweep_gf2_dim2_two_non_lie_classes():
     report = sweep_tables(GF2, 2)
     assert report.totals["scanned"] == 256
-    non_lie = [c for c in report.classes if not c.invariants[5]]
+    non_lie = [c for c in report.classes if not c.invariants.is_lie]
     assert len(non_lie) == 2
     verdicts = sorted(c.classification.verdict for c in non_lie)
     assert verdicts == [EXTRASPECIAL_SUM, TWO_DIM_SOLVABLE]
@@ -323,7 +385,7 @@ def test_sweep_gf2_dim2_two_non_lie_classes():
 
 def test_sweep_gf3_dim2():
     report = sweep_tables(GF3, 2)
-    non_lie = [c for c in report.classes if not c.invariants[5]]
+    non_lie = [c for c in report.classes if not c.invariants.is_lie]
     assert len(non_lie) == 2
     assert all(c.oracle_mismatches == 0 for c in report.classes)
     verdicts = sorted(c.classification.verdict for c in report.classes)

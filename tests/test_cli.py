@@ -8,8 +8,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from quasileib import cli
+from quasileib import census, cli
 from quasileib.cli import run
+from quasileib.fields import is_prime
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "quasileib" / "schemas"
 
@@ -222,6 +223,42 @@ def test_huge_prime_moduli_answer_in_bounded_time():
     assert result.stderr == (
         "error: projective points of F^1: 2305843009213693951 exceeds budget 1000000\n"
     )
+
+
+_SAFE_PRIME = """
+import time
+from quasileib.cli import run
+
+p = 2305843009213691579
+start = time.perf_counter()
+code = run(["census", "--field", f"gf{p}", "--dim", "1", "--budget", str(3 * 10**18)])
+print(code, time.perf_counter() - start)
+"""
+
+
+def test_safe_prime_dim1_census_stops_trial_division_at_a_prime_cofactor():
+    # p - 1 = 2q with q prime: the search for a primitive root of p divides
+    # out 2, finds the cofactor q prime and stops, where trial division up
+    # to sqrt(q) would not finish
+    p = 2305843009213691579
+    q = (p - 1) // 2
+    assert is_prime(p) and is_prime(q)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(e for e in sys.path if e))
+    result = subprocess.run(
+        [sys.executable, "-c", _SAFE_PRIME],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=20,
+    )
+    assert result.returncode == 0, result.stderr
+    code, seconds = result.stdout.splitlines()[-1].split()
+    assert code == "0" and float(seconds) < 1, result.stdout[-200:]
+    report = json.loads(result.stdout[: result.stdout.rindex("}") + 1])
+    assert report["totals"] == {"scanned": p, "valid": 1, "classes": 1}
+    # the root has order p - 1: no power (p - 1)/r with r = 2, q is 1
+    g = census._primitive_root(p)
+    assert pow(g, q, p) != 1 and pow(g, 2, p) != 1
 
 
 def test_dim2_census_over_budget_is_refused_before_building():

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -668,17 +670,24 @@ def _reference_engel(alg, h):
     return ("vacuous", "some basis generator is not left Engel")
 
 
+def _suite_cases(alg, min_m=2):
+    """Every quasi-ideal without a chain, then every subalgebra with a
+    subquasi chain of at least ``min_m`` steps, as the harness takes them
+    for ``min_m`` = 2."""
+    cases = [(h, None) for h in quasi_ideals(alg)]
+    for s in subalgebras(alg):
+        chain = subquasi_chain(alg, s)
+        if chain is not None and chain.m >= min_m:
+            cases.append((s, chain))
+    return cases
+
+
 def test_lemma_suite_matches_the_clause_loops(family_corpus):
     # every quasi-ideal and every subalgebra with a chain of length >= 2;
     # the reference decides each clause on a fresh copy of the algebra
     seen = set()
     for label, alg in family_corpus:
-        cases = [(h, None) for h in quasi_ideals(alg)]
-        for s in subalgebras(alg):
-            chain = subquasi_chain(alg, s)
-            if chain is not None and chain.m >= 2:
-                cases.append((s, chain))
-        for h, chain in cases:
+        for h, chain in _suite_cases(alg):
             got = lemma_suite(alg, h, chain).clauses
             ref = _fresh(alg)
             if is_quasi_ideal(ref, h).holds:
@@ -696,6 +705,28 @@ def test_lemma_suite_matches_the_clause_loops(family_corpus):
             assert got["corefree_square_nilpotent"] == corefree, (label, h)
             seen.update((chain is None, clause[0]) for clause in (reflection, engel))
     assert seen >= {(True, "pass"), (True, "vacuous"), (False, "skipped")}, seen
+
+
+# pinned from the suite that spelled each gate out per clause
+PINNED_STATUSES = {"pass": 14278, "skipped": 2912, "vacuous": 5643}
+PINNED_DIGEST = "9d7b1ad5a01c162fd777d5dd50447cbdf5a999799f9509c967275a89fd448e75"
+
+
+def test_lemma_suite_clauses_are_pinned(family_corpus, gf3_dim3_census):
+    # every clause's (name, status, detail), in insertion order, for each
+    # quasi-ideal and each chained subalgebra (m = 0, 1 and >= 2) of the
+    # family corpus and of the 27 GF(3) dim-3 census classes; the status
+    # counts say which outcome moved when the digest does
+    classes = [entry.algebra for entry in gf3_dim3_census.classes]
+    assert len(classes) == 27
+    digest, statuses = hashlib.sha256(), Counter()
+    for alg in [alg for _, alg in family_corpus] + classes:
+        for h, chain in _suite_cases(alg, min_m=0):
+            for name, (status, detail) in lemma_suite(alg, h, chain).clauses.items():
+                digest.update(f"{name}\t{status}\t{detail}\n".encode())
+                statuses[status] += 1
+    assert statuses == PINNED_STATUSES
+    assert digest.hexdigest() == PINNED_DIGEST
 
 
 def test_engel_memo_is_keyed_by_the_lines_echelon_row(family_corpus):
