@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from collections import namedtuple
 
 from .algebra import (
@@ -68,6 +69,7 @@ from .linalg import (
     raw_echelonize,
     raw_identity,
     raw_projective_points,
+    raw_rref,
     require_enumerable,
 )
 from .quasi import (
@@ -443,23 +445,80 @@ def _flat_table(alg: LeibnizAlgebra) -> tuple:
     return tuple(x for row in alg.table.raw for product in row for x in product)
 
 
-def _orbit(flat: tuple, p: int, n: int, budget: int, counted: int = 0) -> frozenset:
-    """The GL(n, p) orbit of a flattened table over GF(p) (plain ints, laid
-    out as in ``_flat_table``): its breadth-first closure under
-    ``_generators``.  The budget bounds ``counted`` plus the members, counted
-    as they are found.
+class _Packing:
+    """Flat tables over GF(p) of dimension n, each packed into one int: flat
+    entry t in lane t from the top, each lane ``lane`` bytes wide.  A table
+    is reduced when every lane holds a value in [0, p); reduced tables
+    compare as their tuples do, since entry 0 has the top lane.
+
+    ``reduce`` takes every lane mod p at once, for lane values v up to
+    ``bound``: a sum of at most n^3 products of two reduced entries (an
+    image, or a table plus a multiple of another at n >= 2), or a product of
+    three (a transport).  With mult = ceil(2^shift / p) = (2^shift + e) / p
+    and e * bound < 2^shift, floor(v * mult / 2^shift) = floor(v / p); the
+    lanes are wide enough that v * mult does not carry into the next lane,
+    and a mask keeps each lane's quotient.  At p = 2 that is mult = 1 and
+    shift = 1, which leaves the low bit of each lane.
+
+    A lane is a whole number of bytes, so ``x.to_bytes`` reads every lane
+    at once: ``planes`` slice out the base-256 digits of the reduced values,
+    the most significant first (one digit for p <= 256)."""
+
+    __slots__ = (
+        "p", "nbytes", "lane", "units", "mult", "shift", "mask", "planes", "scales"
+    )
+
+    def __init__(self, p: int, n: int):
+        count = n**3
+        bound = max(count * (p - 1) ** 2, (p - 1) ** 3)
+        shift = max(1, (p - 1).bit_length())
+        while bound * (-(1 << shift) % p) >= 1 << shift:
+            shift += 1
+        self.p, self.shift = p, shift
+        self.mult = -(-(1 << shift) // p)
+        lane = -(-max((bound * self.mult).bit_length(), shift) // 8)
+        width = 8 * lane
+        self.lane, self.nbytes = lane, count * lane
+        self.units = [1 << (count - 1 - t) * width for t in range(count)]
+        self.mask = ((1 << width - shift) - 1) * sum(self.units)
+        digits = max(1, -(-(p - 1).bit_length() // 8))
+        self.planes = [slice(lane - digits + j, None, lane) for j in range(digits)]
+        self.scales = [256 ** (digits - 1 - j) for j in range(digits)]
+
+    def pack(self, values, units=None) -> int:
+        """The values at the lanes of ``units``, by default a flat table."""
+        return sum(map(operator.mul, values, self.units if units is None else units))
+
+    def reduce(self, x: int) -> int:
+        return x - self.p * ((x * self.mult >> self.shift) & self.mask)
+
+    def unpack(self, x: int) -> tuple:
+        """The flat table of a reduced packed table."""
+        data = x.to_bytes(self.nbytes, "big")
+        first, *rest = [data[plane] for plane in self.planes]
+        values = tuple(first)
+        for digits in rest:
+            values = tuple(256 * v + digit for v, digit in zip(values, digits))
+        return values
+
+
+def _orbit(table: int, p: int, n: int, budget: int, counted: int = 0) -> frozenset:
+    """The GL(n, p) orbit of a table over GF(p), packed and reduced as by
+    ``_Packing(p, n)``: its breadth-first closure under ``_generators``, with
+    every member packed.  The budget bounds ``counted`` plus the members,
+    counted as they are found.
 
     The image under P has [P_i, P_j], in the coordinates of the basis P, at
     (i, j): its entry (i, j, l) is the sum of P[i][a] P[j][b] c[a][b][k]
-    P^-1[k][l].  A table packs as one integer with flat entry t in the lane
-    at bit (n^3 - 1 - t) * width.  The transport of flat entry
-    s = (a*n + b)*n + k, the image of the unit table at s, is the product of
-    column a of P, column b of P and row k of P^-1, packed at lane strides
-    n^2, n and 1: each lane of the product receives exactly one term, at most
-    (p - 1)^3.  An image is the sum of c * transport over the table's nonzero
-    entries c; its lanes never carry (they reach n^3 (p - 1)^4 at most), and
-    are reduced mod p when unpacked."""
-    width = (n**3 * (p - 1) ** 4).bit_length()
+    P^-1[k][l].  The transport of flat entry s = (a*n + b)*n + k, the image
+    of the unit table at s, is the product of column a of P, column b of P
+    and row k of P^-1, packed at lane strides n^2, n and 1: each lane of
+    the product receives exactly one term, and it is reduced once.  A
+    member's lanes are read once, as the digit planes of its bytes, and its
+    image under each generator is the sum of digit * scaled transport over
+    the nonzero digits, reduced in one go."""
+    pack = _Packing(p, n)
+    width = 8 * pack.lane
 
     def packed(vector, stride):
         return sum(x << ((n - 1 - i) * stride * width) for i, x in enumerate(vector))
@@ -469,17 +528,21 @@ def _orbit(flat: tuple, p: int, n: int, budget: int, counted: int = 0) -> frozen
         cols = list(zip(*rows))
         wide, narrow = [packed(c, n * n) for c in cols], [packed(c, n) for c in cols]
         last = [packed(row, 1) for row in inverse]
-        transports.append([u * v * w for u in wide for v in narrow for w in last])
-    mask = (1 << width) - 1
-    shifts = range((n**3 - 1) * width, -1, -width)
-    orbit, frontier = {flat}, [flat]
+        images = [pack.reduce(u * v * w) for u in wide for v in narrow for w in last]
+        transports.append([scale * x for scale in pack.scales for x in images])
+    mul, compress = operator.mul, itertools.compress
+    nbytes, planes, prime = pack.nbytes, pack.planes, pack.p
+    mult, shift, mask = pack.mult, pack.shift, pack.mask
+    orbit, frontier = {table}, [table]
     while frontier:
         fresh = []
-        for table in frontier:
-            terms = [(s, c) for s, c in enumerate(table) if c]
+        for member in frontier:
+            data = member.to_bytes(nbytes, "big")
+            digits = b"".join([data[plane] for plane in planes])
+            nonzero = digits.translate(None, b"\0")
             for images in transports:
-                x = sum(c * images[s] for s, c in terms)
-                image = tuple(((x >> shift) & mask) % p for shift in shifts)
+                x = sum(map(mul, nonzero, compress(images, digits)))
+                image = x - prime * ((x * mult >> shift) & mask)
                 if image not in orbit:
                     orbit.add(image)
                     fresh.append(image)
@@ -505,7 +568,9 @@ def are_isomorphic(
         return False
     if algebra_invariants(a) != algebra_invariants(b):
         return False
-    return _flat_table(a) in _orbit(_flat_table(b), a.field.p, a.dim, budget)
+    pack = _Packing(a.field.p, a.dim)
+    orbit = _orbit(pack.pack(_flat_table(b)), pack.p, a.dim, budget)
+    return pack.pack(_flat_table(a)) in orbit
 
 
 def canonical_table_key(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
@@ -513,7 +578,9 @@ def canonical_table_key(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> tu
     two algebras over the same prime field share the key iff isomorphic."""
     if not isinstance(alg.field, PrimeField):
         raise UnsupportedField("canonical keys need a finite prime field")
-    return min(_orbit(_flat_table(alg), alg.field.p, alg.dim, budget))
+    pack = _Packing(alg.field.p, alg.dim)
+    orbit = _orbit(pack.pack(_flat_table(alg)), pack.p, alg.dim, budget)
+    return pack.unpack(min(orbit))
 
 
 # ---------------------------------------------------------------------------
@@ -607,13 +674,14 @@ def sweep_tables(
     isomorphism, and analyze one representative per class.
 
     The census is exhaustive over any prime field, for ``dim`` at least 1;
-    the budget alone bounds the sizes, through the alternating tables and
-    the valid tables found (``_census``).  It constructs the valid tables by
-    the Liesation route (``_liesation_orbits``) instead of filtering every
-    candidate, so ``totals.scanned`` is the size of the candidate space and
-    ``totals.valid`` the sum of the orbit sizes; each orbit is closed under
-    generators of GL(dim, p).  Every class compares the exact predicate with
-    the oracle on each of its subalgebras (``oracle_mismatches``).
+    the budget alone bounds the sizes, through the Lie systems, their
+    solutions and the valid tables found (``_census``).  It constructs the
+    valid tables by the Liesation route (``_liesation_orbits``), solving for
+    them instead of filtering every candidate, so ``totals.scanned`` is the
+    size of the candidate space and ``totals.valid`` the sum of the orbit
+    sizes; each orbit is closed under generators of GL(dim, p).  Every
+    class compares the exact predicate with the oracle on each of its
+    subalgebras (``oracle_mismatches``).
     """
     if dim < 1:
         raise BadDimension(f"the census needs dim >= 1, got dim={dim}")
@@ -655,10 +723,11 @@ def sweep_tables(
 
 
 def _mark_orbits(tables, p: int, n: int, budget: int) -> list:
-    """The GL(n, p) orbits of the given flat tables, as frozensets, each
-    started from the first table that no earlier orbit covers.  The budget
-    bounds the running sum of the orbit sizes.  Orbits that overlap can only
-    come from a broken base change, and fail the run."""
+    """The GL(n, p) orbits of the given packed tables, as frozensets of
+    packed tables, each started from the first table that no earlier orbit
+    covers.  The budget bounds the running sum of the orbit sizes.  Orbits
+    that overlap can only come from a broken base change, and fail the
+    run."""
     seen = set()
     orbits = []
     for table in tables:
@@ -666,7 +735,8 @@ def _mark_orbits(tables, p: int, n: int, budget: int) -> list:
             continue
         orbit = _orbit(table, p, n, budget, len(seen))
         if table not in orbit or not seen.isdisjoint(orbit):
-            raise VerificationFailed(f"GL({n},{p}) moves {table} off its orbit")
+            flat = _Packing(p, n).unpack(table)
+            raise VerificationFailed(f"GL({n},{p}) moves {flat} off its orbit")
         seen |= orbit
         orbits.append(orbit)
     return orbits
@@ -680,64 +750,203 @@ def _cube(flat, n: int) -> tuple:
     )
 
 
-def _lie_tables(p: int, n: int):
-    """The Lie tables over GF(p) of dimension n: the alternating tables that
-    satisfy the Jacobi identity.  On an alternating table the right identity
-    is the Jacobi identity, whose failure is alternating in (i, j, k), so
-    triples i < j < k suffice."""
-    field = PrimeField(p)
-    pairs = [
-        ((i * n + j) * n + k, (j * n + i) * n + k)
-        for i, j in itertools.combinations(range(n), 2)
-        for k in range(n)
-    ]
-    jacobi = list(itertools.combinations(range(n), 3))
-    for values in itertools.product(range(p), repeat=len(pairs)):
-        flat = [0] * n**3
-        for (s, t), c in zip(pairs, values):
-            flat[s], flat[t] = c, -c % p
-        if raw_leibniz_failure(field, _cube(flat, n), jacobi) is None:
-            yield tuple(flat)
+def _solve(field: PrimeField, rows, unknowns: int):
+    """A linear system over GF(p) whose rows hold the coefficients of the
+    unknowns, then the right-hand side, solved by ``raw_rref``: a particular
+    solution and a basis of the kernel, or None when it is inconsistent."""
+    reduced, pivots = raw_rref(field, rows, unknowns + 1)
+    if pivots and pivots[-1] == unknowns:
+        return None
+    particular = [0] * unknowns
+    for row, col in zip(reduced, pivots):
+        particular[col] = row[unknowns]
+    kernel = []
+    for free in sorted(set(range(unknowns)) - set(pivots)):
+        step = [0] * unknowns
+        step[free] = 1
+        for row, col in zip(reduced, pivots):
+            step[col] = -row[free] % field.p
+        kernel.append(step)
+    return particular, kernel
+
+
+def _span(pack: _Packing, table: int, steps):
+    """Every packed table + sum c_i steps_i with each c_i in [0, p),
+    reduced."""
+    if not steps:
+        yield table
+        return
+    for c in range(pack.p):
+        yield from _span(pack, pack.reduce(table + c * steps[0]), steps[1:])
+
+
+def _lie_tables(p: int, n: int, budget: int):
+    """The Lie tables over GF(p) of dimension n, packed: the alternating
+    tables that satisfy the Jacobi identity, which on an alternating table
+    is the right identity.  Its failure is alternating in (i, j, k), so
+    triples i < j < k suffice.
+
+    The brackets [e_a, e_last] with last = n - 1 are fixed, one system per
+    value (p^(n(n-1)) of them).  On a triple (i, j, last) the identity
+    [e_i, [e_j, e_last]] - [[e_i, e_j], e_last] + [[e_i, e_last], e_j] = 0
+    then has a fixed factor in every product of two constants, so it is
+    linear in the other constants c[i][j][k], i < j < last: it is solved,
+    and each solution is checked on the triples i < j < k < last only
+    (there are none for n <= 3).  The budget bounds the solutions, counted
+    as they are found; every Lie table is marked, so the orbit count bounds
+    the Lie tables too."""
+    field, pack = PrimeField(p), _Packing(p, n)
+    last = n - 1
+    at = lambda i, j, k: (i * n + j) * n + k
+    pairs = list(itertools.combinations(range(last), 2))
+    unknowns = [(i, j, k) for i, j in pairs for k in range(n)]
+    column = {key: u for u, key in enumerate(unknowns)}
+    size = len(unknowns)
+    # c[i][j][k] sets c[j][i][k] = -c[i][j][k] too, for the fixed values
+    # c[a][last][k] = values[a*n + k] and the unknowns alike
+    units = pack.units
+    alternating = lambda i, j, k: units[at(i, j, k)] + (p - 1) * units[at(j, i, k)]
+    fixed = [alternating(a, last, k) for a in range(last) for k in range(n)]
+    free = [alternating(i, j, k) for i, j, k in unknowns]
+
+    def entry(a, b, k):
+        # c[a][b][k] as (sign, column of an unknown, None) or (sign, None,
+        # index of a fixed value); sign 0 when alternation makes it 0
+        if a == b:
+            return 0, None, None
+        if last in (a, b):
+            return (1, None, a * n + k) if b == last else (-1, None, b * n + k)
+        return (1 if a < b else -1), column[min(a, b), max(a, b), k], None
+
+    # an equation is a list of terms sign * values[f] * (unknown col or
+    # values[g]), one per product with a fixed first factor values[f]
+    equations = []
+    for i, j in pairs:
+        for l in range(n):
+            products = [(1, j * n + b, entry(i, b, l)) for b in range(n)]
+            products += [(-1, a * n + l, entry(i, j, a)) for a in range(last)]
+            products += [(1, i * n + a, entry(a, j, l)) for a in range(n)]
+            equations.append(
+                [(s * t, f, col, g) for s, f, (t, col, g) in products if t]
+            )
+    jacobi = list(itertools.combinations(range(last), 3))
+    found = 0
+    for values in itertools.product(range(p), repeat=last * n):
+        rows = []
+        for terms in equations:
+            row = [0] * (size + 1)
+            for sign, f, col, g in terms:
+                if col is None:
+                    row[size] -= sign * values[f] * values[g]
+                else:
+                    row[col] += sign * values[f]
+            rows.append([x % p for x in row])
+        solved = _solve(field, rows, size)
+        if solved is None:
+            continue
+        particular, kernel = solved
+        start = pack.reduce(pack.pack(values, fixed) + pack.pack(particular, free))
+        steps = [pack.reduce(pack.pack(x, free)) for x in kernel]
+        for table in _span(pack, start, steps):
+            found += 1
+            if found > budget:
+                raise BudgetExceeded(
+                    f"candidate Lie tables of {field} dim {n}: at least {found} "
+                    f"exceeds budget {budget}"
+                )
+            if jacobi:
+                cube = _cube(pack.unpack(table), n)
+                if raw_leibniz_failure(field, cube, jacobi):
+                    continue
+            yield table
+
+
+def _action_rows(lie, rho, p: int):
+    """The right identity of the tables with Lie part ``lie`` (a cube of
+    dimension m) and action ``rho`` (rho[a][r][q], d x d matrices), as the
+    rows of a homogeneous system in omega, whose unknown omega_ab at x_r is
+    column (a*m + b)*d + r; None when rho is not a right action of g."""
+    m, d = len(lie), len(rho[0])
+    for j, k in itertools.combinations(range(m), 2):
+        for r in range(d):
+            for q in range(d):
+                act = sum(lie[j][k][b] * rho[b][r][q] for b in range(m))
+                bracket = sum(
+                    rho[j][r][s] * rho[k][s][q] - rho[k][r][s] * rho[j][s][q]
+                    for s in range(d)
+                )
+                if (act - bracket) % p:
+                    return None
+    place = lambda a, b, r: (a * m + b) * d + r
+    rows = []
+    for i, j, k in itertools.product(range(m), repeat=3):
+        for r in range(d):
+            row = [0] * (m * m * d + 1)
+            for b in range(m):
+                row[place(i, b, r)] += lie[j][k][b]
+                row[place(b, k, r)] -= lie[i][j][b]
+                row[place(b, j, r)] += lie[i][k][b]
+            for q in range(d):
+                row[place(i, j, q)] -= rho[k][q][r]
+                row[place(i, k, q)] += rho[j][q][r]
+            rows.append([x % p for x in row])
+    return rows
 
 
 def _liesation_tables(p: int, n: int, budget: int):
-    """Leibniz tables over GF(p) of dimension n that include a basis change
-    of every Leibniz table, by the Liesation route.
+    """Packed Leibniz tables over GF(p) of dimension n that include a basis
+    change of every Leibniz table, by the Liesation route.
 
     The ideal of squares I satisfies [L, I] = 0, and L/I is Lie.  In a basis
     g_0 .. g_{m-1} of a complement followed by a basis x_0 .. x_{d-1} of I
     (d = dim I, m = n - d), a table is a Lie table on g plus a map omega:
     g x g -> I in the products [g_a, g_b], a right action rho of g on I in
     [x_r, g_a] = x_r rho_a, and zero for [g, I] and [I, I].  For d = 0 the
-    candidates are the Lie tables; for d >= 1, g runs over the minimum of
-    each GL(m, p) orbit of Lie tables, with every rho and every omega.  The
-    candidates that pass the right identity are kept."""
-    yield from _lie_tables(p, n)
-    field = PrimeField(p)
-    triples = list(itertools.product(range(n), repeat=3))
+    tables are the Lie tables; for d >= 1, g runs over the minimum of each
+    GL(m, p) orbit of Lie tables, and rho over every action.
+
+    With g and rho fixed the right identity is affine in omega, since
+    [I, I] = 0 and [g, I] = 0, and it is solved once per (g, rho).  It holds
+    outright on the triples with x_r second or third.  On (x_r, g_j, g_k)
+    it is free of omega and says rho_[g_j, g_k] = rho_j rho_k - rho_k rho_j;
+    an action that fails it is skipped.  On (g_i, g_j, g_k) its g-part is
+    Jacobi on g, and its I-part the linear equation
+      sum_b c_jkb omega_ib - sum_a c_ija omega_ak - omega_ij rho_k
+        + sum_a c_ika omega_aj + omega_ik rho_j = 0
+    with c the constants of g (``_action_rows``).  Each solution omega
+    gives one table."""
+    yield from _lie_tables(p, n, budget)
+    field, pack = PrimeField(p), _Packing(p, n)
+    units = pack.units
     at = lambda i, j, k: (i * n + j) * n + k
     for d in range(1, n):
         m = n - d
-        omega = [at(a, b, m + r) for a in range(m) for b in range(m) for r in range(d)]
-        rho = [
-            at(m + r, a, m + q) for a in range(m) for r in range(d) for q in range(d)
-        ]
-        for orbit in _mark_orbits(_lie_tables(p, m), p, m, budget):
-            flat = [0] * n**3
-            for (a, b, k), c in zip(itertools.product(range(m), repeat=3), min(orbit)):
-                flat[at(a, b, k)] = c
-            for values in itertools.product(range(p), repeat=len(rho) + len(omega)):
-                for s, c in zip(rho + omega, values):
-                    flat[s] = c
-                if raw_leibniz_failure(field, _cube(flat, n), triples) is None:
-                    yield tuple(flat)
+        unpack = _Packing(p, m).unpack
+        idx, ideal = range(m), range(d)
+        # the lanes of the constants of g, of rho and of omega
+        inner = [units[at(a, b, k)] for a in idx for b in idx for k in idx]
+        acting = [units[at(m + r, a, m + q)] for a in idx for r in ideal for q in ideal]
+        omega = [units[at(a, b, m + r)] for a in idx for b in idx for r in ideal]
+        for orbit in _mark_orbits(_lie_tables(p, m, budget), p, m, budget):
+            flat = unpack(min(orbit))
+            lie, table = _cube(flat, m), pack.pack(flat, inner)
+            for values in itertools.product(range(p), repeat=m * d * d):
+                vectors = [values[s : s + d] for s in range(0, len(values), d)]
+                rho = [vectors[a * d : a * d + d] for a in idx]
+                rows = _action_rows(lie, rho, p)
+                if rows is None:
+                    continue
+                action = pack.pack(values, acting)
+                _, kernel = _solve(field, rows, len(omega))
+                steps = [pack.pack(x, omega) for x in kernel]
+                yield from _span(pack, table + action, steps)
 
 
 def _liesation_orbits(p: int, n: int, budget: int = DEFAULT_BUDGET) -> list:
-    """The GL(n, p) orbits of the Leibniz tables over GF(p) of dimension n:
-    the orbits of ``_liesation_tables``, whose sizes the budget bounds.
-    Every orbit size must divide |GL(n, p)| = prod (p^n - p^i), or the run
-    fails."""
+    """The GL(n, p) orbits of the Leibniz tables over GF(p) of dimension n,
+    as frozensets of packed tables: the orbits of ``_liesation_tables``,
+    whose sizes the budget bounds.  Every orbit size must divide
+    |GL(n, p)| = prod (p^n - p^i), or the run fails."""
     orbits = _mark_orbits(_liesation_tables(p, n, budget), p, n, budget)
     order = math.prod(p**n - p**i for i in range(n))
     for orbit in orbits:
@@ -752,13 +961,14 @@ def _census(field, dim, budget):
     """(scanned, valid, [(key, representative)]) by ``_liesation_orbits``.
     Each class is keyed by the minimum of its orbit, the classes are sorted
     by key, and ``valid`` is the sum of the orbit sizes.  The budget bounds
-    the alternating tables of the d = 0 step and the projective points of
+    the p^(dim(dim-1)) systems of the Lie step and the projective points of
     F^dim that every class's oracle enumerates, before any table is built,
-    and the running sum of the orbit sizes as the orbits are closed.  At
-    dim 2 the valid tables are counted up front too, by their closed form
-    p^3 + 2p^2 - p - 1."""
-    pairs = dim * dim * (dim - 1) // 2
-    require_enumerable(field, pairs, budget, f"alternating tables of {field} dim {dim}")
+    then the solutions of the Lie systems and the running sum of the orbit
+    sizes as they are found.  At dim 2 the valid tables are counted up front
+    too, by their closed form p^3 + 2p^2 - p - 1.  Orbit members stay packed; only the
+    class keys are unpacked."""
+    systems = f"Lie systems of {field} dim {dim}"
+    require_enumerable(field, dim * (dim - 1), budget, systems)
     require_enumerable(field, dim, budget, f"projective points of F^{dim}")
     p = field.p
     if dim == 2:
@@ -769,11 +979,14 @@ def _census(field, dim, budget):
             )
     orbits = _liesation_orbits(p, dim, budget)
     # GF(2) dim 3 compares reversed tuples, the order of the 27-bit id with
-    # c[i][j][k] at bit 9i + 3j + k, so its pinned report keeps its bytes
-    order = (lambda t: t[::-1]) if (p, dim) == (2, 3) else None
-    keys = sorted((min(orbit, key=order) for orbit in orbits), key=order)
+    # c[i][j][k] at bit 9i + 3j + k, so its pinned report keeps its bytes;
+    # its lanes are one byte each, so a member's little-endian bytes are its
+    # reversed tuple
+    order = (lambda x: x.to_bytes(27, "little")) if (p, dim) == (2, 3) else None
+    unpack = _Packing(p, dim).unpack
+    minima = sorted((min(orbit, key=order) for orbit in orbits), key=order)
     return p ** (dim**3), sum(map(len, orbits)), [
-        (key, _canonical_rep(field, dim, key)) for key in keys
+        (key, _canonical_rep(field, dim, key)) for key in map(unpack, minima)
     ]
 
 

@@ -90,6 +90,12 @@ def gf3_dim3_census():
 
 
 @pytest.fixture(scope="session")
+def gf2_dim4_census():
+    """The GF(2) dim-4 census with the lemma harness, run once per session."""
+    return sweep_tables(GF2, 4, run_lemmas=True)
+
+
+@pytest.fixture(scope="session")
 def family_corpus():
     return finite_family_corpus()
 

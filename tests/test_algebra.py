@@ -131,7 +131,8 @@ def test_is_lie_matches_lie_validation(family_corpus, nine_families):
     algebras = gf2_dim3_class_representatives()
     algebras += [alg for _, alg in family_corpus] + list(nine_families.values())
     for field, n in ((GF2, 3), (GF3, 2)):
-        tables = sorted(set().union(*census._liesation_orbits(field.p, n)))
+        members = set().union(*census._liesation_orbits(field.p, n))
+        tables = sorted(map(census._Packing(field.p, n).unpack, members))
         for flat in rng.sample(tables, 30):
             entries = iter(flat)
             cube = [[[next(entries) for _ in range(n)] for _ in range(n)] for _ in range(n)]

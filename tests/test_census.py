@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import os
@@ -16,6 +17,7 @@ from quasileib.algebra import (
     MultiplicationTable,
     build_table,
     is_ideal,
+    raw_leibniz_failure,
     is_subalgebra,
     quotient,
     raw_quotient_cube,
@@ -144,12 +146,17 @@ def test_non_lie_almost_abelian_argument_replays(field):
 
 
 @pytest.mark.parametrize(
-    "field, dim, shaped", [(GF2, 3, 1), (GF3, 2, 0)], ids=["gf2_dim3", "gf3_dim2"]
+    "field, dim, shaped",
+    [(GF2, 3, 1), (GF3, 2, 0), (GF2, 4, 1)],
+    ids=["gf2_dim3", "gf3_dim2", "gf2_dim4"],
 )
-def test_every_q_member_is_catalogued_or_the_non_lie_shape(field, dim, shaped):
+def test_every_q_member_is_catalogued_or_the_non_lie_shape(request, field, dim, shaped):
     # the completeness gate: an in-Q class outside the catalogue has the
     # I + Fh shape, and the discrepancies list those classes and no other
-    report = sweep_tables(field, dim)
+    if dim == 4:
+        report = request.getfixturevalue("gf2_dim4_census")
+    else:
+        report = sweep_tables(field, dim)
     outside = [
         entry.classification.facts
         for entry in report.classes
@@ -445,10 +452,11 @@ def test_report_count_consistency():
 
 
 def test_sweep_rejects_large_exhaustive():
-    # the budget alone bounds the sizes: GF(2) dim 4 has 2^24 alternating
-    # tables, and GF(3) dim 3 has 3^9, over a budget of 10000
+    # the budget alone bounds the sizes: GF(2) dim 5 has 2^20 Lie systems,
+    # over the default budget, and GF(3) dim 3 has 15,861 valid tables, over
+    # a budget of 10000
     with pytest.raises(BudgetExceeded):
-        sweep_tables(GF2, 4)
+        sweep_tables(GF2, 5)
     with pytest.raises(BudgetExceeded):
         sweep_tables(GF3, 3, budget=10_000)
     with pytest.raises(UnsupportedField):
@@ -758,15 +766,17 @@ def test_solved_sweep_total():
 
 @functools.lru_cache(maxsize=None)
 def _orbit_union(p, n):
-    """The union of the Liesation generator's orbits."""
-    return frozenset().union(*census._liesation_orbits(p, n))
+    """The union of the Liesation generator's orbits, unpacked."""
+    members = frozenset().union(*census._liesation_orbits(p, n))
+    return frozenset(map(census._Packing(p, n).unpack, members))
 
 
 @pytest.mark.parametrize("p, n, valid", [(2, 1, 1), (2, 2, 13), (3, 1, 1), (3, 2, 41)])
 def test_liesation_generator_matches_generic_engine(p, n, valid):
     # the same orbits as the tables of the per-matrix solve, moved by the
     # plain base change, and the census keys are their forward minima
-    orbits = census._liesation_orbits(p, n)
+    unpack = census._Packing(p, n).unpack
+    orbits = [frozenset(map(unpack, orbit)) for orbit in census._liesation_orbits(p, n)]
     assert sum(len(orbit) for orbit in orbits) == valid
     group = _plain_general_linear(p, n)
     expected = {
@@ -795,13 +805,22 @@ def test_quotients_by_every_ideal_are_leibniz(family_corpus):
 
 def test_budget_refusal_names_count_and_budget():
     with pytest.raises(BudgetExceeded) as exc:
-        sweep_tables(GF2, 4)
-    message = str(exc.value)
-    assert "16777216" in message and str(DEFAULT_BUDGET) in message
+        sweep_tables(GF2, 5)
+    assert str(exc.value) == (
+        f"Lie systems of GF(2) dim 5: 1048576 exceeds budget {DEFAULT_BUDGET}"
+    )
+    # GF(3) dim 3 has 3^6 Lie systems and 15,861 valid tables
     with pytest.raises(BudgetExceeded) as exc:
         sweep_tables(GF3, 3, budget=10_000)
-    message = str(exc.value)
-    assert "19683" in message and "10000" in message
+    assert str(exc.value) == (
+        "tables in GL(3,3) orbits: at least 10001 exceeds budget 10000"
+    )
+    # the solutions of the Lie systems are counted as they are found
+    with pytest.raises(BudgetExceeded) as exc:
+        list(census._lie_tables(2, 4, 1000))
+    assert str(exc.value) == (
+        "candidate Lie tables of GF(2) dim 4: at least 1001 exceeds budget 1000"
+    )
     # at dim 2 the p^3 + 2p^2 - p - 1 valid tables (proved in
     # test_dim2_valid_count_closed_form) are counted before any is built
     with pytest.raises(BudgetExceeded) as exc:
@@ -966,7 +985,11 @@ def test_gf3_dim3_per_matrix_solve_sample(gf3_dim3_census):
     at most 7 (an inconsistent system, with no solutions, qualifies; 19,650
     of the 3^9 values do).  The engine's tables are the base-change orbits
     of the 27 class keys."""
-    orbits = [census._orbit(e.key, 3, 3, DEFAULT_BUDGET) for e in gf3_dim3_census.classes]
+    pack = census._Packing(3, 3)
+    orbits = [
+        set(map(pack.unpack, census._orbit(pack.pack(e.key), 3, 3, DEFAULT_BUDGET)))
+        for e in gf3_dim3_census.classes
+    ]
     assert len(orbits) == 27 and sum(len(orbit) for orbit in orbits) == 15_861
     by_last = {}
     for t in set().union(*orbits):
@@ -987,6 +1010,223 @@ def test_gf3_dim3_per_matrix_solve_sample(gf3_dim3_census):
         assert set(tables) == by_last.get(fixed, set()), fixed
         found += len(tables)
     assert found
+
+
+def _filtered_lie_tables(p, n):
+    """The Lie tables over GF(p) of dimension n by filtering: every
+    alternating table that passes the right identity on the triples
+    i < j < k, which on an alternating table is the Jacobi identity: the
+    reference for the census's solved Lie step."""
+    field = PrimeField(p)
+    pairs = [
+        ((i * n + j) * n + k, (j * n + i) * n + k)
+        for i, j in itertools.combinations(range(n), 2)
+        for k in range(n)
+    ]
+    jacobi = list(itertools.combinations(range(n), 3))
+    for values in itertools.product(range(p), repeat=len(pairs)):
+        flat = [0] * n**3
+        for (s, t), c in zip(pairs, values):
+            flat[s], flat[t] = c, -c % p
+        if raw_leibniz_failure(field, census._cube(flat, n), jacobi) is None:
+            yield tuple(flat)
+
+
+def _filtered_liesation_tables(p, n):
+    """The Liesation candidates by filtering: the Lie tables, then for each
+    d = dim I >= 1 and each Lie table g of dimension m = n - d that is the
+    minimum of its GL(m, p) orbit (under the plain base change), every
+    action rho and every map omega, kept when the table passes the right
+    identity on every triple."""
+    yield from _filtered_lie_tables(p, n)
+    field = PrimeField(p)
+    triples = list(itertools.product(range(n), repeat=3))
+    at = lambda i, j, k: (i * n + j) * n + k
+    for d in range(1, n):
+        m = n - d
+        omega = [at(a, b, m + r) for a in range(m) for b in range(m) for r in range(d)]
+        rho = [
+            at(m + r, a, m + q) for a in range(m) for r in range(d) for q in range(d)
+        ]
+        group = _plain_general_linear(p, m)
+        minima = {
+            min(_plain_transform(t, g, p, m) for g in group)
+            for t in _filtered_lie_tables(p, m)
+        }
+        for lie in sorted(minima):
+            flat = [0] * n**3
+            for (a, b, k), c in zip(itertools.product(range(m), repeat=3), lie):
+                flat[at(a, b, k)] = c
+            for values in itertools.product(range(p), repeat=len(rho) + len(omega)):
+                for s, c in zip(rho + omega, values):
+                    flat[s] = c
+                if raw_leibniz_failure(field, census._cube(flat, n), triples) is None:
+                    yield tuple(flat)
+
+
+@pytest.mark.parametrize(
+    "p, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2)]
+)
+def test_solved_generator_matches_the_filter(p, n):
+    # the solved Lie step and the solved omega give the same tables, each as
+    # often, as filtering every candidate
+    unpack = census._Packing(p, n).unpack
+    solved = sorted(map(unpack, census._liesation_tables(p, n, DEFAULT_BUDGET)))
+    assert solved == sorted(_filtered_liesation_tables(p, n))
+
+
+def _is_alternating(flat, n, p):
+    return all(
+        flat[(i * n + i) * n + k] == 0
+        and (flat[(i * n + j) * n + k] + flat[(j * n + i) * n + k]) % p == 0
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+    )
+
+
+def test_gf2_dim4_lie_step_matches_per_matrix_solve():
+    """The solved Lie step at GF(2) dim 4, where the filter would check 2^24
+    alternating tables, against the per-matrix solve on eight seeded values
+    of the last matrix R_3, the brackets [e_i, e_3], with last row 0 (so
+    [e_3, e_3] = 0) and a solution space of dimension at most 12 (an
+    inconsistent system, with no solutions, qualifies).  The Lie tables
+    with that R_3 are its alternating solutions."""
+    unpack = census._Packing(2, 4).unpack
+    by_last = {}
+    for packed in census._lie_tables(2, 4, DEFAULT_BUDGET):
+        t = unpack(packed)
+        # R_3[i][k] = c[i][3][k]
+        r3 = tuple(tuple(t[(i * 4 + 3) * 4 + k] for k in range(4)) for i in range(4))
+        by_last.setdefault(r3, set()).add(t)
+    assert sum(map(len, by_last.values())) == 34_336
+    rng = random.Random(0)
+    checked, found = set(), 0
+    while len(checked) < 8:
+        entries = [rng.randrange(2) for _ in range(12)] + [0] * 4
+        fixed = tuple(tuple(entries[r * 4 : r * 4 + 4]) for r in range(4))
+        particular, kernel = _last_matrix_solutions(2, 4, fixed)
+        if fixed in checked or (particular is not None and len(kernel) > 12):
+            continue
+        checked.add(fixed)
+        tables = _tables_with_last(2, 4, fixed, particular, kernel)
+        lie = {t for t in tables if _is_alternating(t, 4, 2)}
+        assert lie == by_last.get(fixed, set()), fixed
+        found += len(lie)
+    assert found
+
+
+def _automorphism_count(flat, p, n):
+    """|Aut| of the algebra of a flat table over GF(p), by backtracking over
+    the images v_0, v_1, ... of the basis, in plain integers mod p.  Each
+    v_t lies outside the span of the ones before it, and the bracket
+    [v_i, v_j] = sum_k c_ijk v_k is checked as soon as v_i, v_j and every
+    v_k with c_ijk != 0 are chosen.  Vectors are numbered, with their sums,
+    multiples and brackets tabulated once."""
+    vectors = list(itertools.product(range(p), repeat=n))
+    number = {v: i for i, v in enumerate(vectors)}
+    idx = range(n)
+    c = [[flat[(a * n + b) * n : (a * n + b + 1) * n] for b in idx] for a in idx]
+    add = [
+        [number[tuple((x + y) % p for x, y in zip(u, v))] for v in vectors]
+        for u in vectors
+    ]
+    scale = [[number[tuple(s * x % p for x in u)] for u in vectors] for s in range(p)]
+    bracket = [
+        [
+            number[
+                tuple(
+                    sum(u[a] * v[b] * c[a][b][k] for a in idx for b in idx) % p
+                    for k in idx
+                )
+            ]
+            for v in vectors
+        ]
+        for u in vectors
+    ]
+    checks = [[] for _ in idx]
+    for i in idx:
+        for j in idx:
+            terms = [(k, c[i][j][k]) for k in idx if c[i][j][k]]
+            checks[max([i, j] + [k for k, _ in terms])].append((i, j, terms))
+
+    def count(images, span):
+        t = len(images)
+        if t == n:
+            return 1
+        total = 0
+        for v in range(1, len(vectors)):
+            if v in span:
+                continue
+            images.append(v)
+            for i, j, terms in checks[t]:
+                rhs = 0
+                for k, x in terms:
+                    rhs = add[rhs][scale[x][images[k]]]
+                if bracket[images[i]][images[j]] != rhs:
+                    break
+            else:
+                wider = {add[s][scale[x][v]] for s in span for x in range(p)}
+                total += count(images, wider)
+            images.pop()
+        return total
+
+    return count([], {0})
+
+
+def test_automorphism_count_matches_brute_force():
+    # the backtracking count against every element of GL(n, p)
+    for field, dim in ((GF2, 2), (GF3, 2), (GF2, 3)):
+        p = field.p
+        group = _plain_general_linear(p, dim)
+        for entry in sweep_tables(field, dim).classes:
+            key = entry.key
+            fixed = sum(_plain_transform(key, g, p, dim) == key for g in group)
+            assert _automorphism_count(key, p, dim) == fixed, key
+
+
+@pytest.mark.parametrize("p, dim", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)])
+def test_orbit_stabiliser_sums_to_valid(request, p, dim):
+    # each class is one orbit of |GL(n, p)| / |Aut| tables, so the valid
+    # tables number the sum of those over the classes, with |Aut| counted
+    # by backtracking, independently of the census
+    if (p, dim) in ((2, 4), (3, 3)):
+        report = request.getfixturevalue(f"gf{p}_dim{dim}_census")
+    else:
+        report = sweep_tables(PrimeField(p), dim)
+    order = math.prod(p**dim - p**i for i in range(dim))
+    orbits = [order // _automorphism_count(e.key, p, dim) for e in report.classes]
+    assert sum(orbits) == report.totals["valid"]
+
+
+def test_gf2_dim4_census(gf2_dim4_census):
+    # 5 of the 128 classes are in the class; the one outside the catalogue
+    # is I + Fh with dim I = 3
+    report = gf2_dim4_census
+    assert report.totals == {"scanned": 2**64, "valid": 361_096, "classes": 128}
+    assert all(entry.oracle_mismatches == 0 for entry in report.classes)
+    assert report.lemma_failures == []
+    members = [entry.classification for entry in report.classes if entry.in_q]
+    assert sorted(c.verdict for c in members) == sorted(
+        [ABELIAN, ALMOST_ABELIAN_LIE, OUTSIDE_CATALOGUE] + [EXTRASPECIAL_SUM] * 2
+    )
+    outside = [c.facts for c in members if c.verdict == OUTSIDE_CATALOGUE]
+    assert [(f["shape"], f["dim_i"]) for f in outside] == [(NON_LIE_ALMOST_ABELIAN, 3)]
+    # the bytes that `census --field gf2 --dim 4 --lemmas` writes
+    digest = hashlib.sha256(report.to_bytes() + b"\n").hexdigest()
+    assert digest == "29d0470887b6d5f10ac627fa85d85345536fd101a47ebfa4362d84143bd54fd9"
+
+
+def test_gf2_dim4_lie_classes(gf2_dim4_census):
+    # 23 Lie classes, 3 of them nilpotent (abelian, Heisenberg + F and the
+    # filiform algebra) and 21 solvable; their orbits, sized by the
+    # backtracking |Aut|, hold exactly the 34,336 tables of the Lie step
+    lie = [entry for entry in gf2_dim4_census.classes if entry.invariants.is_lie]
+    assert len(lie) == 23
+    facts = [entry.classification.facts for entry in lie]
+    assert sum(f["is_nilpotent"] for f in facts) == 3
+    assert sum(f["is_solvable"] for f in facts) == 21
+    assert sum(20_160 // _automorphism_count(entry.key, 2, 4) for entry in lie) == 34_336
 
 
 @pytest.mark.parametrize("p, n, valid", [(2, 1, 1), (2, 2, 13), (3, 1, 1), (3, 2, 41)])
@@ -1050,7 +1290,7 @@ census._generators = real_generators
 
 # [e_0, e_0] = e_0 is not Leibniz
 census._liesation_orbits = lambda p, n, budget: [
-    frozenset({(1,) + (0,) * (n**3 - 1)})
+    frozenset({census._Packing(p, n).pack((1,) + (0,) * (n**3 - 1))})
 ]
 try:
     census.sweep_tables(GF2, 3)
@@ -1077,32 +1317,35 @@ def test_liesation_self_checks_fire(flags):
     assert result.stdout.strip() == "both caught"
 
 
-@pytest.mark.parametrize("p, n", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (257, 1)])
 def test_base_changes_match_plain_transform(p, n):
     # the closure under the generators, on packed transports, gives the
     # plain transform's images under every element of GL(n, p); tables that
-    # are not Leibniz are moved as well
+    # are not Leibniz are moved as well, and over GF(257) an entry takes two
+    # bytes of its lane
     group = _plain_general_linear(p, n)
     rng = random.Random(13)
     tables = [(0,) * n**3, (p - 1,) * n**3] + [
         tuple(rng.randrange(p) for _ in range(n**3)) for _ in range(4)
     ]
+    pack = census._Packing(p, n)
     for t in tables:
-        assert census._orbit(t, p, n, DEFAULT_BUDGET) == {
+        orbit = census._orbit(pack.pack(t), p, n, DEFAULT_BUDGET)
+        assert set(map(pack.unpack, orbit)) == {
             _plain_transform(t, g, p, n) for g in group
         }
 
 
-def _orbit_over_half_the_group(real, flat, *args):
+def _orbit_over_half_the_group(real, table, *args):
     # misses tables of a class, which then start orbits that overlap it
-    orbit = sorted(real(flat, *args))
-    return frozenset(orbit[: len(orbit) // 2]) | {flat}
+    orbit = sorted(real(table, *args))
+    return frozenset(orbit[: len(orbit) // 2]) | {table}
 
 
-def _orbit_with_a_stranger(real, flat, *args):
+def _orbit_with_a_stranger(real, table, p, n, *args):
     # the all-ones table is not Leibniz over GF(3): [e_0, e_0 + e_1] = 2s
     # while [[e_0, y], z] - [[e_0, z], y] = 0, with s = e_0 + e_1
-    return real(flat, *args) | {(1,) * len(flat)}
+    return real(table, p, n, *args) | {census._Packing(p, n).pack((1,) * n**3)}
 
 
 @pytest.mark.parametrize("broken", [_orbit_over_half_the_group, _orbit_with_a_stranger])
@@ -1143,8 +1386,8 @@ def test_generators_close_to_the_general_linear_group(p, n, order):
 
 
 def test_census_budget_counts_the_valid_tables():
-    # GF(2) dim 3 has 2^9 = 512 alternating tables, within the budget, and
-    # 806 valid tables, over it: the closure refuses the 801st
+    # GF(2) dim 3 has 2^6 = 64 Lie systems, within the budget, and 806
+    # valid tables, over it: the closure refuses the 801st
     with pytest.raises(BudgetExceeded) as exc:
         sweep_tables(GF2, 3, budget=800)
     assert "at least 801 exceeds budget 800" in str(exc.value)

@@ -566,9 +566,9 @@ def test_census_report_bytes_pinned(tmp_path, field, dim):
 
 
 def test_census_budget_error(capsys):
-    # GF(3) dim 3 has 3^9 alternating tables, over a budget of 10000, and
-    # GF(2) dim 4 has 2^24, over the default budget
-    for argv in (["gf3", "--dim", "3", "--budget", "10000"], ["gf2", "--dim", "4"]):
+    # GF(3) dim 3 has 15,861 valid tables, over a budget of 10000, and
+    # GF(2) dim 5 has 2^20 Lie systems, over the default budget
+    for argv in (["gf3", "--dim", "3", "--budget", "10000"], ["gf2", "--dim", "5"]):
         assert run(["census", "--field", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
