@@ -253,15 +253,19 @@ def validate(table: MultiplicationTable, mode: str = "right") -> ValidationResul
 
 
 # the per-subspace memo tables of an algebra, each keyed by raw echelon rows
-# and created with the algebra; "full", "subalgebras" and "subquasi_bfs"
-# hold single values and are set on first use
+# (``series`` by rows and kind) and created with the algebra; "full",
+# "center", "squares_ideal", "subalgebras" and "subquasi_bfs" hold single
+# values and are set on first use
 _MEMOS = (
     "action",
     "bracket_subspaces",
+    "core",
     "is_ideal",
     "is_left_engel",
     "is_subalgebra",
     "quasi_in",
+    "quotient",
+    "series",
     "wrap",
 )
 
@@ -335,13 +339,17 @@ def adjoint(alg: LeibnizAlgebra, x: tuple, side: str = "right") -> tuple:
 
 
 def squares_ideal(alg: LeibnizAlgebra) -> Subspace:
-    """span{x*x : x in L}: basis squares plus polarized products."""
-    cube, add = alg.table.raw, alg.field.raw_add
-    gens = [cube[i][i] for i in range(alg.dim)]
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            gens.append(tuple(map(add, cube[i][j], cube[j][i])))
-    return raw_echelonize(alg.field, alg.dim, gens)
+    """span{x*x : x in L}: basis squares plus polarized products, computed
+    once per algebra."""
+    found = alg._cache.get("squares_ideal")
+    if found is None:
+        cube, add = alg.table.raw, alg.field.raw_add
+        gens = [cube[i][i] for i in range(alg.dim)]
+        for i in range(alg.dim):
+            for j in range(i + 1, alg.dim):
+                gens.append(tuple(map(add, cube[i][j], cube[j][i])))
+        found = alg._cache["squares_ideal"] = raw_echelonize(alg.field, alg.dim, gens)
+    return found
 
 
 def bracket_subspaces(alg: LeibnizAlgebra, a: Subspace, b: Subspace) -> Subspace:
@@ -359,16 +367,20 @@ def bracket_subspaces(alg: LeibnizAlgebra, a: Subspace, b: Subspace) -> Subspace
 
 
 def center(alg: LeibnizAlgebra) -> Subspace:
-    """{v : [v, L] = [L, v] = 0}, computed as a left kernel."""
-    cube = alg.table.raw
-    rows = []
-    for i in range(alg.dim):
-        flat = []
-        for j in range(alg.dim):
-            flat.extend(cube[i][j])
-            flat.extend(cube[j][i])
-        rows.append(flat)
-    return raw_left_kernel(alg.field, rows)
+    """{v : [v, L] = [L, v] = 0}, computed once per algebra as a left
+    kernel."""
+    found = alg._cache.get("center")
+    if found is None:
+        cube = alg.table.raw
+        rows = []
+        for i in range(alg.dim):
+            flat = []
+            for j in range(alg.dim):
+                flat.extend(cube[i][j])
+                flat.extend(cube[j][i])
+            rows.append(flat)
+        found = alg._cache["center"] = raw_left_kernel(alg.field, rows)
+    return found
 
 
 def is_subalgebra(alg: LeibnizAlgebra, s: Subspace) -> bool:
@@ -447,6 +459,9 @@ def series(alg: LeibnizAlgebra, h: Subspace | None = None, kind: str = "lower_ce
     ``lower_central``  : H, [H,H], [[H,H],H], ...
     ``derived``        : H, [H,H], [[H,H],[H,H]], ...
     ``omega_of_square``: S, [S,S], [[S,S],S], ...  with S = [H,H]
+
+    Computed once per (subalgebra, kind); every call still checks that
+    ``h`` is a subalgebra of this algebra and returns a fresh list.
     """
     if kind not in ("lower_central", "derived", "omega_of_square"):
         raise ValueError(f"unknown series kind {kind!r}")
@@ -454,6 +469,15 @@ def series(alg: LeibnizAlgebra, h: Subspace | None = None, kind: str = "lower_ce
         h = alg.full()
     if not is_subalgebra(alg, h):
         raise NotASubalgebra("series of a non-subalgebra")
+    cache = alg._cache["series"]
+    key = (h.raw_rows, kind)
+    found = cache.get(key)
+    if found is None:
+        found = cache[key] = _series(alg, h, kind)
+    return list(found)
+
+
+def _series(alg, h, kind) -> tuple:
     if kind == "omega_of_square":
         start = bracket_subspaces(alg, h, h)
         step = lambda cur: bracket_subspaces(alg, cur, start)
@@ -469,7 +493,7 @@ def series(alg: LeibnizAlgebra, h: Subspace | None = None, kind: str = "lower_ce
         if nxt == chain[-1]:
             break
         chain.append(nxt)
-    return chain
+    return tuple(chain)
 
 
 def is_nilpotent(alg: LeibnizAlgebra) -> bool:
@@ -544,11 +568,18 @@ def raw_quotient_cube(alg: LeibnizAlgebra, j: Subspace) -> tuple:
 
 def quotient(alg: LeibnizAlgebra, j: Subspace) -> QuotientAlgebra:
     """L/J for a verified ideal J; the quotient basis is the set of non-pivot
-    coordinates of J's echelon form, which makes tables reproducible."""
+    coordinates of J's echelon form, which makes tables reproducible.
+
+    The quotient algebra, and so its own memos, is built once per ideal;
+    every call still checks that J is an ideal of this algebra."""
     if not is_ideal(alg, j):
         raise NotAnIdeal("quotient by a non-ideal")
-    comp = j.non_pivots()
-    names = tuple(alg.basis_names[c] for c in comp)
-    table = MultiplicationTable(alg.field, len(comp), raw_quotient_cube(alg, j), names)
-    quot = LeibnizAlgebra(table, _checked=True)  # L/J is Leibniz: J is an ideal
+    cache = alg._cache["quotient"]
+    quot = cache.get(j.raw_rows)
+    if quot is None:
+        comp = j.non_pivots()
+        names = tuple(alg.basis_names[c] for c in comp)
+        table = MultiplicationTable(alg.field, len(comp), raw_quotient_cube(alg, j), names)
+        # L/J is Leibniz: J is an ideal
+        quot = cache[j.raw_rows] = LeibnizAlgebra(table, _checked=True)
     return QuotientAlgebra(alg, j, quot)

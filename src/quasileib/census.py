@@ -1057,7 +1057,9 @@ def _harness_one(label, alg, budget, report):
         # quotients by every ideal stay in the class; many ideals give the
         # same quotient table, which is built and decided once.  L/0 has
         # L's own table, so it is decided on L, whose memos already hold
-        # its subalgebras and verdicts
+        # its subalgebras and verdicts.  `quotient` keeps each quotient
+        # algebra with L, so the quotients by the squares ideal and the
+        # centre that `classify_q_member` built come back with their memos
         decided = {}
         for j in subs:
             if not is_ideal(alg, j):

@@ -382,19 +382,29 @@ class FamilySpec(namedtuple("FamilySpec", "name field params")):
 
 def _require_table(n: int, budget: int):
     """Raise unless the n^3 structure constants of a dim-n table fit in the
-    budget, before any of them is built."""
+    budget, and the n^4 steps of checking it against the right identity
+    (n^3 basis triples, each expanded over n structure constants) fit in
+    the larger of the budget and DEFAULT_BUDGET, before any of them is
+    built.  A scan of at most DEFAULT_BUDGET steps (dim 31) takes well
+    under a second, so a budget that admits a small table's constants also
+    admits its check."""
     if n**3 > budget:
         raise BudgetExceeded(
             f"structure constants of a dim-{n} table: {n**3} exceeds budget {budget}"
+        )
+    if n**4 > max(budget, DEFAULT_BUDGET):
+        raise BudgetExceeded(
+            f"right-identity steps of a dim-{n} table: {n**4} exceeds budget {budget}"
         )
 
 
 def build(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> LeibnizAlgebra:
     """The family instance of a spec.  The budget bounds the n^3 structure
     constants of a table whose size a parameter sets (``dim``, ``dim_i``, or
-    a nonzero ``dim_z``), checked before the table is built, and the
-    projective points that the anisotropy check of ``extraspecial_sum``
-    enumerates."""
+    a nonzero ``dim_z``) and the n^4 steps of its right-identity check
+    (against at least DEFAULT_BUDGET), both checked before the table is
+    built, and the projective points that the anisotropy check of
+    ``extraspecial_sum`` enumerates."""
     name, field, p = spec.name, spec.field, spec.params
     if name == "abelian":
         dim = p.get("dim", 1)

@@ -612,14 +612,20 @@ def _q_reduce(num: int, den: int) -> tuple:
 
 def _parse_rational(text: str) -> tuple:
     """The raw QQ value of ``a`` or ``a/b`` text (``a`` signed, ``b``
-    unsigned and nonzero)."""
-    m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", text)
-    if not m:
+    unsigned and nonzero), in ASCII digits."""
+    num, slash, den = text.partition("/")
+    if not (_digits(num[1:] if num[:1] == "-" else num) and (not slash or _digits(den))):
         raise MalformedInput(f"bad rational scalar: {text!r}")
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    den = int(den) if slash else 1
     if not den:
         raise MalformedInput(f"zero denominator in rational scalar: {text!r}")
-    return _q_reduce(int(m.group(1)), den)
+    return _q_reduce(int(num), den)
+
+
+def _digits(text: str) -> bool:
+    """Whether text is one or more ASCII digits: ``str.isdigit`` alone also
+    takes the digits of other scripts."""
+    return text.isascii() and text.isdigit()
 
 
 class FunctionField(Field):
@@ -697,6 +703,21 @@ class FunctionField(Field):
             raise DivisionByZero(f"inverse of 0 in {self}")
         return self._reduce(a[1], a[0])
 
+    def raw_axpy(self, c, x, y) -> list:
+        p, one = self.p, (1,)
+        cn, cd = c
+        out = []
+        for a, b in zip(x, y):
+            bn, bd = b
+            if not bn:
+                out.append(a)
+            elif cd == bd == a[1] == one:
+                # polynomials: a + c*b is already reduced, as in raw_add
+                out.append((poly_add(p, a[0], poly_mul(p, cn, bn)), one))
+            else:
+                out.append(self.raw_add(a, self.raw_mul(c, b)))
+        return out
+
     def raw_sqrt(self, a):
         # Reduced n/d is a square iff both n and d are square polynomials:
         # n*d' = d*n' with coprime parts forces matching square factors, and
@@ -740,7 +761,11 @@ class FunctionField(Field):
         )
         if not ok:
             raise MalformedInput(f"bad {self} scalar: {obj!r}")
-        return self._reduce(poly_trim(obj["num"]), poly_trim(obj["den"]))
+        num, den = poly_trim(obj["num"]), poly_trim(obj["den"])
+        if den == (1,):
+            # a polynomial is already reduced
+            return (num, den)
+        return self._reduce(num, den)
 
     def format(self, a) -> str:
         num, den = a
@@ -805,14 +830,15 @@ def is_json_int(x) -> bool:
 
 
 def parse_field(text: str) -> Field:
-    """Parse CLI field names: ``gf2``, ``gf5``, ``q``, ``gf2(t)``."""
+    """Parse CLI field names: ``gf2``, ``gf5``, ``q``, ``gf2(t)``; the
+    characteristic is in ASCII digits."""
     t = text.strip().lower()
     if t in ("q", "qq", "rationals"):
         return RationalField()
-    m = re.fullmatch(r"gf(\d+)", t)
+    m = re.fullmatch(r"gf([0-9]+)", t)
     if m:
         return PrimeField(int(m.group(1)))
-    m = re.fullmatch(r"gf(\d+)\((\w+)\)", t)
+    m = re.fullmatch(r"gf([0-9]+)\((\w+)\)", t)
     if m:
         return FunctionField(int(m.group(1)), m.group(2))
     raise MalformedInput(f"cannot parse field {text!r}")
@@ -820,8 +846,11 @@ def parse_field(text: str) -> Field:
 
 def parse_scalar(field: Field, text: str) -> Scalar:
     """Parse a scalar from CLI text: an integer for GF(p), ``a/b`` for the
-    rationals, or a polynomial fraction like ``t^2+t+1`` / ``t/(t+1)``."""
+    rationals, or a polynomial fraction like ``t^2+t+1`` / ``t/(t+1)``,
+    in ASCII text."""
     t = text.strip().replace(" ", "")
+    if not t.isascii():
+        raise MalformedInput(f"cannot parse scalar {text!r}")
     if isinstance(field, PrimeField):
         return field(int(t))
     if isinstance(field, RationalField):
@@ -842,7 +871,7 @@ def _parse_poly(field: FunctionField, text: str) -> tuple:
     for term in t.replace("-", "+-").split("+"):
         if not term:
             continue
-        m = re.fullmatch(rf"(-?\d+)?\*?(?:{field.var}(?:\^(\d+))?)?", term)
+        m = re.fullmatch(rf"(-?[0-9]+)?\*?(?:{field.var}(?:\^([0-9]+))?)?", term)
         if not m or (m.group(1) is None and field.var not in term):
             raise MalformedInput(f"cannot parse polynomial term {term!r}")
         coef = int(m.group(1)) if m.group(1) is not None else 1

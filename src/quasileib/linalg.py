@@ -195,9 +195,18 @@ class Subspace:
         return [[encode(x) for x in row] for row in self.raw_rows]
 
 
+def _live_rows(field: Field, rows, ncols: int) -> list:
+    """The distinct nonzero rows of ``rows`` as tuples, in first-seen order.
+    A zero row or a repeat changes neither the span nor the left kernel, so
+    only these rows are row-reduced."""
+    live = dict.fromkeys(map(tuple, rows))
+    live.pop((field.raw_zero,) * ncols, None)
+    return list(live)
+
+
 def raw_echelonize(field: Field, ambient_dim: int, vectors) -> Subspace:
     """Canonical subspace spanned by raw vectors of length ambient_dim."""
-    rows, pivots = raw_rref(field, vectors, ambient_dim)
+    rows, pivots = raw_rref(field, _live_rows(field, vectors, ambient_dim), ambient_dim)
     return Subspace(field, ambient_dim, rows, pivots)
 
 
@@ -248,11 +257,12 @@ def raw_solve_left(field: Field, rows, target: tuple):
 
 
 def raw_left_kernel(field: Field, rows) -> Subspace:
-    """All v with v @ rows = 0 for a matrix of raw rows."""
+    """All v with v @ rows = 0 for a matrix of raw rows: one equation per
+    column, of which only the distinct nonzero ones are row-reduced."""
     nrows = len(rows)
     if nrows == 0:
         return zero_subspace(field, 0)
-    reduced, pivots = raw_rref(field, list(zip(*rows)), nrows)
+    reduced, pivots = raw_rref(field, _live_rows(field, zip(*rows), nrows), nrows)
     pivset = set(pivots)
     free = [c for c in range(nrows) if c not in pivset]
     basis = []

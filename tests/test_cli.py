@@ -188,6 +188,56 @@ def test_family_refuses_tables_over_budget_before_building():
     assert "1030301 exceeds budget 1000000" in errors[1]
 
 
+_IDENTITY_SCANS = """
+import time
+from quasileib.cli import run
+
+for argv in (
+    ["abelian", "--field", "q", "--dim", "100"],
+    ["abelian", "--field", "gf2", "--dim", "32"],
+    ["abelian", "--field", "gf2", "--dim", "31", "--out", "{out}"],
+):
+    start = time.perf_counter()
+    code = run(["family", *argv])
+    print(code, time.perf_counter() - start)
+"""
+
+
+def test_family_refuses_identity_scans_over_budget(tmp_path):
+    # the right identity takes n^4 steps over a dim-n table: dim 100 has
+    # 10^6 constants, within the default budget, but 10^8 steps, which ran
+    # for more than 20 s before this count; a fresh process keeps a
+    # regression from holding up the test run
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    script = _IDENTITY_SCANS.replace("{out}", str(tmp_path / "a31.json"))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    runs = [line.split() for line in result.stdout.splitlines()]
+    assert [code for code, _ in runs] == ["2", "2", "0"]
+    assert all(float(seconds) < 1 for _, seconds in runs), runs
+    assert result.stderr.splitlines() == [
+        "error: right-identity steps of a dim-100 table: 100000000 exceeds budget 1000000",
+        "error: right-identity steps of a dim-32 table: 1048576 exceeds budget 1000000",
+    ]
+
+
+def test_identity_scan_count_is_floored_at_the_default_budget():
+    # a budget that admits a table's n^3 constants admits its check up to
+    # DEFAULT_BUDGET steps (dim 3 at budget 27 stays admitted, as pinned
+    # above); a larger budget raises the cap with it
+    from quasileib.errors import BudgetExceeded
+    from quasileib.families import _require_table
+
+    for n, budget in ((3, 27), (11, 20_000), (12, 20_000), (31, 10**6), (37, 2 * 10**6)):
+        _require_table(n, budget)
+    with pytest.raises(BudgetExceeded, match="dim-38 table: 2085136 exceeds budget 2000000"):
+        _require_table(38, 2 * 10**6)
+    with pytest.raises(BudgetExceeded, match="structure constants of a dim-28 table"):
+        _require_table(28, 20_000)
+
+
 _HUGE_PRIMES = """
 import time
 from quasileib.cli import run
@@ -728,6 +778,32 @@ def test_qq_zero_denominator_exits_2(tmp_path, capsys):
     ):
         assert run(argv) == 2
         err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_non_ascii_digits_in_a_scalar_exit_2(tmp_path, capsys):
+    # the schema's scalars are ASCII digits; "\u0661/\u0662" is Arabic-Indic 1/2,
+    # which int() and the regex \d would both read
+    path = tmp_path / "q.json"
+    path.write_text(
+        json.dumps(
+            {
+                "field": {"kind": "rationals"},
+                "dim": 1,
+                "basis_names": ["e1"],
+                "table": [[["\u0661/\u0662"]]],
+            }
+        )
+    )
+    for argv in (
+        ["validate", str(path)],
+        ["family", "char2_nonperfect", "--field", "gf2(t)", "--lambda", "t^\u0663"],
+        ["family", "abelian", "--field", "gf\u0662", "--dim", "1"],
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 

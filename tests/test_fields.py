@@ -10,6 +10,7 @@ from quasileib.fields import (
     GF3,
     PRIMALITY_BOUND,
     QQ,
+    Field,
     FunctionField,
     PrimeField,
     field_from_json,
@@ -98,6 +99,65 @@ def test_function_field_polynomial_fast_paths_match_the_general_formula():
         assert field.raw_mul(t, over_t) == one
         t_minus_one_over_t = ((field.p - 1, 1), (0, 1))
         assert field.raw_add(over_t, t_minus_one_over_t) == one
+
+
+def test_function_field_axpy_matches_the_generic_axpy():
+    # FunctionField.raw_axpy adds c*b to a by one poly_mul and one poly_add
+    # when a, b and c are polynomials, and otherwise as Field.raw_axpy does
+    for field in (F2T, F3T):
+        rng = random.Random(f"function field axpy/{field.p}")
+        for trial in range(60):
+            n = rng.randrange(1, 7)
+            vectors = [
+                tuple(_axpy_entry(field, rng) for _ in range(n)) for _ in range(2)
+            ]
+            c = field.raw_zero if trial % 10 == 0 else _axpy_entry(field, rng)
+            x, y = vectors
+            assert field.raw_axpy(c, x, y) == Field.raw_axpy(field, c, x, y)
+            assert field.raw_axpy(c, list(x), list(y)) == Field.raw_axpy(field, c, x, y)
+
+
+def _axpy_entry(field, rng):
+    # zero, a polynomial, or a fraction with a nontrivial denominator
+    kind = rng.randrange(3)
+    if kind == 0:
+        return field.raw_zero
+    if kind == 1:
+        return (_random_poly(field.p, rng), (1,))
+    return random_scalar(field, rng).value
+
+
+def test_function_field_decode_of_a_polynomial_is_canonical():
+    # decode skips the gcd when the denominator is 1
+    for field in (F2T, F3T):
+        rng = random.Random(f"decode/{field.p}")
+        for _ in range(50):
+            num = [rng.randrange(field.p) for _ in range(rng.randrange(5))]
+            den = [1] + [0] * rng.randrange(3)
+            got = field.decode({"num": num, "den": den})
+            assert got == field.canon((num, den)) == (poly_trim(num), (1,))
+
+
+def test_scalar_and_field_text_takes_ascii_digits_only():
+    # str.isdigit and the regex \d also take the digits of other scripts,
+    # which the JSON schemas do not allow
+    for bad in ("\u0661/\u0662", "\u0661", "1/\u0662", "-\u0663", "\uff11", "\u00b2"):
+        with pytest.raises(MalformedInput):
+            QQ.decode(bad)
+        with pytest.raises(MalformedInput):
+            parse_scalar(QQ, bad)
+    for field in (GF3, F2T):
+        with pytest.raises(MalformedInput):
+            parse_scalar(field, "\u0661")
+    with pytest.raises(MalformedInput):
+        parse_scalar(F2T, "t^\u0662")
+    for bad in ("gf\u0662", "gf\u0662(t)", "gf\uff13"):
+        with pytest.raises(MalformedInput):
+            parse_field(bad)
+    # every ASCII form read before still reads
+    assert QQ.decode("7") == (7, 1) and QQ.decode("-6/4") == (-3, 2)
+    assert parse_scalar(GF3, "+5") == GF3(2)
+    assert parse_field("GF2(t)") == F2T and parse_field("gf3") == GF3
 
 
 def _schoolbook_add(p, a, b):

@@ -18,6 +18,7 @@ from quasileib.linalg import (
     raw_identity,
     raw_left_kernel,
     raw_projective_points,
+    raw_rref,
     raw_solve_left,
     unit_vec,
     vec,
@@ -239,3 +240,51 @@ def test_vec_rejects_a_scalar_of_another_field():
     assert vec(GF2, [GF2.one, 3]) == (GF2.one, GF2.one)
     with pytest.raises(MixedFields):
         vec(GF2, [GF3.one, 1])
+
+
+def _live_and_dead_rows(field, rng, count, ncols):
+    """Seeded raw rows, about a third of their entries zero, with zero rows
+    and repeats of earlier rows shuffled in: (plain rows, padded rows)."""
+    zero = field.raw_zero
+    plain = [
+        tuple(
+            zero if rng.random() < 0.35 else random_scalar(field, rng, nonzero=True).value
+            for _ in range(ncols)
+        )
+        for _ in range(count)
+    ]
+    padded = plain + [(zero,) * ncols] * rng.randrange(1, 4)
+    if plain:
+        padded += [rng.choice(plain) for _ in range(rng.randrange(1, 5))]
+    rng.shuffle(padded)
+    return plain, padded
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ, F2T], ids=repr)
+def test_zero_and_repeated_rows_change_no_reduction(field):
+    # echelonize and left_kernel drop zero and repeated rows before they
+    # row-reduce; the unfiltered raw_rref of the padded rows is the
+    # reference for the span
+    rng = random.Random(f"live rows/{field}")
+    for _ in range(25):
+        n = rng.randrange(1, 6)
+        plain, padded = _live_and_dead_rows(field, rng, rng.randrange(0, 6), n)
+        span = raw_echelonize(field, n, padded)
+        assert (span.raw_rows, span.pivots) == raw_rref(field, padded, n)
+        plain_span = raw_echelonize(field, n, plain)
+        assert span == plain_span and span.pivots == plain_span.pivots
+        # the left kernel's equations are its matrix's columns: pad those
+        # and the kernel must not move
+        m = rng.randrange(1, 6)
+        cols, padded_cols = _live_and_dead_rows(field, rng, rng.randrange(1, 6), m)
+        kernel = raw_left_kernel(field, list(zip(*padded_cols)))
+        plain_kernel = raw_left_kernel(field, list(zip(*cols)))
+        assert kernel == plain_kernel and kernel.pivots == plain_kernel.pivots
+        for v in kernel.raw_rows:
+            for col in padded_cols:
+                dot = field.raw_zero
+                for a, b in zip(v, col):
+                    dot = field.raw_add(dot, field.raw_mul(a, b))
+                assert dot == field.raw_zero
+        _, pivots = raw_rref(field, padded_cols, m)
+        assert kernel.dim == m - len(pivots)

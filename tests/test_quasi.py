@@ -13,11 +13,13 @@ from quasileib.algebra import (
     action,
     bracket_subspaces,
     build_table,
+    center,
     is_ideal,
     is_nilpotent,
     is_subalgebra,
     quotient,
     series,
+    squares_ideal,
     subalgebras,
 )
 from quasileib.census import (
@@ -30,6 +32,8 @@ from quasileib.errors import (
     BudgetExceeded,
     DimensionMismatch,
     MixedFields,
+    NotAnIdeal,
+    NotASubalgebra,
     PreconditionUnverified,
     UnsupportedField,
     VerificationFailed,
@@ -484,7 +488,7 @@ def test_core_free_quotient(family_corpus):
 
 def _fresh(alg):
     """The same table in a new algebra, with every memo empty."""
-    table = MultiplicationTable(alg.field, alg.dim, alg.table.raw)
+    table = MultiplicationTable(alg.field, alg.dim, alg.table.raw, alg.basis_names)
     return LeibnizAlgebra(table, _checked=True)
 
 
@@ -520,18 +524,35 @@ def test_memoised_facts_match_a_fresh_algebra(family_corpus, gf3_dim3_census):
     lemma_harness(corpus)
     representatives = [entry.algebra for entry in gf3_dim3_census.classes]
     assert len(representatives) == 27
+    kinds = ("lower_central", "derived", "omega_of_square")
     for alg in corpus + representatives:
         subspaces = list(enumerate_subspaces(alg.field, alg.dim))
+        closed = subalgebras(alg)
         vectors = list(itertools.product(alg.field.elements(), repeat=alg.dim))
+        answers = []
         for _ in range(2):
             cores = [core(alg, s) for s in subspaces]
             ideals = [is_ideal(alg, s) for s in subspaces]
             engel = [is_left_engel(alg, x) for x in vectors]
+            wholes = (center(alg), squares_ideal(alg))
+            chains = [series(alg, s, kind) for s in closed for kind in kinds]
+            quotients = [quotient(alg, j) for j, ok in zip(subspaces, ideals) if ok]
+            answers.append((wholes, chains, quotients))
+        # the second answers are the first: one quotient algebra per ideal
+        assert answers[0][:2] == answers[1][:2]
+        for first, second in zip(answers[0][2], answers[1][2]):
+            assert second.algebra is first.algebra and second.parent is alg
         for s, c, ideal in zip(subspaces, cores, ideals):
             assert c == core(_fresh(alg), s) == _core_by_fixpoint(_fresh(alg), s)
             assert ideal == is_ideal(_fresh(alg), s)
         for x, e in zip(vectors, engel):
             assert e == is_left_engel(_fresh(alg), x)
+        assert wholes == (center(_fresh(alg)), squares_ideal(_fresh(alg)))
+        for (s, kind), chain in zip(itertools.product(closed, kinds), chains):
+            assert chain == series(_fresh(alg), s, kind)
+        for q in quotients:
+            ref = quotient(_fresh(alg), q.modulus)
+            assert q.algebra.table.to_json() == ref.algebra.table.to_json()
 
 
 def test_fact_memos_still_check_their_inputs():
@@ -543,10 +564,14 @@ def test_fact_memos_still_check_their_inputs():
     assert is_ideal(alg, zero) and core(alg, zero).is_zero()
     assert is_subalgebra(alg, zero)
     assert not is_left_engel(alg, vec(GF2, (1, 0)))
+    assert series(alg, zero) == [zero]
+    assert quotient(alg, zero).algebra.dim == 2
     assert () in alg._cache["is_ideal"] and () in alg._cache["action"]
-    assert () in alg._cache["is_subalgebra"]
+    assert () in alg._cache["is_subalgebra"] and () in alg._cache["core"]
+    assert ((), "lower_central") in alg._cache["series"]
+    assert () in alg._cache["quotient"]
     assert ((1, 0),) in alg._cache["is_left_engel"]
-    for fact in (is_ideal, is_subalgebra, core, action):
+    for fact in (is_ideal, is_subalgebra, core, action, series, quotient):
         with pytest.raises(DimensionMismatch):
             fact(alg, zero_subspace(GF2, 3))
         with pytest.raises(MixedFields):
@@ -555,6 +580,23 @@ def test_fact_memos_still_check_their_inputs():
         is_left_engel(alg, vec(GF2, (1, 0, 0)))
     with pytest.raises(MixedFields):
         is_left_engel(alg, vec(GF3, (1, 0)))
+    # the closure and ideal tests run on every call too, not only on the
+    # first one; a subspace that fails one is never memoised
+    spaces = list(enumerate_subspaces(GF2, 2))
+    open_space = next(s for s in spaces if not is_subalgebra(alg, s))
+    loose = next(s for s in spaces if not is_ideal(alg, s))
+    for _ in range(2):
+        with pytest.raises(NotASubalgebra):
+            series(alg, open_space, "derived")
+        with pytest.raises(NotAnIdeal):
+            quotient(alg, loose)
+    assert loose.raw_rows not in alg._cache["quotient"]
+    # a returned series is the caller's own list
+    chain = series(alg, kind="derived")
+    want = list(chain)
+    chain[0] = zero
+    chain.append(zero)
+    assert series(alg, kind="derived") == want
 
 
 def test_fact_memos_accept_an_equal_field_built_apart():
