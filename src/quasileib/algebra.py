@@ -410,7 +410,8 @@ def action(alg: LeibnizAlgebra, s: Subspace) -> tuple:
     every j), each entry the canonical raw representative of
     :meth:`Subspace.raw_reduce`.  Computed once per subspace of the
     algebra; :func:`is_ideal`, ``quasi.core``, the reflection clause of
-    ``quasi.lemma_suite`` and the quasi-ideal decision in L all read it."""
+    ``quasi.lemma_suite`` and the quasi-ideal decision in every host all
+    read it."""
     alg.check_subspace(s)
     cache = alg._cache["action"]
     found = cache.get(s.raw_rows)

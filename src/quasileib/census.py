@@ -69,7 +69,7 @@ from .linalg import (
     raw_echelonize,
     raw_identity,
     raw_projective_points,
-    raw_rref,
+    raw_solve,
     require_enumerable,
 )
 from .quasi import (
@@ -750,26 +750,6 @@ def _cube(flat, n: int) -> tuple:
     )
 
 
-def _solve(field: PrimeField, rows, unknowns: int):
-    """A linear system over GF(p) whose rows hold the coefficients of the
-    unknowns, then the right-hand side, solved by ``raw_rref``: a particular
-    solution and a basis of the kernel, or None when it is inconsistent."""
-    reduced, pivots = raw_rref(field, rows, unknowns + 1)
-    if pivots and pivots[-1] == unknowns:
-        return None
-    particular = [0] * unknowns
-    for row, col in zip(reduced, pivots):
-        particular[col] = row[unknowns]
-    kernel = []
-    for free in sorted(set(range(unknowns)) - set(pivots)):
-        step = [0] * unknowns
-        step[free] = 1
-        for row, col in zip(reduced, pivots):
-            step[col] = -row[free] % field.p
-        kernel.append(step)
-    return particular, kernel
-
-
 def _span(pack: _Packing, table: int, steps):
     """Every packed table + sum c_i steps_i with each c_i in [0, p),
     reduced."""
@@ -841,7 +821,7 @@ def _lie_tables(p: int, n: int, budget: int):
                 else:
                     row[col] += sign * values[f]
             rows.append([x % p for x in row])
-        solved = _solve(field, rows, size)
+        solved = raw_solve(field, rows, size)
         if solved is None:
             continue
         particular, kernel = solved
@@ -937,7 +917,7 @@ def _liesation_tables(p: int, n: int, budget: int):
                 if rows is None:
                     continue
                 action = pack.pack(values, acting)
-                _, kernel = _solve(field, rows, len(omega))
+                _, kernel = raw_solve(field, rows, len(omega))
                 steps = [pack.pack(x, omega) for x in kernel]
                 yield from _span(pack, table + action, steps)
 

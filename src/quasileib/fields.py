@@ -845,13 +845,15 @@ def parse_field(text: str) -> Field:
 
 
 def parse_scalar(field: Field, text: str) -> Scalar:
-    """Parse a scalar from CLI text: an integer for GF(p), ``a/b`` for the
-    rationals, or a polynomial fraction like ``t^2+t+1`` / ``t/(t+1)``,
-    in ASCII text."""
+    """Parse a scalar from CLI text: a signed integer for GF(p), ``a/b``
+    for the rationals, or a polynomial fraction like ``t^2+t+1`` /
+    ``t/(t+1)``, in ASCII text."""
     t = text.strip().replace(" ", "")
     if not t.isascii():
         raise MalformedInput(f"cannot parse scalar {text!r}")
     if isinstance(field, PrimeField):
+        if not _digits(t[1:] if t[:1] in ("+", "-") else t):
+            raise MalformedInput(f"bad {field} scalar: {text!r}")
         return field(int(t))
     if isinstance(field, RationalField):
         return Scalar(field, _parse_rational(t))

@@ -197,8 +197,8 @@ class Subspace:
 
 def _live_rows(field: Field, rows, ncols: int) -> list:
     """The distinct nonzero rows of ``rows`` as tuples, in first-seen order.
-    A zero row or a repeat changes neither the span nor the left kernel, so
-    only these rows are row-reduced."""
+    A zero row or a repeat changes neither the span nor the solutions of a
+    system, so only these rows are row-reduced."""
     live = dict.fromkeys(map(tuple, rows))
     live.pop((field.raw_zero,) * ncols, None)
     return list(live)
@@ -233,46 +233,53 @@ def full_subspace(field: Field, n: int) -> Subspace:
     return Subspace(field, n, raw_identity(field, n), tuple(range(n)))
 
 
+def raw_solve(field: Field, rows, unknowns: int):
+    """Solve a linear system whose raw rows hold the coefficients of the
+    ``unknowns`` unknowns, then the right-hand side.  Returns a particular
+    solution (every free unknown 0) and a basis of the homogeneous
+    solutions, one per free unknown in increasing order, or None when the
+    system is inconsistent.  Only the distinct nonzero rows are
+    row-reduced."""
+    width = unknowns + 1
+    reduced, pivots = raw_rref(field, _live_rows(field, rows, width), width)
+    if pivots and pivots[-1] == unknowns:
+        return None
+    zero, neg = field.raw_zero, field.raw_neg
+    particular = [zero] * unknowns
+    for row, col in zip(reduced, pivots):
+        particular[col] = row[unknowns]
+    pivset = set(pivots)
+    kernel = []
+    for free in range(unknowns):
+        if free in pivset:
+            continue
+        step = [zero] * unknowns
+        step[free] = field.raw_one
+        for row, col in zip(reduced, pivots):
+            step[col] = neg(row[free])
+        kernel.append(tuple(step))
+    return tuple(particular), kernel
+
+
 def raw_solve_left(field: Field, rows, target: tuple):
     """Some raw x with x @ rows = target, or None if the system is
     inconsistent.
 
     ``rows`` is a sequence of r equal-length raw vectors; x has length r.
     """
-    r = len(rows)
-    if r == 0:
-        return () if all(t == field.raw_zero for t in target) else None
-    ncols = len(rows[0])
-    # augmented system on the transpose: columns are the unknown directions
-    aug = [
-        tuple(rows[i][j] for i in range(r)) + (target[j],) for j in range(ncols)
-    ]
-    reduced, pivots = raw_rref(field, aug, r + 1)
-    if r in pivots:
-        return None
-    x = [field.raw_zero] * r
-    for row, p in zip(reduced, pivots):
-        x[p] = row[r]
-    return tuple(x)
+    columns = zip(*rows) if rows else [()] * len(target)
+    solved = raw_solve(
+        field, [col + (t,) for col, t in zip(columns, target)], len(rows)
+    )
+    return None if solved is None else solved[0]
 
 
 def raw_left_kernel(field: Field, rows) -> Subspace:
-    """All v with v @ rows = 0 for a matrix of raw rows: one equation per
-    column, of which only the distinct nonzero ones are row-reduced."""
-    nrows = len(rows)
-    if nrows == 0:
-        return zero_subspace(field, 0)
-    reduced, pivots = raw_rref(field, _live_rows(field, zip(*rows), nrows), nrows)
-    pivset = set(pivots)
-    free = [c for c in range(nrows) if c not in pivset]
-    basis = []
-    for f in free:
-        v = [field.raw_zero] * nrows
-        v[f] = field.raw_one
-        for row, p in zip(reduced, pivots):
-            v[p] = field.raw_neg(row[f])
-        basis.append(v)
-    return raw_echelonize(field, nrows, basis)
+    """All v with v @ rows = 0 for a matrix of raw rows: one homogeneous
+    equation per column."""
+    nrows, rhs = len(rows), (field.raw_zero,)
+    _, kernel = raw_solve(field, [col + rhs for col in zip(*rows)], nrows)
+    return raw_echelonize(field, nrows, kernel)
 
 
 # ---------------------------------------------------------------------------

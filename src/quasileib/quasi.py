@@ -110,7 +110,8 @@ def is_quasi_ideal_in(
     of both are checked on every call, H <= M only before a verdict is
     first decided (a cached pair has passed it; every H lies in M = L).
     Closure is read from the memoised :func:`is_subalgebra` verdict, and
-    when M = L the decision computes in L's own coordinates.
+    the induced operators from the memoised :func:`action` on H, in L's
+    own coordinates for every M.
     """
     if m is None:
         m = alg.full()
@@ -131,16 +132,16 @@ def _decide_quasi_in(alg, h, m):
 
     H must be closed; that verdict is read from :func:`is_subalgebra`, and
     only an H that is not closed is bracketed here again, to find the first
-    basis bracket escaping H as the witness.  Then each basis row of H must
-    act as a scalar on M/H from both sides, which is decided in M's
-    coordinates: v in M -> (v[p] for p in M.pivots).  When M = L those are
-    L's own coordinates, H is already in echelon form in them (the RREF is
-    unique), the representatives of L/H are the unit vectors at H's
-    non-pivot columns, and the reduced images of the induced operators are
-    read from :func:`action`; nothing is rewritten or tested for membership
-    in M, and only a witness brackets again (through the memoised raw
-    brackets)."""
-    field = alg.field
+    basis bracket escaping H as the witness.  Then each basis row h of H
+    must act as a scalar on M/H from both sides.  The rows of M whose
+    pivots are not pivots of H represent a basis of M/H; call those pivots
+    ``cols``.  Reduction mod H is linear, so [x, h] mod H is the
+    combination, with x's entries, of the rows [e_j, h] mod H of
+    :func:`action` (row c itself when x = e_c, as for M = L).  Since H <= M,
+    a reduced image lies in M exactly when the bracket does, and its
+    coefficient on the representative at pivot c is its entry at c.  Only
+    a witness brackets again (through the memoised raw brackets)."""
+    field, n = alg.field, alg.dim
     add, zero = field.raw_add, field.raw_zero
     br = alg.table.raw_bracket
     hrows = h.raw_rows
@@ -159,56 +160,42 @@ def _decide_quasi_in(alg, h, m):
                 if not h.raw_contains(val):
                     return refuted(u, w, val)
 
-    whole = m.dim == alg.dim
-    if whole:
-        h_in_m = h
-    else:
-        mpiv = m.pivots
-        to_m = lambda v: tuple([v[p] for p in mpiv])
-        h_in_m = raw_echelonize(field, m.dim, [to_m(r) for r in hrows])
-    # the rows of M at the coordinates outside H represent a basis of M/H
-    comp = h_in_m.non_pivots()
-    if not comp:
+    hpiv = set(h.pivots)
+    reps, cols = [], []
+    for row, c in zip(m.raw_rows, m.pivots):
+        if c not in hpiv:
+            reps.append(row)
+            cols.append(c)
+    if not cols:
         cert = tuple((field.zero, field.zero) for _ in hrows)
         return QuasiIdealVerdict(True, certificate=cert)
-    reps = [m.raw_rows[c] for c in comp]
+    whole = m.dim == n
+    acted = action(alg, h)
 
     def image(hrow, side, x):
         return br(x, hrow) if side == "right" else br(hrow, x)
 
-    if whole:
-        acted = action(alg, h)
-
-        def induced(k, hrow, side):
-            # [e_c, h] or [h, e_c] mod H for the unit vectors e_c = reps
-            h_e, e_h = acted[k]
-            reduced = e_h if side == "right" else h_e
-            return [reduced[c] for c in comp], None
-
-    else:
-
-        def induced(k, hrow, side):
-            images = [image(hrow, side, x) for x in reps]
-            for x, w in zip(reps, images):
-                if not m.raw_contains(w):
-                    # the bracket leaves M entirely, so it cannot land in
-                    # H + Fx
-                    return None, (hrow, x, w)
-            return [h_in_m.raw_reduce(to_m(w)) for w in images], None
-
     def scalar_of(k, hrow, side):
         # the scalar of the induced operator on M/H, or a refuting triple
-        t, witness = induced(k, hrow, side)
-        if witness is not None:
-            return None, witness
-        # t holds the rows of the induced operator in the comp coordinates
-        for a in range(len(comp)):
-            for b, cb in enumerate(comp):
-                if a != b and t[a][cb] != zero:
+        h_e, e_h = acted[k]
+        reduced = e_h if side == "right" else h_e
+        if whole:
+            t = [reduced[c] for c in cols]
+        else:
+            t = [raw_combination(field, x, reduced, n) for x in reps]
+            for x, r in zip(reps, t):
+                if not m.raw_contains(r):
+                    # the bracket leaves M entirely, so it cannot land in
+                    # H + Fx
+                    return None, (hrow, x, image(hrow, side, x))
+        # t holds the reduced images of the representatives
+        for a, r in enumerate(t):
+            for b, c in enumerate(cols):
+                if a != b and r[c] != zero:
                     # reps[a] is not an eigenvector
                     return None, (hrow, reps[a], image(hrow, side, reps[a]))
-        diag = [t[i][c] for i, c in enumerate(comp)]
-        for i in range(1, len(comp)):
+        diag = [r[c] for r, c in zip(t, cols)]
+        for i in range(1, len(cols)):
             if diag[i] != diag[0]:
                 # distinct eigenvalues: the sum of the two eigenvectors is
                 # not an eigenvector
@@ -436,18 +423,14 @@ def _subquasi_bfs(alg: LeibnizAlgebra, budget: int):
 def subquasi_chain(
     alg: LeibnizAlgebra,
     h: Subspace,
-    max_steps: int | None = None,
     budget: int = DEFAULT_BUDGET,
 ):
     """Shortest chain of relative quasi-ideals from H up to L (breadth-first
-    over the subalgebra lattice), or None if there is none within
-    ``max_steps``."""
+    over the subalgebra lattice), or None if there is none."""
     if not is_subalgebra(alg, h):
         raise NotASubalgebra("subquasi chains consist of subalgebras")
     depth, parent = _subquasi_bfs(alg, budget)
     if h not in depth:
-        return None
-    if max_steps is not None and depth[h] > max_steps:
         return None
     chain = [h]
     while parent[chain[-1]] is not None:

@@ -781,6 +781,15 @@ def test_qq_zero_denominator_exits_2(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_gf_p_lambda_that_is_not_an_integer_exits_2(capsys):
+    for lam in ("1_0", "1_0/3"):
+        argv = ["family", "extraspecial_sum", "--field", "gf5", "--lambda", lam]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad GF(5) scalar: {lam!r}\n"
+
+
 def test_non_ascii_digits_in_a_scalar_exit_2(tmp_path, capsys):
     # the schema's scalars are ASCII digits; "\u0661/\u0662" is Arabic-Indic 1/2,
     # which int() and the regex \d would both read

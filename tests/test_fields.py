@@ -369,6 +369,11 @@ def test_parse_scalar():
     assert parse_scalar(F2T, "t^2+t") == F2T.t * (F2T.t + 1)
     assert parse_scalar(F2T, "t/(t+1)") == F2T.t / (F2T.t + 1)
     assert parse_scalar(F3T, "2*t^2+1") == F3T.from_polys((1, 0, 2))
+    # GF(p) text is a signed ASCII integer: int() alone also reads "1_0" as
+    # 10, which QQ rejects
+    for bad in ("1_0", "1_0/3", "1/3", "", "+", "-", "+-1", "0x1", "1.0", "t"):
+        with pytest.raises(MalformedInput, match="GF\\(3\\) scalar"):
+            parse_scalar(GF3, bad)
 
 
 def test_characteristics():

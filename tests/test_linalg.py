@@ -19,6 +19,7 @@ from quasileib.linalg import (
     raw_left_kernel,
     raw_projective_points,
     raw_rref,
+    raw_solve,
     raw_solve_left,
     unit_vec,
     vec,
@@ -205,6 +206,68 @@ def test_solve_left():
     # the span is {(a, 2a + b, b)}, which holds neither of these
     assert raw_solve_left(GF3, rows, (0, 0, 1)) is None
     assert raw_solve_left(GF3, rows, (1, 0, 0)) is None
+
+
+def _residual(field, row, x):
+    """The left side of the equation ``row`` at x, minus its right side."""
+    total = field.raw_neg(row[-1])
+    for a, b in zip(row, x):
+        total = field.raw_add(total, field.raw_mul(a, b))
+    return total
+
+
+@pytest.mark.parametrize("field", [GF3, QQ, F2T], ids=repr)
+def test_raw_solve(field):
+    zero, one = field.raw_zero, field.raw_one
+    # x0 = 1 and x0 = 0 together have no solution
+    assert raw_solve(field, [(one, zero, one), (one, zero, zero)], 2) is None
+    # no equations: every vector solves, the kernel is the unit vectors
+    assert raw_solve(field, [], 2) == ((zero, zero), list(raw_identity(field, 2)))
+    rng = random.Random(f"raw_solve/{field}")
+    seen = {"inconsistent": 0, "unique": 0, "free": 0}
+    for _ in range(60):
+        unknowns = rng.randrange(1, 5)
+        _, rows = _live_and_dead_rows(field, rng, rng.randrange(1, 5), unknowns + 1)
+        solved = raw_solve(field, rows, unknowns)
+        _, pivots = raw_rref(field, rows, unknowns + 1)
+        if solved is None:
+            # the reduced system holds the row 0 = 1
+            assert pivots[-1] == unknowns
+            seen["inconsistent"] += 1
+            continue
+        particular, kernel = solved
+        assert len(particular) == unknowns
+        assert len(kernel) == unknowns - len(pivots)
+        assert raw_echelonize(field, unknowns, kernel).dim == len(kernel)
+        for row in rows:
+            assert _residual(field, row, particular) == zero
+            homogeneous = row[:unknowns] + (zero,)
+            for v in kernel:
+                assert _residual(field, homogeneous, v) == zero
+        seen["free" if kernel else "unique"] += 1
+    assert all(seen.values()), seen
+
+
+def test_raw_solve_counts_every_solution_over_gf3():
+    # a consistent system has p^(len(kernel)) solutions, an inconsistent one
+    # none; both counted against every vector of GF(3)^unknowns
+    rng = random.Random("raw_solve/count")
+    counts = set()
+    for _ in range(80):
+        unknowns = rng.randrange(1, 5)
+        rows = [
+            tuple(rng.randrange(3) for _ in range(unknowns + 1))
+            for _ in range(rng.randrange(0, 5))
+        ]
+        solved = raw_solve(GF3, rows, unknowns)
+        expected = 0 if solved is None else 3 ** len(solved[1])
+        found = sum(
+            all(_residual(GF3, row, x) == 0 for row in rows)
+            for x in itertools.product(range(3), repeat=unknowns)
+        )
+        assert found == expected, (rows, unknowns)
+        counts.add(found)
+    assert 0 in counts and 1 in counts and len(counts) > 3, counts
 
 
 def test_dimension_mismatch_guards():
