@@ -131,6 +131,18 @@ def _cmd_classify(args):
 
 def _cmd_family(args):
     field = parse_field(args.field)
+    lam = None if args.lam is None else parse_scalar(field, args.lam)
+    given = {
+        "--dim": args.dim,
+        "--dim-i": args.dim_i,
+        "--dim-z": args.dim_z,
+        "--lambda": lam,
+        "--rank": args.rank,
+    }
+    reads = families_mod.FAMILY_FLAGS[args.name]
+    for flag, value in given.items():
+        if value is not None and flag not in reads:
+            raise MalformedInput(f"family {args.name} does not read {flag}")
     params = {}
     if args.dim is not None:
         params["dim"] = args.dim
@@ -138,8 +150,7 @@ def _cmd_family(args):
         params["dim_i"] = args.dim_i
     if args.dim_z is not None:
         params["dim_z"] = args.dim_z
-    if args.lam is not None:
-        lam = parse_scalar(field, args.lam)
+    if lam is not None:
         params["lam"] = lam
         params["lambdas"] = (lam,)
     if args.rank is not None:
@@ -269,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("family", help="build a named family instance")
-    p.add_argument("name", choices=families_mod.FAMILY_NAMES)
+    p.add_argument("name", choices=families_mod.FAMILY_FLAGS)
     p.add_argument("--field", default="q", help="gf2, gf3, q, gf2(t), ...")
     p.add_argument("--dim", type=int)
     p.add_argument("--dim-i", dest="dim_i", type=int)

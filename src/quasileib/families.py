@@ -1,6 +1,6 @@
 """Constructors for the named algebra families, validated on construction.
 
-Families (`` FAMILY_NAMES `` lists the constructor keys):
+Families (the keys of ``FAMILY_FLAGS``, which also names the flags each reads):
 
 * ``abelian``                  -- all products zero.
 * ``almost_abelian_lie``       -- A + Fa, A abelian, right multiplication by
@@ -360,17 +360,20 @@ def two_dim_catalogue(field: Field):
 # dispatch
 # ---------------------------------------------------------------------------
 
-FAMILY_NAMES = (
-    "abelian",
-    "almost_abelian_lie",
-    "k2",
-    "non_lie_almost_abelian",
-    "two_dim_nilpotent_cyclic",
-    "two_dim_solvable_cyclic",
-    "extraspecial_sum",
-    "char2_nonperfect",
-    "char2_nonperfect_minimal",
-)
+# each family, and the flags of the ``family`` command that it reads; no
+# --rank for char2_nonperfect, whose diagonal must avoid the squares while
+# every shipped default form has a 1 on its diagonal
+FAMILY_FLAGS = {
+    "abelian": ("--dim",),
+    "almost_abelian_lie": ("--dim",),
+    "k2": (),
+    "non_lie_almost_abelian": ("--dim-i",),
+    "two_dim_nilpotent_cyclic": (),
+    "two_dim_solvable_cyclic": (),
+    "extraspecial_sum": ("--dim-z", "--rank"),
+    "char2_nonperfect": ("--lambda",),
+    "char2_nonperfect_minimal": ("--lambda",),
+}
 
 
 class FamilySpec(namedtuple("FamilySpec", "name field params")):

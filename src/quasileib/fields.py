@@ -847,7 +847,11 @@ def parse_field(text: str) -> Field:
 def parse_scalar(field: Field, text: str) -> Scalar:
     """Parse a scalar from CLI text: a signed integer for GF(p), ``a/b``
     for the rationals, or a polynomial fraction like ``t^2+t+1`` /
-    ``t/(t+1)``, in ASCII text."""
+    ``t/(t+1)``, in ASCII text.  Spaces may stand next to an operator or a
+    parenthesis; a space between two digits or letters is refused, where
+    deleting it would join ``1 2`` into 12."""
+    if re.search(r"[0-9A-Za-z]\s+[0-9A-Za-z]", text):
+        raise MalformedInput(f"bad {field} scalar: {text!r}")
     t = text.strip().replace(" ", "")
     if not t.isascii():
         raise MalformedInput(f"cannot parse scalar {text!r}")

@@ -1,4 +1,9 @@
+import json
+from pathlib import Path
+
 import pytest
+from jsonschema import Draft202012Validator
+from referencing import Registry, Resource
 
 from quasileib.algebra import LeibnizAlgebra, MultiplicationTable
 from quasileib.census import sweep_tables
@@ -17,6 +22,23 @@ from quasileib.families import (
 from quasileib.fields import GF2, GF3, QQ, FunctionField
 
 F2T = FunctionField(2)
+
+SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "quasileib" / "schemas"
+# every schema in the directory under its $id, so that a "defs.json#/..." or
+# "algebra.schema.json" reference resolves to the file beside it
+SCHEMA_REGISTRY = Registry().with_resources(
+    (resource.id(), resource)
+    for resource in (
+        Resource.from_contents(json.loads(path.read_text()))
+        for path in sorted(SCHEMAS.glob("*.json"))
+    )
+)
+
+
+def check_schema(payload, name):
+    """Validate payload against the schema file of that name."""
+    schema = SCHEMA_REGISTRY.contents(f"quasileib/{name}")
+    Draft202012Validator(schema, registry=SCHEMA_REGISTRY).validate(payload)
 
 
 def finite_family_corpus(max_dim: int = 4):

@@ -3,21 +3,14 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
-import jsonschema
 import pytest
+from jsonschema import Draft202012Validator
 
 from quasileib import census, cli
 from quasileib.cli import run
 from quasileib.fields import is_prime
-
-SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "quasileib" / "schemas"
-
-
-def check_schema(payload, name):
-    schema = json.loads((SCHEMAS / name).read_text())
-    jsonschema.validate(payload, schema)
+from tests.conftest import SCHEMA_REGISTRY, SCHEMAS, check_schema
 
 
 def run_json(capsys, argv):
@@ -27,6 +20,7 @@ def run_json(capsys, argv):
 
 
 def write_generators(path, rows):
+    check_schema(rows, "generators.schema.json")
     path.write_text(json.dumps(rows))
     return str(path)
 
@@ -341,8 +335,9 @@ def test_family_budget_admits_a_table_at_the_bound(capsys):
 def test_malformed_subspace_exits_2(tmp_path, capsys, example_algebra, gens):
     # the example algebra has dimension 3, so the last two rows are short
     # and long
-    sub = write_generators(tmp_path / "sub.json", gens)
-    argv = ["quasi", "check", "--algebra", str(example_algebra), "--subspace", sub]
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps(gens))
+    argv = ["quasi", "check", "--algebra", str(example_algebra), "--subspace", str(sub)]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -359,37 +354,27 @@ def test_info_output(capsys, example_algebra):
 
 
 def test_quasi_check_certificate(tmp_path, capsys):
-    alg_path = tmp_path / "na.json"
-    assert (
-        run(
-            [
-                "family",
-                "non_lie_almost_abelian",
-                "--field",
-                "gf2",
-                "--dim-i",
-                "2",
-                "--out",
-                str(alg_path),
-            ]
+    # over GF(2) and over QQ, whose scalars are "a/b" strings
+    for field, one, zero in (("gf2", 1, 0), ("q", "1/1", "0/1")):
+        alg_path = tmp_path / f"na_{field}.json"
+        argv = ["family", "non_lie_almost_abelian", "--field", field, "--dim-i", "2"]
+        assert run([*argv, "--out", str(alg_path)]) == 0
+        check_schema(json.loads(alg_path.read_text()), "algebra.schema.json")
+        gens = write_generators(tmp_path / "h.json", [[zero, zero, one]])
+        code, out = run_json(
+            capsys, ["quasi", "check", "--algebra", str(alg_path), "--subspace", gens]
         )
-        == 0
-    )
-    gens = write_generators(tmp_path / "h.json", [[0, 0, 1]])
-    code, out = run_json(
-        capsys, ["quasi", "check", "--algebra", str(alg_path), "--subspace", gens]
-    )
-    assert code == 0 and out["holds"]
-    assert out["certificate"] == [{"alpha": 1, "beta": 0}]
-    check_schema(out, "quasi_verdict.schema.json")
+        assert code == 0 and out["holds"]
+        assert out["certificate"] == [{"alpha": one, "beta": zero}]
+        check_schema(out, "quasi_verdict.schema.json")
 
-    bad = write_generators(tmp_path / "hx.json", [[1, 0, 1]])
-    code, out = run_json(
-        capsys, ["quasi", "check", "--algebra", str(alg_path), "--subspace", bad]
-    )
-    assert code == 1 and not out["holds"]
-    assert "witness" in out
-    check_schema(out, "quasi_verdict.schema.json")
+        bad = write_generators(tmp_path / "hx.json", [[one, zero, one]])
+        code, out = run_json(
+            capsys, ["quasi", "check", "--algebra", str(alg_path), "--subspace", bad]
+        )
+        assert code == 1 and not out["holds"]
+        assert "witness" in out
+        check_schema(out, "quasi_verdict.schema.json")
 
 
 def test_quasi_list(tmp_path, capsys):
@@ -729,6 +714,25 @@ def test_family_gate_errors_map_to_exit_2(capsys):
     assert run(["family", "k2", "--field", "q"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["extraspecial_sum", "--field", "gf5", "--lambda", "3"], "--lambda"),
+        (["abelian", "--field", "gf3", "--dim", "2", "--rank", "2"], "--rank"),
+        (["abelian", "--field", "gf3", "--dim-i", "2"], "--dim-i"),
+        (["non_lie_almost_abelian", "--field", "gf2", "--dim", "2"], "--dim"),
+        (["k2", "--field", "gf2", "--dim-z", "1"], "--dim-z"),
+        (["char2_nonperfect", "--field", "gf2(t)", "--rank", "1"], "--rank"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else v,
+)
+def test_family_refuses_flags_it_does_not_read(capsys, argv, flag):
+    assert run(["family", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: family {argv[0]} does not read {flag}\n"
+
+
 def test_family_lambda_flag(tmp_path, capsys):
     path = tmp_path / "c2.json"
     code = run(
@@ -782,7 +786,7 @@ def test_qq_zero_denominator_exits_2(tmp_path, capsys):
 
 
 def test_gf_p_lambda_that_is_not_an_integer_exits_2(capsys):
-    for lam in ("1_0", "1_0/3"):
+    for lam in ("1_0", "1_0/3", "1 2"):
         argv = ["family", "extraspecial_sum", "--field", "gf5", "--lambda", lam]
         assert run(argv) == 2
         captured = capsys.readouterr()
@@ -859,5 +863,32 @@ def test_qq_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
     assert run([a.format(alg=path) for a in argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+    schema = {"classify": "classification"}.get(argv[0], argv[0])
+    check_schema(json.loads(out), f"{schema}.schema.json")
     if argv[0] == "series":
         assert json.loads(out)["terms"][1] == [["1/1", "-1/4", "-4/3"]]
+
+
+def test_every_schema_is_valid_and_every_ref_resolves():
+    # defs.json is the one definition of scalars, vectors, bases and
+    # fields; a mistyped reference fails here, not in a user's validator
+    def refs(node):
+        if isinstance(node, dict):
+            if "$ref" in node:
+                yield node["$ref"]
+            for value in node.values():
+                yield from refs(value)
+        elif isinstance(node, list):
+            for value in node:
+                yield from refs(value)
+
+    seen = set()
+    for path in sorted(SCHEMAS.glob("*.json")):
+        schema = json.loads(path.read_text())
+        Draft202012Validator.check_schema(schema)
+        assert ("$defs" in schema) == (path.name == "defs.json"), path.name
+        resolver = SCHEMA_REGISTRY.resolver(base_uri=schema["$id"])
+        for ref in refs(schema):
+            resolver.lookup(ref)
+            seen.add(ref)
+    assert {"defs.json#/$defs/scalar", "algebra.schema.json"} <= seen

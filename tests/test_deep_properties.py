@@ -2,11 +2,7 @@
 behavior of the exact decision procedure, oracle agreement over everything
 the census visits, witness replays, and quotient mechanics."""
 
-import json
 import random
-from pathlib import Path
-
-import jsonschema
 
 from quasileib.algebra import (
     bracket_subspaces,
@@ -27,9 +23,9 @@ from quasileib.families import (
 from quasileib.fields import GF2, GF3, QQ, FunctionField
 from quasileib.linalg import echelonize, enumerate_subspaces, vec
 from quasileib.quasi import core, is_quasi_ideal, is_quasi_ideal_oracle
+from tests.conftest import check_schema
 
 F2T = FunctionField(2)
-SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "quasileib" / "schemas"
 
 
 def random_rational_vec(rng, n):
@@ -137,8 +133,7 @@ def test_quotients_by_series_terms_are_leibniz(family_corpus):
 
 def test_census_report_matches_schema():
     report = sweep_tables(GF2, 3)
-    schema = json.loads((SCHEMAS / "census_report.schema.json").read_text())
-    jsonschema.validate(report.to_json(), schema)
+    check_schema(report.to_json(), "census_report.schema.json")
 
 
 def _transport(alg, p_rows):

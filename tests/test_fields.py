@@ -369,11 +369,18 @@ def test_parse_scalar():
     assert parse_scalar(F2T, "t^2+t") == F2T.t * (F2T.t + 1)
     assert parse_scalar(F2T, "t/(t+1)") == F2T.t / (F2T.t + 1)
     assert parse_scalar(F3T, "2*t^2+1") == F3T.from_polys((1, 0, 2))
+    # a space next to an operator or a parenthesis reads
+    assert parse_scalar(F2T, "t^2 + t + 1") == parse_scalar(F2T, "t^2+t+1")
+    assert parse_scalar(F2T, "t / (t + 1)") == F2T.t / (F2T.t + 1)
+    assert parse_scalar(GF3, "- 1") == GF3(2)
     # GF(p) text is a signed ASCII integer: int() alone also reads "1_0" as
-    # 10, which QQ rejects
-    for bad in ("1_0", "1_0/3", "1/3", "", "+", "-", "+-1", "0x1", "1.0", "t"):
+    # 10, which QQ rejects; deleting the space would read "1 2" as 12
+    for bad in ("1_0", "1_0/3", "1/3", "", "+", "-", "+-1", "0x1", "1.0", "t", "1 2"):
         with pytest.raises(MalformedInput, match="GF\\(3\\) scalar"):
             parse_scalar(GF3, bad)
+    for bad in ("1 0", "2 t", "t t", "t^1 0"):
+        with pytest.raises(MalformedInput, match="GF\\(3\\)\\(t\\) scalar"):
+            parse_scalar(F3T, bad)
 
 
 def test_characteristics():
@@ -489,7 +496,7 @@ def test_qq_text_round_trips():
     assert QQ((2, -4)).value == (-1, 2)
     with pytest.raises(DivisionByZero):
         QQ((1, 0))
-    for bad in ("1/0", "-3/0", "0/0", "1/-2", "1.5", "x", "1/2/3"):
+    for bad in ("1/0", "-3/0", "0/0", "1/-2", "1.5", "x", "1/2/3", "1 2", "1 2/3", "1/2 3"):
         with pytest.raises(MalformedInput):
             QQ.decode(bad)
         with pytest.raises(MalformedInput):
