@@ -675,11 +675,12 @@ def sweep_tables(
 
     The census is exhaustive over any prime field, for ``dim`` at least 1;
     the budget alone bounds the sizes, through the Lie systems, their
-    solutions and the valid tables found (``_census``).  It constructs the
-    valid tables by the Liesation route (``_liesation_orbits``), solving for
-    them instead of filtering every candidate, so ``totals.scanned`` is the
-    size of the candidate space and ``totals.valid`` the sum of the orbit
-    sizes; each orbit is closed under generators of GL(dim, p).  Every
+    solutions and the valid tables found (``_census``).  It constructs
+    tables by the Liesation route (``_liesation_tables``), solving for them
+    instead of filtering every candidate, and marks their orbits
+    (``_mark_orbits``), so ``totals.scanned`` is the size of the candidate
+    space and ``totals.valid`` the sum of the orbit sizes; each orbit is
+    closed under generators of GL(dim, p).  Every
     class compares the exact predicate with the oracle on each of its
     subalgebras (``oracle_mismatches``).
     """
@@ -726,17 +727,22 @@ def _mark_orbits(tables, p: int, n: int, budget: int) -> list:
     """The GL(n, p) orbits of the given packed tables, as frozensets of
     packed tables, each started from the first table that no earlier orbit
     covers.  The budget bounds the running sum of the orbit sizes.  Orbits
-    that overlap can only come from a broken base change, and fail the
+    that overlap, or whose size does not divide |GL(n, p)| =
+    prod (p^n - p^i), can only come from a broken base change, and fail the
     run."""
+    order = math.prod(p**n - p**i for i in range(n))
     seen = set()
     orbits = []
     for table in tables:
         if table in seen:
             continue
         orbit = _orbit(table, p, n, budget, len(seen))
-        if table not in orbit or not seen.isdisjoint(orbit):
+        if table not in orbit or not seen.isdisjoint(orbit) or order % len(orbit):
             flat = _Packing(p, n).unpack(table)
-            raise VerificationFailed(f"GL({n},{p}) moves {flat} off its orbit")
+            raise VerificationFailed(
+                f"a broken GL({n},{p}) orbit of {flat}: {len(orbit)} tables; "
+                f"|GL| = {order}"
+            )
         seen |= orbit
         orbits.append(orbit)
     return orbits
@@ -760,6 +766,61 @@ def _span(pack: _Packing, table: int, steps):
         yield from _span(pack, pack.reduce(table + c * steps[0]), steps[1:])
 
 
+def _identity_equations(n: int, entry, triples) -> list:
+    """The right identity of a template table on ``triples``, as linear
+    equations: for each triple (i, j, k) and coordinate l, the terms of
+      sum_b c[j][k][b] c[i][b][l] - sum_a c[i][j][a] c[a][k][l]
+        + sum_a c[i][k][a] c[a][j][l].
+    ``entry(a, b, k)`` gives c[a][b][k] as (sign, index, free): sign 0 for
+    a zero constant, else sign times fixed value ``index``, or unknown
+    ``index`` when ``free``.  A term (sign, f, y, free) is sign * values[f]
+    times unknown y when ``free``, else times values[y].  A product of two
+    unknowns fails the run."""
+    idx = range(n)
+    equations = []
+    for i, j, k in triples:
+        for l in idx:
+            products = [(1, entry(j, k, b), entry(i, b, l)) for b in idx]
+            products += [(-1, entry(i, j, a), entry(a, k, l)) for a in idx]
+            products += [(1, entry(i, k, a), entry(a, j, l)) for a in idx]
+            terms = []
+            for sign, (s, x, free_x), (t, y, free_y) in products:
+                if s and t:
+                    if free_x and free_y:
+                        raise VerificationFailed(f"nonlinear template at {(i, j, k)}")
+                    if free_x:
+                        x, y = y, x
+                    terms.append((sign * s * t, x, y, free_x or free_y))
+            equations.append(terms)
+    return equations
+
+
+def _template_tables(pack: _Packing, equations, base: int, known: tuple, fixed, free):
+    """The packed tables of a template, reduced: for each value of the lanes
+    ``fixed`` (in ``itertools.product`` order) the fixed values are
+    ``known`` and then that value, and each solution of ``equations`` in
+    the unknowns at the lanes ``free`` gives base + fixed + unknowns."""
+    field, p, size = PrimeField(pack.p), pack.p, len(free)
+    for values in itertools.product(range(p), repeat=len(fixed)):
+        given = known + values
+        rows = []
+        for terms in equations:
+            row = [0] * (size + 1)
+            for sign, f, y, unknown in terms:
+                if unknown:
+                    row[y] += sign * given[f]
+                else:
+                    row[size] -= sign * given[f] * given[y]
+            rows.append([x % p for x in row])
+        solved = raw_solve(field, rows, size)
+        if solved is None:
+            continue
+        particular, kernel = solved
+        start = base + pack.pack(values, fixed) + pack.pack(particular, free)
+        steps = [pack.reduce(pack.pack(x, free)) for x in kernel]
+        yield from _span(pack, pack.reduce(start), steps)
+
+
 def _lie_tables(p: int, n: int, budget: int):
     """The Lie tables over GF(p) of dimension n, packed: the alternating
     tables that satisfy the Jacobi identity, which on an alternating table
@@ -767,110 +828,47 @@ def _lie_tables(p: int, n: int, budget: int):
     triples i < j < k suffice.
 
     The brackets [e_a, e_last] with last = n - 1 are fixed, one system per
-    value (p^(n(n-1)) of them).  On a triple (i, j, last) the identity
-    [e_i, [e_j, e_last]] - [[e_i, e_j], e_last] + [[e_i, e_last], e_j] = 0
+    value (p^(n(n-1)) of them).  On a triple (i, j, last) the right identity
     then has a fixed factor in every product of two constants, so it is
-    linear in the other constants c[i][j][k], i < j < last: it is solved,
-    and each solution is checked on the triples i < j < k < last only
-    (there are none for n <= 3).  The budget bounds the solutions, counted
-    as they are found; every Lie table is marked, so the orbit count bounds
-    the Lie tables too."""
-    field, pack = PrimeField(p), _Packing(p, n)
+    linear in the other constants c[i][j][k], i < j < last: it is solved
+    (``_template_tables``), and each solution is checked on the triples
+    i < j < k < last only (there are none for n <= 3).  The budget bounds
+    the solutions, counted as they are found; every Lie table is marked, so
+    the orbit count bounds the Lie tables too."""
+    pack = _Packing(p, n)
     last = n - 1
     at = lambda i, j, k: (i * n + j) * n + k
     pairs = list(itertools.combinations(range(last), 2))
-    unknowns = [(i, j, k) for i, j in pairs for k in range(n)]
-    column = {key: u for u, key in enumerate(unknowns)}
-    size = len(unknowns)
+    number = {pair: u for u, pair in enumerate(pairs)}
     # c[i][j][k] sets c[j][i][k] = -c[i][j][k] too, for the fixed values
     # c[a][last][k] = values[a*n + k] and the unknowns alike
     units = pack.units
     alternating = lambda i, j, k: units[at(i, j, k)] + (p - 1) * units[at(j, i, k)]
     fixed = [alternating(a, last, k) for a in range(last) for k in range(n)]
-    free = [alternating(i, j, k) for i, j, k in unknowns]
+    free = [alternating(i, j, k) for i, j in pairs for k in range(n)]
 
     def entry(a, b, k):
-        # c[a][b][k] as (sign, column of an unknown, None) or (sign, None,
-        # index of a fixed value); sign 0 when alternation makes it 0
         if a == b:
-            return 0, None, None
+            return 0, None, False
         if last in (a, b):
-            return (1, None, a * n + k) if b == last else (-1, None, b * n + k)
-        return (1 if a < b else -1), column[min(a, b), max(a, b), k], None
+            return (1, a * n + k, False) if b == last else (-1, b * n + k, False)
+        return (1 if a < b else -1), number[min(a, b), max(a, b)] * n + k, True
 
-    # an equation is a list of terms sign * values[f] * (unknown col or
-    # values[g]), one per product with a fixed first factor values[f]
-    equations = []
-    for i, j in pairs:
-        for l in range(n):
-            products = [(1, j * n + b, entry(i, b, l)) for b in range(n)]
-            products += [(-1, a * n + l, entry(i, j, a)) for a in range(last)]
-            products += [(1, i * n + a, entry(a, j, l)) for a in range(n)]
-            equations.append(
-                [(s * t, f, col, g) for s, f, (t, col, g) in products if t]
-            )
+    equations = _identity_equations(n, entry, [(i, j, last) for i, j in pairs])
     jacobi = list(itertools.combinations(range(last), 3))
-    found = 0
-    for values in itertools.product(range(p), repeat=last * n):
-        rows = []
-        for terms in equations:
-            row = [0] * (size + 1)
-            for sign, f, col, g in terms:
-                if col is None:
-                    row[size] -= sign * values[f] * values[g]
-                else:
-                    row[col] += sign * values[f]
-            rows.append([x % p for x in row])
-        solved = raw_solve(field, rows, size)
-        if solved is None:
-            continue
-        particular, kernel = solved
-        start = pack.reduce(pack.pack(values, fixed) + pack.pack(particular, free))
-        steps = [pack.reduce(pack.pack(x, free)) for x in kernel]
-        for table in _span(pack, start, steps):
-            found += 1
-            if found > budget:
-                raise BudgetExceeded(
-                    f"candidate Lie tables of {field} dim {n}: at least {found} "
-                    f"exceeds budget {budget}"
-                )
-            if jacobi:
-                cube = _cube(pack.unpack(table), n)
-                if raw_leibniz_failure(field, cube, jacobi):
-                    continue
-            yield table
-
-
-def _action_rows(lie, rho, p: int):
-    """The right identity of the tables with Lie part ``lie`` (a cube of
-    dimension m) and action ``rho`` (rho[a][r][q], d x d matrices), as the
-    rows of a homogeneous system in omega, whose unknown omega_ab at x_r is
-    column (a*m + b)*d + r; None when rho is not a right action of g."""
-    m, d = len(lie), len(rho[0])
-    for j, k in itertools.combinations(range(m), 2):
-        for r in range(d):
-            for q in range(d):
-                act = sum(lie[j][k][b] * rho[b][r][q] for b in range(m))
-                bracket = sum(
-                    rho[j][r][s] * rho[k][s][q] - rho[k][r][s] * rho[j][s][q]
-                    for s in range(d)
-                )
-                if (act - bracket) % p:
-                    return None
-    place = lambda a, b, r: (a * m + b) * d + r
-    rows = []
-    for i, j, k in itertools.product(range(m), repeat=3):
-        for r in range(d):
-            row = [0] * (m * m * d + 1)
-            for b in range(m):
-                row[place(i, b, r)] += lie[j][k][b]
-                row[place(b, k, r)] -= lie[i][j][b]
-                row[place(b, j, r)] += lie[i][k][b]
-            for q in range(d):
-                row[place(i, j, q)] -= rho[k][q][r]
-                row[place(i, k, q)] += rho[j][q][r]
-            rows.append([x % p for x in row])
-    return rows
+    field, found = PrimeField(p), 0
+    for table in _template_tables(pack, equations, 0, (), fixed, free):
+        found += 1
+        if found > budget:
+            raise BudgetExceeded(
+                f"candidate Lie tables of {field} dim {n}: at least {found} "
+                f"exceeds budget {budget}"
+            )
+        if jacobi:
+            cube = _cube(pack.unpack(table), n)
+            if raw_leibniz_failure(field, cube, jacobi):
+                continue
+        yield table
 
 
 def _liesation_tables(p: int, n: int, budget: int):
@@ -883,70 +881,60 @@ def _liesation_tables(p: int, n: int, budget: int):
     g x g -> I in the products [g_a, g_b], a right action rho of g on I in
     [x_r, g_a] = x_r rho_a, and zero for [g, I] and [I, I].  For d = 0 the
     tables are the Lie tables; for d >= 1, g runs over the minimum of each
-    GL(m, p) orbit of Lie tables, and rho over every action.
+    GL(m, p) orbit of Lie tables, and rho over every map.
 
-    With g and rho fixed the right identity is affine in omega, since
-    [I, I] = 0 and [g, I] = 0, and it is solved once per (g, rho).  It holds
-    outright on the triples with x_r second or third.  On (x_r, g_j, g_k)
-    it is free of omega and says rho_[g_j, g_k] = rho_j rho_k - rho_k rho_j;
-    an action that fails it is skipped.  On (g_i, g_j, g_k) its g-part is
-    Jacobi on g, and its I-part the linear equation
-      sum_b c_jkb omega_ib - sum_a c_ija omega_ak - omega_ij rho_k
-        + sum_a c_ika omega_aj + omega_ik rho_j = 0
-    with c the constants of g (``_action_rows``).  Each solution omega
-    gives one table."""
+    With g and rho fixed the right identity is linear in omega, since
+    [g, I] = [I, I] = 0, and it is solved once per (g, rho)
+    (``_template_tables``).  It holds outright on the triples with x_r
+    second or third, and on (y, g_j, g_k) its failure is alternating in
+    (j, k), since [y, [g_j, g_k] + [g_k, g_j]] lies in [L, I] = 0; so the
+    triples (y, g_j, g_k) with j < k suffice.  On (x_r, g_j, g_k) it is
+    free of omega and says rho_[g_j, g_k] = rho_j rho_k - rho_k rho_j, so a
+    rho that is not an action has no solution.  Each solution omega gives
+    one table."""
     yield from _lie_tables(p, n, budget)
-    field, pack = PrimeField(p), _Packing(p, n)
+    pack = _Packing(p, n)
     units = pack.units
     at = lambda i, j, k: (i * n + j) * n + k
     for d in range(1, n):
         m = n - d
-        unpack = _Packing(p, m).unpack
         idx, ideal = range(m), range(d)
         # the lanes of the constants of g, of rho and of omega
         inner = [units[at(a, b, k)] for a in idx for b in idx for k in idx]
         acting = [units[at(m + r, a, m + q)] for a in idx for r in ideal for q in ideal]
         omega = [units[at(a, b, m + r)] for a in idx for b in idx for r in ideal]
+
+        def entry(a, b, k):
+            # g's m^3 constants are the first fixed values and rho's follow
+            if b >= m or (a >= m and k < m):
+                return 0, None, False
+            if a >= m:
+                return 1, m**3 + (b * d + a - m) * d + k - m, False
+            if k >= m:
+                return 1, (a * m + b) * d + k - m, True
+            return 1, (a * m + b) * m + k, False
+
+        pairs = itertools.combinations(idx, 2)
+        triples = [(i, j, k) for j, k in pairs for i in range(n)]
+        equations = _identity_equations(n, entry, triples)
+        unpack = _Packing(p, m).unpack
         for orbit in _mark_orbits(_lie_tables(p, m, budget), p, m, budget):
             flat = unpack(min(orbit))
-            lie, table = _cube(flat, m), pack.pack(flat, inner)
-            for values in itertools.product(range(p), repeat=m * d * d):
-                vectors = [values[s : s + d] for s in range(0, len(values), d)]
-                rho = [vectors[a * d : a * d + d] for a in idx]
-                rows = _action_rows(lie, rho, p)
-                if rows is None:
-                    continue
-                action = pack.pack(values, acting)
-                _, kernel = raw_solve(field, rows, len(omega))
-                steps = [pack.pack(x, omega) for x in kernel]
-                yield from _span(pack, table + action, steps)
-
-
-def _liesation_orbits(p: int, n: int, budget: int = DEFAULT_BUDGET) -> list:
-    """The GL(n, p) orbits of the Leibniz tables over GF(p) of dimension n,
-    as frozensets of packed tables: the orbits of ``_liesation_tables``,
-    whose sizes the budget bounds.  Every orbit size must divide
-    |GL(n, p)| = prod (p^n - p^i), or the run fails."""
-    orbits = _mark_orbits(_liesation_tables(p, n, budget), p, n, budget)
-    order = math.prod(p**n - p**i for i in range(n))
-    for orbit in orbits:
-        if order % len(orbit):
-            raise VerificationFailed(
-                f"a GL({n},{p}) orbit of {len(orbit)} tables; |GL| = {order}"
-            )
-    return orbits
+            base = pack.pack(flat, inner)
+            yield from _template_tables(pack, equations, base, flat, acting, omega)
 
 
 def _census(field, dim, budget):
-    """(scanned, valid, [(key, representative)]) by ``_liesation_orbits``.
+    """(scanned, valid, [(key, representative)]): the orbits that
+    ``_mark_orbits`` closes around the tables of ``_liesation_tables``.
     Each class is keyed by the minimum of its orbit, the classes are sorted
     by key, and ``valid`` is the sum of the orbit sizes.  The budget bounds
     the p^(dim(dim-1)) systems of the Lie step and the projective points of
     F^dim that every class's oracle enumerates, before any table is built,
     then the solutions of the Lie systems and the running sum of the orbit
     sizes as they are found.  At dim 2 the valid tables are counted up front
-    too, by their closed form p^3 + 2p^2 - p - 1.  Orbit members stay packed; only the
-    class keys are unpacked."""
+    too, by their closed form p^3 + 2p^2 - p - 1.  Orbit members stay
+    packed; only the class keys are unpacked."""
     systems = f"Lie systems of {field} dim {dim}"
     require_enumerable(field, dim * (dim - 1), budget, systems)
     require_enumerable(field, dim, budget, f"projective points of F^{dim}")
@@ -957,7 +945,7 @@ def _census(field, dim, budget):
             raise BudgetExceeded(
                 f"Leibniz tables of {field} dim 2: {valid} exceeds budget {budget}"
             )
-    orbits = _liesation_orbits(p, dim, budget)
+    orbits = _mark_orbits(_liesation_tables(p, dim, budget), p, dim, budget)
     # GF(2) dim 3 compares reversed tuples, the order of the 27-bit id with
     # c[i][j][k] at bit 9i + 3j + k, so its pinned report keeps its bytes;
     # its lanes are one byte each, so a member's little-endian bytes are its

@@ -641,6 +641,12 @@ class FunctionField(Field):
     def __init__(self, p: int, var: str = "t"):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
+        # polynomial text names the variable: a variable "1" reads 1 as t
+        if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", var):
+            raise MalformedInput(
+                f"field variable must be an ASCII identifier starting with a "
+                f"letter: {var!r}"
+            )
         self.p = p
         self.var = var
 
@@ -877,12 +883,14 @@ def _parse_poly(field: FunctionField, text: str) -> tuple:
     for term in t.replace("-", "+-").split("+"):
         if not term:
             continue
-        m = re.fullmatch(rf"(-?[0-9]+)?\*?(?:{field.var}(?:\^([0-9]+))?)?", term)
-        if not m or (m.group(1) is None and field.var not in term):
+        # "-t" has the coefficient -1; a "*" needs digits before it and the
+        # variable after it
+        m = re.fullmatch(rf"(-?)(?:([0-9]+)\*?)?(?:{field.var}(?:\^([0-9]+))?)?", term)
+        if not m or term[-1] == "*" or (m.group(2) is None and field.var not in term):
             raise MalformedInput(f"cannot parse polynomial term {term!r}")
-        coef = int(m.group(1)) if m.group(1) is not None else 1
+        coef = int(m.group(1) + (m.group(2) or "1"))
         if field.var in term:
-            deg = int(m.group(2)) if m.group(2) is not None else 1
+            deg = int(m.group(3)) if m.group(3) is not None else 1
         else:
             deg = 0
         coeffs[deg] = coeffs.get(deg, 0) + coef

@@ -41,7 +41,7 @@ from quasileib.families import (
     two_dim_solvable_cyclic,
 )
 from quasileib.fields import GF2, GF3, QQ, FunctionField
-from quasileib.linalg import echelonize, unit_vec, vec, zero_subspace
+from quasileib.linalg import DEFAULT_BUDGET, echelonize, unit_vec, vec, zero_subspace
 
 F2T = FunctionField(2)
 
@@ -131,8 +131,9 @@ def test_is_lie_matches_lie_validation(family_corpus, nine_families):
     algebras = gf2_dim3_class_representatives()
     algebras += [alg for _, alg in family_corpus] + list(nine_families.values())
     for field, n in ((GF2, 3), (GF3, 2)):
-        members = set().union(*census._liesation_orbits(field.p, n))
-        tables = sorted(map(census._Packing(field.p, n).unpack, members))
+        generated = census._liesation_tables(field.p, n, DEFAULT_BUDGET)
+        orbits = census._mark_orbits(generated, field.p, n, DEFAULT_BUDGET)
+        tables = sorted(map(census._Packing(field.p, n).unpack, set().union(*orbits)))
         for flat in rng.sample(tables, 30):
             entries = iter(flat)
             cube = [[[next(entries) for _ in range(n)] for _ in range(n)] for _ in range(n)]

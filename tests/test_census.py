@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 import os
 import random
 import subprocess
@@ -759,15 +760,22 @@ def test_solved_sweep_matches_brute_force(r2, linear_solutions):
     assert found == expected
 
 
+def _marked_orbits(p, n):
+    """The census's orbits: those that ``_mark_orbits`` closes around the
+    Liesation generator's tables."""
+    tables = census._liesation_tables(p, n, DEFAULT_BUDGET)
+    return census._mark_orbits(tables, p, n, DEFAULT_BUDGET)
+
+
 def test_solved_sweep_total():
-    orbits = census._liesation_orbits(2, 3)
+    orbits = _marked_orbits(2, 3)
     assert sum(len(orbit) for orbit in orbits) == len(_orbit_union(2, 3)) == 806
 
 
 @functools.lru_cache(maxsize=None)
 def _orbit_union(p, n):
     """The union of the Liesation generator's orbits, unpacked."""
-    members = frozenset().union(*census._liesation_orbits(p, n))
+    members = frozenset().union(*_marked_orbits(p, n))
     return frozenset(map(census._Packing(p, n).unpack, members))
 
 
@@ -776,7 +784,7 @@ def test_liesation_generator_matches_generic_engine(p, n, valid):
     # the same orbits as the tables of the per-matrix solve, moved by the
     # plain base change, and the census keys are their forward minima
     unpack = census._Packing(p, n).unpack
-    orbits = [frozenset(map(unpack, orbit)) for orbit in census._liesation_orbits(p, n)]
+    orbits = [frozenset(map(unpack, orbit)) for orbit in _marked_orbits(p, n)]
     assert sum(len(orbit) for orbit in orbits) == valid
     group = _plain_general_linear(p, n)
     expected = {
@@ -1075,6 +1083,91 @@ def test_solved_generator_matches_the_filter(p, n):
     assert solved == sorted(_filtered_liesation_tables(p, n))
 
 
+def _census_templates(monkeypatch):
+    """The templates that the census generator expands, as {(n, d): (entry,
+    triples)} with d = 0 for the Lie step, recorded from
+    ``_liesation_tables`` at every n <= 4 with the solves left out."""
+    templates = {}
+    real = census._identity_equations
+
+    def record(n, entry, triples):
+        d = sys._getframe(1).f_locals.get("d", 0)
+        templates[n, d] = entry, triples
+        return real(n, entry, triples)
+
+    monkeypatch.setattr(census, "_identity_equations", record)
+    monkeypatch.setattr(census, "_template_tables", lambda *args: iter(()))
+    for n in range(1, 5):
+        assert list(census._liesation_tables(2, n, DEFAULT_BUDGET)) == []
+    monkeypatch.undo()
+    return templates
+
+
+def test_identity_equations_are_the_right_identity(monkeypatch):
+    # every entry of each census template gets a random value; the rows that
+    # _template_tables fills in from the expansion, dotted with (unknowns,
+    # -1), are the right identity's failure computed from the full cube
+    templates = _census_templates(monkeypatch)
+    lie = {(n, 0) for n in range(1, 5)}
+    assert set(templates) == lie | {(n, d) for n in range(2, 5) for d in range(1, n)}
+    rng = random.Random(7)
+    checked = 0
+    for (n, d), (entry, triples) in sorted(templates.items()):
+        idx = range(n)
+        entries = {key: entry(*key) for key in itertools.product(idx, repeat=3)}
+        sizes = [0, 0]
+        for sign, index, free in entries.values():
+            if sign:
+                sizes[free] = max(sizes[free], index + 1)
+        equations = census._identity_equations(n, entry, triples)
+        assert len(equations) == len(triples) * n
+        for p in (2, 3, 5):
+            given = tuple(rng.randrange(p) for _ in range(sizes[False]))
+            unknowns = [rng.randrange(p) for _ in range(sizes[True])]
+            c = {
+                key: sign * (unknowns if free else given)[index] if sign else 0
+                for key, (sign, index, free) in entries.items()
+            }
+            failures = [
+                sum(c[j, k, b] * c[i, b, l] for b in idx)
+                - sum(c[i, j, a] * c[a, k, l] - c[i, k, a] * c[a, j, l] for a in idx)
+                for i, j, k in triples
+                for l in idx
+            ]
+            rows = []
+
+            def solve(field, filled, size):
+                rows.extend(filled)
+                return None
+
+            monkeypatch.setattr(census, "raw_solve", solve)
+            pack = census._Packing(p, n)
+            free = [0] * sizes[True]
+            tables = census._template_tables(pack, equations, 0, given, (), free)
+            assert list(tables) == []
+            monkeypatch.undo()
+            assert len(rows) == len(failures)
+            for row, failure in zip(rows, failures):
+                dot = sum(map(operator.mul, row, unknowns + [-1]))
+                assert (dot - failure) % p == 0, ((n, d), p)
+            checked += len(rows)
+    assert checked
+    # a template with a product of two unknowns is not linear
+    every = lambda a, b, k: (1, (a * 2 + b) * 2 + k, True)
+    with pytest.raises(VerificationFailed, match="nonlinear template"):
+        census._identity_equations(2, every, [(0, 1, 1)])
+
+
+def test_gf5_dim3_generator_output_is_pinned():
+    # the 48,200 tables that the generator yields at GF(5) dim 3, sorted and
+    # unpacked, one byte per entry
+    unpack = census._Packing(5, 3).unpack
+    tables = sorted(map(unpack, census._liesation_tables(5, 3, DEFAULT_BUDGET)))
+    assert len(tables) == 48_200
+    digest = hashlib.sha256(bytes(itertools.chain.from_iterable(tables))).hexdigest()
+    assert digest == "68f55111cde2ee8c676860015199bfbef580c094cc7b3596b92cba7b9503c0b9"
+
+
 def _is_alternating(flat, n, p):
     return all(
         flat[(i * n + i) * n + k] == 0
@@ -1282,15 +1375,15 @@ def wrong_inverse(p, n):
 
 census._generators = wrong_inverse
 try:
-    census._liesation_orbits(2, 2)
+    census.sweep_tables(GF2, 2)
     raise SystemExit("an orbit under a wrong inverse was accepted")
 except VerificationFailed as exc:
     assert "|GL| = 6" in str(exc), exc
 census._generators = real_generators
 
 # [e_0, e_0] = e_0 is not Leibniz
-census._liesation_orbits = lambda p, n, budget: [
-    frozenset({census._Packing(p, n).pack((1,) + (0,) * (n**3 - 1))})
+census._liesation_tables = lambda p, n, budget: [
+    census._Packing(p, n).pack((1,) + (0,) * (n**3 - 1))
 ]
 try:
     census.sweep_tables(GF2, 3)

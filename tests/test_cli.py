@@ -5,11 +5,11 @@ import subprocess
 import sys
 
 import pytest
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, ValidationError
 
 from quasileib import census, cli
 from quasileib.cli import run
-from quasileib.fields import is_prime
+from quasileib.fields import QQ, is_prime
 from tests.conftest import SCHEMA_REGISTRY, SCHEMAS, check_schema
 
 
@@ -783,6 +783,59 @@ def test_qq_zero_denominator_exits_2(tmp_path, capsys):
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_field_variable_that_is_not_an_identifier_exits_2(tmp_path, capsys):
+    # "gf2(1)" once read the text 1 as the variable, so --lambda 1, a
+    # square, became t and the family was built
+    for field in ("gf2(1)", "gf2(\u0661)"):
+        argv = ["family", "char2_nonperfect_minimal", "--field", field]
+        assert run([*argv, "--lambda", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: field variable")
+        assert captured.err.count("\n") == 1
+    path = tmp_path / "var.json"
+    argv = ["family", "char2_nonperfect_minimal", "--field", "gf2(t)"]
+    assert run([*argv, "--out", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    payload["field"]["var"] = "1"
+    with pytest.raises(ValidationError):
+        check_schema(payload, "algebra.schema.json")
+    path.write_text(json.dumps(payload))
+    assert run(["info", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: field variable") and err.count("\n") == 1
+    # an identifier still reads, and 1 is still a square there
+    for field, square, lam in (("gf2(x)", "1", "x"), ("gf2(t1)", "t1^2", "t1")):
+        argv = ["family", "char2_nonperfect_minimal", "--field", field]
+        assert run([*argv, "--lambda", square]) == 2
+        assert "is a square" in capsys.readouterr().err
+        assert run([*argv, "--lambda", lam, "--out", str(path)]) == 0
+        check_schema(json.loads(path.read_text()), "algebra.schema.json")
+
+
+def test_rational_scalar_forms_follow_the_schema(tmp_path, capsys):
+    # "a" and "a/b" are both QQ text; the shared scalar definition says that
+    # its form follows the field, and an integer in a QQ file, which it
+    # cannot tell from a GF(p) one, exits 2
+    for text, value in (("3", (3, 1)), ("-3/4", (-3, 4))):
+        check_schema([[text]], "generators.schema.json")
+        assert QQ.decode(text) == value
+    scalar = SCHEMA_REGISTRY.contents("quasileib/defs.json")["$defs"]["scalar"]
+    assert "follows the file's field" in scalar["description"]
+    alg = tmp_path / "na_q.json"
+    argv = ["family", "non_lie_almost_abelian", "--field", "q", "--dim-i", "2"]
+    assert run([*argv, "--out", str(alg)]) == 0
+    gens = write_generators(tmp_path / "h.json", [["0", "0", "3"]])
+    argv = ["quasi", "check", "--algebra", str(alg), "--subspace", gens]
+    code, out = run_json(capsys, argv)
+    assert code == 0 and out["holds"]
+    gens = write_generators(tmp_path / "h.json", [[0, 0, 1]])
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad rational scalar: 0\n"
 
 
 def test_gf_p_lambda_that_is_not_an_integer_exits_2(capsys):

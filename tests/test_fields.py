@@ -381,6 +381,35 @@ def test_parse_scalar():
     for bad in ("1 0", "2 t", "t t", "t^1 0"):
         with pytest.raises(MalformedInput, match="GF\\(3\\)\\(t\\) scalar"):
             parse_scalar(F3T, bad)
+    # a bare "-" before the variable is the coefficient -1
+    for field in (F2T, F3T):
+        t, one = field.t, field(1)
+        assert parse_scalar(field, "-t") == t * -1
+        assert parse_scalar(field, "1-t") == one - t
+        assert parse_scalar(field, "-t^2") == t * t * -1
+        assert parse_scalar(field, "-t/(1-t)") == t * -1 / (one - t)
+        assert parse_scalar(field, "-2*t") == t * -2
+        assert parse_scalar(field, "t-1") == t - one
+        for bad in ("-", "--t", "*t", "-*t", "2*", "t+2*"):
+            with pytest.raises(MalformedInput, match="polynomial term"):
+                parse_scalar(field, bad)
+
+
+def test_function_field_variable_is_an_ascii_identifier():
+    # polynomial text names the variable, so a variable "1" would read the
+    # coefficient 1 as t
+    for var in ("1", "1t", "\u0661", "x\u0661", "_t", "", "t-1", "t^2", "t t"):
+        with pytest.raises(MalformedInput, match="field variable"):
+            FunctionField(2, var)
+        with pytest.raises(MalformedInput, match="field variable"):
+            field_from_json({"kind": "rational_function", "p": 2, "var": var})
+    for text in ("gf2(1)", "gf2(\u0661)", "gf3(2t)"):
+        with pytest.raises(MalformedInput):
+            parse_field(text)
+    x, t1 = FunctionField(2, "x"), FunctionField(3, "t1")
+    assert parse_field("gf2(x)") == x and parse_field("gf3(t1)") == t1
+    assert parse_scalar(x, "x^2+x+1") == x.t * x.t + x.t + x(1)
+    assert parse_scalar(t1, "-t1^2+1") == t1.t * t1.t * -1 + t1(1)
 
 
 def test_characteristics():
