@@ -28,11 +28,8 @@ from .errors import (
 from .fields import (
     GF2,
     GF3,
-    QQ,
     Field,
-    FunctionField,
     PrimeField,
-    RationalField,
     Scalar,
     field_from_json,
     parse_field,

@@ -61,11 +61,11 @@ from .errors import (
     UnsupportedField,
     VerificationFailed,
 )
-from .families import is_anisotropic
 from .fields import Field, PrimeField, is_prime
 from .linalg import (
     DEFAULT_BUDGET,
     Subspace,
+    is_anisotropic,
     raw_echelonize,
     raw_identity,
     raw_projective_points,

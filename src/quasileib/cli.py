@@ -15,12 +15,26 @@ import os
 import sys
 
 from . import census as census_mod
-from . import families as families_mod
 from .algebra import LeibnizAlgebra, series, table_from_json, validate
 from .errors import DimensionMismatch, MalformedInput, QuasileibError
 from .fields import parse_field, parse_scalar
 from .linalg import DEFAULT_BUDGET, raw_echelonize
 from .quasi import core, is_quasi_ideal, quasi_ideals
+
+# each family of ``families``, and the flags of the ``family`` command that
+# it reads; no --rank for char2_nonperfect, whose diagonal must avoid the
+# squares while every shipped default form has a 1 on its diagonal
+FAMILY_FLAGS = {
+    "abelian": ("--dim",),
+    "almost_abelian_lie": ("--dim",),
+    "k2": (),
+    "non_lie_almost_abelian": ("--dim-i",),
+    "two_dim_nilpotent_cyclic": (),
+    "two_dim_solvable_cyclic": (),
+    "extraspecial_sum": ("--dim-z", "--rank"),
+    "char2_nonperfect": ("--lambda",),
+    "char2_nonperfect_minimal": ("--lambda",),
+}
 
 
 def _load_json(path):
@@ -130,6 +144,8 @@ def _cmd_classify(args):
 
 
 def _cmd_family(args):
+    from . import families as families_mod  # only here: no other command needs it
+
     field = parse_field(args.field)
     lam = None if args.lam is None else parse_scalar(field, args.lam)
     given = {
@@ -139,7 +155,7 @@ def _cmd_family(args):
         "--lambda": lam,
         "--rank": args.rank,
     }
-    reads = families_mod.FAMILY_FLAGS[args.name]
+    reads = FAMILY_FLAGS[args.name]
     for flag, value in given.items():
         if value is not None and flag not in reads:
             raise MalformedInput(f"family {args.name} does not read {flag}")
@@ -280,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("family", help="build a named family instance")
-    p.add_argument("name", choices=families_mod.FAMILY_FLAGS)
+    p.add_argument("name", choices=FAMILY_FLAGS)
     p.add_argument("--field", default="q", help="gf2, gf3, q, gf2(t), ...")
     p.add_argument("--dim", type=int)
     p.add_argument("--dim-i", dest="dim_i", type=int)

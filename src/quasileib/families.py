@@ -1,6 +1,7 @@
 """Constructors for the named algebra families, validated on construction.
 
-Families (the keys of ``FAMILY_FLAGS``, which also names the flags each reads):
+Families (the keys of ``cli.FAMILY_FLAGS``, which also names the flags of
+the ``family`` command that each reads):
 
 * ``abelian``                  -- all products zero.
 * ``almost_abelian_lie``       -- A + Fa, A abelian, right multiplication by
@@ -36,133 +37,10 @@ from .errors import (
     BudgetExceeded,
     IsotropicForm,
     SquareLambda,
-    UnsupportedField,
-    VerificationFailed,
 )
-from .fields import (
-    GF2,
-    Field,
-    FunctionField,
-    poly_add,
-    poly_mul,
-    poly_sqrt,
-    poly_trim,
-)
-from .linalg import DEFAULT_BUDGET, raw_projective_points, raw_rref, raw_solve_left
-
-# ---------------------------------------------------------------------------
-# quadratic-form helpers, on raw values
-# ---------------------------------------------------------------------------
-
-
-def evaluate_form(field: Field, gram, point):
-    """q(x) = x G x^T for a square matrix and a vector of raw values."""
-    add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
-    total = zero
-    for xi, row in zip(point, gram):
-        if xi == zero:
-            continue
-        for gij, xj in zip(row, point):
-            total = add(total, mul(mul(xi, gij), xj))
-    return total
-
-
-def artin_schreier_root(field: FunctionField, d):
-    """A raw root of y**2 + y = d over GF(2)(t) for a raw d, or None.
-
-    With y = n/m reduced, m**2 must be the (monic) denominator of d and
-    n**2 + n m = num(d); squaring and multiplying by a fixed m are both
-    GF(2)-linear in the coefficients of n, so the equation is a linear
-    system over GF(2).
-    """
-    if field.p != 2:
-        raise UnsupportedField("Artin-Schreier roots only in characteristic 2")
-    num, den = d
-    m = poly_sqrt(2, den)
-    if m is None:
-        return None
-    # roots come in pairs n, n+m; if deg n > deg m the top term forces
-    # 2 deg n = deg num, so this degree bound covers every solution
-    bound = max(len(num) - 1, len(m) - 1, 1)
-    width = 2 * bound + len(m)
-    pad = lambda poly: tuple(poly[i] if i < len(poly) else 0 for i in range(width))
-    rows = []
-    basis_polys = []
-    for k in range(bound + 1):
-        tk = poly_trim([0] * k + [1])
-        img = poly_add(2, poly_trim([0] * (2 * k) + [1]), poly_mul(2, tk, m))
-        rows.append(pad(img))
-        basis_polys.append(tk)
-    coeffs = raw_solve_left(GF2, rows, pad(num))
-    if coeffs is None:
-        return None
-    n = ()
-    for c, tk in zip(coeffs, basis_polys):
-        if c:
-            n = poly_add(2, n, tk)
-    y = field.canon((n, m))
-    if field.raw_add(field.raw_mul(y, y), y) != d:
-        raise VerificationFailed(
-            f"{field.format(y)} is not a root of y^2 + y = {field.format(d)}"
-        )
-    return y
-
-
-def char2_diagonal_anisotropic(field: FunctionField, diagonal) -> bool:
-    """Whether sum d_i x_i**2 has only the trivial zero over GF(2)(t), for
-    raw coefficients d_i.
-
-    Writing d_i = u_i**2 + t v_i**2, the form vanishes at x exactly when
-    sum x_i u_i = sum x_i v_i = 0, so anisotropy is full rank of the
-    (u_i, v_i) rows (forcing at most two variables over GF(2)(t)).
-    """
-    rows = [field.even_odd_parts(d) for d in diagonal]
-    _, pivots = raw_rref(field, rows, 2)
-    return len(pivots) == len(rows)
-
-
-def is_anisotropic(field: Field, gram, budget: int = DEFAULT_BUDGET) -> bool:
-    """Decide whether q(x) = x G x^T vanishes only at 0, for a Gram matrix
-    of raw values.
-
-    Finite prime fields are handled by projective-point enumeration.  Over
-    infinite fields: rank 1 directly; rank 2 by the discriminant (odd or
-    zero characteristic) or by an Artin-Schreier root (characteristic 2);
-    diagonal forms of any rank in characteristic 2 via the even/odd split.
-    """
-    k = len(gram)
-    if k == 0:
-        return True
-    add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
-    if field.is_finite:
-        return all(
-            evaluate_form(field, gram, pt) != zero
-            for pt in raw_projective_points(field, k, budget=budget)
-        )
-    char2 = field.characteristic() == 2
-    polar_zero = all(
-        add(gram[i][j], gram[j][i]) == zero for i in range(k) for j in range(i + 1, k)
-    )
-    if char2 and polar_zero:
-        return char2_diagonal_anisotropic(field, [gram[i][i] for i in range(k)])
-    if k == 1:
-        return gram[0][0] != zero
-    if k == 2:
-        a = gram[0][0]
-        b = add(gram[0][1], gram[1][0])
-        c = gram[1][1]
-        if a == zero:
-            return False
-        if not char2:
-            four_ac = mul(field.canon(4), mul(a, c))
-            return not field.raw_is_square(add(mul(b, b), field.raw_neg(four_ac)))
-        # a x^2 + b x y + c y^2 with b != 0: substitute x = (b/a) w y
-        d = mul(mul(c, a), field.raw_inv(mul(b, b)))
-        return artin_schreier_root(field, d) is None
-    raise UnsupportedField(
-        f"anisotropy of a rank-{k} form with cross terms over {field}"
-    )
-
+from .fields import Field
+from .fracfields import FunctionField, char2_diagonal_anisotropic
+from .linalg import DEFAULT_BUDGET, is_anisotropic
 
 # ---------------------------------------------------------------------------
 # family constructors
@@ -359,22 +237,6 @@ def two_dim_catalogue(field: Field):
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
-
-# each family, and the flags of the ``family`` command that it reads; no
-# --rank for char2_nonperfect, whose diagonal must avoid the squares while
-# every shipped default form has a 1 on its diagonal
-FAMILY_FLAGS = {
-    "abelian": ("--dim",),
-    "almost_abelian_lie": ("--dim",),
-    "k2": (),
-    "non_lie_almost_abelian": ("--dim-i",),
-    "two_dim_nilpotent_cyclic": (),
-    "two_dim_solvable_cyclic": (),
-    "extraspecial_sum": ("--dim-z", "--rank"),
-    "char2_nonperfect": ("--lambda",),
-    "char2_nonperfect_minimal": ("--lambda",),
-}
-
 
 class FamilySpec(namedtuple("FamilySpec", "name field params")):
     __slots__ = ()

@@ -331,6 +331,7 @@ def raw_projective_points(field: Field, n: int, budget: int = DEFAULT_BUDGET):
             yield (z,) * lead + (o,) + tail
 
 
+
 def enumerate_subspaces(
     field: Field,
     n: int,
@@ -377,3 +378,67 @@ def enumerate_subspaces(
                 yield Subspace(
                     field, n, tuple(tuple(r) for r in rows), tuple(pivots)
                 )
+
+
+# ---------------------------------------------------------------------------
+# quadratic forms, on raw values
+# ---------------------------------------------------------------------------
+
+
+def evaluate_form(field: Field, gram, point):
+    """q(x) = x G x^T for a square matrix and a vector of raw values."""
+    add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
+    total = zero
+    for xi, row in zip(point, gram):
+        if xi == zero:
+            continue
+        for gij, xj in zip(row, point):
+            total = add(total, mul(mul(xi, gij), xj))
+    return total
+
+
+def is_anisotropic(field: Field, gram, budget: int = DEFAULT_BUDGET) -> bool:
+    """Decide whether q(x) = x G x^T vanishes only at 0, for a Gram matrix
+    of raw values.
+
+    Finite prime fields are handled by projective-point enumeration.  Over
+    infinite fields: rank 1 directly; rank 2 by the discriminant (odd or
+    zero characteristic) or by an Artin-Schreier root (characteristic 2);
+    diagonal forms of any rank in characteristic 2 via the even/odd split.
+    """
+    k = len(gram)
+    if k == 0:
+        return True
+    add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
+    if field.is_finite:
+        return all(
+            evaluate_form(field, gram, pt) != zero
+            for pt in raw_projective_points(field, k, budget=budget)
+        )
+    char2 = field.characteristic() == 2
+    polar_zero = all(
+        add(gram[i][j], gram[j][i]) == zero for i in range(k) for j in range(i + 1, k)
+    )
+    if char2 and polar_zero:
+        from .fracfields import char2_diagonal_anisotropic
+
+        return char2_diagonal_anisotropic(field, [gram[i][i] for i in range(k)])
+    if k == 1:
+        return gram[0][0] != zero
+    if k == 2:
+        a = gram[0][0]
+        b = add(gram[0][1], gram[1][0])
+        c = gram[1][1]
+        if a == zero:
+            return False
+        if not char2:
+            four_ac = mul(field.canon(4), mul(a, c))
+            return not field.raw_is_square(add(mul(b, b), field.raw_neg(four_ac)))
+        # a x^2 + b x y + c y^2 with b != 0: substitute x = (b/a) w y
+        from .fracfields import artin_schreier_root
+
+        d = mul(mul(c, a), field.raw_inv(mul(b, b)))
+        return artin_schreier_root(field, d) is None
+    raise UnsupportedField(
+        f"anisotropy of a rank-{k} form with cross terms over {field}"
+    )

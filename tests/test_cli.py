@@ -532,27 +532,47 @@ def test_census_workers_up_to_cpu_count_accepted(monkeypatch, capsys):
 _SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal")
 
 
-def test_cli_import_loads_no_slow_modules():
+# the package modules a prime-field census loads: no rationals, GF(p)(t) or
+# family constructors
+_CENSUS_MODULES = {
+    f"quasileib.{name}"
+    for name in ("errors", "fields", "linalg", "algebra", "quasi", "census", "cli")
+} | {"quasileib"}
+
+
+def test_cli_import_loads_no_slow_modules(tmp_path):
     # each of these costs start-up time in every CLI process; fractions is
     # imported only when QQ canonicalises a value that is not an int or a pair
-    script = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import quasileib.cli\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))\n"
-    )
+    import quasileib.fields as fields_mod
+    import quasileib.fracfields as fracfields_mod
+
+    census_argv = ["census", "--field", "gf3", "--dim", "2", "--lemmas"]
+    census_argv += ["--out", str(tmp_path / "report.json")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    loaded = set(result.stdout.split())
-    assert "quasileib.cli" in loaded
-    assert not loaded & set(_SLOW_IMPORTS), sorted(loaded & set(_SLOW_IMPORTS))
+    for work in ("import quasileib.cli", f"quasileib.cli.run({census_argv!r})"):
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import quasileib.cli\n"
+            f"{work}\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = set(result.stdout.split())
+        assert "quasileib.cli" in loaded
+        assert not loaded & set(_SLOW_IMPORTS), sorted(loaded & set(_SLOW_IMPORTS))
+        package = {name for name in loaded if name.split(".")[0] == "quasileib"}
+        assert package <= _CENSUS_MODULES, sorted(package - _CENSUS_MODULES)
+    # the names that moved still resolve in fields, to the same objects
+    for name in ("QQ", "RationalField", "FunctionField"):
+        assert getattr(fields_mod, name) is getattr(fracfields_mod, name)
 
 
 def test_gf2_dim3_census_runs_without_numpy(tmp_path):
@@ -750,6 +770,20 @@ def test_family_lambda_flag(tmp_path, capsys):
     assert code == 0
     payload = json.loads(path.read_text())
     assert payload["table"][0][0][1] == {"num": [1, 1, 1], "den": [1]}
+    # the field variable keeps its case
+    argv = ["family", "char2_nonperfect_minimal", "--field", "gf2(X)", "--lambda", "X"]
+    code, out = run_json(capsys, argv)
+    assert code == 0
+    assert out["field"] == {"kind": "rational_function", "p": 2, "var": "X"}
+    # unbalanced parentheses, no term, and a degree whose coefficient list
+    # would not fit in memory each exit 2 with one line
+    for lam in ("(t+1", "t)", "+", "t^99999999999"):
+        argv = ["family", "char2_nonperfect_minimal", "--field", "gf2(t)", "--lambda", lam]
+        assert run(argv) == 2, lam
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_subspace_inputs_are_canonicalized(tmp_path, capsys):

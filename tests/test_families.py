@@ -25,22 +25,19 @@ from quasileib.families import (
     FamilySpec,
     abelian,
     almost_abelian_lie,
-    artin_schreier_root,
     build,
-    char2_diagonal_anisotropic,
     char2_nonperfect,
     char2_nonperfect_minimal,
     default_anisotropic_gram,
-    evaluate_form,
     extraspecial_sum,
-    is_anisotropic,
     k2,
     non_lie_almost_abelian,
     two_dim_catalogue,
     two_dim_solvable_cyclic,
 )
 from quasileib.fields import GF2, GF3, QQ, FunctionField, PrimeField, Scalar
-from quasileib.linalg import echelonize, vec
+from quasileib.fracfields import artin_schreier_root, char2_diagonal_anisotropic
+from quasileib.linalg import echelonize, evaluate_form, is_anisotropic, vec
 from quasileib.quasi import is_quasi_ideal
 from tests.conftest import SYMMETRIC_FAMILIES
 
@@ -291,11 +288,11 @@ def test_artin_schreier_solver():
 
 
 def test_artin_schreier_root_is_checked(monkeypatch):
-    import quasileib.families as families_mod
+    import quasileib.fracfields as fracfields_mod
 
     # a wrong linear solve must not come back as a root
     monkeypatch.setattr(
-        families_mod, "raw_solve_left", lambda field, rows, target: (1,) * len(rows)
+        fracfields_mod, "raw_solve_left", lambda field, rows, target: (1,) * len(rows)
     )
     t = F2T.t
     with pytest.raises(VerificationFailed):

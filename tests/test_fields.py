@@ -17,12 +17,9 @@ from quasileib.fields import (
     is_prime,
     parse_field,
     parse_scalar,
-    poly_add,
-    poly_gcd,
-    poly_mul,
-    poly_sqrt,
-    poly_trim,
 )
+from quasileib.fracfields import poly_add, poly_gcd, poly_mul, poly_sqrt, poly_trim
+from quasileib.linalg import DEFAULT_BUDGET
 
 F2T = FunctionField(2)
 F3T = FunctionField(3)
@@ -393,6 +390,18 @@ def test_parse_scalar():
         for bad in ("-", "--t", "*t", "-*t", "2*", "t+2*"):
             with pytest.raises(MalformedInput, match="polynomial term"):
                 parse_scalar(field, bad)
+        # one balanced outer pair of parentheses is stripped, no more; text
+        # with no term at all is refused by name
+        for bad in ("(t+1", "t)", "((t))", "t/(1", "+", "++", "(+)", "t/+"):
+            with pytest.raises(MalformedInput, match="cannot parse polynomial"):
+                parse_scalar(field, bad)
+        assert parse_scalar(field, "(t+1)") == t + one
+    # the coefficient list of t^d has d + 1 entries; a degree above
+    # DEFAULT_BUDGET is refused before it is built
+    assert parse_scalar(F2T, f"t^{DEFAULT_BUDGET}+1").value[0][-1] == 1
+    for text in (f"t^{DEFAULT_BUDGET + 1}", "t^99999999999", "1/(t^99999999999+1)"):
+        with pytest.raises(MalformedInput, match="polynomial degree"):
+            parse_scalar(F2T, text)
 
 
 def test_function_field_variable_is_an_ascii_identifier():
@@ -408,6 +417,12 @@ def test_function_field_variable_is_an_ascii_identifier():
             parse_field(text)
     x, t1 = FunctionField(2, "x"), FunctionField(3, "t1")
     assert parse_field("gf2(x)") == x and parse_field("gf3(t1)") == t1
+    # "gf" and "q" read in either case; the variable is kept as written
+    X = FunctionField(2, "X")
+    assert parse_field("gf2(X)") == X and parse_field("GF2(X)") == X
+    assert parse_scalar(X, "X^2+X") == X.t * X.t + X.t
+    assert parse_field("GF2(t)") == FunctionField(2) and parse_field("GF3") == GF3
+    assert parse_field("Q") == QQ and parse_field("QQ") == QQ
     assert parse_scalar(x, "x^2+x+1") == x.t * x.t + x.t + x(1)
     assert parse_scalar(t1, "-t1^2+1") == t1.t * t1.t * -1 + t1(1)
 
