@@ -18,7 +18,7 @@ with the polarized products ``[e_i, e_j] + [e_j, e_i]`` (expand
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 
 from .errors import (
     DimensionMismatch,
@@ -252,28 +252,14 @@ def validate(table: MultiplicationTable, mode: str = "right") -> ValidationResul
     return ValidationResult(False, mode, triple, field.wrap(lhs), field.wrap(rhs))
 
 
-# the per-subspace memo tables of an algebra, each keyed by raw echelon rows
-# (``series`` by rows and kind) and created with the algebra; "full",
-# "center", "squares_ideal", "subalgebras" and "subquasi_bfs" hold single
-# values and are set on first use
-_MEMOS = (
-    "action",
-    "bracket_subspaces",
-    "core",
-    "is_ideal",
-    "is_left_engel",
-    "is_subalgebra",
-    "quasi_in",
-    "quotient",
-    "series",
-    "wrap",
-)
-
-
 class LeibnizAlgebra:
     """A multiplication table that passes the right Leibniz identity.
 
-    ``field`` and ``dim`` are the table's, copied once."""
+    ``field`` and ``dim`` are the table's, copied once.  ``_cache`` holds
+    the memos of the functions over this algebra, each under a name its
+    own module chooses and created on first use: a table keyed by raw
+    echelon rows, or a single value, which its function reads with
+    ``.get``."""
 
     __slots__ = ("table", "field", "dim", "_cache")
 
@@ -285,7 +271,7 @@ class LeibnizAlgebra:
         self.table = table
         self.field = table.field
         self.dim = table.dim
-        self._cache = {name: {} for name in _MEMOS}
+        self._cache = defaultdict(dict)
 
     @property
     def basis_names(self):
@@ -313,14 +299,6 @@ class LeibnizAlgebra:
         if found is None:
             found = self._cache["full"] = full_subspace(self.field, self.dim)
         return found
-
-    def __eq__(self, other):
-        if not isinstance(other, LeibnizAlgebra):
-            return NotImplemented
-        return self.table == other.table
-
-    def __hash__(self):
-        return hash(self.table)
 
     def __repr__(self):
         return f"<Leibniz algebra dim {self.dim} over {self.field}>"
@@ -542,17 +520,6 @@ def subalgebras(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 
 
-class QuotientAlgebra(
-    namedtuple("QuotientAlgebra", "parent modulus algebra")
-):
-    __slots__ = ()
-
-    def project_vector(self, v: tuple) -> tuple:
-        r = self.modulus.reduce(v)
-        comp = self.modulus.non_pivots()
-        return tuple(r[c] for c in comp)
-
-
 def _raw_project(j: Subspace, comp: tuple, v: tuple) -> tuple:
     r = j.raw_reduce(v)
     return tuple([r[c] for c in comp])
@@ -567,12 +534,14 @@ def raw_quotient_cube(alg: LeibnizAlgebra, j: Subspace) -> tuple:
     return tuple(tuple(_raw_project(j, comp, raw[a][b]) for b in comp) for a in comp)
 
 
-def quotient(alg: LeibnizAlgebra, j: Subspace) -> QuotientAlgebra:
+def quotient(alg: LeibnizAlgebra, j: Subspace) -> LeibnizAlgebra:
     """L/J for a verified ideal J; the quotient basis is the set of non-pivot
-    coordinates of J's echelon form, which makes tables reproducible.
+    coordinates of J's echelon form, which makes tables reproducible: v
+    projects to ``j.reduce(v)`` at ``j.non_pivots()``.
 
-    The quotient algebra, and so its own memos, is built once per ideal;
-    every call still checks that J is an ideal of this algebra."""
+    The quotient algebra, and so its own memos, is built once per ideal and
+    returned on every later call, which still checks that J is an ideal of
+    this algebra."""
     if not is_ideal(alg, j):
         raise NotAnIdeal("quotient by a non-ideal")
     cache = alg._cache["quotient"]
@@ -583,4 +552,4 @@ def quotient(alg: LeibnizAlgebra, j: Subspace) -> QuotientAlgebra:
         table = MultiplicationTable(alg.field, len(comp), raw_quotient_cube(alg, j), names)
         # L/J is Leibniz: J is an ideal
         quot = cache[j.raw_rows] = LeibnizAlgebra(table, _checked=True)
-    return QuotientAlgebra(alg, j, quot)
+    return quot

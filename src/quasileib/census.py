@@ -241,7 +241,7 @@ def match_char2_family(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     if ideal.dim != 1 or zl != ideal:
         return None
     quot = quotient(alg, zl)
-    abar = match_almost_abelian_lie(quot.algebra)
+    abar = match_almost_abelian_lie(quot)
     if abar is None:
         return None
     br, zero = alg.table.raw_bracket, field.raw_zero
@@ -254,8 +254,8 @@ def match_char2_family(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     # a zero z is the multiple 0 of the ideal's row
     if _scalar_multiple(field, ideal.raw_rows, (z,)) in (None, zero):
         return None
-    qfull = quot.algebra.full()
-    qder = bracket_subspaces(quot.algebra, qfull, qfull)
+    qfull = quot.full()
+    qder = bracket_subspaces(quot, qfull, qfull)
     cs = [br(lift(row), h) for row in qder.raw_rows]
     basis = cs + [z, h]
     if raw_echelonize(field, alg.dim, basis).dim != alg.dim:
@@ -295,8 +295,7 @@ class ClassificationResult(
 
 
 def _liesation_tag(alg: LeibnizAlgebra) -> str:
-    ideal = squares_ideal(alg)
-    quot = quotient(alg, ideal).algebra
+    quot = quotient(alg, squares_ideal(alg))
     if is_abelian(quot):
         return "abelian"
     if match_almost_abelian_lie(quot) is not None:
@@ -975,12 +974,10 @@ def _canonical_rep(field, dim, key) -> LeibnizAlgebra:
 class HarnessReport:
     __slots__ = ("algebras", "clauses_checked", "failures")
 
-    def __init__(
-        self, algebras: int = 0, clauses_checked: int = 0, failures: list | None = None
-    ):
-        self.algebras = algebras
-        self.clauses_checked = clauses_checked
-        self.failures = [] if failures is None else failures
+    def __init__(self):
+        self.algebras = 0
+        self.clauses_checked = 0
+        self.failures = []
 
     def ok(self) -> bool:
         return not self.failures
@@ -1009,8 +1006,8 @@ def _harness_one(label, alg, budget, report):
                 }
             )
 
-    def note(suite_report, context):
-        for name, (status, detail) in suite_report.clauses.items():
+    def note(clauses, context):
+        for name, (status, detail) in clauses.items():
             if status in ("pass", "fail"):
                 record(name, status == "pass", context, detail)
 
@@ -1024,19 +1021,18 @@ def _harness_one(label, alg, budget, report):
     if len(quasis) == len(subs):
         # quotients by every ideal stay in the class; many ideals give the
         # same quotient table, which is built and decided once.  L/0 has
-        # L's own table, so it is decided on L, whose memos already hold
-        # its subalgebras and verdicts.  `quotient` keeps each quotient
-        # algebra with L, so the quotients by the squares ideal and the
-        # centre that `classify_q_member` built come back with their memos
-        decided = {}
+        # L's own table, and L is in the class here, so that table starts
+        # out decided.  `quotient` keeps each quotient algebra with L, so
+        # the quotients by the squares ideal and the centre that
+        # `classify_q_member` built come back with their memos
+        decided = {alg.table.raw: True}
         for j in subs:
             if not is_ideal(alg, j):
                 continue
             key = raw_quotient_cube(alg, j)
             ok = decided.get(key)
             if ok is None:
-                q = alg if j.is_zero() else quotient(alg, j).algebra
-                ok = decided[key] = in_class_q(q, budget=budget)[0]
+                ok = decided[key] = in_class_q(quotient(alg, j), budget=budget)[0]
             record("quotient_closure", ok, f"ideal dim {j.dim}")
 
     ideal = squares_ideal(alg)
@@ -1063,14 +1059,10 @@ def lemma_harness(corpus, budget: int = DEFAULT_BUDGET) -> HarnessReport:
     """Run the quasi-ideal identity suite, chain variants, quotient closure,
     central-squares and Engel-nilpotency checks over a finite-field corpus.
 
-    ``corpus`` is a list of algebras or (label, algebra) pairs.
+    ``corpus`` is a list of (label, algebra) pairs.
     """
     report = HarnessReport()
-    for i, item in enumerate(corpus):
-        if isinstance(item, tuple):
-            label, alg = item
-        else:
-            label, alg = f"algebra_{i}", item
+    for label, alg in corpus:
         if not alg.field.is_finite:
             raise UnsupportedField("the harness enumerates subalgebras")
         report.algebras += 1

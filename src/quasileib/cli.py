@@ -168,11 +168,9 @@ def _cmd_family(args):
         params["dim_z"] = args.dim_z
     if lam is not None:
         params["lam"] = lam
-        params["lambdas"] = (lam,)
     if args.rank is not None:
         params["gram"] = families_mod.default_anisotropic_gram(field, args.rank)
-    spec = families_mod.FamilySpec(args.name, field, params)
-    alg = families_mod.build(spec, budget=args.budget)
+    alg = families_mod.build(args.name, field, params, budget=args.budget)
     _emit(alg.table.to_json(), args.out)
     return 0
 

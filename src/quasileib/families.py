@@ -28,8 +28,6 @@ checked against the left identity by the test suite.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .algebra import LeibnizAlgebra, build_table
 from .errors import (
     BadCharacteristic,
@@ -238,13 +236,6 @@ def two_dim_catalogue(field: Field):
 # dispatch
 # ---------------------------------------------------------------------------
 
-class FamilySpec(namedtuple("FamilySpec", "name field params")):
-    __slots__ = ()
-
-    def __new__(cls, name: str, field: Field, params: dict | None = None):
-        return super().__new__(cls, name, field, {} if params is None else params)
-
-
 def _require_table(n: int, budget: int):
     """Raise unless the n^3 structure constants of a dim-n table fit in the
     budget, and the n^4 steps of checking it against the right identity
@@ -263,26 +254,32 @@ def _require_table(n: int, budget: int):
         )
 
 
-def build(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> LeibnizAlgebra:
-    """The family instance of a spec.  The budget bounds the n^3 structure
-    constants of a table whose size a parameter sets (``dim``, ``dim_i``, or
-    a nonzero ``dim_z``) and the n^4 steps of its right-identity check
-    (against at least DEFAULT_BUDGET), both checked before the table is
-    built, and the projective points that the anisotropy check of
-    ``extraspecial_sum`` enumerates."""
-    name, field, p = spec.name, spec.field, spec.params
+def build(
+    name: str, field: Field, params: dict, budget: int = DEFAULT_BUDGET
+) -> LeibnizAlgebra:
+    """The instance of the family ``name`` over ``field``.  ``params`` maps
+    the parameters given to their values (``dim``, ``dim_i``, ``dim_z``,
+    ``gram``, and ``lam``, the one diagonal coefficient of either
+    characteristic-2 family); an absent one takes its constructor's default.
+
+    The budget bounds the n^3 structure constants of a table whose size a
+    parameter sets (``dim``, ``dim_i``, or a nonzero ``dim_z``) and the n^4
+    steps of its right-identity check (against at least DEFAULT_BUDGET),
+    both checked before the table is built, and the projective points that
+    the anisotropy check of ``extraspecial_sum`` enumerates."""
+    get = params.get
     if name == "abelian":
-        dim = p.get("dim", 1)
+        dim = get("dim", 1)
         _require_table(dim, budget)
         return abelian(field, dim)
     if name == "almost_abelian_lie":
-        dim = p.get("dim", 2)
+        dim = get("dim", 2)
         _require_table(dim, budget)
         return almost_abelian_lie(field, dim)
     if name == "k2":
         return k2(field)
     if name == "non_lie_almost_abelian":
-        dim_i = p.get("dim_i", 1)
+        dim_i = get("dim_i", 1)
         _require_table(dim_i + 1, budget)
         return non_lie_almost_abelian(field, dim_i)
     if name == "two_dim_nilpotent_cyclic":
@@ -290,9 +287,10 @@ def build(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> LeibnizAlgebra:
     if name == "two_dim_solvable_cyclic":
         return two_dim_solvable_cyclic(field)
     if name == "extraspecial_sum":
-        return extraspecial_sum(field, p.get("gram"), p.get("dim_z", 0), budget)
+        return extraspecial_sum(field, get("gram"), get("dim_z", 0), budget)
     if name == "char2_nonperfect":
-        return char2_nonperfect(field, p.get("lambdas"), p.get("gram"))
+        lam = get("lam")
+        return char2_nonperfect(field, None if lam is None else (lam,), get("gram"))
     if name == "char2_nonperfect_minimal":
-        return char2_nonperfect_minimal(field, p.get("lam"))
+        return char2_nonperfect_minimal(field, get("lam"))
     raise ValueError(f"unknown family {name!r}")

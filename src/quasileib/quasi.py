@@ -387,9 +387,6 @@ class SubquasiChain(namedtuple("SubquasiChain", "chain")):
     def m(self) -> int:
         return len(self.chain) - 1
 
-    def to_json(self):
-        return {"m": self.m, "chain": [s.to_json() for s in self.chain]}
-
 
 def _subquasi_bfs(alg: LeibnizAlgebra, budget: int):
     """Shortest subquasi depth and BFS parent for every subalgebra."""
@@ -445,26 +442,6 @@ def subquasi_chain(
 PASS, FAIL, VACUOUS, SKIPPED = "pass", "fail", "vacuous", "skipped"
 
 
-class LemmaSuiteReport:
-    __slots__ = ("clauses",)
-
-    def __init__(self, clauses: dict | None = None):
-        self.clauses = {} if clauses is None else clauses
-
-    @property
-    def failures(self):
-        return [name for name, (status, _) in self.clauses.items() if status == FAIL]
-
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_json(self):
-        return {
-            name: {"status": status, "detail": detail}
-            for name, (status, detail) in self.clauses.items()
-        }
-
-
 def _verdict(holds, detail=None):
     return (PASS if holds else FAIL, detail)
 
@@ -487,9 +464,11 @@ def lemma_suite(
     alg: LeibnizAlgebra,
     h: Subspace,
     chain: SubquasiChain | None = None,
-) -> LemmaSuiteReport:
+) -> dict:
     """Evaluate the structural containments that hold for quasi-ideals and
-    m-step subquasi-ideals, plus the perfect / Engel / core-free clauses.
+    m-step subquasi-ideals, plus the perfect / Engel / core-free clauses, as
+    ``{clause: (status, detail)}`` with status PASS, FAIL, VACUOUS or
+    SKIPPED.
 
     Precondition (verified here): H is a quasi-ideal of L, or ``chain`` is a
     valid subquasi chain from H to L.  Chain clauses are skipped when no
@@ -587,7 +566,7 @@ def lemma_suite(
     c["corefree_square_nilpotent"] = (
         _verdict(sq_chain[-1].is_zero()) if corefree else (VACUOUS, "core is nonzero")
     )
-    return LemmaSuiteReport(c)
+    return c
 
 
 def quasi_ideals(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
@@ -598,7 +577,6 @@ def quasi_ideals(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
 
 __all__ = [
     "EngelReport",
-    "LemmaSuiteReport",
     "QuasiIdealVerdict",
     "SubquasiChain",
     "core",

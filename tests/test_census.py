@@ -43,7 +43,7 @@ from quasileib.census import (
     match_non_lie_almost_abelian,
     sweep_tables,
 )
-from quasileib.quasi import LemmaSuiteReport, is_quasi_ideal, lemma_suite, permutes_with
+from quasileib.quasi import is_quasi_ideal, lemma_suite, permutes_with
 from quasileib.errors import (
     BadDimension,
     BudgetExceeded,
@@ -584,17 +584,18 @@ def test_lemma_harness_smoke(family_corpus):
 
 def test_lemma_harness_rejects_infinite_field():
     with pytest.raises(UnsupportedField):
-        lemma_harness([two_dim_solvable_cyclic(QQ)])
+        lemma_harness([("solvable", two_dim_solvable_cyclic(QQ))])
 
 
 def _quotient_tables(alg):
     ideals = [j for j in subalgebras(alg) if is_ideal(alg, j)]
-    return ideals, {quotient(alg, j).algebra.table for j in ideals}
+    return ideals, {quotient(alg, j).table for j in ideals}
 
 
 def test_harness_decides_each_quotient_table_once(monkeypatch):
     # every subspace of an abelian algebra is an ideal, and the quotients
-    # by the 28 ideals of GF(3)^3 have one table per dimension
+    # by the 28 ideals of GF(3)^3 have one table per dimension; L/0 has
+    # L's own table, which the harness holds decided already
     alg = abelian(GF3, 3)
     ideals, tables = _quotient_tables(alg)
     assert (len(ideals), len(tables)) == (28, 4)
@@ -605,10 +606,28 @@ def test_harness_decides_each_quotient_table_once(monkeypatch):
         return in_class_q(q, budget=budget)
 
     monkeypatch.setattr(census, "in_class_q", counting_in_class_q)
-    report = lemma_harness([alg])
+    report = lemma_harness([("abelian_3", alg)])
     assert report.ok()
-    assert len(decided) == len(tables)
-    assert set(decided) == tables
+    assert len(decided) == len(tables) - 1
+    assert set(decided) == tables - {alg.table}
+
+
+def test_harness_never_decides_the_algebra_itself(family_corpus, monkeypatch):
+    # the quotient-closure clause runs only on a member of the class, so
+    # L/0 = L needs no second decision
+    members = [(label, alg) for label, alg in family_corpus if in_class_q(alg)[0]]
+    decided = []
+
+    def recording_in_class_q(q, budget=DEFAULT_BUDGET):
+        decided.append(q)
+        return in_class_q(q, budget=budget)
+
+    monkeypatch.setattr(census, "in_class_q", recording_in_class_q)
+    for label, alg in members:
+        decided.clear()
+        assert lemma_harness([(label, alg)]).ok()
+        assert all(q is not alg and q.table != alg.table for q in decided), label
+    assert len(members) > 10
 
 
 def test_quotient_by_zero_has_the_algebras_own_table(family_corpus, gf3_dim3_census):
@@ -620,21 +639,22 @@ def test_quotient_by_zero_has_the_algebras_own_table(family_corpus, gf3_dim3_cen
     for alg in algebras:
         zero = zero_subspace(alg.field, alg.dim)
         assert raw_quotient_cube(alg, zero) == alg.table.raw
-        assert quotient(alg, zero).algebra.table == alg.table
+        assert quotient(alg, zero).table == alg.table
 
 
 def test_harness_reports_quotient_failures_per_ideal(monkeypatch):
     alg = abelian(GF3, 3)
     ideals, _ = _quotient_tables(alg)
-    clauses = lemma_harness([alg]).clauses_checked
+    clauses = lemma_harness([("abelian_3", alg)]).clauses_checked
     monkeypatch.setattr(
         census, "in_class_q", lambda q, budget=DEFAULT_BUDGET: (False, q)
     )
     report = lemma_harness([("abelian_3", alg)])
     failures = [f for f in report.failures if f["clause"] == "quotient_closure"]
     assert failures == report.failures
+    # L/0 is L, which the clause runs on only as a member of the class
     assert sorted(f["context"] for f in failures) == sorted(
-        f"ideal dim {j.dim}" for j in ideals
+        f"ideal dim {j.dim}" for j in ideals if not j.is_zero()
     )
     assert report.clauses_checked == clauses
 
@@ -649,7 +669,7 @@ def test_harness_failure_records(monkeypatch):
 
     def spying_suite(*args):
         suite = lemma_suite(*args)
-        statuses = [status for status, _ in suite.clauses.values()]
+        statuses = [status for status, _ in suite.values()]
         suite_clauses.extend(s for s in statuses if s in ("pass", "fail"))
         return suite
 
@@ -668,9 +688,10 @@ def test_harness_failure_records(monkeypatch):
 
     def stub_suite(alg, h, chain=None):
         calls.append((h, chain))
-        return LemmaSuiteReport(
-            {"stub_fail": ("fail", "stub detail"), "stub_vacuous": ("vacuous", "H = L")}
-        )
+        return {
+            "stub_fail": ("fail", "stub detail"),
+            "stub_vacuous": ("vacuous", "H = L"),
+        }
 
     report = harness_with("lemma_suite", stub_suite)
     contexts = [
@@ -689,7 +710,7 @@ def test_harness_failure_records(monkeypatch):
         (
             "in_class_q",
             lambda q, budget=DEFAULT_BUDGET: (False, q),
-            [failure("quotient_closure", f"ideal dim {d}") for d in ideal_dims],
+            [failure("quotient_closure", f"ideal dim {d}") for d in ideal_dims if d],
         ),
         (
             "center",
@@ -804,7 +825,7 @@ def test_quotients_by_every_ideal_are_leibniz(family_corpus):
     for alg in algebras:
         for ideal in subalgebras(alg):
             if is_ideal(alg, ideal):
-                q = quotient(alg, ideal).algebra
+                q = quotient(alg, ideal)
                 assert q.dim == alg.dim - ideal.dim
                 assert validate(q.table, "right").ok
                 checked += 1

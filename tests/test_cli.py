@@ -575,6 +575,19 @@ def test_cli_import_loads_no_slow_modules(tmp_path):
         assert getattr(fields_mod, name) is getattr(fracfields_mod, name)
 
 
+def test_sources_parse_as_the_oldest_supported_python():
+    # pyproject.toml declares requires-python >= 3.10, so no module may use
+    # syntax that a 3.10 parser refuses
+    import ast
+
+    package = os.path.dirname(cli.__file__)
+    sources = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    assert "cli.py" in sources
+    for name in sources:
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            ast.parse(fh.read(), filename=name, feature_version=(3, 10))
+
+
 def test_gf2_dim3_census_runs_without_numpy(tmp_path):
     # a fresh process: the census imports no numpy (only the brute-force
     # test references use it) and writes the pinned report bytes

@@ -116,10 +116,12 @@ def test_quotient_projection_kernel_is_modulus():
     alg = extraspecial_sum(GF3, default_anisotropic_gram(GF3, 2), dim_z=1)
     ideal = squares_ideal(alg)
     q = quotient(alg, ideal)
-    zero = tuple(q.algebra.field.zero for _ in range(q.algebra.dim))
+    zero = tuple(q.field.zero for _ in range(q.dim))
+    comp = ideal.non_pivots()
     for x in enumerate_subspaces(GF3, alg.dim, dims=1):
         rep = x.rows[0]
-        assert (q.project_vector(rep) == zero) == ideal.contains_vector(rep)
+        projected = tuple(ideal.reduce(rep)[c] for c in comp)
+        assert (projected == zero) == ideal.contains_vector(rep)
 
 
 def test_quotients_by_series_terms_are_leibniz(family_corpus):
@@ -128,7 +130,7 @@ def test_quotients_by_series_terms_are_leibniz(family_corpus):
     for _, alg in family_corpus[:14]:
         for term in series(alg, kind="derived"):
             if is_ideal(alg, term):
-                assert validate(quotient(alg, term).algebra.table, "right").ok
+                assert validate(quotient(alg, term).table, "right").ok
 
 
 def test_census_report_matches_schema():

@@ -22,7 +22,6 @@ from quasileib.errors import (
     VerificationFailed,
 )
 from quasileib.families import (
-    FamilySpec,
     abelian,
     almost_abelian_lie,
     build,
@@ -108,7 +107,7 @@ def test_non_lie_almost_abelian_invariants():
         assert ideal.dim == dim_i
         h = echelonize(GF2, dim_i + 1, [alg.basis_vector(dim_i)])
         assert is_quasi_ideal(alg, h).holds
-        q = quotient(alg, ideal).algebra
+        q = quotient(alg, ideal)
         assert q.dim == 1 and is_abelian(q)
 
 
@@ -300,9 +299,13 @@ def test_artin_schreier_root_is_checked(monkeypatch):
 
 
 def test_build_dispatch():
-    spec = FamilySpec("non_lie_almost_abelian", GF3, {"dim_i": 2})
-    alg = build(spec)
+    alg = build("non_lie_almost_abelian", GF3, {"dim_i": 2})
     assert alg.dim == 3
-    assert build(FamilySpec("k2", F2T, {})).dim == 3
+    assert build("k2", F2T, {}).dim == 3
+    # one coefficient serves both characteristic-2 families
+    t = F2T.t
+    want = char2_nonperfect(F2T, (t,)).table
+    assert build("char2_nonperfect", F2T, {"lam": t}).table == want
+    assert build("char2_nonperfect_minimal", F2T, {"lam": t}).table == want
     with pytest.raises(ValueError):
-        build(FamilySpec("nope", GF2, {}))
+        build("nope", GF2, {})

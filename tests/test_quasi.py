@@ -41,15 +41,13 @@ from quasileib.errors import (
     VerificationFailed,
 )
 from quasileib.families import (
-    FamilySpec,
     almost_abelian_lie,
-    build,
     k2,
     non_lie_almost_abelian,
     two_dim_nilpotent_cyclic,
     two_dim_solvable_cyclic,
 )
-from quasileib.fields import GF2, GF3, QQ, FunctionField, PrimeField
+from quasileib.fields import GF2, GF3, QQ, PrimeField
 from quasileib.linalg import (
     DEFAULT_BUDGET,
     Subspace,
@@ -66,7 +64,6 @@ from quasileib.linalg import (
 )
 from quasileib.quasi import (
     EngelReport,
-    LemmaSuiteReport,
     QuasiIdealVerdict,
     SubquasiChain,
     _subquasi_bfs,
@@ -83,8 +80,6 @@ from quasileib.quasi import (
 )
 
 from tests.conftest import gf2_dim3_class_representatives
-
-F2T = FunctionField(2)
 
 
 def line(field, n, coords):
@@ -544,10 +539,10 @@ def test_core_free_quotient(family_corpus):
             if c.is_zero() or c == s:
                 continue
             q = quotient(alg, c)
-            image = echelonize(
-                q.algebra.field, q.algebra.dim, [q.project_vector(r) for r in s.rows]
-            )
-            assert core(q.algebra, image).is_zero()
+            comp = c.non_pivots()
+            projected = [tuple(c.reduce(r)[i] for i in comp) for r in s.rows]
+            image = echelonize(q.field, q.dim, projected)
+            assert core(q, image).is_zero()
 
 
 def _fresh(alg):
@@ -584,12 +579,14 @@ def test_memoised_facts_match_a_fresh_algebra(family_corpus, gf3_dim3_census):
     # every fact is asked twice of one warmed algebra, so the second answer
     # reads its memos (core its ideal tests); a fresh copy of the table
     # decides it from scratch
-    corpus = [alg for _, alg in family_corpus if alg.field.order**alg.dim <= 100]
+    corpus = [
+        (label, alg) for label, alg in family_corpus if alg.field.order**alg.dim <= 100
+    ]
     lemma_harness(corpus)
     representatives = [entry.algebra for entry in gf3_dim3_census.classes]
     assert len(representatives) == 27
     kinds = ("lower_central", "derived", "omega_of_square")
-    for alg in corpus + representatives:
+    for alg in [alg for _, alg in corpus] + representatives:
         subspaces = list(enumerate_subspaces(alg.field, alg.dim))
         closed = subalgebras(alg)
         vectors = list(itertools.product(alg.field.elements(), repeat=alg.dim))
@@ -600,12 +597,12 @@ def test_memoised_facts_match_a_fresh_algebra(family_corpus, gf3_dim3_census):
             engel = [is_left_engel(alg, x) for x in vectors]
             wholes = (center(alg), squares_ideal(alg))
             chains = [series(alg, s, kind) for s in closed for kind in kinds]
-            quotients = [quotient(alg, j) for j, ok in zip(subspaces, ideals) if ok]
+            quotients = [(j, quotient(alg, j)) for j, ok in zip(subspaces, ideals) if ok]
             answers.append((wholes, chains, quotients))
         # the second answers are the first: one quotient algebra per ideal
         assert answers[0][:2] == answers[1][:2]
-        for first, second in zip(answers[0][2], answers[1][2]):
-            assert second.algebra is first.algebra and second.parent is alg
+        for (_, first), (_, second) in zip(answers[0][2], answers[1][2]):
+            assert second is first
         for s, c, ideal in zip(subspaces, cores, ideals):
             assert c == core(_fresh(alg), s) == _core_by_fixpoint(_fresh(alg), s)
             assert ideal == is_ideal(_fresh(alg), s)
@@ -614,9 +611,8 @@ def test_memoised_facts_match_a_fresh_algebra(family_corpus, gf3_dim3_census):
         assert wholes == (center(_fresh(alg)), squares_ideal(_fresh(alg)))
         for (s, kind), chain in zip(itertools.product(closed, kinds), chains):
             assert chain == series(_fresh(alg), s, kind)
-        for q in quotients:
-            ref = quotient(_fresh(alg), q.modulus)
-            assert q.algebra.table.to_json() == ref.algebra.table.to_json()
+        for j, q in quotients:
+            assert q.table.to_json() == quotient(_fresh(alg), j).table.to_json()
 
 
 def test_fact_memos_still_check_their_inputs():
@@ -629,7 +625,7 @@ def test_fact_memos_still_check_their_inputs():
     assert is_subalgebra(alg, zero)
     assert not is_left_engel(alg, vec(GF2, (1, 0)))
     assert series(alg, zero) == [zero]
-    assert quotient(alg, zero).algebra.dim == 2
+    assert quotient(alg, zero).dim == 2
     assert () in alg._cache["is_ideal"] and () in alg._cache["action"]
     assert () in alg._cache["is_subalgebra"] and () in alg._cache["core"]
     assert ((), "lower_central") in alg._cache["series"]
@@ -727,7 +723,7 @@ def test_is_ideal_matches_the_definition_on_every_small_subspace(family_corpus):
         cold = _fresh(alg)
         assert [is_ideal(cold, s) for s in spaces] == want, label
         warm = _fresh(alg)
-        lemma_harness([warm])
+        lemma_harness([(label, warm)])
         for s in spaces:
             core(warm, s)
         assert all(s.raw_rows in warm._cache["is_ideal"] for s in spaces)
@@ -794,7 +790,7 @@ def test_lemma_suite_matches_the_clause_loops(family_corpus):
     seen = set()
     for label, alg in family_corpus:
         for h, chain in _suite_cases(alg):
-            got = lemma_suite(alg, h, chain).clauses
+            got = lemma_suite(alg, h, chain)
             ref = _fresh(alg)
             if is_quasi_ideal(ref, h).holds:
                 reflection, engel = _reference_reflection(ref, h), _reference_engel(ref, h)
@@ -828,7 +824,7 @@ def test_lemma_suite_clauses_are_pinned(family_corpus, gf3_dim3_census):
     digest, statuses = hashlib.sha256(), Counter()
     for alg in [alg for _, alg in family_corpus] + classes:
         for h, chain in _suite_cases(alg, min_m=0):
-            for name, (status, detail) in lemma_suite(alg, h, chain).clauses.items():
+            for name, (status, detail) in lemma_suite(alg, h, chain).items():
                 digest.update(f"{name}\t{status}\t{detail}\n".encode())
                 statuses[status] += 1
     assert statuses == PINNED_STATUSES
@@ -955,29 +951,33 @@ def test_subquasi_bfs_matches_reference_loop(family_corpus):
         assert list(parent.items()) == list(want_parent.items()), label
 
 
+def _failed(clauses):
+    return [name for name, (status, _) in clauses.items() if status == "fail"]
+
+
 def test_lemma_suite_on_k2_center_line():
     kk = k2(GF2)
     fz = line(GF2, 3, (0, 0, 1))
-    report = lemma_suite(kk, fz)
-    assert report.ok()
-    assert report.clauses["square_bracket_absorbed"][0] == "pass"
-    assert report.clauses["reflected_brackets"][0] == "pass"
+    clauses = lemma_suite(kk, fz)
+    assert not _failed(clauses)
+    assert clauses["square_bracket_absorbed"][0] == "pass"
+    assert clauses["reflected_brackets"][0] == "pass"
 
 
 def test_lemma_suite_ideal_inputs_trivial(family_corpus):
     for _, alg in family_corpus[:8]:
         for s in subalgebras(alg):
             if is_ideal(alg, s):
-                assert lemma_suite(alg, s).ok()
+                assert not _failed(lemma_suite(alg, s))
 
 
 def test_lemma_suite_chain_variant():
     kk = k2(GF2)
     fy = line(GF2, 3, (0, 1, 0))
     chain = subquasi_chain(kk, fy)
-    report = lemma_suite(kk, fy, chain)
-    assert report.ok()
-    assert report.clauses["chain_square_power_absorbed"][0] in ("pass", "vacuous")
+    clauses = lemma_suite(kk, fy, chain)
+    assert not _failed(clauses)
+    assert clauses["chain_square_power_absorbed"][0] in ("pass", "vacuous")
 
 
 def test_lemma_suite_precondition():
@@ -1018,25 +1018,12 @@ def test_result_records():
     assert refuted.certificate is None and refuted.witness == ("h", "x", "value")
     assert held.holds and held.witness is None
     assert refuted == QuasiIdealVerdict(False, None, ("h", "x", "value")) != held
-    spec = FamilySpec("non_lie_almost_abelian", GF3, {"dim_i": 2})
-    assert (spec.name, spec.field, spec.params) == (
-        "non_lie_almost_abelian",
-        GF3,
-        {"dim_i": 2},
-    )
-    assert build(spec).dim == 3
     # mutable defaults are fresh per instance
     first, second = HarnessReport(), HarnessReport()
     first.algebras += 1
     first.failures.append({"clause": "x"})
     assert (second.algebras, second.clauses_checked, second.failures) == (0, 0, [])
     assert not first.ok() and second.ok()
-    first, second = LemmaSuiteReport(), LemmaSuiteReport()
-    first.clauses["x"] = ("fail", None)
-    assert first.failures == ["x"] and second.clauses == {} and second.ok()
-    first, second = FamilySpec("k2", F2T), FamilySpec("k2", F2T)
-    first.params["dim"] = 5
-    assert second.params == {} and build(second).dim == 3
     # frozen records refuse assignment, to a field or to a new attribute
     alg = two_dim_solvable_cyclic(GF3)
     census = sweep_tables(GF3, 2)
@@ -1046,8 +1033,6 @@ def test_result_records():
         (SubquasiChain((alg.full(),)), "chain"),
         (ValidationResult(True, "right"), "ok"),
         (ClassificationResult("abelian", {}, {}), "verdict"),
-        (FamilySpec("k2", F2T), "name"),
-        (quotient(alg, zero_subspace(GF3, 2)), "algebra"),
         (census.classes[0], "in_q"),
         (census, "totals"),
     ]
