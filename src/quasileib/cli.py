@@ -21,19 +21,18 @@ from .fields import parse_field, parse_scalar
 from .linalg import DEFAULT_BUDGET, raw_echelonize
 from .quasi import core, is_quasi_ideal, quasi_ideals
 
-# each family of ``families``, and the flags of the ``family`` command that
-# it reads; no --rank for char2_nonperfect, whose diagonal must avoid the
-# squares while every shipped default form has a 1 on its diagonal
+# each family that the ``family`` command builds, and the flags it reads,
+# each mapped to the ``families.build`` parameter that it sets (--rank
+# through the shipped default form of that rank)
 FAMILY_FLAGS = {
-    "abelian": ("--dim",),
-    "almost_abelian_lie": ("--dim",),
-    "k2": (),
-    "non_lie_almost_abelian": ("--dim-i",),
-    "two_dim_nilpotent_cyclic": (),
-    "two_dim_solvable_cyclic": (),
-    "extraspecial_sum": ("--dim-z", "--rank"),
-    "char2_nonperfect": ("--lambda",),
-    "char2_nonperfect_minimal": ("--lambda",),
+    "abelian": {"--dim": "dim"},
+    "almost_abelian_lie": {"--dim": "dim"},
+    "k2": {},
+    "non_lie_almost_abelian": {"--dim-i": "dim_i"},
+    "two_dim_nilpotent_cyclic": {},
+    "two_dim_solvable_cyclic": {},
+    "extraspecial_sum": {"--dim-z": "dim_z", "--rank": "gram"},
+    "char2_nonperfect_minimal": {"--lambda": "lam"},
 }
 
 
@@ -156,18 +155,13 @@ def _cmd_family(args):
         "--rank": args.rank,
     }
     reads = FAMILY_FLAGS[args.name]
-    for flag, value in given.items():
-        if value is not None and flag not in reads:
-            raise MalformedInput(f"family {args.name} does not read {flag}")
     params = {}
-    if args.dim is not None:
-        params["dim"] = args.dim
-    if args.dim_i is not None:
-        params["dim_i"] = args.dim_i
-    if args.dim_z is not None:
-        params["dim_z"] = args.dim_z
-    if lam is not None:
-        params["lam"] = lam
+    for flag, value in given.items():
+        if value is None:
+            continue
+        if flag not in reads:
+            raise MalformedInput(f"family {args.name} does not read {flag}")
+        params[reads[flag]] = value
     if args.rank is not None:
         params["gram"] = families_mod.default_anisotropic_gram(field, args.rank)
     alg = families_mod.build(args.name, field, params, budget=args.budget)

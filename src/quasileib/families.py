@@ -1,7 +1,7 @@
 """Constructors for the named algebra families, validated on construction.
 
-Families (the keys of ``cli.FAMILY_FLAGS``, which also names the flags of
-the ``family`` command that each reads):
+Families (all but ``char2_nonperfect`` are keys of ``cli.FAMILY_FLAGS``,
+which also names the flags of the ``family`` command that each reads):
 
 * ``abelian``                  -- all products zero.
 * ``almost_abelian_lie``       -- A + Fa, A abelian, right multiplication by
@@ -37,7 +37,7 @@ from .errors import (
     SquareLambda,
 )
 from .fields import Field
-from .fracfields import FunctionField, char2_diagonal_anisotropic
+from .fracfields import FunctionField
 from .linalg import DEFAULT_BUDGET, is_anisotropic
 
 # ---------------------------------------------------------------------------
@@ -197,13 +197,10 @@ def char2_nonperfect(field: Field, lambdas=None, gram=None) -> LeibnizAlgebra:
     for lam in diagonal:
         if field.raw_is_square(lam):
             raise SquareLambda(f"{field.format(lam)} is a square in {field}")
-    # squares live on the diagonal extended by the [h,h] coefficient 1
-    extended = diagonal + [one]
-    if isinstance(field, FunctionField):
-        if not char2_diagonal_anisotropic(field, extended):
-            raise SquareLambda(
-                "a combination of the diagonal coefficients is a square"
-            )
+    # the squares form is G bordered by the [h,h] coefficient 1
+    squares = tuple(row + (zero,) for row in gram) + ((zero,) * k + (one,),)
+    if not is_anisotropic(field, squares):
+        raise SquareLambda("a combination of the diagonal coefficients is a square")
     names = (
         tuple("c" if k == 1 else f"c{i+1}" for i in range(k)) + ("z", "h")
     )
@@ -259,8 +256,7 @@ def build(
 ) -> LeibnizAlgebra:
     """The instance of the family ``name`` over ``field``.  ``params`` maps
     the parameters given to their values (``dim``, ``dim_i``, ``dim_z``,
-    ``gram``, and ``lam``, the one diagonal coefficient of either
-    characteristic-2 family); an absent one takes its constructor's default.
+    ``gram`` and ``lam``); an absent one takes its constructor's default.
 
     The budget bounds the n^3 structure constants of a table whose size a
     parameter sets (``dim``, ``dim_i``, or a nonzero ``dim_z``) and the n^4
@@ -288,9 +284,6 @@ def build(
         return two_dim_solvable_cyclic(field)
     if name == "extraspecial_sum":
         return extraspecial_sum(field, get("gram"), get("dim_z", 0), budget)
-    if name == "char2_nonperfect":
-        lam = get("lam")
-        return char2_nonperfect(field, None if lam is None else (lam,), get("gram"))
     if name == "char2_nonperfect_minimal":
         return char2_nonperfect_minimal(field, get("lam"))
     raise ValueError(f"unknown family {name!r}")

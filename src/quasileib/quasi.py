@@ -27,7 +27,6 @@ inspection).
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 
 from .algebra import (
@@ -43,7 +42,6 @@ from .errors import (
     DimensionMismatch,
     NotASubalgebra,
     PreconditionUnverified,
-    UnsupportedField,
     VerificationFailed,
 )
 from .linalg import (
@@ -52,7 +50,6 @@ from .linalg import (
     echelonize,
     raw_combination,
     raw_echelonize,
-    raw_identity,
     raw_left_kernel,
     raw_projective_points,
     require_enumerable,
@@ -240,8 +237,6 @@ def is_quasi_ideal_oracle(
 
     The budget is checked against the projective points of F^n, those of
     the definition."""
-    if not alg.field.is_finite:
-        raise UnsupportedField("the oracle enumerates projective points")
     alg.check_subspace(h)
     field, n = alg.field, alg.dim
     require_enumerable(field, n, budget, f"projective points of F^{n}")
@@ -334,10 +329,7 @@ def _left_engel(alg, rows, pivots):
     return found
 
 
-class EngelReport(
-    namedtuple("EngelReport", "holds exhaustive counterexample", defaults=(None,))
-):
-    # exhaustive: False when only basis vectors plus samples were tried
+class EngelReport(namedtuple("EngelReport", "holds counterexample", defaults=(None,))):
     __slots__ = ()
 
     def __bool__(self):
@@ -345,31 +337,15 @@ class EngelReport(
 
 
 def is_engel_algebra(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> EngelReport:
-    """Every element left Engel.  Exhaustive over finite fields within budget
-    (nilpotency of y -> [y,x] only depends on Fx, so projective points
-    suffice); otherwise the basis vectors plus 32 samples drawn from seed 0,
-    reported as such.
-    """
-    if alg.dim == 0:
-        return EngelReport(True, True)
+    """Every element left Engel, decided on every projective point of F^n
+    (nilpotency of y -> [y,x] only depends on Fx).  The budget bounds the
+    q^n vectors of F^n; an infinite field is refused."""
     field = alg.field
-    if field.is_finite and field.order**alg.dim <= budget:
-        # each point is already its line's echelon row, leading entry 1
-        for x in raw_projective_points(field, alg.dim, budget=budget):
-            if not _left_engel(alg, (x,), (x.index(field.raw_one),)):
-                return EngelReport(False, True, field.wrap(x))
-        return EngelReport(True, True)
-    rng = random.Random(0)
-    candidates = list(raw_identity(field, alg.dim))
-    candidates += [
-        tuple(field.canon(rng.randrange(-9, 10)) for _ in range(alg.dim))
-        for _ in range(32)
-    ]
-    for x in candidates:
-        line = raw_echelonize(field, alg.dim, [x])
-        if not _left_engel(alg, line.raw_rows, line.pivots):
-            return EngelReport(False, False, field.wrap(x))
-    return EngelReport(True, False)
+    # each point is already its line's echelon row, leading entry 1
+    for x in raw_projective_points(field, alg.dim, budget):
+        if not _left_engel(alg, (x,), (x.index(field.raw_one),)):
+            return EngelReport(False, field.wrap(x))
+    return EngelReport(True)
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +365,12 @@ class SubquasiChain(namedtuple("SubquasiChain", "chain")):
 
 
 def _subquasi_bfs(alg: LeibnizAlgebra, budget: int):
-    """Shortest subquasi depth and BFS parent for every subalgebra."""
+    """The BFS parent of every subalgebra that a subquasi chain reaches,
+    one step nearer L on a shortest chain (None for L itself)."""
     cache = alg._cache.get("subquasi_bfs")
     if cache is not None:
         return cache
     full = alg.full()
-    depth = {full: 0}
     parent = {full: None}
     # the subalgebras not yet placed, in enumeration order; L is the only
     # one of full dimension
@@ -406,15 +382,14 @@ def _subquasi_bfs(alg: LeibnizAlgebra, budget: int):
             rest = []
             for s in unplaced:
                 if s.dim < m.dim and m.contains(s) and is_quasi_ideal_in(alg, s, m).holds:
-                    depth[s] = depth[m] + 1
                     parent[s] = m
                     nxt.append(s)
                 else:
                     rest.append(s)
             unplaced = rest
         frontier = nxt
-    alg._cache["subquasi_bfs"] = (depth, parent)
-    return depth, parent
+    alg._cache["subquasi_bfs"] = parent
+    return parent
 
 
 def subquasi_chain(
@@ -426,8 +401,8 @@ def subquasi_chain(
     over the subalgebra lattice), or None if there is none."""
     if not is_subalgebra(alg, h):
         raise NotASubalgebra("subquasi chains consist of subalgebras")
-    depth, parent = _subquasi_bfs(alg, budget)
-    if h not in depth:
+    parent = _subquasi_bfs(alg, budget)
+    if h not in parent:
         return None
     chain = [h]
     while parent[chain[-1]] is not None:

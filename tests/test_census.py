@@ -5,6 +5,7 @@ import math
 import operator
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -585,6 +586,19 @@ def test_lemma_harness_smoke(family_corpus):
 def test_lemma_harness_rejects_infinite_field():
     with pytest.raises(UnsupportedField):
         lemma_harness([("solvable", two_dim_solvable_cyclic(QQ))])
+
+
+def test_lemma_harness_counts_every_algebra_before_any_work(monkeypatch):
+    # the vectors and the subspaces of each F^n are counted first, so a
+    # corpus with one algebra over the budget does no work on the others
+    monkeypatch.setattr(census, "_harness_one", None)
+    corpus = [("abelian_1", abelian(GF2, 1)), ("k2", k2(GF2))]
+    for budget, refusal in (
+        (7, "projective points of F^3: 8 exceeds budget 7"),
+        (8, "subspaces of F^3: 16 exceeds budget 8"),
+    ):
+        with pytest.raises(BudgetExceeded, match=f"^{re.escape(refusal)}$"):
+            lemma_harness(corpus, budget=budget)
 
 
 def _quotient_tables(alg):

@@ -588,6 +588,26 @@ def test_sources_parse_as_the_oldest_supported_python():
             ast.parse(fh.read(), filename=name, feature_version=(3, 10))
 
 
+def test_no_module_imports_random():
+    # every answer is exact: nothing in the package samples
+    import ast
+
+    package = os.path.dirname(cli.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "random" for m in modules), name
+
+
 def test_gf2_dim3_census_runs_without_numpy(tmp_path):
     # a fresh process: the census imports no numpy (only the brute-force
     # test references use it) and writes the pinned report bytes
@@ -729,6 +749,25 @@ def test_lemmas_command(tmp_path, capsys):
     check_schema(out, "lemma_report.schema.json")
 
 
+@pytest.mark.parametrize(
+    "family", [["abelian", "--dim", "2"], ["two_dim_solvable_cyclic"]], ids=lambda v: v[0]
+)
+def test_lemmas_refuses_f_n_over_budget_before_any_work(
+    tmp_path, capsys, monkeypatch, family
+):
+    # GF(1009)^2 has 1009^2 vectors, over the default budget, while its 1012
+    # subspaces are under it: the harness counts F^n before the first clause
+    alg_path = tmp_path / "alg.json"
+    assert run(["family", *family, "--field", "gf1009", "--out", str(alg_path)]) == 0
+    monkeypatch.setattr(census, "_harness_one", None)
+    assert run(["lemmas", "--algebra", str(alg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: projective points of F^2: 1018081 exceeds budget 1000000\n"
+    )
+
+
 def test_isomorphic_command(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -755,7 +794,7 @@ def test_family_gate_errors_map_to_exit_2(capsys):
         (["abelian", "--field", "gf3", "--dim-i", "2"], "--dim-i"),
         (["non_lie_almost_abelian", "--field", "gf2", "--dim", "2"], "--dim"),
         (["k2", "--field", "gf2", "--dim-z", "1"], "--dim-z"),
-        (["char2_nonperfect", "--field", "gf2(t)", "--rank", "1"], "--rank"),
+        (["char2_nonperfect_minimal", "--field", "gf2(t)", "--rank", "1"], "--rank"),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else v,
 )
@@ -825,7 +864,7 @@ def test_qq_zero_denominator_exits_2(tmp_path, capsys):
     )
     for argv in (
         ["validate", str(path)],
-        ["family", "char2_nonperfect", "--field", "q", "--lambda", "1/0"],
+        ["family", "char2_nonperfect_minimal", "--field", "q", "--lambda", "1/0"],
     ):
         assert run(argv) == 2
         err = capsys.readouterr().err
@@ -910,7 +949,14 @@ def test_non_ascii_digits_in_a_scalar_exit_2(tmp_path, capsys):
     )
     for argv in (
         ["validate", str(path)],
-        ["family", "char2_nonperfect", "--field", "gf2(t)", "--lambda", "t^\u0663"],
+        [
+            "family",
+            "char2_nonperfect_minimal",
+            "--field",
+            "gf2(t)",
+            "--lambda",
+            "t^\u0663",
+        ],
         ["family", "abelian", "--field", "gf\u0662", "--dim", "1"],
     ):
         assert run(argv) == 2

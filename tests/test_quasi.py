@@ -881,15 +881,23 @@ def test_left_engel_fixtures():
     assert is_left_engel(solv, vec(GF3, (0, 1)))
     nil = two_dim_nilpotent_cyclic(GF3)
     report = is_engel_algebra(nil)
-    assert report.holds and report.exhaustive
+    assert report == (True, None)
     solv_report = is_engel_algebra(solv)
     assert not solv_report.holds and solv_report.counterexample is not None
 
 
-def test_engel_sampled_mode_over_rationals():
-    nil = two_dim_nilpotent_cyclic(QQ)
-    report = is_engel_algebra(nil)
-    assert report.holds and not report.exhaustive
+def test_engel_algebra_enumerates_or_refuses():
+    # every projective point of F^n is decided, or none: an infinite field
+    # and a budget below the q^n vectors are refused before the first line
+    with pytest.raises(UnsupportedField):
+        is_engel_algebra(two_dim_nilpotent_cyclic(QQ))
+    nil = two_dim_nilpotent_cyclic(PrimeField(5))
+    refusal = r"^projective points of F\^2: 25 exceeds budget 24$"
+    with pytest.raises(BudgetExceeded, match=refusal):
+        is_engel_algebra(nil, budget=24)
+    assert nil._cache["is_left_engel"] == {}
+    assert is_engel_algebra(nil, budget=25).holds
+    assert EngelReport._fields == ("holds", "counterexample")
 
 
 def test_nilpotent_algebras_are_engel(family_corpus):
@@ -944,11 +952,13 @@ def _reference_subquasi_bfs(alg):
 def test_subquasi_bfs_matches_reference_loop(family_corpus):
     for label, alg in family_corpus:
         alg._cache.pop("subquasi_bfs", None)
-        depth, parent = _subquasi_bfs(alg, DEFAULT_BUDGET)
+        parent = _subquasi_bfs(alg, DEFAULT_BUDGET)
         want_depth, want_parent = _reference_subquasi_bfs(alg)
-        # same depths and parents, placed in the same order
-        assert list(depth.items()) == list(want_depth.items()), label
+        # same parents, placed in the same order, and the chains they give
+        # have the reference depths
         assert list(parent.items()) == list(want_parent.items()), label
+        for s, d in want_depth.items():
+            assert subquasi_chain(alg, s).m == d, label
 
 
 def _failed(clauses):
@@ -1009,8 +1019,8 @@ def test_quasi_ideals_listing():
 def test_result_records():
     # truth follows the verdict
     assert bool(QuasiIdealVerdict(False)) is False
-    assert bool(EngelReport(True, True)) is True
-    assert bool(EngelReport(False, True, None)) is False
+    assert bool(EngelReport(True)) is True
+    assert bool(EngelReport(False, None)) is False
     # keyword construction with the other fields left at None, as the
     # reference decision procedure builds verdicts
     refuted = QuasiIdealVerdict(False, witness=("h", "x", "value"))
@@ -1029,7 +1039,7 @@ def test_result_records():
     census = sweep_tables(GF3, 2)
     frozen = [
         (QuasiIdealVerdict(True), "holds"),
-        (EngelReport(True, True), "exhaustive"),
+        (EngelReport(True), "counterexample"),
         (SubquasiChain((alg.full(),)), "chain"),
         (ValidationResult(True, "right"), "ok"),
         (ClassificationResult("abelian", {}, {}), "verdict"),
