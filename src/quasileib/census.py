@@ -14,8 +14,11 @@ Catalogue verdicts (``classify_q_member``):
 * ``char2_family``            -- the characteristic-2 non-perfect-field family
 * ``outside_catalogue``       -- none of the above; the recorded facts say why
 
-Verdicts replay: each matcher re-verifies its defining equations on the
-algebra (for the two richer shapes by exhibiting an explicit basis).  A
+One reading feeds every verdict: the squares ideal I, the centre Z, the
+Lie algebra L/I and its almost-abelian element are computed once.  The
+almost-abelian matchers replay [x, a] = x on the derived subalgebra, the
+characteristic-2 family replays every structure constant in a
+reconstructed basis, and E + Z reads its squares form off [L, L] = I.  A
 ``non_lie_almost_abelian`` vocabulary tag exists for the core-free shape
 I + Fh with [x,h] = x; algebras of that shape with dim I >= 2 are reported
 as ``outside_catalogue`` with the shape recorded in the facts, and the
@@ -190,70 +193,29 @@ def match_non_lie_almost_abelian(alg: LeibnizAlgebra):
     return h
 
 
-def match_extraspecial_sum(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
-    """(dim_e, dim_z) for the E + Z shape, or None.
-
-    Conditions: nonzero squares ideal I of dimension 1 inside the centre,
-    the derived subalgebra equal to I (so the quotient by the centre is an
-    abelian Lie algebra), and the squares form x -> [x,x] anisotropic off
-    the centre.
-    """
-    ideal = squares_ideal(alg)
-    if ideal.dim != 1:
-        return None
-    zl = center(alg)
-    if not zl.contains(ideal):
-        return None
-    full = alg.full()
-    derived = bracket_subspaces(alg, full, full)
-    if derived != ideal:
-        return None
-    comp = zl.non_pivots()
-    if not comp:
-        return None
-    field, br = alg.field, alg.table.raw_bracket
-    eye = raw_identity(field, alg.dim)
-    gram = [
-        [_scalar_multiple(field, ideal.raw_rows, (br(eye[u], eye[v]),)) for v in comp]
-        for u in comp
-    ]
-    if any(None in row for row in gram):
-        return None
-    if not is_anisotropic(field, gram, budget=budget):
-        return None
-    return (alg.dim - zl.dim + 1, zl.dim - 1)
-
-
-def match_char2_family(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
+def _char2_family_dim(alg, ideal, quot, abar, budget):
     """dim_C for the characteristic-2 family C + Fz + Fh, or None.
 
-    Reconstructs an explicit basis: z spans the centre (= the squares
-    ideal), h lifts the identity-acting direction of the almost abelian
-    quotient, c_i = [b_i, h] lift the abelian part.  The reconstructed
-    structure constants must match the family shape exactly and the
-    extended diagonal (the squares form) must be anisotropic, which forces
-    the diagonal coefficients outside the squares of the field.
+    The caller has checked that the algebra is non-Lie of characteristic 2,
+    that its squares ideal I is its centre and has dimension 1, and that
+    ``quot`` = L/I is almost abelian Lie with normalized element ``abar``.
+    Reconstructs an explicit basis: z = [h, h] spans I, h lifts ``abar``,
+    c_i = [b_i, h] lift the abelian part.  The reconstructed structure
+    constants must match the family shape exactly and the extended
+    diagonal (the squares form) must be anisotropic, which forces the
+    diagonal coefficients outside the squares of the field.
     """
     field = alg.field
-    if field.characteristic() != 2 or is_lie(alg):
-        return None
-    ideal = squares_ideal(alg)
-    zl = center(alg)
-    if ideal.dim != 1 or zl != ideal:
-        return None
-    quot = quotient(alg, zl)
-    abar = match_almost_abelian_lie(quot)
-    if abar is None:
-        return None
     br, zero = alg.table.raw_bracket, field.raw_zero
-    comp = zl.non_pivots()
+    zeros = (zero,) * alg.dim
+    comp = ideal.non_pivots()
     lift = lambda qv: tuple(
         qv[comp.index(c)] if c in comp else zero for c in range(alg.dim)
     )
     h = lift(abar)
+    # a square, so it lies in I and spans I unless it is zero
     z = br(h, h)
-    # a zero z is the multiple 0 of the ideal's row
-    if _scalar_multiple(field, ideal.raw_rows, (z,)) in (None, zero):
+    if z == zeros:
         return None
     qfull = quot.full()
     qder = bracket_subspaces(quot, qfull, qfull)
@@ -274,7 +236,6 @@ def match_char2_family(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
                 return None
             if i == j:
                 diag.append(coeff)
-    zeros = (zero,) * alg.dim
     if any(br(v, z) != zeros or br(z, v) != zeros for v in basis):
         return None
     ext = diag + [field.raw_one]
@@ -295,55 +256,60 @@ class ClassificationResult(
         return {"verdict": self.verdict, "params": self.params, "facts": self.facts}
 
 
-def _liesation_tag(alg: LeibnizAlgebra) -> str:
-    quot = quotient(alg, squares_ideal(alg))
-    if is_abelian(quot):
-        return "abelian"
-    if match_almost_abelian_lie(quot) is not None:
-        return "almost_abelian"
-    return "other"
-
-
 def classify_q_member(
     alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET
 ) -> ClassificationResult:
     """Match an algebra against the catalogue of algebras all of whose
     subalgebras are quasi-ideals.  Meaningful for members of that class but
     callable on anything; non-members typically land outside the catalogue.
+
+    The squares ideal I, the centre Z, the Lie algebra L/I and its
+    almost-abelian element are read once, and every verdict reads them.
     """
     ideal = squares_ideal(alg)
+    zl = center(alg)
+    quot = quotient(alg, ideal)
+    abelian = is_abelian(quot)
+    abar = None if abelian else match_almost_abelian_lie(quot)
+    shape = "abelian" if abelian else "other" if abar is None else "almost_abelian"
+    char2 = alg.field.characteristic() == 2
     facts = {
         "dim": alg.dim,
         "dim_squares_ideal": ideal.dim,
-        "dim_center": center(alg).dim,
+        "dim_center": zl.dim,
         "is_lie": is_lie(alg),
         "is_nilpotent": is_nilpotent(alg),
         "is_solvable": is_solvable(alg),
-        "liesation": _liesation_tag(alg),
+        "liesation": shape,
     }
     if facts["is_lie"]:
-        if is_abelian(alg):
+        # I = 0, and L/0 has L's own table
+        if shape == "abelian":
             return ClassificationResult(ABELIAN, {}, facts)
-        if match_almost_abelian_lie(alg) is not None:
+        if shape == "almost_abelian":
             return ClassificationResult(ALMOST_ABELIAN_LIE, {}, facts)
         full = alg.full()
-        if (
-            alg.dim == 3
-            and alg.field.characteristic() == 2
-            and bracket_subspaces(alg, full, full) == full
-        ):
+        if alg.dim == 3 and char2 and bracket_subspaces(alg, full, full) == full:
             return ClassificationResult(K2_LIKE, {}, facts)
         return ClassificationResult(OUTSIDE_CATALOGUE, {}, facts)
     if alg.dim == 2 and not facts["is_nilpotent"]:
         return ClassificationResult(TWO_DIM_SOLVABLE, {}, facts)
-    es = match_extraspecial_sum(alg, budget=budget)
-    if es is not None:
-        return ClassificationResult(
-            EXTRASPECIAL_SUM, {"dim_e": es[0], "dim_z": es[1]}, facts
-        )
-    c2 = match_char2_family(alg, budget=budget)
-    if c2 is not None:
-        return ClassificationResult(CHAR2_FAMILY, {"dim_c": c2}, facts)
+    if ideal.dim == 1 and zl.contains(ideal) and shape == "abelian":
+        # E + Z: I <= [L, L] always, so [L, L] = I = F r with r's pivot
+        # entry 1, and the squares form off the centre reads every product
+        # at that pivot
+        col, cube, comp = ideal.pivots[0], alg.table.raw, zl.non_pivots()
+        gram = [[cube[u][v][col] for v in comp] for u in comp]
+        if is_anisotropic(alg.field, gram, budget=budget):
+            return ClassificationResult(
+                EXTRASPECIAL_SUM,
+                {"dim_e": alg.dim - zl.dim + 1, "dim_z": zl.dim - 1},
+                facts,
+            )
+    if char2 and ideal.dim == 1 and zl == ideal and shape == "almost_abelian":
+        c2 = _char2_family_dim(alg, ideal, quot, abar, budget)
+        if c2 is not None:
+            return ClassificationResult(CHAR2_FAMILY, {"dim_c": c2}, facts)
     if match_non_lie_almost_abelian(alg) is not None:
         facts = dict(facts)
         facts["shape"] = NON_LIE_ALMOST_ABELIAN

@@ -38,7 +38,10 @@ FAMILY_FLAGS = {
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise MalformedInput(f"{path}: JSON nested too deeply") from None
 
 
 def _load_algebra(path) -> LeibnizAlgebra:

@@ -237,9 +237,11 @@ class RationalField(Field):
         return f"{a[0]}/{a[1]}"
 
     def decode(self, obj):
-        if not isinstance(obj, str):
-            raise MalformedInput(f"bad rational scalar: {obj!r}")
-        return _parse_rational(obj)
+        if isinstance(obj, str):
+            return _parse_rational(obj)
+        if is_json_int(obj):
+            return (obj, 1)
+        raise MalformedInput(f"bad rational scalar: {obj!r}")
 
     def format(self, a) -> str:
         num, den = a
@@ -423,6 +425,9 @@ class FunctionField(Field):
             )
         )
         if not ok:
+            if is_json_int(obj) and 0 <= obj < self.p:
+                # the constant polynomial
+                return (poly_trim((obj,)), (1,))
             raise MalformedInput(f"bad {self} scalar: {obj!r}")
         num, den = poly_trim(obj["num"]), poly_trim(obj["den"])
         if den == (1,):

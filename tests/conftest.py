@@ -20,6 +20,7 @@ from quasileib.families import (
     two_dim_solvable_cyclic,
 )
 from quasileib.fields import GF2, GF3, QQ, FunctionField
+from quasileib.linalg import raw_combination, raw_identity, raw_rref
 
 F2T = FunctionField(2)
 
@@ -39,6 +40,21 @@ def check_schema(payload, name):
     """Validate payload against the schema file of that name."""
     schema = SCHEMA_REGISTRY.contents(f"quasileib/{name}")
     Draft202012Validator(schema, registry=SCHEMA_REGISTRY).validate(payload)
+
+
+def transport(alg, p_rows):
+    """The same algebra written in the basis with images p_rows."""
+    field, n = alg.field, alg.dim
+    p_raw = [field.unwrap(row) for row in p_rows]
+    # [P | I] row-reduces to [I | P^-1]
+    augmented = [row + unit for row, unit in zip(p_raw, raw_identity(field, n))]
+    reduced, _ = raw_rref(field, augmented, 2 * n)
+    pinv = tuple(row[n:] for row in reduced)
+    br = alg.table.raw_bracket
+    cube = tuple(
+        tuple(raw_combination(field, br(a, b), pinv, n) for b in p_raw) for a in p_raw
+    )
+    return LeibnizAlgebra(MultiplicationTable(field, n, cube))
 
 
 def finite_family_corpus(max_dim: int = 4):

@@ -17,12 +17,19 @@ from quasileib import census
 from quasileib.algebra import (
     LeibnizAlgebra,
     MultiplicationTable,
+    bracket_subspaces,
     build_table,
+    center,
+    is_abelian,
     is_ideal,
+    is_lie,
+    is_nilpotent,
+    is_solvable,
     raw_leibniz_failure,
     is_subalgebra,
     quotient,
     raw_quotient_cube,
+    squares_ideal,
     subalgebras,
     validate,
 )
@@ -35,12 +42,15 @@ from quasileib.census import (
     NON_LIE_ALMOST_ABELIAN,
     OUTSIDE_CATALOGUE,
     TWO_DIM_SOLVABLE,
+    ClassificationResult,
+    _scalar_multiple,
     algebra_invariants,
     are_isomorphic,
     canonical_table_key,
     classify_q_member,
     in_class_q,
     lemma_harness,
+    match_almost_abelian_lie,
     match_non_lie_almost_abelian,
     sweep_tables,
 )
@@ -65,8 +75,17 @@ from quasileib.families import (
     two_dim_solvable_cyclic,
 )
 from quasileib.fields import GF2, GF3, QQ, FunctionField, PrimeField
-from quasileib.linalg import DEFAULT_BUDGET, echelonize, raw_rref, vec, zero_subspace
-from tests.conftest import gf2_dim3_class_representatives
+from quasileib.linalg import (
+    DEFAULT_BUDGET,
+    echelonize,
+    is_anisotropic,
+    raw_echelonize,
+    raw_identity,
+    raw_rref,
+    vec,
+    zero_subspace,
+)
+from tests.conftest import gf2_dim3_class_representatives, transport
 
 F2T = FunctionField(2)
 
@@ -203,6 +222,193 @@ def test_family_round_trip_classification(make, verdict, params):
     result = classify_q_member(make())
     assert result.verdict == verdict
     assert result.params == params
+
+
+# The catalogue as it read before classify_q_member took one reading of I, Z
+# and L/I: the Liesation tag, the E + Z matcher, the characteristic-2 matcher
+# and the classifier, verbatim but for their names.
+
+
+def _ref_match_extraspecial_sum(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
+    """(dim_e, dim_z) for the E + Z shape, or None.
+
+    Conditions: nonzero squares ideal I of dimension 1 inside the centre,
+    the derived subalgebra equal to I (so the quotient by the centre is an
+    abelian Lie algebra), and the squares form x -> [x,x] anisotropic off
+    the centre.
+    """
+    ideal = squares_ideal(alg)
+    if ideal.dim != 1:
+        return None
+    zl = center(alg)
+    if not zl.contains(ideal):
+        return None
+    full = alg.full()
+    derived = bracket_subspaces(alg, full, full)
+    if derived != ideal:
+        return None
+    comp = zl.non_pivots()
+    if not comp:
+        return None
+    field, br = alg.field, alg.table.raw_bracket
+    eye = raw_identity(field, alg.dim)
+    gram = [
+        [_scalar_multiple(field, ideal.raw_rows, (br(eye[u], eye[v]),)) for v in comp]
+        for u in comp
+    ]
+    if any(None in row for row in gram):
+        return None
+    if not is_anisotropic(field, gram, budget=budget):
+        return None
+    return (alg.dim - zl.dim + 1, zl.dim - 1)
+
+
+def _ref_match_char2_family(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
+    """dim_C for the characteristic-2 family C + Fz + Fh, or None.
+
+    Reconstructs an explicit basis: z spans the centre (= the squares
+    ideal), h lifts the identity-acting direction of the almost abelian
+    quotient, c_i = [b_i, h] lift the abelian part.  The reconstructed
+    structure constants must match the family shape exactly and the
+    extended diagonal (the squares form) must be anisotropic, which forces
+    the diagonal coefficients outside the squares of the field.
+    """
+    field = alg.field
+    if field.characteristic() != 2 or is_lie(alg):
+        return None
+    ideal = squares_ideal(alg)
+    zl = center(alg)
+    if ideal.dim != 1 or zl != ideal:
+        return None
+    quot = quotient(alg, zl)
+    abar = match_almost_abelian_lie(quot)
+    if abar is None:
+        return None
+    br, zero = alg.table.raw_bracket, field.raw_zero
+    comp = zl.non_pivots()
+    lift = lambda qv: tuple(
+        qv[comp.index(c)] if c in comp else zero for c in range(alg.dim)
+    )
+    h = lift(abar)
+    z = br(h, h)
+    # a zero z is the multiple 0 of the ideal's row
+    if _scalar_multiple(field, ideal.raw_rows, (z,)) in (None, zero):
+        return None
+    qfull = quot.full()
+    qder = bracket_subspaces(quot, qfull, qfull)
+    cs = [br(lift(row), h) for row in qder.raw_rows]
+    basis = cs + [z, h]
+    if raw_echelonize(field, alg.dim, basis).dim != alg.dim:
+        return None
+    k = len(cs)
+    # verify the family table in the reconstructed basis
+    diag = []
+    for i, ci in enumerate(cs):
+        if br(ci, h) != ci or br(h, ci) != ci:
+            return None
+        for j, cj in enumerate(cs):
+            val = br(ci, cj)
+            coeff = _scalar_multiple(field, (z,), (val,))
+            if coeff is None or br(cj, ci) != val:
+                return None
+            if i == j:
+                diag.append(coeff)
+    zeros = (zero,) * alg.dim
+    if any(br(v, z) != zeros or br(z, v) != zeros for v in basis):
+        return None
+    ext = diag + [field.raw_one]
+    gram = tuple(
+        tuple(ext[i] if i == j else zero for j in range(k + 1)) for i in range(k + 1)
+    )
+    if not is_anisotropic(field, gram, budget=budget):
+        return None
+    return k
+
+
+def _ref_liesation_tag(alg: LeibnizAlgebra) -> str:
+    quot = quotient(alg, squares_ideal(alg))
+    if is_abelian(quot):
+        return "abelian"
+    if match_almost_abelian_lie(quot) is not None:
+        return "almost_abelian"
+    return "other"
+
+
+def _reference_classify(
+    alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET
+) -> ClassificationResult:
+    """Match an algebra against the catalogue of algebras all of whose
+    subalgebras are quasi-ideals.  Meaningful for members of that class but
+    callable on anything; non-members typically land outside the catalogue.
+    """
+    ideal = squares_ideal(alg)
+    facts = {
+        "dim": alg.dim,
+        "dim_squares_ideal": ideal.dim,
+        "dim_center": center(alg).dim,
+        "is_lie": is_lie(alg),
+        "is_nilpotent": is_nilpotent(alg),
+        "is_solvable": is_solvable(alg),
+        "liesation": _ref_liesation_tag(alg),
+    }
+    if facts["is_lie"]:
+        if is_abelian(alg):
+            return ClassificationResult(ABELIAN, {}, facts)
+        if match_almost_abelian_lie(alg) is not None:
+            return ClassificationResult(ALMOST_ABELIAN_LIE, {}, facts)
+        full = alg.full()
+        if (
+            alg.dim == 3
+            and alg.field.characteristic() == 2
+            and bracket_subspaces(alg, full, full) == full
+        ):
+            return ClassificationResult(K2_LIKE, {}, facts)
+        return ClassificationResult(OUTSIDE_CATALOGUE, {}, facts)
+    if alg.dim == 2 and not facts["is_nilpotent"]:
+        return ClassificationResult(TWO_DIM_SOLVABLE, {}, facts)
+    es = _ref_match_extraspecial_sum(alg, budget=budget)
+    if es is not None:
+        return ClassificationResult(
+            EXTRASPECIAL_SUM, {"dim_e": es[0], "dim_z": es[1]}, facts
+        )
+    c2 = _ref_match_char2_family(alg, budget=budget)
+    if c2 is not None:
+        return ClassificationResult(CHAR2_FAMILY, {"dim_c": c2}, facts)
+    if match_non_lie_almost_abelian(alg) is not None:
+        facts = dict(facts)
+        facts["shape"] = NON_LIE_ALMOST_ABELIAN
+        facts["dim_i"] = ideal.dim
+    return ClassificationResult(OUTSIDE_CATALOGUE, {}, facts)
+
+
+def _random_base_change(alg, rng):
+    """alg written in a seeded random basis of a finite prime field."""
+    field, n = alg.field, alg.dim
+    while True:
+        rows = [vec(field, [rng.randrange(field.p) for _ in range(n)]) for _ in range(n)]
+        if echelonize(field, n, rows).dim == n:
+            return transport(alg, rows)
+
+
+def _assert_same_classification(alg):
+    # on separate copies, so that neither reads the other's memos
+    ours = classify_q_member(LeibnizAlgebra(alg.table))
+    ref = _reference_classify(LeibnizAlgebra(alg.table))
+    # verdict, params and facts, and the facts in the same order
+    assert ours == ref and list(ours.facts) == list(ref.facts)
+
+
+def test_classification_matches_the_reference(gf2_dim4_census, gf3_dim3_census):
+    rng = random.Random(31)
+    censuses = [sweep_tables(GF2, d) for d in (1, 2, 3)] + [gf2_dim4_census]
+    censuses += [sweep_tables(GF3, d) for d in (1, 2)] + [gf3_dim3_census]
+    censuses += [sweep_tables(PrimeField(5), 2), sweep_tables(PrimeField(7), 2)]
+    for report in censuses:
+        for entry in report.classes:
+            _assert_same_classification(entry.algebra)
+            _assert_same_classification(_random_base_change(entry.algebra, rng))
+    for make, _, _ in EXPECTED_VERDICTS:
+        _assert_same_classification(make())
 
 
 def test_non_lie_almost_abelian_dim2_outside_catalogue():

@@ -343,6 +343,17 @@ def test_malformed_subspace_exits_2(tmp_path, capsys, example_algebra, gens):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys, example_algebra):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for argv in (
+        ["info", str(deep)],
+        ["quasi", "check", "--algebra", str(example_algebra), "--subspace", str(deep)],
+    ):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+
+
 def test_info_output(capsys, example_algebra):
     code, out = run_json(capsys, ["info", str(example_algebra)])
     assert code == 0
@@ -902,9 +913,8 @@ def test_field_variable_that_is_not_an_identifier_exits_2(tmp_path, capsys):
 
 
 def test_rational_scalar_forms_follow_the_schema(tmp_path, capsys):
-    # "a" and "a/b" are both QQ text; the shared scalar definition says that
-    # its form follows the field, and an integer in a QQ file, which it
-    # cannot tell from a GF(p) one, exits 2
+    # "a" and "a/b" are both QQ text, and a JSON integer, which the shared
+    # scalar definition cannot tell from a GF(p) one, reads as itself
     for text, value in (("3", (3, 1)), ("-3/4", (-3, 4))):
         check_schema([[text]], "generators.schema.json")
         assert QQ.decode(text) == value
@@ -913,15 +923,31 @@ def test_rational_scalar_forms_follow_the_schema(tmp_path, capsys):
     alg = tmp_path / "na_q.json"
     argv = ["family", "non_lie_almost_abelian", "--field", "q", "--dim-i", "2"]
     assert run([*argv, "--out", str(alg)]) == 0
-    gens = write_generators(tmp_path / "h.json", [["0", "0", "3"]])
-    argv = ["quasi", "check", "--algebra", str(alg), "--subspace", gens]
-    code, out = run_json(capsys, argv)
-    assert code == 0 and out["holds"]
-    gens = write_generators(tmp_path / "h.json", [[0, 0, 1]])
-    assert run(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: bad rational scalar: 0\n"
+    outputs = []
+    for rows in ([["0", "0", "3"]], [[0, 0, 1]]):
+        gens = write_generators(tmp_path / "h.json", rows)
+        argv = ["quasi", "check", "--algebra", str(alg), "--subspace", gens]
+        code, out = run_json(capsys, argv)
+        assert code == 0 and out["holds"]
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_function_field_file_reads_an_integer_as_a_constant(
+    tmp_path, capsys, example_algebra
+):
+    # the GF(2)(t) example algebra, with the same line written both ways
+    outputs = []
+    for rows in (
+        [[{"num": [], "den": [1]}, {"num": [1], "den": [1]}, {"num": [], "den": [1]}]],
+        [[0, 1, 0]],
+    ):
+        gens = write_generators(tmp_path / "h.json", rows)
+        argv = ["quasi", "check", "--algebra", str(example_algebra), "--subspace", gens]
+        code, out = run_json(capsys, argv)
+        assert code == 0 and out["holds"]
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_gf_p_lambda_that_is_not_an_integer_exits_2(capsys):

@@ -23,7 +23,7 @@ from quasileib.families import (
 from quasileib.fields import GF2, GF3, QQ, FunctionField
 from quasileib.linalg import echelonize, enumerate_subspaces, vec
 from quasileib.quasi import core, is_quasi_ideal, is_quasi_ideal_oracle
-from tests.conftest import check_schema
+from tests.conftest import check_schema, transport
 
 F2T = FunctionField(2)
 
@@ -138,24 +138,6 @@ def test_census_report_matches_schema():
     check_schema(report.to_json(), "census_report.schema.json")
 
 
-def _transport(alg, p_rows):
-    """The same algebra written in the basis with images p_rows."""
-    from quasileib.algebra import LeibnizAlgebra, MultiplicationTable
-    from quasileib.linalg import raw_combination, raw_identity, raw_rref
-
-    field, n = alg.field, alg.dim
-    p_raw = [field.unwrap(row) for row in p_rows]
-    # [P | I] row-reduces to [I | P^-1]
-    augmented = [row + unit for row, unit in zip(p_raw, raw_identity(field, n))]
-    reduced, _ = raw_rref(field, augmented, 2 * n)
-    pinv = tuple(row[n:] for row in reduced)
-    br = alg.table.raw_bracket
-    cube = tuple(
-        tuple(raw_combination(field, br(a, b), pinv, n) for b in p_raw) for a in p_raw
-    )
-    return LeibnizAlgebra(MultiplicationTable(field, n, cube))
-
-
 def test_char2_matcher_is_basis_independent():
     from quasileib.census import CHAR2_FAMILY, classify_q_member
 
@@ -173,10 +155,10 @@ def test_char2_matcher_is_basis_independent():
     )
     for rows in scrambles:
         p = tuple(vec(F2T, r) for r in rows)
-        moved = _transport(alg, p)
+        moved = transport(alg, p)
         res = classify_q_member(moved)
         assert res.verdict == CHAR2_FAMILY and res.params == {"dim_c": 1}
-    moved = _transport(alg, fancy)
+    moved = transport(alg, fancy)
     res = classify_q_member(moved)
     assert res.verdict == CHAR2_FAMILY and res.params == {"dim_c": 1}
 
@@ -194,7 +176,7 @@ def test_extraspecial_matcher_is_basis_independent():
         if echelonize(GF3, 4, rows).dim != 4:
             continue
         found += 1
-        res = classify_q_member(_transport(alg, rows))
+        res = classify_q_member(transport(alg, rows))
         assert res.verdict == EXTRASPECIAL_SUM
         assert res.params == {"dim_e": 3, "dim_z": 1}
 

@@ -135,6 +135,15 @@ def test_function_field_decode_of_a_polynomial_is_canonical():
             assert got == field.canon((num, den)) == (poly_trim(num), (1,))
 
 
+def test_function_field_decodes_an_integer_below_p_as_a_constant():
+    for field in (F2T, F3T):
+        for c in range(field.p):
+            assert field.decode(c) == field.canon(((c,), (1,)))
+        for bad in (field.p, -1, True, 1.0):
+            with pytest.raises(MalformedInput):
+                field.decode(bad)
+
+
 def test_scalar_and_field_text_takes_ascii_digits_only():
     # str.isdigit and the regex \d also take the digits of other scripts,
     # which the JSON schemas do not allow
@@ -545,8 +554,12 @@ def test_qq_text_round_trips():
             QQ.decode(bad)
         with pytest.raises(MalformedInput):
             parse_scalar(QQ, bad)
-    with pytest.raises(MalformedInput):
-        QQ.decode(3)
+    # a JSON integer reads as itself; a bool, a float or a list does not
+    assert QQ.decode(3) == (3, 1) and QQ.decode(-4) == (-4, 1)
+    assert QQ.decode(0) == QQ.raw_zero
+    for bad in (True, 1.5, None, [3]):
+        with pytest.raises(MalformedInput):
+            QQ.decode(bad)
 
 
 def test_qq_scalars_compare_and_hash_with_ints():
