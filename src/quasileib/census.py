@@ -32,6 +32,7 @@ the class for every dim I, over every field, by the argument in
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -98,11 +99,50 @@ OUTSIDE_CATALOGUE = "outside_catalogue"
 
 def in_class_q(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     """Whether every subalgebra is a quasi-ideal; returns (flag, failing
-    subalgebra or None)."""
-    for s in subalgebras(alg, budget=budget):
+    subalgebra or None).  Decided on the cyclic subalgebras <x>, one per
+    projective point x of F^n, each distinct <x> once; the failing
+    subalgebra is the first <x> that is not a quasi-ideal.  The budget
+    bounds the q^n vectors of F^n.
+
+    <x> is the span of x_1 = x, x_2 = [x_1, x], x_3 = [x_2, x], ..., the
+    least subspace that holds x and is invariant under y -> [y, x].  It is
+    closed.  The right identity [a, [y, z]] = [[a, y], z] - [[a, z], y]
+    with z = y gives [L, [y, y]] = 0, so [L, I] = 0 for the span I of the
+    squares.  I is an ideal: [[y, y], z] = [y, [y, z]] + [[y, z], y] is
+    the square of y + [y, z] less those of y and [y, z].  So every x_k with
+    k >= 2 lies in I, and [x_j, x_k] is 0 for k >= 2 and x_{j+1} for
+    k = 1.  A subalgebra that holds x holds every x_k, so <x> is the
+    subalgebra x generates, and <cx> = <x> for c != 0.
+
+    L is in the class exactly when every <x> is a quasi-ideal.  Each <x> is
+    a subalgebra, which gives one direction.  For the other, H is a
+    quasi-ideal when [h, y] and [y, h] lie in H + Fy for every h in H and
+    y in L (by bilinearity, permuting with every line Fy is enough).  For
+    a subalgebra H and h != 0 in H, both lie in <h> + Fy, since <h> is a
+    quasi-ideal, and <h> <= H."""
+    decided = set()
+    for x in raw_projective_points(alg.field, alg.dim, budget):
+        s = _cyclic_subalgebra(alg, x)
+        if s.raw_rows in decided:
+            continue
         if not is_quasi_ideal(alg, s).holds:
             return False, s
+        decided.add(s.raw_rows)
     return True, None
+
+
+def _cyclic_subalgebra(alg: LeibnizAlgebra, x: tuple) -> Subspace:
+    """<x> for a raw vector x != 0, as :func:`in_class_q` defines it: the
+    span grows by x_{k+1} = [x_k, x] until x_{k+1} lies in it."""
+    field, n, br = alg.field, alg.dim, alg.table.raw_bracket
+    gens = [x]
+    span = raw_echelonize(field, n, gens)
+    while True:
+        x_k = br(gens[-1], x)
+        if span.raw_contains(x_k):
+            return span
+        gens.append(x_k)
+        span = raw_echelonize(field, n, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -468,21 +508,19 @@ class _Packing:
         return values
 
 
-def _orbit(table: int, p: int, n: int, budget: int, counted: int = 0) -> frozenset:
-    """The GL(n, p) orbit of a table over GF(p), packed and reduced as by
-    ``_Packing(p, n)``: its breadth-first closure under ``_generators``, with
-    every member packed.  The budget bounds ``counted`` plus the members,
-    counted as they are found.
+@functools.lru_cache(maxsize=8)
+def _transports(p: int, n: int):
+    """``_Packing(p, n)`` and, for each of ``_generators(p, n)``, the scaled
+    packed transports that :func:`_orbit` sums, built once per (p, n): a
+    few packed integers per generator, and no group.
 
     The image under P has [P_i, P_j], in the coordinates of the basis P, at
     (i, j): its entry (i, j, l) is the sum of P[i][a] P[j][b] c[a][b][k]
     P^-1[k][l].  The transport of flat entry s = (a*n + b)*n + k, the image
     of the unit table at s, is the product of column a of P, column b of P
     and row k of P^-1, packed at lane strides n^2, n and 1: each lane of
-    the product receives exactly one term, and it is reduced once.  A
-    member's lanes are read once, as the digit planes of its bytes, and its
-    image under each generator is the sum of digit * scaled transport over
-    the nonzero digits, reduced in one go."""
+    the product receives exactly one term, and it is reduced once.  Each
+    transport is kept once per digit plane, times the plane's scale."""
     pack = _Packing(p, n)
     width = 8 * pack.lane
 
@@ -495,7 +533,20 @@ def _orbit(table: int, p: int, n: int, budget: int, counted: int = 0) -> frozens
         wide, narrow = [packed(c, n * n) for c in cols], [packed(c, n) for c in cols]
         last = [packed(row, 1) for row in inverse]
         images = [pack.reduce(u * v * w) for u in wide for v in narrow for w in last]
-        transports.append([scale * x for scale in pack.scales for x in images])
+        transports.append(tuple(scale * x for scale in pack.scales for x in images))
+    return pack, tuple(transports)
+
+
+def _orbit(table: int, p: int, n: int, budget: int, counted: int = 0) -> frozenset:
+    """The GL(n, p) orbit of a table over GF(p), packed and reduced as by
+    ``_Packing(p, n)``: its breadth-first closure under ``_generators``, with
+    every member packed.  The budget bounds ``counted`` plus the members,
+    counted as they are found.
+
+    A member's lanes are read once, as the digit planes of its bytes, and
+    its image under each generator is the sum of digit * scaled transport
+    (:func:`_transports`) over the nonzero digits, reduced in one go."""
+    pack, transports = _transports(p, n)
     mul, compress = operator.mul, itertools.compress
     nbytes, planes, prime = pack.nbytes, pack.planes, pack.p
     mult, shift, mask = pack.mult, pack.shift, pack.mask
@@ -610,10 +661,17 @@ class CensusReport(
 def _analyze_class(key, alg, budget) -> ClassEntry:
     """One class's entry; each subalgebra's exact verdict is taken once and
     gives membership, the first failure, the quasi-ideal count and the
-    comparison with the oracle."""
+    comparison with the oracle.  Membership by the subalgebra list must
+    agree with :func:`in_class_q`, which decides it on the cyclic
+    subalgebras, or the run fails."""
     subs = subalgebras(alg, budget=budget)
     holds = [is_quasi_ideal(alg, s).holds for s in subs]
     failure = next((s for s, ok in zip(subs, holds) if not ok), None)
+    if in_class_q(alg, budget=budget)[0] != (failure is None):
+        raise VerificationFailed(
+            f"membership by cyclic subalgebras disagrees with the subalgebra "
+            f"list on {_flat_table(alg)}"
+        )
     mismatches = sum(
         ok != is_quasi_ideal_oracle(alg, s, budget=budget) for s, ok in zip(subs, holds)
     )

@@ -121,8 +121,10 @@ class Subspace:
 
     def raw_reduce(self, v: tuple) -> tuple:
         """The canonical representative of the raw vector v modulo this
-        subspace."""
+        subspace: the zero vector when this is all of F^n."""
         field = self.field
+        if self.dim == self.ambient_dim:
+            return (field.raw_zero,) * self.dim
         axpy, neg, zero = field.raw_axpy, field.raw_neg, field.raw_zero
         for row, p in zip(self.raw_rows, self.pivots):
             if v[p] != zero:
@@ -133,7 +135,9 @@ class Subspace:
         """Whether the raw vector v lies in this subspace.  The rows are in
         reduced echelon form, so that holds exactly when v is the
         combination of the rows whose coefficients are v's own entries at
-        the pivots."""
+        the pivots; all of F^n holds every vector, with no arithmetic."""
+        if self.dim == self.ambient_dim:
+            return True
         coeffs = [v[p] for p in self.pivots]
         combo = raw_combination(self.field, coeffs, self.raw_rows, self.ambient_dim)
         return combo == tuple(v)
@@ -147,6 +151,8 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
+        if self.dim == self.ambient_dim:
+            return True
         contains = self.raw_contains
         for r in other.raw_rows:
             if not contains(r):

@@ -235,34 +235,48 @@ def is_quasi_ideal_oracle(
        a leading 1, so a bracket v lies in H + Fx exactly when its reduction
        mod H is c x, with c the reduction's entry at x's leading column.
 
-    The budget is checked against the projective points of F^n, those of
-    the definition."""
+    The lines of L/H depend only on which columns are H's pivots, so
+    :func:`_oracle_lines` builds them once per pivot pattern per algebra.
+    The oracle reads neither the decision procedure's verdicts nor
+    :func:`action`.  The budget is checked against the projective points
+    of F^n, those of the definition."""
     alg.check_subspace(h)
     field, n = alg.field, alg.dim
     require_enumerable(field, n, budget, f"projective points of F^{n}")
     if not is_subalgebra(alg, h):
         return False
-    br = alg.table.raw_bracket
-    axpy, zero = field.raw_axpy, field.raw_zero
+    br, mul = alg.table.raw_bracket, field.raw_mul
     reduce, hrows = h.raw_reduce, h.raw_rows
-    comp = h.non_pivots()
-    zeros = (zero,) * n
-    for y in raw_projective_points(field, len(comp), budget):
-        x = list(zeros)
-        for col, c in zip(comp, y):
-            x[col] = c
-        x = tuple(x)
-        lead = comp[next(i for i, c in enumerate(y) if c != zero)]
-        multiples = {}  # c -> c x
+    for x, lead, multiples in _oracle_lines(alg, h.non_pivots(), budget):
         for hrow in hrows:
             for r in (reduce(br(x, hrow)), reduce(br(hrow, x))):
                 c = r[lead]
                 cx = multiples.get(c)
                 if cx is None:
-                    cx = multiples[c] = tuple(axpy(c, zeros, x))
+                    cx = multiples[c] = tuple([mul(c, v) for v in x])
                 if r != cx:
                     return False
     return True
+
+
+def _oracle_lines(alg, comp, budget):
+    """The lines of L/H for every H whose non-pivot columns are ``comp``:
+    one (x, lead, multiples) per projective point y of F^len(comp), with x
+    holding y on those columns and zeros elsewhere, lead its leading column
+    and multiples the dict c -> c x, filled as the oracle reads it.  Built
+    once per pattern per algebra."""
+    cache = alg._cache["oracle_lines"]
+    lines = cache.get(comp)
+    if lines is None:
+        field, n = alg.field, alg.dim
+        lines = []
+        for y in raw_projective_points(field, len(comp), budget):
+            x = [field.raw_zero] * n
+            for col, c in zip(comp, y):
+                x[col] = c
+            lines.append((tuple(x), comp[y.index(field.raw_one)], {}))
+        lines = cache[comp] = tuple(lines)
+    return lines
 
 
 def core(alg: LeibnizAlgebra, h: Subspace) -> Subspace:

@@ -22,6 +22,7 @@ from quasileib.census import (
     CHAR2_FAMILY,
     OUTSIDE_CATALOGUE,
     classify_q_member,
+    in_class_q,
     lemma_harness,
     sweep_tables,
 )
@@ -42,6 +43,7 @@ from quasileib.quasi import (
 from tests.conftest import (
     SYMMETRIC_FAMILIES,
     finite_family_corpus,
+    gf2_dim3_class_representatives,
     nine_default_instances,
 )
 
@@ -278,3 +280,28 @@ def test_criterion_7_non_perfect_field_gate():
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     report(7, "non-perfect-field gate", elapsed, 1)
+
+
+def test_criterion_8_membership_by_cyclic_subalgebras():
+    # in_class_q decides membership on the cyclic subalgebras <x>, one per
+    # line of F^n; on its own copy of each algebra, the subalgebra list
+    # decides it on every subalgebra
+    start = time.monotonic()
+    algebras = [alg for _, alg in finite_family_corpus(max_dim=4)]
+    algebras += gf2_dim3_class_representatives()
+    members = 0
+    for alg in algebras:
+        listed = LeibnizAlgebra(MultiplicationTable(alg.field, alg.dim, alg.table.raw))
+        expected = all(is_quasi_ideal(listed, s).holds for s in subalgebras(listed))
+        assert in_class_q(alg)[0] == expected, alg.table.raw
+        members += expected
+    assert len(algebras) == 55 and 0 < members < len(algebras)
+    elapsed = time.monotonic() - start
+    assert elapsed < 10
+    report(
+        8,
+        f"membership by cyclic subalgebras = membership by the subalgebra list "
+        f"on {len(algebras)} algebras",
+        elapsed,
+        10,
+    )

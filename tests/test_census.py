@@ -30,6 +30,7 @@ from quasileib.algebra import (
     quotient,
     raw_quotient_cube,
     squares_ideal,
+    subalgebra_closure,
     subalgebras,
     validate,
 )
@@ -54,7 +55,12 @@ from quasileib.census import (
     match_non_lie_almost_abelian,
     sweep_tables,
 )
-from quasileib.quasi import is_quasi_ideal, lemma_suite, permutes_with
+from quasileib.quasi import (
+    is_quasi_ideal,
+    is_quasi_ideal_oracle,
+    lemma_suite,
+    permutes_with,
+)
 from quasileib.errors import (
     BadDimension,
     BudgetExceeded,
@@ -81,6 +87,7 @@ from quasileib.linalg import (
     is_anisotropic,
     raw_echelonize,
     raw_identity,
+    raw_projective_points,
     raw_rref,
     vec,
     zero_subspace,
@@ -123,6 +130,116 @@ def test_in_class_q_fixtures():
     for field, top in ((GF2, 4), (GF3, 3)):
         for dim_i in range(2, top + 1):
             assert in_class_q(non_lie_almost_abelian(field, dim_i)) == (True, None)
+
+
+def _fresh(alg):
+    """A copy of the algebra with empty memos, so that no verdict is
+    shared with another route."""
+    return LeibnizAlgebra(MultiplicationTable(alg.field, alg.dim, alg.table.raw))
+
+
+def _pinned_census_classes(gf3_dim3_census, gf2_dim4_census):
+    """Every class of every census size whose report is pinned, and of the
+    GF(2) dim-4 fixture, as report entries."""
+    reports = [sweep_tables(GF2, d) for d in (1, 2, 3)]
+    reports += [sweep_tables(GF3, d) for d in (1, 2)]
+    reports += [gf3_dim3_census, gf2_dim4_census]
+    return [entry for report in reports for entry in report.classes]
+
+
+def test_cyclic_route_agrees_with_the_subalgebra_list(
+    family_corpus, gf3_dim3_census, gf2_dim4_census
+):
+    # in_class_q decides membership on the cyclic subalgebras; a class's
+    # in_q, and the list route on a copy of each finite family instance,
+    # decide it on every subalgebra
+    cases = [
+        (entry.algebra, entry.in_q)
+        for entry in _pinned_census_classes(gf3_dim3_census, gf2_dim4_census)
+    ]
+    assert len(cases) == 1 + 4 + 20 + 1 + 4 + 27 + 128
+    for _, alg in family_corpus:
+        listed = _fresh(alg)
+        held = all(is_quasi_ideal(listed, s).holds for s in subalgebras(listed))
+        cases.append((alg, held))
+    seen = {True: 0, False: 0}
+    for alg, expected in cases:
+        assert in_class_q(_fresh(alg))[0] == expected, alg.table.raw
+        seen[expected] += 1
+    assert seen[True] > 20 and seen[False] > 100
+
+
+def test_in_class_q_failures_are_cyclic_and_refuted_by_the_oracle(
+    family_corpus, gf3_dim3_census, gf2_dim4_census
+):
+    # the failing subalgebra is some <x>, and the oracle, on its own copy
+    # of the algebra, refutes it again
+    algebras = [alg for _, alg in family_corpus] + [
+        entry.algebra
+        for entry in _pinned_census_classes(gf3_dim3_census, gf2_dim4_census)
+    ]
+    failures = 0
+    for alg in algebras:
+        held, failing = in_class_q(_fresh(alg))
+        if held:
+            assert failing is None
+            continue
+        failures += 1
+        checked = _fresh(alg)
+        assert is_subalgebra(checked, failing)
+        assert not is_quasi_ideal_oracle(checked, failing)
+        assert any(
+            census._cyclic_subalgebra(checked, x) == failing
+            for x in raw_projective_points(alg.field, alg.dim)
+            if failing.raw_contains(x)
+        )
+    assert failures > 100
+
+
+def test_cyclic_subalgebra_is_the_closure_of_its_line(nine_families, family_corpus):
+    # <x> = span{x, [x,x], [[x,x],x], ...} is closed (the right identity
+    # gives [L, I] = 0), so it is the subalgebra x generates, over every
+    # field: the basis vectors and random vectors of every family instance
+    rng = random.Random(17)
+    algebras = list(nine_families.values()) + [alg for _, alg in family_corpus]
+    algebras.append(almost_abelian_lie(F2T, 4))
+    for alg in algebras:
+        field, n = alg.field, alg.dim
+        vectors = list(raw_identity(field, n))
+        vectors += [
+            field.unwrap(tuple(_sample_scalar(field, rng) for _ in range(n)))
+            for _ in range(6)
+        ]
+        for x in vectors:
+            if x == (field.raw_zero,) * n:
+                continue
+            line = raw_echelonize(field, n, [x])
+            cyclic = census._cyclic_subalgebra(alg, x)
+            assert cyclic == subalgebra_closure(alg, line), (alg, x)
+            assert is_subalgebra(alg, cyclic)
+
+
+def test_in_class_q_enumerates_lines_not_subspaces():
+    # 2^7 - 1 lines instead of the 29,212 subspaces of F^7 that the
+    # subalgebra list would test
+    alg = non_lie_almost_abelian(GF2, 6)
+    start = time.perf_counter()
+    assert in_class_q(alg) == (True, None)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_in_class_q_needs_a_finite_field():
+    for alg in (almost_abelian_lie(QQ, 3), char2_nonperfect_minimal(F2T)):
+        with pytest.raises(UnsupportedField):
+            in_class_q(alg)
+
+
+def test_census_fails_when_the_two_membership_routes_disagree(monkeypatch):
+    monkeypatch.setattr(
+        census, "in_class_q", lambda alg, budget=DEFAULT_BUDGET: (False, alg.full())
+    )
+    with pytest.raises(VerificationFailed, match="cyclic subalgebras"):
+        sweep_tables(GF2, 2)
 
 
 def _sample_scalar(field, rng):

@@ -451,6 +451,25 @@ def test_classify_command(tmp_path, capsys, example_algebra):
     check_schema(out, "classification.schema.json")
 
 
+def test_classify_counts_vectors_for_membership(tmp_path, capsys):
+    # membership is decided on the cyclic subalgebras, one per projective
+    # point, so the budget counts the 2^10 vectors of F^10, not its
+    # 229,755,605 subspaces
+    path = tmp_path / "ab10.json"
+    argv = ["family", "abelian", "--field", "gf2", "--dim", "10", "--out", str(path)]
+    assert run(argv) == 0
+    code, out = run_json(capsys, ["classify", "--algebra", str(path)])
+    assert code == 0
+    assert out["verdict"] == "abelian" and out["in_q"] is True
+    check_schema(out, "classification.schema.json")
+    assert run(["classify", "--algebra", str(path), "--budget", "1023"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: projective points of F^10: 1024 exceeds budget 1023\n"
+    )
+
+
 def test_census_command(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = run(

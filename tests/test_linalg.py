@@ -189,6 +189,42 @@ def test_raw_contains_matches_reduction(field):
     assert seen[True] and seen[False]
 
 
+@pytest.mark.parametrize(
+    "field", [GF2, GF3, QQ, F2T], ids=["GF2", "GF3", "QQ", "GF2t"]
+)
+def test_whole_space_answers_by_its_shape(field):
+    # F^n holds every vector and reduces each to zero without arithmetic;
+    # the reference eliminates by hand with the identity rows, and the
+    # whole space also arises from echelonizing a spanning set
+    rng = random.Random(f"whole space/{field}")
+    zero, axpy, neg = field.raw_zero, field.raw_axpy, field.raw_neg
+
+    def random_raw(n):
+        return field.unwrap(tuple(random_scalar(field, rng) for _ in range(n)))
+
+    for n in range(1, 5):
+        spanned = raw_echelonize(field, n, [random_raw(n) for _ in range(n + 2)])
+        spaces = [full_subspace(field, n)] + ([spanned] if spanned.dim == n else [])
+        for whole in spaces:
+            assert whole == full_subspace(field, n)
+            for _ in range(10):
+                v = random_raw(n)
+                rest = list(v)
+                for row in raw_identity(field, n):
+                    c = rest[row.index(field.raw_one)]
+                    rest = axpy(neg(c), rest, row)
+                assert whole.raw_reduce(v) == tuple(rest) == (zero,) * n
+                assert whole.raw_contains(v) is all(x == zero for x in rest)
+            for k in range(n + 1):
+                other = raw_echelonize(field, n, [random_raw(n) for _ in range(k)])
+                assert whole.contains(other)
+                assert other.contains(whole) is (other.dim == n)
+            with pytest.raises(DimensionMismatch):
+                whole.contains(zero_subspace(field, n + 1))
+            with pytest.raises(MixedFields):
+                whole.contains(full_subspace(GF3 if field is GF2 else GF2, n))
+
+
 def test_left_kernel():
     rows = [(1, 0), (1, 0), (0, 1)]
     k = raw_left_kernel(GF2, rows)

@@ -238,6 +238,33 @@ def test_oracle_asks_only_for_the_lines_of_the_quotient(monkeypatch):
                 assert calls == [(field, n)]
 
 
+def test_oracle_builds_the_lines_once_per_pivot_pattern(monkeypatch):
+    # the lines of L/H depend only on H's pivot columns: over every
+    # subspace of an algebra, twice, the oracle asks for the points once
+    # per pivot pattern of a closed subspace, and never for a subspace
+    # that is not closed
+    from quasileib import quasi
+
+    calls = []
+    real = quasi.raw_projective_points
+
+    def recording(field, n, budget):
+        calls.append(n)
+        return real(field, n, budget)
+
+    monkeypatch.setattr(quasi, "raw_projective_points", recording)
+    for alg in (almost_abelian_lie(GF3, 4), non_lie_almost_abelian(GF2, 3), k2(GF2)):
+        calls.clear()
+        patterns = set()
+        for _ in range(2):
+            for s in enumerate_subspaces(alg.field, alg.dim):
+                is_quasi_ideal_oracle(alg, s)
+                if is_subalgebra(alg, s):
+                    patterns.add(s.pivots)
+        assert len(calls) == len(patterns), alg
+        assert sorted(calls) == sorted(alg.dim - len(p) for p in patterns)
+
+
 def test_oracle_refutes_known_non_quasi_ideals():
     # Fx in k2 is a subalgebra, but [x, y] = z escapes Fx + Fy; span{h + x}
     # in the non-Lie almost abelian algebra is not even a subalgebra
