@@ -46,10 +46,13 @@ class MultiplicationTable:
 
     ``raw`` holds the products as raw field values, which the kernels
     compute on; :attr:`cube` wraps them into scalars on each access.
-    ``_products`` memoises :meth:`raw_bracket` for the life of the table;
-    it takes no part in equality or hashing."""
+    ``raw`` is the one stored form of the constants; two things are derived
+    from it and take no part in equality or hashing.  ``_nonzero``, built
+    once here, lists for each i the pairs (j, [e_i, e_j]) whose product is
+    not the zero vector, so that :meth:`raw_bracket` skips the zero ones.
+    ``_products`` memoises :meth:`raw_bracket` for the life of the table."""
 
-    __slots__ = ("field", "dim", "raw", "basis_names", "_products")
+    __slots__ = ("field", "dim", "raw", "basis_names", "_nonzero", "_products")
 
     def __init__(self, field: Field, dim: int, raw, basis_names=None):
         raw = tuple(tuple(tuple(v) for v in row) for row in raw)
@@ -65,6 +68,10 @@ class MultiplicationTable:
         self.dim = dim
         self.raw = raw
         self.basis_names = tuple(basis_names)
+        zero_vec = (field.raw_zero,) * dim
+        self._nonzero = tuple(
+            tuple((j, w) for j, w in enumerate(row) if w != zero_vec) for row in raw
+        )
         self._products = {}
 
     @property
@@ -86,8 +93,10 @@ class MultiplicationTable:
         return hash((self.dim, self.raw))
 
     def raw_bracket(self, u: tuple, v: tuple) -> tuple:
-        """[u, v] for raw vectors: sum of u_i v_j [e_i, e_j], computed once
-        per pair (u, v) of tuples."""
+        """[u, v] for raw vectors: sum of u_i v_j [e_i, e_j] over the pairs
+        of ``_nonzero`` only (the index of nonzero products that the table
+        derives from ``raw`` once), so a zero product costs no arithmetic;
+        computed once per pair (u, v) of tuples."""
         key = (u, v)
         found = self._products.get(key)
         if found is not None:
@@ -95,10 +104,11 @@ class MultiplicationTable:
         field = self.field
         axpy, mul, zero = field.raw_axpy, field.raw_mul, field.raw_zero
         out = [zero] * self.dim
-        for ui, row in zip(u, self.raw):
+        for ui, row in zip(u, self._nonzero):
             if ui == zero:
                 continue
-            for vj, w in zip(v, row):
+            for j, w in row:
+                vj = v[j]
                 if vj != zero:
                     out = axpy(mul(ui, vj), out, w)
         found = self._products[key] = tuple(out)

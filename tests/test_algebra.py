@@ -36,6 +36,7 @@ from quasileib.errors import (
     NotLeibniz,
 )
 from quasileib.families import (
+    abelian,
     k2,
     non_lie_almost_abelian,
     two_dim_solvable_cyclic,
@@ -263,6 +264,86 @@ def test_bracket_memo_is_per_table():
     fresh = build_table(GF3, ("e1", "e2"), {(0, 0): {1: 1}})
     assert fresh == a and hash(fresh) == hash(a)
     assert not fresh._products and a._products
+
+
+def dense_raw_bracket(table, u, v):
+    """Sum over every (i, j) of u_i v_j raw[i][j] with the field's raw ops:
+    no product is skipped and nothing is memoised."""
+    field = table.field
+    add, mul = field.raw_add, field.raw_mul
+    out = [field.raw_zero] * table.dim
+    for i, row in enumerate(table.raw):
+        for j, w in enumerate(row):
+            c = mul(u[i], v[j])
+            out = [add(a, mul(c, b)) for a, b in zip(out, w)]
+    return tuple(out)
+
+
+def test_sparse_bracket_matches_dense_sum(nine_families):
+    # the family tables in their own basis and under the benchmark corpus's
+    # seed-0 base change, over GF(2), GF(3), QQ and GF(2)(t); the census
+    # classes and their quotients by the squares ideal; and the all-zero
+    # and one-product tables, on which almost every product is zero
+    from perfbench.corpus import build, standard_json
+    from quasileib.census import sweep_tables
+
+    tables = [alg.table for alg in nine_families.values()]
+    tables += [table_from_json(obj) for _, obj in standard_json() + build(0)]
+    for field, n in ((GF2, 3), (GF3, 2)):
+        for entry in sweep_tables(field, n).classes:
+            alg = entry.algebra
+            tables += [alg.table, quotient(alg, squares_ideal(alg)).table]
+    for field, n in ((GF2, 1), (GF3, 3), (QQ, 2), (F2T, 3)):
+        tables.append(build_table(field, [f"e{i}" for i in range(n)], {}))
+        tables.append(build_table(field, ["e1", "e2", "e3"], {(2, 0): {1: 1}}))
+    assert {t.field for t in tables} == {GF2, GF3, QQ, F2T}
+    rng = random.Random(47)
+    for table in tables:
+        field, n = table.field, table.dim
+        basis = [field.unwrap(unit_vec(field, n, i)) for i in range(n)]
+        random_vec = lambda: field.unwrap(_entry(field, rng) for _ in range(n))
+        pairs = [(a, b) for a in basis for b in basis]
+        pairs += [(random_vec(), random_vec()) for _ in range(20)]
+        for u, v in pairs:
+            assert table.raw_bracket(u, v) == dense_raw_bracket(table, u, v), (
+                table.to_json(),
+                u,
+                v,
+            )
+
+
+def test_zero_products_do_no_arithmetic(monkeypatch):
+    # count the field's raw_axpy and raw_mul calls made by raw_bracket
+    calls = {"raw_axpy": 0, "raw_mul": 0}
+    field_class = type(GF3)
+
+    def counted(name):
+        op = getattr(field_class, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return op(self, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(field_class, name, counted(name))
+    rng = random.Random(53)
+    random_vec = lambda n: tuple(rng.randrange(3) for _ in range(n))
+    table = abelian(GF3, 4).table
+    for _ in range(30):
+        table.raw_bracket(random_vec(4), random_vec(4))
+    assert calls == {"raw_axpy": 0, "raw_mul": 0}
+    # the only nonzero product is [e_a, e_b] = e1 + 2 e3
+    a, b = 2, 0
+    table = build_table(GF3, ("e1", "e2", "e3"), {(a, b): {0: 1, 2: 2}})
+    vectors = list(itertools.product(range(3), repeat=3))
+    for u in vectors:
+        for v in vectors:
+            calls["raw_axpy"] = 0
+            table.raw_bracket(u, v)
+            expected = 1 if u[a] * v[b] % 3 else 0
+            assert calls["raw_axpy"] == expected, (u, v)
 
 
 def test_bracket_subspaces_memo_matches_fresh_echelonization(family_corpus):
