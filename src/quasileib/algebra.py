@@ -418,18 +418,13 @@ def action(alg: LeibnizAlgebra, s: Subspace) -> tuple:
 
 
 def is_ideal(alg: LeibnizAlgebra, s: Subspace) -> bool:
-    """Whether [s, L] + [L, s] <= s: every entry of :func:`action` is zero.
-    Decided once per subspace of the algebra."""
-    alg.check_subspace(s)
-    cache = alg._cache["is_ideal"]
-    found = cache.get(s.raw_rows)
-    if found is None:
-        n = alg.dim
-        # the action of a basis row that S absorbs from both sides
-        idle = ((alg.field.raw_zero,) * n,) * n
-        acted = action(alg, s)
-        found = cache[s.raw_rows] = acted.count((idle, idle)) == len(acted)
-    return found
+    """Whether [s, L] + [L, s] <= s: every entry of the memoised
+    :func:`action` is zero."""
+    n = alg.dim
+    # the action of a basis row that S absorbs from both sides
+    idle = ((alg.field.raw_zero,) * n,) * n
+    acted = action(alg, s)
+    return acted.count((idle, idle)) == len(acted)
 
 
 def subalgebra_closure(alg: LeibnizAlgebra, s: Subspace) -> Subspace:
@@ -443,14 +438,14 @@ def subalgebra_closure(alg: LeibnizAlgebra, s: Subspace) -> Subspace:
 
 def series(alg: LeibnizAlgebra, h: Subspace | None = None, kind: str = "lower_central"):
     """Descending series of the subalgebra ``h`` (the whole algebra by
-    default) until stabilization.
+    default) until stabilization, as a new list on every call.
 
     ``lower_central``  : H, [H,H], [[H,H],H], ...
     ``derived``        : H, [H,H], [[H,H],[H,H]], ...
-    ``omega_of_square``: S, [S,S], [[S,S],S], ...  with S = [H,H]
+    ``omega_of_square``: S, [S,S], [[S,S],S], ...  with S = [H,H], the
+    lower central series of S
 
-    Computed once per (subalgebra, kind); every call still checks that
-    ``h`` is a subalgebra of this algebra and returns a fresh list.
+    Each term is a memoised :func:`bracket_subspaces`.
     """
     if kind not in ("lower_central", "derived", "omega_of_square"):
         raise ValueError(f"unknown series kind {kind!r}")
@@ -458,31 +453,15 @@ def series(alg: LeibnizAlgebra, h: Subspace | None = None, kind: str = "lower_ce
         h = alg.full()
     if not is_subalgebra(alg, h):
         raise NotASubalgebra("series of a non-subalgebra")
-    cache = alg._cache["series"]
-    key = (h.raw_rows, kind)
-    found = cache.get(key)
-    if found is None:
-        found = cache[key] = _series(alg, h, kind)
-    return list(found)
-
-
-def _series(alg, h, kind) -> tuple:
     if kind == "omega_of_square":
-        start = bracket_subspaces(alg, h, h)
-        step = lambda cur: bracket_subspaces(alg, cur, start)
-        chain = [start]
-    elif kind == "lower_central":
-        step = lambda cur: bracket_subspaces(alg, cur, h)
-        chain = [h]
-    else:
-        step = lambda cur: bracket_subspaces(alg, cur, cur)
-        chain = [h]
+        h, kind = bracket_subspaces(alg, h, h), "lower_central"
+    chain = [h]
     while True:
-        nxt = step(chain[-1])
-        if nxt == chain[-1]:
-            break
+        cur = chain[-1]
+        nxt = bracket_subspaces(alg, cur, h if kind == "lower_central" else cur)
+        if nxt == cur:
+            return chain
         chain.append(nxt)
-    return tuple(chain)
 
 
 def is_nilpotent(alg: LeibnizAlgebra) -> bool:
@@ -545,21 +524,13 @@ def raw_quotient_cube(alg: LeibnizAlgebra, j: Subspace) -> tuple:
 
 
 def quotient(alg: LeibnizAlgebra, j: Subspace) -> LeibnizAlgebra:
-    """L/J for a verified ideal J; the quotient basis is the set of non-pivot
-    coordinates of J's echelon form, which makes tables reproducible: v
-    projects to ``j.reduce(v)`` at ``j.non_pivots()``.
-
-    The quotient algebra, and so its own memos, is built once per ideal and
-    returned on every later call, which still checks that J is an ideal of
-    this algebra."""
+    """L/J for a verified ideal J, built on every call; the quotient basis is
+    the set of non-pivot coordinates of J's echelon form, which makes tables
+    reproducible: v projects to ``j.reduce(v)`` at ``j.non_pivots()``."""
     if not is_ideal(alg, j):
         raise NotAnIdeal("quotient by a non-ideal")
-    cache = alg._cache["quotient"]
-    quot = cache.get(j.raw_rows)
-    if quot is None:
-        comp = j.non_pivots()
-        names = tuple(alg.basis_names[c] for c in comp)
-        table = MultiplicationTable(alg.field, len(comp), raw_quotient_cube(alg, j), names)
-        # L/J is Leibniz: J is an ideal
-        quot = cache[j.raw_rows] = LeibnizAlgebra(table, _checked=True)
-    return quot
+    comp = j.non_pivots()
+    names = tuple(alg.basis_names[c] for c in comp)
+    table = MultiplicationTable(alg.field, len(comp), raw_quotient_cube(alg, j), names)
+    # L/J is Leibniz: J is an ideal
+    return LeibnizAlgebra(table, _checked=True)

@@ -100,9 +100,10 @@ OUTSIDE_CATALOGUE = "outside_catalogue"
 def in_class_q(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     """Whether every subalgebra is a quasi-ideal; returns (flag, failing
     subalgebra or None).  Decided on the cyclic subalgebras <x>, one per
-    projective point x of F^n, each distinct <x> once; the failing
-    subalgebra is the first <x> that is not a quasi-ideal.  The budget
-    bounds the q^n vectors of F^n.
+    projective point x of F^n, and a repeated <x> reads its verdict from
+    the memo of :func:`is_quasi_ideal`; the failing subalgebra is the first
+    <x> that is not a quasi-ideal.  The budget bounds the q^n vectors of
+    F^n.
 
     <x> is the span of x_1 = x, x_2 = [x_1, x], x_3 = [x_2, x], ..., the
     least subspace that holds x and is invariant under y -> [y, x].  It is
@@ -120,14 +121,10 @@ def in_class_q(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     y in L (by bilinearity, permuting with every line Fy is enough).  For
     a subalgebra H and h != 0 in H, both lie in <h> + Fy, since <h> is a
     quasi-ideal, and <h> <= H."""
-    decided = set()
     for x in raw_projective_points(alg.field, alg.dim, budget):
         s = _cyclic_subalgebra(alg, x)
-        if s.raw_rows in decided:
-            continue
         if not is_quasi_ideal(alg, s).holds:
             return False, s
-        decided.add(s.raw_rows)
     return True, None
 
 
@@ -585,7 +582,7 @@ def are_isomorphic(
         return False
     if algebra_invariants(a) != algebra_invariants(b):
         return False
-    pack = _Packing(a.field.p, a.dim)
+    pack = _transports(a.field.p, a.dim)[0]
     orbit = _orbit(pack.pack(_flat_table(b)), pack.p, a.dim, budget)
     return pack.pack(_flat_table(a)) in orbit
 
@@ -595,7 +592,7 @@ def canonical_table_key(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> tu
     two algebras over the same prime field share the key iff isomorphic."""
     if not isinstance(alg.field, PrimeField):
         raise UnsupportedField("canonical keys need a finite prime field")
-    pack = _Packing(alg.field.p, alg.dim)
+    pack = _transports(alg.field.p, alg.dim)[0]
     orbit = _orbit(pack.pack(_flat_table(alg)), pack.p, alg.dim, budget)
     return pack.unpack(min(orbit))
 
@@ -762,7 +759,7 @@ def _mark_orbits(tables, p: int, n: int, budget: int) -> list:
             continue
         orbit = _orbit(table, p, n, budget, len(seen))
         if table not in orbit or not seen.isdisjoint(orbit) or order % len(orbit):
-            flat = _Packing(p, n).unpack(table)
+            flat = _transports(p, n)[0].unpack(table)
             raise VerificationFailed(
                 f"a broken GL({n},{p}) orbit of {flat}: {len(orbit)} tables; "
                 f"|GL| = {order}"
@@ -859,7 +856,7 @@ def _lie_tables(p: int, n: int, budget: int):
     i < j < k < last only (there are none for n <= 3).  The budget bounds
     the solutions, counted as they are found; every Lie table is marked, so
     the orbit count bounds the Lie tables too."""
-    pack = _Packing(p, n)
+    pack = _transports(p, n)[0]
     last = n - 1
     at = lambda i, j, k: (i * n + j) * n + k
     pairs = list(itertools.combinations(range(last), 2))
@@ -917,7 +914,7 @@ def _liesation_tables(p: int, n: int, budget: int):
     rho that is not an action has no solution.  Each solution omega gives
     one table."""
     yield from _lie_tables(p, n, budget)
-    pack = _Packing(p, n)
+    pack = _transports(p, n)[0]
     units = pack.units
     at = lambda i, j, k: (i * n + j) * n + k
     for d in range(1, n):
@@ -941,7 +938,7 @@ def _liesation_tables(p: int, n: int, budget: int):
         pairs = itertools.combinations(idx, 2)
         triples = [(i, j, k) for j, k in pairs for i in range(n)]
         equations = _identity_equations(n, entry, triples)
-        unpack = _Packing(p, m).unpack
+        unpack = _transports(p, m)[0].unpack
         for orbit in _mark_orbits(_lie_tables(p, m, budget), p, m, budget):
             flat = unpack(min(orbit))
             base = pack.pack(flat, inner)
@@ -975,7 +972,7 @@ def _census(field, dim, budget):
     # its lanes are one byte each, so a member's little-endian bytes are its
     # reversed tuple
     order = (lambda x: x.to_bytes(27, "little")) if (p, dim) == (2, 3) else None
-    unpack = _Packing(p, dim).unpack
+    unpack = _transports(p, dim)[0].unpack
     minima = sorted((min(orbit, key=order) for orbit in orbits), key=order)
     return p ** (dim**3), sum(map(len, orbits)), [
         (key, _canonical_rep(field, dim, key)) for key in map(unpack, minima)
@@ -1047,9 +1044,7 @@ def _harness_one(label, alg, budget, report):
         # quotients by every ideal stay in the class; many ideals give the
         # same quotient table, which is built and decided once.  L/0 has
         # L's own table, and L is in the class here, so that table starts
-        # out decided.  `quotient` keeps each quotient algebra with L, so
-        # the quotients by the squares ideal and the centre that
-        # `classify_q_member` built come back with their memos
+        # out decided
         decided = {alg.table.raw: True}
         for j in subs:
             if not is_ideal(alg, j):

@@ -337,7 +337,6 @@ def raw_projective_points(field: Field, n: int, budget: int = DEFAULT_BUDGET):
             yield (z,) * lead + (o,) + tail
 
 
-
 def enumerate_subspaces(
     field: Field,
     n: int,
@@ -445,6 +444,10 @@ def is_anisotropic(field: Field, gram, budget: int = DEFAULT_BUDGET) -> bool:
 
         d = mul(mul(c, a), field.raw_inv(mul(b, b)))
         return artin_schreier_root(field, d) is None
+    if char2:
+        raise UnsupportedField(
+            f"anisotropy of a rank-{k} form with cross terms over {field}"
+        )
     raise UnsupportedField(
-        f"anisotropy of a rank-{k} form with cross terms over {field}"
+        f"anisotropy of a rank-{k} form over {field}, outside characteristic 2"
     )

@@ -316,31 +316,25 @@ def _core(alg, h):
 
 def is_left_engel(alg: LeibnizAlgebra, x: tuple) -> bool:
     """x is left Engel when y -> [y,x] is nilpotent (the finite-dimensional
-    form of: for each y some power kills y).  The images L, [L,x], [[L,x],x],
-    ... descend, and the map is nilpotent exactly when they reach 0 before
-    they stop shrinking.  The answer depends only on the line Fx, so it is
-    decided once per line, keyed by the line's echelon row."""
+    form of: for each y some power kills y).  The answer depends only on
+    the line Fx."""
     if len(x) != alg.dim:
         raise DimensionMismatch("vectors must live in the algebra")
-    line = echelonize(alg.field, alg.dim, [x])
-    return _left_engel(alg, line.raw_rows, line.pivots)
+    return _left_engel(alg, echelonize(alg.field, alg.dim, [x]))
 
 
-def _left_engel(alg, rows, pivots):
-    """:func:`is_left_engel` for the line whose echelon basis is ``rows``
-    (a raw row with leading entry 1 at its pivot, or none for x = 0)."""
-    cache = alg._cache["is_left_engel"]
-    found = cache.get(rows)
-    if found is None:
-        line = Subspace(alg.field, alg.dim, rows, pivots)
-        cur = alg.full()
-        while not cur.is_zero():
-            nxt = bracket_subspaces(alg, cur, line)
-            if nxt.dim == cur.dim:
-                break
-            cur = nxt
-        found = cache[rows] = cur.is_zero()
-    return found
+def _left_engel(alg, line):
+    """:func:`is_left_engel` for the subspace ``line`` = Fx: the images L,
+    [L,x], [[L,x],x], ... descend, and the map is nilpotent exactly when
+    they reach 0 before they stop shrinking.  Each image is a memoised
+    :func:`bracket_subspaces`."""
+    cur = alg.full()
+    while not cur.is_zero():
+        nxt = bracket_subspaces(alg, cur, line)
+        if nxt.dim == cur.dim:
+            return False
+        cur = nxt
+    return True
 
 
 class EngelReport(namedtuple("EngelReport", "holds counterexample", defaults=(None,))):
@@ -354,10 +348,10 @@ def is_engel_algebra(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Engel
     """Every element left Engel, decided on every projective point of F^n
     (nilpotency of y -> [y,x] only depends on Fx).  The budget bounds the
     q^n vectors of F^n; an infinite field is refused."""
-    field = alg.field
+    field, n = alg.field, alg.dim
     # each point is already its line's echelon row, leading entry 1
-    for x in raw_projective_points(field, alg.dim, budget):
-        if not _left_engel(alg, (x,), (x.index(field.raw_one),)):
+    for x in raw_projective_points(field, n, budget):
+        if not _left_engel(alg, Subspace(field, n, (x,), (x.index(field.raw_one),))):
             return EngelReport(False, field.wrap(x))
     return EngelReport(True)
 
@@ -540,11 +534,14 @@ def lemma_suite(
     c["perfect_subquasi_is_ideal"] = (
         _verdict(is_ideal(alg, h)) if perfect else (VACUOUS, "H^2 != H")
     )
-    # a quasi-ideal generated by left Engel elements is an ideal; H's
-    # echelon rows are already the lines' keys
+    # a quasi-ideal generated by left Engel elements is an ideal; each of
+    # H's echelon rows is already its line's echelon basis
     if not direct:
         c["engel_generated_is_ideal"] = not_direct
-    elif all(_left_engel(alg, (row,), (p,)) for row, p in zip(h.raw_rows, h.pivots)):
+    elif all(
+        _left_engel(alg, Subspace(alg.field, alg.dim, (row,), (p,)))
+        for row, p in zip(h.raw_rows, h.pivots)
+    ):
         c["engel_generated_is_ideal"] = _verdict(is_ideal(alg, h))
     else:
         c["engel_generated_is_ideal"] = (

@@ -967,6 +967,55 @@ def test_harness_never_decides_the_algebra_itself(family_corpus, monkeypatch):
     assert len(members) > 10
 
 
+# the memo tables an algebra may hold: each is read again often enough, or
+# costs enough to rebuild, to pay for its entries
+_MEMO_TABLES = {
+    "full", "squares_ideal", "center", "subalgebras", "bracket_subspaces",
+    "is_subalgebra", "action", "quasi_in", "oracle_lines", "core",
+    "subquasi_bfs", "wrap",
+}
+
+
+def test_census_and_corpus_keep_only_the_listed_memo_tables(monkeypatch):
+    # every algebra a census --lemmas run and a seed-0 family_corpus pass
+    # build, quotients included, is recorded; none holds a table outside
+    # the list, and in particular none for is_ideal, series, is_left_engel
+    # or quotient, which are recomputed from the memos they read
+    from perfbench.corpus import build, request
+
+    built = []
+    init = LeibnizAlgebra.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(LeibnizAlgebra, "__init__", recording_init)
+    assert sweep_tables(GF2, 3, run_lemmas=True).lemma_failures == []
+    for label, obj in build(0):
+        request(label, obj)
+    assert len(built) > 100
+    tables = set().union(*(alg._cache for alg in built))
+    assert tables <= _MEMO_TABLES, sorted(tables - _MEMO_TABLES)
+    assert not tables & {"is_ideal", "series", "is_left_engel", "quotient"}
+
+
+def test_in_class_q_asks_every_cyclic_subalgebra(monkeypatch):
+    # a repeated <x> is asked again, and its verdict read from the
+    # quasi_in memo.  In [e1, e1] = e2 over GF(3), <x> is all of F^2
+    # for the points (1, c) and F e2 for the last point, (0, 1)
+    asked = []
+
+    def counting(alg, s):
+        asked.append(s)
+        return is_quasi_ideal(alg, s)
+
+    monkeypatch.setattr(census, "is_quasi_ideal", counting)
+    alg = two_dim_nilpotent_cyclic(GF3)
+    assert in_class_q(alg) == (True, None)
+    assert asked == [alg.full()] * 3 + [echelonize(GF3, 2, [vec(GF3, (0, 1))])]
+
+
 def test_quotient_by_zero_has_the_algebras_own_table(family_corpus, gf3_dim3_census):
     # the harness decides L/0 on L itself, which is sound because the raw
     # table of L/0 is L's

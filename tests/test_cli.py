@@ -8,8 +8,9 @@ import pytest
 from jsonschema import Draft202012Validator, ValidationError
 
 from quasileib import census, cli
+from quasileib.algebra import build_table
 from quasileib.cli import run
-from quasileib.fields import QQ, is_prime
+from quasileib.fields import QQ, is_prime, parse_field
 from tests.conftest import SCHEMA_REGISTRY, SCHEMAS, check_schema
 
 
@@ -468,6 +469,51 @@ def test_classify_counts_vectors_for_membership(tmp_path, capsys):
     assert captured.err == (
         "error: projective points of F^10: 1024 exceeds budget 1023\n"
     )
+
+
+def _squares_form_algebra(path, field_text, gram):
+    # basis u_1 .. u_k, z with [u_i, u_j] = gram[i][j] z and every other
+    # product 0: z is central, so every such table is Leibniz, and the
+    # squares form off the centre is the form of ``gram``
+    k = len(gram)
+    names = [f"u{i + 1}" for i in range(k)] + ["z"]
+    products = {
+        (i, j): {k: g} for i, row in enumerate(gram) for j, g in enumerate(row) if g
+    }
+    table = build_table(parse_field(field_text), names, products)
+    path.write_text(json.dumps(table.to_json()))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "field, gram, message",
+    [
+        (
+            "q",
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            "anisotropy of a rank-3 form over QQ, outside characteristic 2",
+        ),
+        (
+            "gf2(t)",
+            [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+            "anisotropy of a rank-3 form with cross terms over GF(2)(t)",
+        ),
+    ],
+    ids=["qq_diagonal", "gf2t_cross_terms"],
+)
+def test_classify_names_the_undecided_anisotropy(tmp_path, capsys, field, gram, message):
+    # the E + Z check asks whether the squares form is anisotropic, and
+    # over an infinite field that is decided up to rank 2, and at every
+    # rank for a diagonal form in characteristic 2; the refusal says which
+    # case is left: rank 3 or more outside characteristic 2 (even a
+    # diagonal form), or cross terms at rank 3 or more in characteristic 2
+    path = _squares_form_algebra(tmp_path / "form.json", field, gram)
+    assert run(["validate", path]) == 0
+    capsys.readouterr()
+    assert run(["classify", "--algebra", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_census_command(tmp_path, capsys):

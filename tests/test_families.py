@@ -229,6 +229,14 @@ def test_anisotropy_decisions():
     assert not is_anisotropic(F2T, _raw(F2T, ((one, one), (zero, t * t + t))))
 
 
+def test_anisotropy_of_the_empty_form_and_a_zero_leading_coefficient():
+    # the form on F^0 has no nonzero vector to vanish at; x y + y^2 over Q
+    # has a = 0 and vanishes at (1, 0)
+    for field in (GF3, QQ, F2T):
+        assert is_anisotropic(field, ())
+    assert not is_anisotropic(QQ, _raw(QQ, ((0, 1), (0, 1))))
+
+
 def test_anisotropy_rank_one_nonzero_coefficient():
     t = F2T.t
     assert is_anisotropic(F2T, _raw(F2T, ((t * t,),)))

@@ -241,6 +241,27 @@ def test_division_by_zero():
         F2T.zero.inv()
 
 
+def test_reflected_operators_and_negative_powers():
+    f5 = PrimeField(5)
+    assert 2 - f5(2) == f5(0)
+    assert 1 - f5(3) == f5(3)
+    assert 1 / f5(2) == f5(3)
+    assert f5(2) ** -3 == f5(2)  # 2^3 = 3 and 3 * 2 = 1
+    assert f5(2) ** 0 == f5.one
+    q = QQ(Fraction(3, 4))
+    assert q ** -2 == QQ(Fraction(16, 9))
+    assert 1 - q == QQ(Fraction(1, 4))
+    assert 2 / q == QQ(Fraction(8, 3))
+    t = F2T.t
+    assert t ** -2 == 1 / (t * t) == F2T.from_polys([1], [0, 0, 1])
+    assert 1 - t == t + 1
+    for field in (f5, QQ, F2T):
+        with pytest.raises(DivisionByZero):
+            field.zero ** -1
+        with pytest.raises(DivisionByZero):
+            1 / field.zero
+
+
 def test_mixed_fields_rejected():
     with pytest.raises(MixedFields):
         GF2(1) + GF3(1)

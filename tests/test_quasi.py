@@ -626,10 +626,10 @@ def test_memoised_facts_match_a_fresh_algebra(family_corpus, gf3_dim3_census):
             chains = [series(alg, s, kind) for s in closed for kind in kinds]
             quotients = [(j, quotient(alg, j)) for j, ok in zip(subspaces, ideals) if ok]
             answers.append((wholes, chains, quotients))
-        # the second answers are the first: one quotient algebra per ideal
+        # the second answers are the first
         assert answers[0][:2] == answers[1][:2]
         for (_, first), (_, second) in zip(answers[0][2], answers[1][2]):
-            assert second is first
+            assert second.table == first.table
         for s, c, ideal in zip(subspaces, cores, ideals):
             assert c == core(_fresh(alg), s) == _core_by_fixpoint(_fresh(alg), s)
             assert ideal == is_ideal(_fresh(alg), s)
@@ -653,11 +653,8 @@ def test_fact_memos_still_check_their_inputs():
     assert not is_left_engel(alg, vec(GF2, (1, 0)))
     assert series(alg, zero) == [zero]
     assert quotient(alg, zero).dim == 2
-    assert () in alg._cache["is_ideal"] and () in alg._cache["action"]
+    assert () in alg._cache["action"]
     assert () in alg._cache["is_subalgebra"] and () in alg._cache["core"]
-    assert ((), "lower_central") in alg._cache["series"]
-    assert () in alg._cache["quotient"]
-    assert ((1, 0),) in alg._cache["is_left_engel"]
     for fact in (is_ideal, is_subalgebra, core, action, series, quotient):
         with pytest.raises(DimensionMismatch):
             fact(alg, zero_subspace(GF2, 3))
@@ -677,7 +674,6 @@ def test_fact_memos_still_check_their_inputs():
             series(alg, open_space, "derived")
         with pytest.raises(NotAnIdeal):
             quotient(alg, loose)
-    assert loose.raw_rows not in alg._cache["quotient"]
     # a returned series is the caller's own list
     chain = series(alg, kind="derived")
     want = list(chain)
@@ -738,9 +734,9 @@ def _is_ideal_by_definition(alg, s):
 
 
 def test_is_ideal_matches_the_definition_on_every_small_subspace(family_corpus):
-    # each verdict is first decided on a fresh algebra (its action and
-    # is_ideal memos empty), then read from an algebra whose memos the
-    # harness and core filled through their own routes
+    # each verdict is first decided on a fresh algebra (its action memo
+    # empty), then read from an algebra whose memos the harness and core
+    # filled through their own routes
     seen = {True: 0, False: 0}
     for label, alg in family_corpus:
         if alg.field.order**alg.dim > 100:
@@ -753,7 +749,7 @@ def test_is_ideal_matches_the_definition_on_every_small_subspace(family_corpus):
         lemma_harness([(label, warm)])
         for s in spaces:
             core(warm, s)
-        assert all(s.raw_rows in warm._cache["is_ideal"] for s in spaces)
+        assert all(s.raw_rows in warm._cache["action"] for s in spaces)
         assert [is_ideal(warm, s) for s in spaces] == want, label
         for verdict in want:
             seen[verdict] += 1
@@ -858,25 +854,30 @@ def test_lemma_suite_clauses_are_pinned(family_corpus, gf3_dim3_census):
     assert digest.hexdigest() == PINNED_DIGEST
 
 
-def test_engel_memo_is_keyed_by_the_lines_echelon_row(family_corpus):
-    # is_engel_algebra, the Engel clause and is_left_engel all key a line by
-    # its echelon row, leading entry 1, so every vector of a line, whatever
-    # its multiple, finds one entry
+def test_engel_verdict_depends_only_on_the_line(family_corpus):
+    # every vector of a line, whatever its multiple, gets one verdict, the
+    # same after is_engel_algebra and the Engel clause have filled the
+    # bracket memos as on a fresh algebra, and is_engel_algebra holds
+    # exactly when every line's verdict does
     for label, alg in family_corpus:
         if alg.field.order**alg.dim > 100:
             continue
-        alg = _fresh(alg)
+        warm, cold = _fresh(alg), _fresh(alg)
         field, n = alg.field, alg.dim
-        is_engel_algebra(alg)
-        for h in quasi_ideals(alg):
-            lemma_suite(alg, h)
+        report = is_engel_algebra(warm)
+        for h in quasi_ideals(warm):
+            lemma_suite(warm, h)
+        verdicts = {}
         for x in itertools.product(field.elements(), repeat=n):
-            is_left_engel(alg, x)
-        memo = alg._cache["is_left_engel"]
+            line = echelonize(field, n, [x]).raw_rows
+            got = is_left_engel(warm, x)
+            assert got == is_left_engel(cold, x), (label, x)
+            verdicts.setdefault(line, set()).add(got)
         lines = (field.order**n - 1) // (field.order - 1)
-        assert len(memo) == lines + 1, label  # and the zero vector's ()
-        for key in memo:
-            assert key == () or next(c for c in key[0] if c) == 1, (label, key)
+        assert len(verdicts) == lines + 1, label  # and the zero vector's ()
+        assert all(len(v) == 1 for v in verdicts.values()), label
+        assert verdicts[()] == {True}, label
+        assert report.holds == all(v == {True} for v in verdicts.values()), label
 
 
 def test_core_of_an_ideal_computes_no_kernel(monkeypatch):
@@ -922,7 +923,7 @@ def test_engel_algebra_enumerates_or_refuses():
     refusal = r"^projective points of F\^2: 25 exceeds budget 24$"
     with pytest.raises(BudgetExceeded, match=refusal):
         is_engel_algebra(nil, budget=24)
-    assert nil._cache["is_left_engel"] == {}
+    assert "bracket_subspaces" not in nil._cache
     assert is_engel_algebra(nil, budget=25).holds
     assert EngelReport._fields == ("holds", "counterexample")
 
