@@ -18,7 +18,7 @@ with the polarized products ``[e_i, e_j] + [e_j, e_i]`` (expand
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 
 from .errors import (
     DimensionMismatch,
@@ -38,6 +38,7 @@ from .linalg import (
     raw_left_kernel,
     require_subspaces,
     unit_vec,
+    zero_subspace,
 )
 
 
@@ -265,11 +266,12 @@ def validate(table: MultiplicationTable, mode: str = "right") -> ValidationResul
 class LeibnizAlgebra:
     """A multiplication table that passes the right Leibniz identity.
 
-    ``field`` and ``dim`` are the table's, copied once.  ``_cache`` holds
-    the memos of the functions over this algebra, each under a name its
-    own module chooses and created on first use: a table keyed by raw
-    echelon rows, or a single value, which its function reads with
-    ``.get``."""
+    ``field`` and ``dim`` are the table's, copied once.  ``_cache`` is a
+    plain dict of the memos of the functions over this algebra, each under
+    a name its own module chooses: a table keyed by raw echelon rows, or a
+    single value.  Each function reads its memo with ``.get`` and creates
+    it on first use, so reading a name that no code writes raises
+    KeyError."""
 
     __slots__ = ("table", "field", "dim", "_cache")
 
@@ -281,7 +283,7 @@ class LeibnizAlgebra:
         self.table = table
         self.field = table.field
         self.dim = table.dim
-        self._cache = defaultdict(dict)
+        self._cache = {}
 
     @property
     def basis_names(self):
@@ -341,16 +343,23 @@ def squares_ideal(alg: LeibnizAlgebra) -> Subspace:
 
 
 def bracket_subspaces(alg: LeibnizAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    """[A, B], computed once per pair of subspaces of the algebra."""
+    """[A, B], computed once per pair of subspaces of the algebra; a zero
+    factor gives 0 with no bracket."""
     alg.check_subspace(a)
     alg.check_subspace(b)
-    cache = alg._cache["bracket_subspaces"]
+    cache = alg._cache.get("bracket_subspaces")
+    if cache is None:
+        cache = alg._cache["bracket_subspaces"] = {}
     key = (a.raw_rows, b.raw_rows)
     found = cache.get(key)
     if found is None:
-        br = alg.table.raw_bracket
-        gens = [br(u, v) for u in a.raw_rows for v in b.raw_rows]
-        found = cache[key] = raw_echelonize(alg.field, alg.dim, gens)
+        if a.raw_rows and b.raw_rows:
+            br = alg.table.raw_bracket
+            gens = [br(u, v) for u in a.raw_rows for v in b.raw_rows]
+            found = raw_echelonize(alg.field, alg.dim, gens)
+        else:
+            found = zero_subspace(alg.field, alg.dim)
+        cache[key] = found
     return found
 
 
@@ -375,7 +384,9 @@ def is_subalgebra(alg: LeibnizAlgebra, s: Subspace) -> bool:
     """Whether s is closed under the bracket, decided once per subspace of
     the algebra."""
     alg.check_subspace(s)
-    cache = alg._cache["is_subalgebra"]
+    cache = alg._cache.get("is_subalgebra")
+    if cache is None:
+        cache = alg._cache["is_subalgebra"] = {}
     rows = s.raw_rows
     found = cache.get(rows)
     if found is None:
@@ -401,7 +412,9 @@ def action(alg: LeibnizAlgebra, s: Subspace) -> tuple:
     ``quasi.lemma_suite`` and the quasi-ideal decision in every host all
     read it."""
     alg.check_subspace(s)
-    cache = alg._cache["action"]
+    cache = alg._cache.get("action")
+    if cache is None:
+        cache = alg._cache["action"] = {}
     found = cache.get(s.raw_rows)
     if found is None:
         br, reduce, units = alg.table.raw_bracket, s.raw_reduce, alg.full().raw_rows

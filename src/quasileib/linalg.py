@@ -121,11 +121,16 @@ class Subspace:
 
     def raw_reduce(self, v: tuple) -> tuple:
         """The canonical representative of the raw vector v modulo this
-        subspace: the zero vector when this is all of F^n."""
+        subspace, answered by shape where it is known: the zero vector is
+        returned unchanged (as a tuple), and every vector reduces to zero
+        modulo all of F^n."""
         field = self.field
+        zero = field.raw_zero
+        if v.count(zero) == self.ambient_dim:
+            return tuple(v)
         if self.dim == self.ambient_dim:
-            return (field.raw_zero,) * self.dim
-        axpy, neg, zero = field.raw_axpy, field.raw_neg, field.raw_zero
+            return (zero,) * self.dim
+        axpy, neg = field.raw_axpy, field.raw_neg
         for row, p in zip(self.raw_rows, self.pivots):
             if v[p] != zero:
                 v = axpy(neg(v[p]), v, row)
@@ -135,8 +140,10 @@ class Subspace:
         """Whether the raw vector v lies in this subspace.  The rows are in
         reduced echelon form, so that holds exactly when v is the
         combination of the rows whose coefficients are v's own entries at
-        the pivots; all of F^n holds every vector, with no arithmetic."""
-        if self.dim == self.ambient_dim:
+        the pivots.  All of F^n holds every vector and every subspace holds
+        the zero vector, with no arithmetic."""
+        n = self.ambient_dim
+        if self.dim == n or v.count(self.field.raw_zero) == n:
             return True
         coeffs = [v[p] for p in self.pivots]
         combo = raw_combination(self.field, coeffs, self.raw_rows, self.ambient_dim)
@@ -211,9 +218,26 @@ def _live_rows(field: Field, rows, ncols: int) -> list:
 
 
 def raw_echelonize(field: Field, ambient_dim: int, vectors) -> Subspace:
-    """Canonical subspace spanned by raw vectors of length ambient_dim."""
-    rows, pivots = raw_rref(field, _live_rows(field, vectors, ambient_dim), ambient_dim)
-    return Subspace(field, ambient_dim, rows, pivots)
+    """Canonical subspace spanned by raw vectors of length ambient_dim.
+    Spans of at most one live row are answered by their shape: no row
+    spans 0, and one row's echelon basis is that row divided by its leading
+    entry, pivoting at that entry's column, exactly as :func:`raw_rref`
+    would return it.  Only two or more rows are row-reduced."""
+    live = _live_rows(field, vectors, ambient_dim)
+    if len(live) > 1:
+        rows, pivots = raw_rref(field, live, ambient_dim)
+        return Subspace(field, ambient_dim, rows, pivots)
+    if not live:
+        return zero_subspace(field, ambient_dim)
+    row = live[0]
+    zero = field.raw_zero
+    for col, lead in enumerate(row):
+        if lead != zero:
+            break
+    if lead != field.raw_one:
+        f, mul = field.raw_inv(lead), field.raw_mul
+        row = tuple([x if x == zero else mul(f, x) for x in row])
+    return Subspace(field, ambient_dim, (row,), (col,))
 
 
 def echelonize(field: Field, ambient_dim: int, vectors) -> Subspace:

@@ -114,7 +114,9 @@ def is_quasi_ideal_in(
         m = alg.full()
     alg.check_subspace(h)
     alg.check_subspace(m)
-    cache = alg._cache["quasi_in"]
+    cache = alg._cache.get("quasi_in")
+    if cache is None:
+        cache = alg._cache["quasi_in"] = {}
     key = (h.raw_rows, m.raw_rows)
     verdict = cache.get(key)
     if verdict is None:
@@ -265,7 +267,9 @@ def _oracle_lines(alg, comp, budget):
     holding y on those columns and zeros elsewhere, lead its leading column
     and multiples the dict c -> c x, filled as the oracle reads it.  Built
     once per pattern per algebra."""
-    cache = alg._cache["oracle_lines"]
+    cache = alg._cache.get("oracle_lines")
+    if cache is None:
+        cache = alg._cache["oracle_lines"] = {}
     lines = cache.get(comp)
     if lines is None:
         field, n = alg.field, alg.dim
@@ -290,7 +294,9 @@ def core(alg: LeibnizAlgebra, h: Subspace) -> Subspace:
     :func:`action`.  Computed once per subspace of the algebra.
     """
     alg.check_subspace(h)
-    cache = alg._cache["core"]
+    cache = alg._cache.get("core")
+    if cache is None:
+        cache = alg._cache["core"] = {}
     found = cache.get(h.raw_rows)
     if found is None:
         found = cache[h.raw_rows] = _core(alg, h)
@@ -443,6 +449,24 @@ def _reflected_brackets(alg, h):
     return _verdict(detail is None, detail)
 
 
+def _descent(absorbs, terms, start, low, gap, tag=None):
+    """Whether T_k ``absorbs`` T_(k+gap) at k = n + low for n = start,
+    start + 1, ..., with T_k = terms[k - 1] held at the last term once the
+    series stops, as (PASS, tag) or (FAIL, the first failing n after
+    ``tag``).  From the first n with k at the last term both indices are
+    held there, so every later n repeats that check and the scan stops
+    after it."""
+    last = len(terms)
+    n = start
+    while True:
+        k = n + low
+        if not absorbs(terms[min(k, last) - 1], terms[min(k + gap, last) - 1]):
+            return (FAIL, f"n={n}" if tag is None else f"{tag}, n={n}")
+        if k >= last:
+            return (PASS, tag)
+        n += 1
+
+
 def lemma_suite(
     alg: LeibnizAlgebra,
     h: Subspace,
@@ -479,7 +503,9 @@ def lemma_suite(
     sq = bracket_subspaces(alg, h, h)  # H^2
     sq_chain = series(alg, h, "omega_of_square")  # (H^2)^1, (H^2)^2, ...
     der_chain = series(alg, h, "derived")  # H^(1), H^(2), ...
-    wraps = alg._cache["wrap"]
+    wraps = alg._cache.get("wrap")
+    if wraps is None:
+        wraps = alg._cache["wrap"] = {}
 
     def wrap(space):
         # [L, S] + [S, L] once per subspace of the algebra: bracket_subspaces
@@ -491,21 +517,12 @@ def lemma_suite(
             )
         return found
 
-    def absorbed(outer, inner, detail=None):
+    def absorbs(outer, inner):
         # [L, inner] + [inner, L] <= outer
-        return _verdict(outer.contains(wrap(inner)), detail)
+        return outer.contains(wrap(inner))
 
-    def descent(terms, start, low, gap, tag=None):
-        # T_k absorbs T_(k+gap) at k = n + low for n = start, start + 1, ...,
-        # with T_k = terms[k - 1] held at the last term once the series
-        # stops; the first failing n is reported after ``tag``
-        last = len(terms)
-        for n in range(start, last + 3):
-            k = n + low
-            outer, inner = terms[min(k, last) - 1], terms[min(k + gap, last) - 1]
-            if not outer.contains(wrap(inner)):
-                return (FAIL, f"n={n}" if tag is None else f"{tag}, n={n}")
-        return (PASS, tag)
+    def absorbed(outer, inner, detail=None):
+        return _verdict(absorbs(outer, inner), detail)
 
     c = {}
     c["reflected_brackets"] = (
@@ -520,15 +537,19 @@ def lemma_suite(
         else unchained
     )
     # [L, (H^2)^n] + [(H^2)^n, L] <= (H^2)^(n-1) for n >= 2
-    c["square_power_descent"] = descent(sq_chain, 2, -1, 1) if direct else not_direct
+    c["square_power_descent"] = (
+        _descent(absorbs, sq_chain, 2, -1, 1) if direct else not_direct
+    )
     # [L, (H^2)^(m+n)] + [(H^2)^(m+n), L] <= (H^2)^n for n >= 1
     c["chain_square_power_descent"] = (
-        descent(sq_chain, 1, 0, m, f"m={m}") if chained else unchained
+        _descent(absorbs, sq_chain, 1, 0, m, f"m={m}") if chained else unchained
     )
     # [L, H^(m+n+1)] + [H^(m+n+1), L] <= H^(m+n) for n >= 1, with m = 1 for
     # a quasi-ideal without a chain
     m_eff = m if chained else 1
-    c["derived_power_descent"] = descent(der_chain, 1, m_eff, 1, f"m={m_eff}")
+    c["derived_power_descent"] = _descent(
+        absorbs, der_chain, 1, m_eff, 1, f"m={m_eff}"
+    )
     # a perfect subquasi-ideal is an ideal
     perfect = sq == h and not h.is_zero()
     c["perfect_subquasi_is_ideal"] = (

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from quasileib import algebra, linalg
 from quasileib.algebra import (
     LeibnizAlgebra,
     MultiplicationTable,
@@ -37,12 +38,21 @@ from quasileib.errors import (
 )
 from quasileib.families import (
     abelian,
+    almost_abelian_lie,
     k2,
     non_lie_almost_abelian,
     two_dim_solvable_cyclic,
 )
-from quasileib.fields import GF2, GF3, QQ, FunctionField
-from quasileib.linalg import DEFAULT_BUDGET, echelonize, unit_vec, vec, zero_subspace
+from quasileib.fields import GF2, GF3, QQ, FunctionField, PrimeField
+from quasileib.linalg import (
+    DEFAULT_BUDGET,
+    echelonize,
+    full_subspace,
+    raw_echelonize,
+    unit_vec,
+    vec,
+    zero_subspace,
+)
 
 F2T = FunctionField(2)
 
@@ -344,6 +354,78 @@ def test_zero_products_do_no_arithmetic(monkeypatch):
             table.raw_bracket(u, v)
             expected = 1 if u[a] * v[b] % 3 else 0
             assert calls["raw_axpy"] == expected, (u, v)
+
+
+def test_known_answers_do_no_arithmetic(monkeypatch):
+    # the zero vector, a zero factor and a span of one live row are
+    # answered by their shape: count the prime field's arithmetic, the
+    # eliminations and combinations of linalg, and the brackets and
+    # echelonizations of bracket_subspaces
+    calls = dict.fromkeys(
+        ("raw_axpy", "raw_mul", "raw_inv", "raw_neg", "raw_rref",
+         "raw_combination", "raw_echelonize", "raw_bracket"),
+        0,
+    )
+
+    def counted(owner, name):
+        op = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return op(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("raw_axpy", "raw_mul", "raw_inv", "raw_neg"):
+        counted(PrimeField, name)
+    counted(linalg, "raw_rref")
+    counted(linalg, "raw_combination")
+    counted(algebra, "raw_echelonize")
+    counted(MultiplicationTable, "raw_bracket")
+
+    def reset():
+        for name in calls:
+            calls[name] = 0
+
+    gf5 = PrimeField(5)
+    for field in (GF3, gf5):
+        z = (0,) * 4
+        line = echelonize(field, 4, [vec(field, (0, 1, 2, 1))])
+        plane = echelonize(field, 4, [vec(field, (1, 0, 1, 0)), vec(field, (0, 0, 1, 2))])
+        for s in (zero_subspace(field, 4), line, plane, full_subspace(field, 4)):
+            reset()
+            assert s.raw_reduce(z) is z and s.raw_contains(z) is True
+            assert s.raw_contains([0] * 4) is True
+            assert set(calls.values()) == {0}, (s, calls)
+
+    alg = almost_abelian_lie(GF3, 3)
+    zero, full = zero_subspace(GF3, 3), alg.full()
+    for a, b in ((zero, full), (full, zero), (zero, zero)):
+        reset()
+        assert bracket_subspaces(alg, a, b) == zero
+        assert set(calls.values()) == {0}, calls
+        assert (a.raw_rows, b.raw_rows) in alg._cache["bracket_subspaces"]
+        with pytest.raises(DimensionMismatch):
+            bracket_subspaces(alg, a, zero_subspace(GF3, 4))
+        with pytest.raises(MixedFields):
+            bracket_subspaces(alg, zero_subspace(GF2, 3), b)
+
+    # one live row among zero rows and repeats: one inverse and one product
+    # per nonzero entry, or none when the leading entry is already 1
+    for row, pivot, expected in (
+        ((0, 3, 1, 0), 1, ((0, 1, 2, 0), 1, 2)),
+        ((0, 0, 4, 4), 2, ((0, 0, 1, 1), 1, 2)),
+        ((1, 0, 4, 2), 0, ((1, 0, 4, 2), 0, 0)),
+    ):
+        reset()
+        s = raw_echelonize(gf5, 4, [(0,) * 4, row, row, (0,) * 4])
+        line, inverses, products = expected
+        assert (s.raw_rows, s.pivots) == ((line,), (pivot,))
+        assert calls["raw_inv"] == inverses and calls["raw_mul"] == products
+        assert calls["raw_rref"] == calls["raw_axpy"] == calls["raw_neg"] == 0
+    reset()
+    assert raw_echelonize(gf5, 3, [(0,) * 3] * 2).is_zero()
+    assert set(calls.values()) == {0}, calls
 
 
 def test_bracket_subspaces_memo_matches_fresh_echelonization(family_corpus):

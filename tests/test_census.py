@@ -93,6 +93,7 @@ from quasileib.linalg import (
     zero_subspace,
 )
 from tests.conftest import gf2_dim3_class_representatives, transport
+from tests.test_hygiene import MEMO_TABLES
 
 F2T = FunctionField(2)
 
@@ -967,15 +968,6 @@ def test_harness_never_decides_the_algebra_itself(family_corpus, monkeypatch):
     assert len(members) > 10
 
 
-# the memo tables an algebra may hold: each is read again often enough, or
-# costs enough to rebuild, to pay for its entries
-_MEMO_TABLES = {
-    "full", "squares_ideal", "center", "subalgebras", "bracket_subspaces",
-    "is_subalgebra", "action", "quasi_in", "oracle_lines", "core",
-    "subquasi_bfs", "wrap",
-}
-
-
 def test_census_and_corpus_keep_only_the_listed_memo_tables(monkeypatch):
     # every algebra a census --lemmas run and a seed-0 family_corpus pass
     # build, quotients included, is recorded; none holds a table outside
@@ -996,7 +988,7 @@ def test_census_and_corpus_keep_only_the_listed_memo_tables(monkeypatch):
         request(label, obj)
     assert len(built) > 100
     tables = set().union(*(alg._cache for alg in built))
-    assert tables <= _MEMO_TABLES, sorted(tables - _MEMO_TABLES)
+    assert tables <= MEMO_TABLES, sorted(tables - MEMO_TABLES)
     assert not tables & {"is_ideal", "series", "is_left_engel", "quotient"}
 
 

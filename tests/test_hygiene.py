@@ -1,6 +1,7 @@
 """Static hygiene of the sources, read with ``ast`` and never imported: no
-module imports a name it does not use, and every name a module lists in
-``__all__`` is one it defines."""
+module imports a name it does not use, every name a module lists in
+``__all__`` is one it defines, and every memo table the package reads or
+writes on ``LeibnizAlgebra._cache`` is one of :data:`MEMO_TABLES`."""
 
 import ast
 import pathlib
@@ -11,6 +12,15 @@ SOURCES = sorted(
     for folder in ("src/quasileib", "tests", "perfbench")
     for path in (ROOT / folder).glob("*.py")
 )
+
+# the memo tables an algebra may hold in LeibnizAlgebra._cache, by the name
+# their owner uses: each is read again often enough, or costs enough to
+# rebuild, to pay for its entries
+MEMO_TABLES = {
+    "full", "squares_ideal", "center", "subalgebras", "bracket_subspaces",
+    "is_subalgebra", "action", "quasi_in", "oracle_lines", "core",
+    "subquasi_bfs", "wrap",
+}
 
 
 def _tree(path):
@@ -86,3 +96,42 @@ def test_all_names_are_defined():
         for name in sorted(set(_exported(tree)) - _defined(tree)):
             missing.append((path.relative_to(ROOT).as_posix(), name))
     assert missing == []
+
+
+def _cache_keys(tree):
+    """(key, line) for every ``x._cache[key]`` and ``x._cache.get(key)``;
+    the key is the string when it is a string literal, else None."""
+
+    def is_cache(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_cache"
+
+    def literal(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and is_cache(node.value):
+            yield literal(node.slice), node.lineno
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and is_cache(node.func.value)
+        ):
+            yield literal(node.args[0]) if node.args else None, node.lineno
+
+
+def test_memo_names_are_the_listed_tables():
+    # a misspelt or retired memo name is caught here, not by a silent miss;
+    # a listed table that no code uses any more must leave the list
+    used, unknown = set(), []
+    for path in SOURCES:
+        if path.parent.name != "quasileib":
+            continue
+        for key, line in _cache_keys(_tree(path)):
+            used.add(key)
+            if key not in MEMO_TABLES:
+                unknown.append((path.relative_to(ROOT).as_posix(), line, key))
+    assert unknown == []
+    assert used == MEMO_TABLES

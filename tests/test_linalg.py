@@ -9,7 +9,7 @@ from quasileib.errors import (
     MixedFields,
     UnsupportedField,
 )
-from quasileib.fields import GF2, GF3, QQ, FunctionField
+from quasileib.fields import GF2, GF3, QQ, FunctionField, PrimeField
 from quasileib.linalg import (
     echelonize,
     enumerate_subspaces,
@@ -28,6 +28,7 @@ from quasileib.linalg import (
 from tests.test_fields import random_scalar
 
 F2T = FunctionField(2)
+GF5 = PrimeField(5)
 
 
 def gaussian_binomial(q, n, k):
@@ -387,3 +388,51 @@ def test_zero_and_repeated_rows_change_no_reduction(field):
                 assert dot == field.raw_zero
         _, pivots = raw_rref(field, padded_cols, m)
         assert kernel.dim == m - len(pivots)
+
+
+@pytest.mark.parametrize("field", [GF2, GF5, QQ, F2T], ids=repr)
+def test_short_spans_echelonize_as_rref(field):
+    # raw_echelonize answers 0 and 1 live rows by their shape and
+    # row-reduces 2 or more; each must give exactly raw_rref's rows and
+    # pivots on the same padded rows
+    rng = random.Random(f"short spans/{field}")
+    zero = field.raw_zero
+    for n in range(1, 6):
+        dead = [(zero,) * n] * rng.randrange(0, 3)
+        cases = [[], dead]
+        for live in (1, 1, 1, 2, 3):
+            rows = []
+            while len(rows) < live:
+                row = field.unwrap(tuple(random_scalar(field, rng) for _ in range(n)))
+                if row != (zero,) * n:
+                    rows.append(row)
+            padded = rows + dead + [rng.choice(rows) for _ in range(rng.randrange(3))]
+            rng.shuffle(padded)
+            cases.append(padded)
+        # one row whose leading entry is not 1, where the field has one
+        lead = random_scalar(field, rng, nonzero=True)
+        if lead != field.one:
+            tail = tuple(random_scalar(field, rng) for _ in range(n - 1))
+            cases.append([field.unwrap((lead,) + tail)] * 2 + dead)
+        for rows in cases:
+            span = raw_echelonize(field, n, rows)
+            assert (span.raw_rows, span.pivots) == raw_rref(field, rows, n), rows
+            assert span.dim == len(span.raw_rows)
+
+
+@pytest.mark.parametrize("field", [GF2, GF5, QQ, F2T], ids=repr)
+def test_zero_vector_answers_by_its_shape(field):
+    # every subspace holds the zero vector and reduces it to itself
+    rng = random.Random(f"zero vector/{field}")
+    for n in range(1, 5):
+        z = (field.raw_zero,) * n
+        spaces = [zero_subspace(field, n), full_subspace(field, n)]
+        if n > 1:
+            # a line, a proper subspace
+            row = [random_scalar(field, rng, nonzero=True)]
+            row += [random_scalar(field, rng) for _ in range(n - 1)]
+            spaces.append(echelonize(field, n, [row]))
+            assert spaces[-1].dim == 1
+        for s in spaces:
+            assert s.raw_reduce(z) == z and type(s.raw_reduce(list(z))) is tuple
+            assert s.raw_contains(z) is True and s.raw_contains(list(z)) is True

@@ -62,10 +62,14 @@ from quasileib.linalg import (
     vec,
     zero_subspace,
 )
+from quasileib import quasi
 from quasileib.quasi import (
+    FAIL,
+    PASS,
     EngelReport,
     QuasiIdealVerdict,
     SubquasiChain,
+    _descent,
     _subquasi_bfs,
     core,
     is_engel_algebra,
@@ -926,6 +930,85 @@ def test_engel_algebra_enumerates_or_refuses():
     assert "bracket_subspaces" not in nil._cache
     assert is_engel_algebra(nil, budget=25).holds
     assert EngelReport._fields == ("holds", "counterexample")
+
+
+def test_reading_an_unwritten_memo_raises():
+    # _cache is a plain dict: a name no code writes is absent after a full
+    # analysis, and reading it raises instead of creating an empty table
+    alg = almost_abelian_lie(GF3, 3)
+    assert alg._cache == {}
+    for h in quasi_ideals(alg):
+        lemma_suite(alg, h)
+    is_engel_algebra(alg)
+    is_left_engel(alg, vec(GF3, (1, 0, 0)))
+    assert alg._cache
+    with pytest.raises(KeyError):
+        alg._cache["is_left_engel"]
+    assert "is_left_engel" not in alg._cache
+
+
+def _reference_descent(absorbs, terms, start, low, gap, tag=None):
+    """The descent scan of lemma_suite before it stopped at the first
+    clamped n: every n from start to len(terms) + 2."""
+    last = len(terms)
+    for n in range(start, last + 3):
+        k = n + low
+        outer, inner = terms[min(k, last) - 1], terms[min(k + gap, last) - 1]
+        if not absorbs(outer, inner):
+            return (FAIL, f"n={n}" if tag is None else f"{tag}, n={n}")
+    return (PASS, tag)
+
+
+def test_descent_matches_the_full_scan_on_any_predicate():
+    # every series length and shift lemma_suite can ask for, under random
+    # absorption predicates, so that failures and their n are compared too
+    rng = random.Random(29)
+    seen = Counter()
+    for last in range(1, 6):
+        terms = list(range(last))
+        for start, low, gap in itertools.product((1, 2), (-1, 0, 1, 2, 3), (1, 2, 3)):
+            if start + low < 1:
+                continue
+            for _ in range(12):
+                table = {pair: rng.random() < 0.8 for pair in itertools.product(terms, repeat=2)}
+                absorbs = lambda outer, inner: table[outer, inner]
+                for tag in (None, "m=2"):
+                    got = _descent(absorbs, terms, start, low, gap, tag)
+                    assert got == _reference_descent(absorbs, terms, start, low, gap, tag)
+                    seen[got[0]] += 1
+    assert seen[PASS] and seen[FAIL]
+
+
+def test_lemma_suite_matches_the_full_descent_scan(monkeypatch, gf3_dim3_census):
+    # every quasi-ideal and every m >= 2 chain of the finite seed-0 corpus
+    # and of the GF(2) and GF(3) dim-3 census classes
+    from perfbench.corpus import build
+
+    algebras = [
+        LeibnizAlgebra(table_from_json(obj))
+        for _, obj in build(0)
+        if obj["field"]["kind"] == "prime"
+    ]
+    assert len(algebras) == 35
+    algebras += gf2_dim3_class_representatives()
+    algebras += [
+        LeibnizAlgebra(MultiplicationTable(GF3, 3, entry.algebra.table.raw))
+        for entry in gf3_dim3_census.classes
+    ]
+    suites = Counter()
+    for alg in algebras:
+        cases = [(h, None) for h in quasi_ideals(alg)]
+        for s in subalgebras(alg):
+            chain = subquasi_chain(alg, s)
+            if chain is not None and chain.m >= 2:
+                cases.append((s, chain))
+        for h, chain in cases:
+            got = lemma_suite(alg, h, chain)
+            with monkeypatch.context() as patched:
+                patched.setattr(quasi, "_descent", _reference_descent)
+                assert lemma_suite(alg, h, chain) == got, (alg, h, chain)
+            suites["chain" if chain else "quasi-ideal"] += 1
+    assert suites == {"quasi-ideal": 1351, "chain": 175}
 
 
 def test_nilpotent_algebras_are_engel(family_corpus):
