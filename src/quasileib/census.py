@@ -16,18 +16,17 @@ Catalogue verdicts (``classify_q_member``):
 
 One reading feeds every verdict: the squares ideal I, the centre Z, the
 Lie algebra L/I and its almost-abelian element are computed once.  The
-almost-abelian matchers replay [x, a] = x on the derived subalgebra, the
-characteristic-2 family replays every structure constant in a
-reconstructed basis, and E + Z reads its squares form off [L, L] = I.  A
-``non_lie_almost_abelian`` vocabulary tag exists for the core-free shape
-I + Fh with [x,h] = x; algebras of that shape with dim I >= 2 are reported
-as ``outside_catalogue`` with the shape recorded in the facts, and the
-census lists them as discrepancies whenever the oracle also puts them in
-the all-subalgebras-are-quasi-ideals class.  The dimension-of-squares
-distribution of those members is part of every report.  The dim <= 1
-expectation for that distribution does not hold for this shape: it is in
-the class for every dim I, over every field, by the argument in
-:func:`match_non_lie_almost_abelian`.
+almost-abelian matcher replays [x, a] = x on the derived subalgebra, and
+E + Z and the characteristic-2 family read one squares form off the
+products at I's pivot.  A ``non_lie_almost_abelian`` vocabulary tag exists
+for the core-free shape I + Fh with [x,h] = x; algebras of that shape with
+dim I >= 2 are reported as ``outside_catalogue`` with the shape recorded in
+the facts, and the census lists them as discrepancies whenever the oracle
+also puts them in the all-subalgebras-are-quasi-ideals class.  The
+dimension-of-squares distribution of those members is part of every
+report.  The dim <= 1 expectation for that distribution does not hold for
+this shape: it is in the class for every dim I, over every field, by the
+argument in :func:`classify_q_member`.
 """
 
 from __future__ import annotations
@@ -146,40 +145,24 @@ def _cyclic_subalgebra(alg: LeibnizAlgebra, x: tuple) -> Subspace:
 # catalogue matchers
 #
 # The matchers compute on raw vectors (``Field.unwrap``) and return them raw:
-# census code only tests them against None or lifts them from a quotient.
+# census code only tests them against None.
 # ---------------------------------------------------------------------------
-
-
-def _scalar_multiple(field: Field, rows, images):
-    """The common raw c with images[i] = c * rows[i] for raw vectors, or
-    None."""
-    mul, zero = field.raw_mul, field.raw_zero
-    c = None
-    for row, img in zip(rows, images):
-        pivot = next((j for j, s in enumerate(row) if s != zero), None)
-        if pivot is None:
-            return None
-        ci = mul(img[pivot], field.raw_inv(row[pivot]))
-        if c is None:
-            c = ci
-        elif ci != c:
-            return None
-        if img != tuple([mul(ci, a) for a in row]):
-            return None
-    return c
 
 
 def _acting_unit(alg: LeibnizAlgebra, s: Subspace):
     """w / c for the unit vector w at the first non-pivot column of S, when
-    [x, w] = c x on S with c != 0, as a raw vector; else None."""
-    field, br = alg.field, alg.table.raw_bracket
-    col = s.non_pivots()[0]
-    w = raw_identity(field, alg.dim)[col]
-    c = _scalar_multiple(field, s.raw_rows, [br(x, w) for x in s.raw_rows])
-    if c is None or c == field.raw_zero:
+    [x, w] = c x on S with c != 0, as a raw vector; else None.  Echelon rows
+    have entry 1 at their pivots, so c is the first image's entry at the
+    first pivot."""
+    field, br, mul = alg.field, alg.table.raw_bracket, alg.field.raw_mul
+    w = raw_identity(field, alg.dim)[s.non_pivots()[0]]
+    c = br(s.raw_rows[0], w)[s.pivots[0]]
+    if c == field.raw_zero or any(
+        br(x, w) != tuple([mul(c, a) for a in x]) for x in s.raw_rows
+    ):
         return None
     inv = field.raw_inv(c)
-    return tuple(field.raw_mul(inv, a) for a in w)
+    return tuple(mul(inv, a) for a in w)
 
 
 def match_almost_abelian_lie(alg: LeibnizAlgebra):
@@ -194,94 +177,6 @@ def match_almost_abelian_lie(alg: LeibnizAlgebra):
     if not bracket_subspaces(alg, derived, derived).is_zero():
         return None
     return _acting_unit(alg, derived)
-
-
-def match_non_lie_almost_abelian(alg: LeibnizAlgebra):
-    """The normalized h with L = I + Fh, [x, h] = x, [h, x] = [h, h] = 0
-    where I is the ideal of squares, as a raw vector, or None.
-
-    Every subalgebra of this shape is a quasi-ideal, for every dim I and
-    over every field (I is abelian):
-
-    1. Take a subalgebra S that contains x + ch, with x in I and c != 0.
-       Then [x + ch, x + ch] = cx lies in S, so x and then h lie in S.
-    2. So the subalgebras are the subspaces J of I, and the subspaces
-       Fh + J.
-    3. Take a line K = F(y + dh), with y in I.  Then [J, K] = dJ and
-       [K, J] = 0; also [h, K] = 0 and [K, h] = y = (y + dh) - dh.  Each of
-       these lies in Fh + J + K, and the first two in J + K.
-    4. So every subalgebra permutes with every line, and by bilinearity
-       ([H, K1 + K2] = [H, K1] + [H, K2]) with every subspace.
-    """
-    ideal = squares_ideal(alg)
-    if ideal.dim != alg.dim - 1 or ideal.dim < 1:
-        return None
-    h0 = _acting_unit(alg, ideal)
-    if h0 is None:
-        return None
-    field, br = alg.field, alg.table.raw_bracket
-    # h = h0 - [h0, h0]
-    h = tuple(field.raw_axpy(field.raw_neg(field.raw_one), h0, br(h0, h0)))
-    zeros = (field.raw_zero,) * alg.dim
-    if br(h, h) != zeros or any(
-        br(x, h) != x or br(h, x) != zeros for x in ideal.raw_rows
-    ):
-        return None
-    return h
-
-
-def _char2_family_dim(alg, ideal, quot, abar, budget):
-    """dim_C for the characteristic-2 family C + Fz + Fh, or None.
-
-    The caller has checked that the algebra is non-Lie of characteristic 2,
-    that its squares ideal I is its centre and has dimension 1, and that
-    ``quot`` = L/I is almost abelian Lie with normalized element ``abar``.
-    Reconstructs an explicit basis: z = [h, h] spans I, h lifts ``abar``,
-    c_i = [b_i, h] lift the abelian part.  The reconstructed structure
-    constants must match the family shape exactly and the extended
-    diagonal (the squares form) must be anisotropic, which forces the
-    diagonal coefficients outside the squares of the field.
-    """
-    field = alg.field
-    br, zero = alg.table.raw_bracket, field.raw_zero
-    zeros = (zero,) * alg.dim
-    comp = ideal.non_pivots()
-    lift = lambda qv: tuple(
-        qv[comp.index(c)] if c in comp else zero for c in range(alg.dim)
-    )
-    h = lift(abar)
-    # a square, so it lies in I and spans I unless it is zero
-    z = br(h, h)
-    if z == zeros:
-        return None
-    qfull = quot.full()
-    qder = bracket_subspaces(quot, qfull, qfull)
-    cs = [br(lift(row), h) for row in qder.raw_rows]
-    basis = cs + [z, h]
-    if raw_echelonize(field, alg.dim, basis).dim != alg.dim:
-        return None
-    k = len(cs)
-    # verify the family table in the reconstructed basis
-    diag = []
-    for i, ci in enumerate(cs):
-        if br(ci, h) != ci or br(h, ci) != ci:
-            return None
-        for j, cj in enumerate(cs):
-            val = br(ci, cj)
-            coeff = _scalar_multiple(field, (z,), (val,))
-            if coeff is None or br(cj, ci) != val:
-                return None
-            if i == j:
-                diag.append(coeff)
-    if any(br(v, z) != zeros or br(z, v) != zeros for v in basis):
-        return None
-    ext = diag + [field.raw_one]
-    gram = tuple(
-        tuple(ext[i] if i == j else zero for j in range(k + 1)) for i in range(k + 1)
-    )
-    if not is_anisotropic(field, gram, budget=budget):
-        return None
-    return k
 
 
 class ClassificationResult(
@@ -302,6 +197,52 @@ def classify_q_member(
 
     The squares ideal I, the centre Z, the Lie algebra L/I and its
     almost-abelian element are read once, and every verdict reads them.
+
+    E + Z and the characteristic-2 family read one squares form
+    q(x) = [x, x], when dim I = 1 and I <= Z.  I = F r with r's pivot entry
+    1 and every square lies in I, so [x, x] = q(x) r with q(x) the entry of
+    [x, x] at that pivot, and the Gram rows are the products of the unit
+    vectors off Z's pivots, read at I's pivot.  E + Z is the case L/I
+    abelian and q anisotropic off Z.  The family C + Fz + Fh is the case of
+    characteristic 2, Z = I, L/I almost abelian and q anisotropic on L/I.
+    Anisotropy does not depend on the basis, and the right identity
+    [u, [v, w]] = [[u, v], w] - [[u, w], v] forces the family's other
+    products in any lift, so no basis of the family is rebuilt:
+
+    1. Let h lift the element a of L/I, z = [h, h], and c_i = [b_i, h] for
+       lifts b_i of a basis of [L/I, L/I]; c_i lifts b_i, as [b, a] = b
+       there.
+    2. I is central, so [c_i, h] = c_i.  L/I is Lie of characteristic 2, so
+       [h, c_i] = c_i + y with y in I, and the identity at (h, c_i, h) gives
+       [h, c_i] = [h, [c_i, h]] = [[h, c_i], h] - [z, c_i] = c_i.
+    3. [L/I, L/I] is abelian, so [c_i, c_j] lies in I and
+       [h, [c_i, c_j]] = 0; the identity at (h, c_i, c_j) gives
+       [c_i, c_j] = [c_j, c_i].  Products with z vanish.
+    4. What is left of the family is z != 0, which makes c_i, z, h a basis
+       with [c_i, c_j] = G_ij z, and the diagonal form diag(G_ii) + 1
+       anisotropic.  The cross terms cancel in characteristic 2, so
+       q(sum g_i c_i + t h) = (sum G_ii g_i^2 + t^2) z, and z = 0 gives
+       q(h) = 0: together the two say that q is anisotropic on L/I.
+
+    The shape I + Fh (recorded as the facts ``shape`` and ``dim_i``) is
+    dim I = n - 1 >= 1 with [x, w] = c x on I for some c != 0, where w is
+    the unit vector off I's pivots (:func:`_acting_unit`).  Let h0 = w / c
+    and s = [h0, h0], which lies in I.  [L, I] = 0 (see :func:`in_class_q`)
+    and [s, h0] = s, so h = h0 - s has [x, h] = x and [h, x] = 0 for x in I
+    and [h, h] = s - [h0, s] - [s, h0] + [s, s] = 0.
+
+    Every subalgebra of this shape is a quasi-ideal, for every dim I and
+    over every field (I is abelian):
+
+    1. Take a subalgebra S that contains x + ch, with x in I and c != 0.
+       Then [x + ch, x + ch] = cx lies in S, so x and then h lie in S.
+    2. So the subalgebras are the subspaces J of I, and the subspaces
+       Fh + J.
+    3. Take a line K = F(y + dh), with y in I.  Then [J, K] = dJ and
+       [K, J] = 0; also [h, K] = 0 and [K, h] = y = (y + dh) - dh.  Each of
+       these lies in Fh + J + K, and the first two in J + K.
+    4. So every subalgebra permutes with every line, and by bilinearity
+       ([H, K1 + K2] = [H, K1] + [H, K2]) with every subspace.
     """
     ideal = squares_ideal(alg)
     zl = center(alg)
@@ -331,24 +272,19 @@ def classify_q_member(
         return ClassificationResult(OUTSIDE_CATALOGUE, {}, facts)
     if alg.dim == 2 and not facts["is_nilpotent"]:
         return ClassificationResult(TWO_DIM_SOLVABLE, {}, facts)
-    if ideal.dim == 1 and zl.contains(ideal) and shape == "abelian":
-        # E + Z: I <= [L, L] always, so [L, L] = I = F r with r's pivot
-        # entry 1, and the squares form off the centre reads every product
-        # at that pivot
-        col, cube, comp = ideal.pivots[0], alg.table.raw, zl.non_pivots()
-        gram = [[cube[u][v][col] for v in comp] for u in comp]
-        if is_anisotropic(alg.field, gram, budget=budget):
-            return ClassificationResult(
-                EXTRASPECIAL_SUM,
-                {"dim_e": alg.dim - zl.dim + 1, "dim_z": zl.dim - 1},
-                facts,
-            )
-    if char2 and ideal.dim == 1 and zl == ideal and shape == "almost_abelian":
-        c2 = _char2_family_dim(alg, ideal, quot, abar, budget)
-        if c2 is not None:
-            return ClassificationResult(CHAR2_FAMILY, {"dim_c": c2}, facts)
-    if match_non_lie_almost_abelian(alg) is not None:
-        facts = dict(facts)
+    if ideal.dim == 1 and zl.contains(ideal):
+        found = None
+        if shape == "abelian":
+            dim_z = zl.dim - 1
+            found = EXTRASPECIAL_SUM, {"dim_e": alg.dim - dim_z, "dim_z": dim_z}
+        elif char2 and zl == ideal and shape == "almost_abelian":
+            found = CHAR2_FAMILY, {"dim_c": alg.dim - 2}
+        if found:
+            col, cube, comp = ideal.pivots[0], alg.table.raw, zl.non_pivots()
+            gram = [[cube[u][v][col] for v in comp] for u in comp]
+            if is_anisotropic(alg.field, gram, budget=budget):
+                return ClassificationResult(*found, facts)
+    if ideal.dim == alg.dim - 1 >= 1 and _acting_unit(alg, ideal) is not None:
         facts["shape"] = NON_LIE_ALMOST_ABELIAN
         facts["dim_i"] = ideal.dim
     return ClassificationResult(OUTSIDE_CATALOGUE, {}, facts)

@@ -44,7 +44,6 @@ from quasileib.census import (
     OUTSIDE_CATALOGUE,
     TWO_DIM_SOLVABLE,
     ClassificationResult,
-    _scalar_multiple,
     algebra_invariants,
     are_isomorphic,
     canonical_table_key,
@@ -52,7 +51,6 @@ from quasileib.census import (
     in_class_q,
     lemma_harness,
     match_almost_abelian_lie,
-    match_non_lie_almost_abelian,
     sweep_tables,
 )
 from quasileib.quasi import (
@@ -125,9 +123,8 @@ def test_in_class_q_fixtures():
     assert in_class_q(es)[0]
     held, failing = in_class_q(k2(GF2))
     assert not held and failing is not None
-    # the I + Fh shape passes for every dim I (see
-    # match_non_lie_almost_abelian), and the census records it as a
-    # discrepancy
+    # the I + Fh shape passes for every dim I (see classify_q_member), and
+    # the census records it as a discrepancy
     for field, top in ((GF2, 4), (GF3, 3)):
         for dim_i in range(2, top + 1):
             assert in_class_q(non_lie_almost_abelian(field, dim_i)) == (True, None)
@@ -251,14 +248,16 @@ def _sample_scalar(field, rng):
 
 @pytest.mark.parametrize("field", [QQ, F2T], ids=["qq", "gf2t"])
 def test_non_lie_almost_abelian_argument_replays(field):
-    # the four steps in match_non_lie_almost_abelian's docstring, on a
-    # seeded sample of subspaces of I + Fh (basis x1, ..., h) for dim I = 2..5
+    # the four steps of the I + Fh argument in classify_q_member's
+    # docstring, on a seeded sample of subspaces of I + Fh (basis x1, ...,
+    # h) for dim I = 2..5
     rng = random.Random(0)
     for dim_i in range(2, 6):
         alg = non_lie_almost_abelian(field, dim_i)
         n = dim_i + 1
         h = alg.basis_vector(dim_i)
-        assert field.wrap(match_non_lie_almost_abelian(alg)) == h
+        facts = classify_q_member(alg).facts
+        assert (facts["shape"], facts["dim_i"]) == (NON_LIE_ALMOST_ABELIAN, dim_i)
         ideal = echelonize(field, n, [alg.basis_vector(i) for i in range(dim_i)])
 
         def sample(last=0):
@@ -343,8 +342,61 @@ def test_family_round_trip_classification(make, verdict, params):
 
 
 # The catalogue as it read before classify_q_member took one reading of I, Z
-# and L/I: the Liesation tag, the E + Z matcher, the characteristic-2 matcher
-# and the classifier, verbatim but for their names.
+# and L/I and one squares form: the Liesation tag, the E + Z matcher, the
+# characteristic-2 matcher, the I + Fh matcher, their scalar helpers and the
+# classifier, verbatim but for their names.
+
+
+def _ref_scalar_multiple(field, rows, images):
+    """The common raw c with images[i] = c * rows[i] for raw vectors, or
+    None."""
+    mul, zero = field.raw_mul, field.raw_zero
+    c = None
+    for row, img in zip(rows, images):
+        pivot = next((j for j, s in enumerate(row) if s != zero), None)
+        if pivot is None:
+            return None
+        ci = mul(img[pivot], field.raw_inv(row[pivot]))
+        if c is None:
+            c = ci
+        elif ci != c:
+            return None
+        if img != tuple([mul(ci, a) for a in row]):
+            return None
+    return c
+
+
+def _ref_acting_unit(alg: LeibnizAlgebra, s):
+    """w / c for the unit vector w at the first non-pivot column of S, when
+    [x, w] = c x on S with c != 0, as a raw vector; else None."""
+    field, br = alg.field, alg.table.raw_bracket
+    col = s.non_pivots()[0]
+    w = raw_identity(field, alg.dim)[col]
+    c = _ref_scalar_multiple(field, s.raw_rows, [br(x, w) for x in s.raw_rows])
+    if c is None or c == field.raw_zero:
+        return None
+    inv = field.raw_inv(c)
+    return tuple(field.raw_mul(inv, a) for a in w)
+
+
+def _ref_match_non_lie_almost_abelian(alg: LeibnizAlgebra):
+    """The normalized h with L = I + Fh, [x, h] = x, [h, x] = [h, h] = 0
+    where I is the ideal of squares, as a raw vector, or None."""
+    ideal = squares_ideal(alg)
+    if ideal.dim != alg.dim - 1 or ideal.dim < 1:
+        return None
+    h0 = _ref_acting_unit(alg, ideal)
+    if h0 is None:
+        return None
+    field, br = alg.field, alg.table.raw_bracket
+    # h = h0 - [h0, h0]
+    h = tuple(field.raw_axpy(field.raw_neg(field.raw_one), h0, br(h0, h0)))
+    zeros = (field.raw_zero,) * alg.dim
+    if br(h, h) != zeros or any(
+        br(x, h) != x or br(h, x) != zeros for x in ideal.raw_rows
+    ):
+        return None
+    return h
 
 
 def _ref_match_extraspecial_sum(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
@@ -371,7 +423,10 @@ def _ref_match_extraspecial_sum(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGE
     field, br = alg.field, alg.table.raw_bracket
     eye = raw_identity(field, alg.dim)
     gram = [
-        [_scalar_multiple(field, ideal.raw_rows, (br(eye[u], eye[v]),)) for v in comp]
+        [
+            _ref_scalar_multiple(field, ideal.raw_rows, (br(eye[u], eye[v]),))
+            for v in comp
+        ]
         for u in comp
     ]
     if any(None in row for row in gram):
@@ -410,7 +465,7 @@ def _ref_match_char2_family(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     h = lift(abar)
     z = br(h, h)
     # a zero z is the multiple 0 of the ideal's row
-    if _scalar_multiple(field, ideal.raw_rows, (z,)) in (None, zero):
+    if _ref_scalar_multiple(field, ideal.raw_rows, (z,)) in (None, zero):
         return None
     qfull = quot.full()
     qder = bracket_subspaces(quot, qfull, qfull)
@@ -426,7 +481,7 @@ def _ref_match_char2_family(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
             return None
         for j, cj in enumerate(cs):
             val = br(ci, cj)
-            coeff = _scalar_multiple(field, (z,), (val,))
+            coeff = _ref_scalar_multiple(field, (z,), (val,))
             if coeff is None or br(cj, ci) != val:
                 return None
             if i == j:
@@ -492,7 +547,7 @@ def _reference_classify(
     c2 = _ref_match_char2_family(alg, budget=budget)
     if c2 is not None:
         return ClassificationResult(CHAR2_FAMILY, {"dim_c": c2}, facts)
-    if match_non_lie_almost_abelian(alg) is not None:
+    if _ref_match_non_lie_almost_abelian(alg) is not None:
         facts = dict(facts)
         facts["shape"] = NON_LIE_ALMOST_ABELIAN
         facts["dim_i"] = ideal.dim
@@ -506,6 +561,13 @@ def _random_base_change(alg, rng):
         rows = [vec(field, [rng.randrange(field.p) for _ in range(n)]) for _ in range(n)]
         if echelonize(field, n, rows).dim == n:
             return transport(alg, rows)
+
+
+def _dense_basis(field, n):
+    """A fixed basis of F^n over every field: the rows of L U for the
+    all-ones unitriangular L (lower) and U (upper), with entry (i, j)
+    equal to min(i, j) + 1 and determinant 1."""
+    return [vec(field, [min(i, j) + 1 for j in range(n)]) for i in range(n)]
 
 
 def _assert_same_classification(alg):
@@ -525,8 +587,73 @@ def test_classification_matches_the_reference(gf2_dim4_census, gf3_dim3_census):
         for entry in report.classes:
             _assert_same_classification(entry.algebra)
             _assert_same_classification(_random_base_change(entry.algebra, rng))
-    for make, _, _ in EXPECTED_VERDICTS:
-        _assert_same_classification(make())
+    # every family instance, over QQ and GF(2)(t) too, also in a dense
+    # basis, where the characteristic-2 Gram rows have cross terms
+    for make, verdict, params in EXPECTED_VERDICTS:
+        alg = make()
+        moved = transport(alg, _dense_basis(alg.field, alg.dim))
+        _assert_same_classification(alg)
+        _assert_same_classification(moved)
+        assert classify_q_member(moved)[:2] == (verdict, params)
+
+
+def _replay_catalogue_lemmas(algebras):
+    """Replay the two lemmas of classify_q_member's docstring on each
+    algebra that meets their hypotheses, and count (a)'s algebras, (b)'s,
+    and those with dim I = n - 1.
+
+    (a) In characteristic 2, a non-Lie algebra with I = Z of dimension 1
+        and L/I almost abelian has a commutative table.
+    (b) With dim I = n - 1 and [x, w] = c x on I for some c != 0, the
+        vector h = w / c - [w / c, w / c] has [h, h] = 0, and [x, h] = x
+        and [h, x] = 0 on I."""
+    met_a = met_b = top = 0
+    for alg in algebras:
+        field, n, br = alg.field, alg.dim, alg.table.raw_bracket
+        ideal, zeros = squares_ideal(alg), (field.raw_zero,) * n
+        if (
+            field.characteristic() == 2
+            and not is_lie(alg)
+            and ideal.dim == 1
+            and center(alg) == ideal
+            and match_almost_abelian_lie(quotient(alg, ideal)) is not None
+        ):
+            met_a += 1
+            cube = alg.table.raw
+            assert all(cube[i][j] == cube[j][i] for i in range(n) for j in range(n))
+        if ideal.dim == n - 1 >= 1:
+            top += 1
+            h0 = census._acting_unit(alg, ideal)
+            assert h0 == _ref_acting_unit(alg, ideal)
+            if h0 is not None:
+                met_b += 1
+                h = tuple(field.raw_axpy(field.raw_neg(field.raw_one), h0, br(h0, h0)))
+                assert br(h, h) == zeros
+                assert all(br(x, h) == x and br(h, x) == zeros for x in ideal.raw_rows)
+    return met_a, met_b, top
+
+
+def test_catalogue_lemmas_replay(gf2_dim4_census, gf3_dim3_census):
+    # every class at GF(2) dims 2-4 and GF(3) dims 2-3: (a) holds where it
+    # applies and no such class is in the family (GF(2) is perfect), and
+    # one class per size has (b)'s shape
+    reports = [sweep_tables(GF2, 2), sweep_tables(GF2, 3), gf2_dim4_census]
+    reports += [sweep_tables(GF3, 2), gf3_dim3_census]
+    counts = [_replay_catalogue_lemmas(e.algebra for e in r.classes) for r in reports]
+    assert counts == [(0, 1, 2), (2, 1, 5), (4, 1, 11), (0, 1, 2), (0, 1, 7)]
+    for report in reports[1:3]:
+        assert CHAR2_FAMILY not in {e.classification.verdict for e in report.classes}
+    # the GF(2)(t) families and I + Fh over GF(2)(t) and QQ, each also in a
+    # dense basis, where the Gram rows at I's pivot have cross terms and h
+    # differs from w / c
+    algebras = [char2_nonperfect_minimal(F2T), char2_nonperfect(F2T)]
+    algebras += [non_lie_almost_abelian(F2T, 2), non_lie_almost_abelian(QQ, 3)]
+    algebras += [transport(alg, _dense_basis(alg.field, alg.dim)) for alg in algebras]
+    assert _replay_catalogue_lemmas(algebras) == (4, 4, 4)
+    moved = algebras[4]
+    col, comp = squares_ideal(moved).pivots[0], center(moved).non_pivots()
+    cross = {moved.table.raw[u][v][col] for u in comp for v in comp if u != v}
+    assert cross - {F2T.raw_zero}
 
 
 def test_non_lie_almost_abelian_dim2_outside_catalogue():
