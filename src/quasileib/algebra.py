@@ -194,29 +194,56 @@ def raw_leibniz_failure(field: Field, cube, triples, side: str = "right"):
     """The first basis triple (i, j, k) of ``triples`` at which the raw cube
     fails the right identity, or the left one for ``side="left"``, as
     ((i, j, k), lhs, rhs) with both sides raw; None when every triple
-    passes.  Both sides expand over the structure constants, skipping the
-    zero ones: [e_i, v] = sum_b v_b [e_i, e_b] and [v, e_k] = sum_a v_a
-    [e_a, e_k]."""
+    passes.  Both sides expand over the structure constants, [e_i, v] =
+    sum_b v_b [e_i, e_b] and [v, e_k] = sum_a v_a [e_a, e_k], walking only
+    the nonzero coordinates of the product v and skipping a scaled product
+    that is the zero tuple.  Slot a*n + b lists the nonzero coordinates of
+    [e_a, e_b] on its first use, in a loop since a comprehension costs a
+    call, so a call on a few triples lists only the products it reads."""
     axpy, neg, zero = field.raw_axpy, field.raw_neg, field.raw_zero
     n = len(cube)
+    zero_vec = (zero,) * n
+    live = [None] * (n * n)
     for i, j, k in triples:
         ci = cube[i]
         lhs = [zero] * n
-        for b, x in enumerate(cube[j][k]):
-            if x != zero:
-                lhs = axpy(x, lhs, ci[b])
-        rhs = [zero] * n
-        for a, x in enumerate(ci[j]):
-            if x != zero:
-                rhs = axpy(x, rhs, cube[a][k])
-        if side == "left":
-            for b, x in enumerate(ci[k]):
+        terms = live[j * n + k]
+        if terms is None:
+            terms = live[j * n + k] = []
+            for b, x in enumerate(cube[j][k]):
                 if x != zero:
-                    rhs = axpy(x, rhs, cube[j][b])
-        else:
+                    terms.append((b, x))
+        for b, x in terms:
+            w = ci[b]
+            if w != zero_vec:
+                lhs = axpy(x, lhs, w)
+        rhs = [zero] * n
+        terms = live[i * n + j]
+        if terms is None:
+            terms = live[i * n + j] = []
+            for a, x in enumerate(ci[j]):
+                if x != zero:
+                    terms.append((a, x))
+        for a, x in terms:
+            w = cube[a][k]
+            if w != zero_vec:
+                rhs = axpy(x, rhs, w)
+        terms = live[i * n + k]
+        if terms is None:
+            terms = live[i * n + k] = []
             for a, x in enumerate(ci[k]):
                 if x != zero:
-                    rhs = axpy(neg(x), rhs, cube[a][j])
+                    terms.append((a, x))
+        if side == "left":
+            for b, x in terms:
+                w = cube[j][b]
+                if w != zero_vec:
+                    rhs = axpy(x, rhs, w)
+        else:
+            for a, x in terms:
+                w = cube[a][j]
+                if w != zero_vec:
+                    rhs = axpy(neg(x), rhs, w)
         if lhs != rhs:
             return (i, j, k), tuple(lhs), tuple(rhs)
     return None

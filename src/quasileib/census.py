@@ -948,7 +948,7 @@ class HarnessReport:
         }
 
 
-def _harness_one(label, alg, budget, report):
+def _harness_one(label, alg, budget, report, decided):
     subs = subalgebras(alg, budget=budget)
     quasis = quasi_ideals(alg, budget=budget)
 
@@ -977,15 +977,16 @@ def _harness_one(label, alg, budget, report):
             note(lemma_suite(alg, s, chain), f"{chain.m}-step chain dim {s.dim}")
 
     if len(quasis) == len(subs):
-        # quotients by every ideal stay in the class; many ideals give the
-        # same quotient table, which is built and decided once.  L/0 has
-        # L's own table, and L is in the class here, so that table starts
-        # out decided
-        decided = {alg.table.raw: True}
+        # quotients by every ideal stay in the class; many ideals, of this
+        # algebra and of the others in the run, give the same quotient
+        # table, whose verdict ``decided`` keeps under (field, raw cube).
+        # L/0 has L's own table, and L is in the class here
+        field = alg.field
+        decided[field, alg.table.raw] = True
         for j in subs:
             if not is_ideal(alg, j):
                 continue
-            key = raw_quotient_cube(alg, j)
+            key = field, raw_quotient_cube(alg, j)
             ok = decided.get(key)
             if ok is None:
                 ok = decided[key] = in_class_q(quotient(alg, j), budget=budget)[0]
@@ -1020,8 +1021,8 @@ def lemma_harness(corpus, budget: int = DEFAULT_BUDGET) -> HarnessReport:
     for _, alg in corpus:
         require_enumerable(alg.field, alg.dim, budget, f"projective points of F^{alg.dim}")
         require_subspaces(alg.field, alg.dim, range(alg.dim + 1), budget)
-    report = HarnessReport()
+    report, decided = HarnessReport(), {}
     for label, alg in corpus:
         report.algebras += 1
-        _harness_one(label, alg, budget, report)
+        _harness_one(label, alg, budget, report, decided)
     return report

@@ -346,8 +346,16 @@ class FunctionField(Field):
     def characteristic(self) -> int:
         return self.p
 
+    # Zeros and units are answered by their shape: a zero term of a sum and
+    # a unit factor of a product return the other operand, which is already
+    # canonical, and -a = a in characteristic 2.
+
     def raw_add(self, a, b):
         (an, ad), (bn, bd) = a, b
+        if not an:
+            return b
+        if not bn:
+            return a
         if ad == bd == (1,):
             # polynomials: gcd(num, 1) = 1, so the sum is already reduced
             return (poly_add(self.p, an, bn), (1,))
@@ -355,9 +363,15 @@ class FunctionField(Field):
         return self._reduce(num, poly_mul(self.p, ad, bd))
 
     def raw_neg(self, a):
+        if self.p == 2:
+            return a
         return (poly_neg(self.p, a[0]), a[1])
 
     def raw_mul(self, a, b):
+        if a == self.raw_one:
+            return b
+        if b == self.raw_one:
+            return a
         if a[1] == b[1] == (1,):
             # polynomials: the product is already reduced, as in raw_add
             return (poly_mul(self.p, a[0], b[0]), (1,))
@@ -369,6 +383,9 @@ class FunctionField(Field):
         return self._reduce(a[1], a[0])
 
     def raw_axpy(self, c, x, y) -> list:
+        if c == self.raw_one:
+            # x + y with no product; raw_add answers a zero entry by shape
+            return list(map(self.raw_add, x, y))
         p, one = self.p, (1,)
         cn, cd = c
         out = []

@@ -20,7 +20,7 @@ from quasileib.families import (
     two_dim_solvable_cyclic,
 )
 from quasileib.fields import GF2, GF3, QQ, FunctionField
-from quasileib.linalg import raw_combination, raw_identity, raw_rref
+from quasileib.linalg import raw_combination, raw_identity, raw_rref, vec
 
 F2T = FunctionField(2)
 
@@ -55,6 +55,13 @@ def transport(alg, p_rows):
         tuple(raw_combination(field, br(a, b), pinv, n) for b in p_raw) for a in p_raw
     )
     return LeibnizAlgebra(MultiplicationTable(field, n, cube))
+
+
+def dense_basis(field, n):
+    """A fixed basis of F^n over every field: the rows of L U for the
+    all-ones unitriangular L (lower) and U (upper), with entry (i, j)
+    equal to min(i, j) + 1 and determinant 1; a table in it is dense."""
+    return [vec(field, [min(i, j) + 1 for j in range(n)]) for i in range(n)]
 
 
 def finite_family_corpus(max_dim: int = 4):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from quasileib import algebra, linalg
+from quasileib import algebra, fracfields, linalg
 from quasileib.algebra import (
     LeibnizAlgebra,
     MultiplicationTable,
@@ -27,6 +27,7 @@ from quasileib.algebra import (
     table_from_json,
     validate,
 )
+from quasileib.census import classify_q_member
 from quasileib.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -53,6 +54,7 @@ from quasileib.linalg import (
     vec,
     zero_subspace,
 )
+from tests.conftest import dense_basis, transport
 
 F2T = FunctionField(2)
 
@@ -426,6 +428,89 @@ def test_known_answers_do_no_arithmetic(monkeypatch):
     reset()
     assert raw_echelonize(gf5, 3, [(0,) * 3] * 2).is_zero()
     assert set(calls.values()) == {0}, calls
+
+
+def test_unit_valued_function_field_tables_do_no_polynomial_products(monkeypatch):
+    # over GF(2)(t) a table whose constants are all 0 or 1 is validated and
+    # classified with no polynomial product: a zero term, a unit factor and
+    # a negation are answered by their shape
+    calls = []
+    real = fracfields.poly_mul
+    monkeypatch.setattr(
+        fracfields, "poly_mul", lambda *args: calls.append(args) or real(*args)
+    )
+    for alg in (k2(F2T), almost_abelian_lie(F2T, 3)):
+        n = alg.dim
+        raw = transport(alg, dense_basis(F2T, n)).table.raw
+        assert {x for row in raw for v in row for x in v} == {F2T.raw_zero, F2T.raw_one}
+        table = MultiplicationTable(F2T, n, raw)
+        calls.clear()
+        assert validate(table).ok
+        verdict = classify_q_member(LeibnizAlgebra(table, _checked=True))
+        assert calls == []
+        assert verdict.verdict == classify_q_member(alg).verdict
+
+
+def _dense_leibniz_failure(field, cube, triples, side="right"):
+    """The identity kernel as a dense walk over every coordinate of every
+    product: the reference for ``algebra.raw_leibniz_failure``."""
+    axpy, neg, zero = field.raw_axpy, field.raw_neg, field.raw_zero
+    n = len(cube)
+    for i, j, k in triples:
+        ci = cube[i]
+        lhs = [zero] * n
+        for b, x in enumerate(cube[j][k]):
+            if x != zero:
+                lhs = axpy(x, lhs, ci[b])
+        rhs = [zero] * n
+        for a, x in enumerate(ci[j]):
+            if x != zero:
+                rhs = axpy(x, rhs, cube[a][k])
+        if side == "left":
+            for b, x in enumerate(ci[k]):
+                if x != zero:
+                    rhs = axpy(x, rhs, cube[j][b])
+        else:
+            for a, x in enumerate(ci[k]):
+                if x != zero:
+                    rhs = axpy(neg(x), rhs, cube[a][j])
+        if lhs != rhs:
+            return (i, j, k), tuple(lhs), tuple(rhs)
+    return None
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ, F2T], ids=["GF2", "GF3", "QQ", "GF2t"])
+def test_identity_kernel_matches_the_dense_walk(field):
+    # the sparse walk finds the dense walk's first failing triple with the
+    # same sides, for both identities, in lexicographic and shuffled order,
+    # on family tables of dims 1-4 in their own basis and in a dense one,
+    # each as it is and with one constant perturbed; a right Leibniz table
+    # read backwards ([x, y]' = [y, x]) is a left Leibniz table
+    rng = random.Random(f"dense walk/{field}")
+    algebras = [abelian(field, 1), abelian(field, 4), two_dim_solvable_cyclic(field)]
+    algebras += [almost_abelian_lie(field, d) for d in (2, 3, 4)]
+    algebras += [non_lie_almost_abelian(field, k) for k in (1, 2, 3)]
+    if field.characteristic() == 2:
+        algebras.append(k2(field))
+    algebras += [transport(alg, dense_basis(field, alg.dim)) for alg in algebras]
+    bumps = [field.raw_one] + ([F2T.t.value] if field == F2T else [])
+    outcomes = set()
+    for alg in algebras:
+        n, right = alg.dim, alg.table.raw
+        left = tuple(tuple(right[j][i] for j in range(n)) for i in range(n))
+        ordered = list(itertools.product(range(n), repeat=3))
+        shuffled = rng.sample(ordered, len(ordered))
+        for side, cube in (("right", right), ("left", left)):
+            assert algebra.raw_leibniz_failure(field, cube, ordered, side) is None
+            i, j, k = (rng.randrange(n) for _ in range(3))
+            bumped = [[list(v) for v in row] for row in cube]
+            bumped[i][j][k] = field.raw_add(bumped[i][j][k], rng.choice(bumps))
+            bumped = tuple(tuple(map(tuple, row)) for row in bumped)
+            for triples in (ordered, shuffled):
+                found = algebra.raw_leibniz_failure(field, bumped, triples, side)
+                assert found == _dense_leibniz_failure(field, bumped, triples, side)
+                outcomes.add((side, found is None))
+    assert outcomes == {(side, ok) for side in ("right", "left") for ok in (True, False)}
 
 
 def test_bracket_subspaces_memo_matches_fresh_echelonization(family_corpus):

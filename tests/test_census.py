@@ -90,7 +90,7 @@ from quasileib.linalg import (
     vec,
     zero_subspace,
 )
-from tests.conftest import gf2_dim3_class_representatives, transport
+from tests.conftest import dense_basis, gf2_dim3_class_representatives, transport
 from tests.test_hygiene import MEMO_TABLES
 
 F2T = FunctionField(2)
@@ -563,13 +563,6 @@ def _random_base_change(alg, rng):
             return transport(alg, rows)
 
 
-def _dense_basis(field, n):
-    """A fixed basis of F^n over every field: the rows of L U for the
-    all-ones unitriangular L (lower) and U (upper), with entry (i, j)
-    equal to min(i, j) + 1 and determinant 1."""
-    return [vec(field, [min(i, j) + 1 for j in range(n)]) for i in range(n)]
-
-
 def _assert_same_classification(alg):
     # on separate copies, so that neither reads the other's memos
     ours = classify_q_member(LeibnizAlgebra(alg.table))
@@ -591,7 +584,7 @@ def test_classification_matches_the_reference(gf2_dim4_census, gf3_dim3_census):
     # basis, where the characteristic-2 Gram rows have cross terms
     for make, verdict, params in EXPECTED_VERDICTS:
         alg = make()
-        moved = transport(alg, _dense_basis(alg.field, alg.dim))
+        moved = transport(alg, dense_basis(alg.field, alg.dim))
         _assert_same_classification(alg)
         _assert_same_classification(moved)
         assert classify_q_member(moved)[:2] == (verdict, params)
@@ -648,7 +641,7 @@ def test_catalogue_lemmas_replay(gf2_dim4_census, gf3_dim3_census):
     # differs from w / c
     algebras = [char2_nonperfect_minimal(F2T), char2_nonperfect(F2T)]
     algebras += [non_lie_almost_abelian(F2T, 2), non_lie_almost_abelian(QQ, 3)]
-    algebras += [transport(alg, _dense_basis(alg.field, alg.dim)) for alg in algebras]
+    algebras += [transport(alg, dense_basis(alg.field, alg.dim)) for alg in algebras]
     assert _replay_catalogue_lemmas(algebras) == (4, 4, 4)
     moved = algebras[4]
     col, comp = squares_ideal(moved).pivots[0], center(moved).non_pivots()
@@ -1075,6 +1068,30 @@ def test_harness_decides_each_quotient_table_once(monkeypatch):
     assert report.ok()
     assert len(decided) == len(tables) - 1
     assert set(decided) == tables - {alg.table}
+
+
+def test_harness_decides_each_quotient_table_once_per_run(monkeypatch):
+    # one run over the GF(2) dim-3 classes decides each distinct quotient
+    # table once, whichever class's ideal gives it: 6 decisions where a run
+    # per class makes 16, and the same report
+    classes = [(f"class_{i}", alg) for i, alg in enumerate(gf2_dim3_class_representatives())]
+    decided = []
+
+    def counting_in_class_q(q, budget=DEFAULT_BUDGET):
+        decided.append(q.table)
+        return in_class_q(q, budget=budget)
+
+    monkeypatch.setattr(census, "in_class_q", counting_in_class_q)
+    separate = [lemma_harness([item]).to_json() for item in classes]
+    assert len(decided) == 16
+    decided.clear()
+    report = lemma_harness(classes).to_json()
+    assert len(decided) == len(set(decided)) == 6
+    assert report == {
+        "algebras": 20,
+        "clauses_checked": sum(r["clauses_checked"] for r in separate),
+        "failures": [f for r in separate for f in r["failures"]],
+    }
 
 
 def test_harness_never_decides_the_algebra_itself(family_corpus, monkeypatch):

@@ -72,9 +72,35 @@ def _general_mul(field, a, b):
     return field._reduce(poly_mul(p, a[0], b[0]), poly_mul(p, a[1], b[1]))
 
 
+def _general_neg(field, a):
+    return (tuple((-c) % field.p for c in a[0]), a[1])
+
+
+def _general_axpy(field, c, x, y):
+    return [_general_add(field, a, _general_mul(field, c, b)) for a, b in zip(x, y)]
+
+
+def _shape_grid(field):
+    """0, 1, -1, 2, t, t + 1, 1/t and (t^2 + 1)/(t + 1), as raw values: the
+    zeros and units the kernels answer by shape, among values they do not."""
+    canon = field.canon
+    return [
+        canon(0),
+        canon(1),
+        canon(-1),
+        canon(2),
+        canon(((0, 1), (1,))),
+        canon(((1, 1), (1,))),
+        canon(((1,), (0, 1))),
+        canon(((1, 0, 1), (1, 1))),
+    ]
+
+
 def test_function_field_polynomial_fast_paths_match_the_general_formula():
-    # raw_add and raw_mul skip _reduce when both denominators are 1; their
-    # values must be the canonical ones the general formula gives
+    # raw_add and raw_mul skip _reduce when both denominators are 1, a zero
+    # term or a unit factor returns the other operand, and raw_neg in
+    # characteristic 2 returns its argument; their values must be the
+    # canonical ones the general formula gives
     for field in (F2T, F3T):
         p = field.p
         rng = random.Random(f"polynomial fast paths/{p}")
@@ -88,6 +114,16 @@ def test_function_field_polynomial_fast_paths_match_the_general_formula():
             for b in rng.sample(values, 12):
                 assert field.raw_add(a, b) == _general_add(field, a, b)
                 assert field.raw_mul(a, b) == _general_mul(field, a, b)
+        # every pair of the grid, each result canonical
+        grid = _shape_grid(field)
+        for a in grid:
+            assert field.raw_neg(a) == _general_neg(field, a) == field.canon(field.raw_neg(a))
+            for b in grid:
+                for got, want in (
+                    (field.raw_add(a, b), _general_add(field, a, b)),
+                    (field.raw_mul(a, b), _general_mul(field, a, b)),
+                ):
+                    assert got == want == field.canon(got), (a, b)
     # an operand with a denominator is still reduced: 1/t * t = 1 and
     # 1/t + (t - 1)/t = 1
     for field in (F2T, F3T):
@@ -96,11 +132,17 @@ def test_function_field_polynomial_fast_paths_match_the_general_formula():
         assert field.raw_mul(t, over_t) == one
         t_minus_one_over_t = ((field.p - 1, 1), (0, 1))
         assert field.raw_add(over_t, t_minus_one_over_t) == one
+    # characteristic 2 answers -a with a itself; an odd characteristic
+    # negates the numerator
+    assert F2T.raw_neg(((0, 1), (1, 1))) == ((0, 1), (1, 1))
+    assert F3T.raw_neg(((0, 1), (1, 1))) == ((0, 2), (1, 1))
 
 
 def test_function_field_axpy_matches_the_generic_axpy():
-    # FunctionField.raw_axpy adds c*b to a by one poly_mul and one poly_add
-    # when a, b and c are polynomials, and otherwise as Field.raw_axpy does
+    # FunctionField.raw_axpy adds b to a entry by entry for c = 1, c*b to a
+    # by one poly_mul and one poly_add when a, b and c are polynomials, and
+    # otherwise as Field.raw_axpy does; every route equals the general
+    # formula, entry by entry
     for field in (F2T, F3T):
         rng = random.Random(f"function field axpy/{field.p}")
         for trial in range(60):
@@ -108,10 +150,20 @@ def test_function_field_axpy_matches_the_generic_axpy():
             vectors = [
                 tuple(_axpy_entry(field, rng) for _ in range(n)) for _ in range(2)
             ]
-            c = field.raw_zero if trial % 10 == 0 else _axpy_entry(field, rng)
+            c = (field.raw_zero, field.raw_one, _axpy_entry(field, rng))[min(trial % 10, 2)]
             x, y = vectors
-            assert field.raw_axpy(c, x, y) == Field.raw_axpy(field, c, x, y)
-            assert field.raw_axpy(c, list(x), list(y)) == Field.raw_axpy(field, c, x, y)
+            want = _general_axpy(field, c, x, y)
+            assert field.raw_axpy(c, x, y) == Field.raw_axpy(field, c, x, y) == want
+            assert field.raw_axpy(c, list(x), list(y)) == want
+        # every triple (c, a, b) of the grid: c against x = the grid and y =
+        # each rotation of it, each result canonical
+        grid = _shape_grid(field)
+        for c in grid:
+            for shift in range(len(grid)):
+                y = grid[shift:] + grid[:shift]
+                got = field.raw_axpy(c, grid, y)
+                assert got == _general_axpy(field, c, grid, y), (c, y)
+                assert got == [field.canon(v) for v in got]
 
 
 def _axpy_entry(field, rng):
