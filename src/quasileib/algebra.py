@@ -128,6 +128,29 @@ class MultiplicationTable:
         }
 
 
+def _scalar_key(x):
+    """A key for a JSON scalar that no different JSON value shares, or None.
+
+    An int or a string is keyed with its type, so ``true`` and ``1.0`` never
+    share the key of ``1``; an object ``{"num": [...], "den": [...]}`` is
+    keyed by its two coefficient tuples when every coefficient is an int.
+    A value with no key is decoded, and so refused, as it is."""
+    cls = x.__class__
+    if cls is int or cls is str:
+        return (cls, x)
+    if cls is dict and len(x) == 2:
+        num, den = x.get("num"), x.get("den")
+        if num.__class__ is list and den.__class__ is list:
+            for c in num:
+                if c.__class__ is not int:
+                    return None
+            for c in den:
+                if c.__class__ is not int:
+                    return None
+            return (tuple(num), tuple(den))
+    return None
+
+
 def table_from_json(obj) -> MultiplicationTable:
     if not isinstance(obj, dict):
         raise MalformedInput("algebra file must be a JSON object")
@@ -146,8 +169,19 @@ def table_from_json(obj) -> MultiplicationTable:
         and all(nested(v) for row in table for v in row)
     ):
         raise MalformedInput(f"table is not a {dim}x{dim}x{dim} cube of nested lists")
-    decode = field.decode
-    raw = [[[decode(x) for x in v] for v in row] for row in table]
+    # each distinct scalar is decoded once: a dense table repeats a few values
+    decode, memo = field.decode, {}
+
+    def decode_once(x):
+        key = _scalar_key(x)
+        if key is None:
+            return decode(x)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = decode(x)
+        return value
+
+    raw = [[[decode_once(x) for x in v] for v in row] for row in table]
     names = obj.get("basis_names")
     if names is not None and not (
         isinstance(names, list) and all(isinstance(x, str) for x in names)

@@ -3,8 +3,11 @@
 Supported fields:
 
 * ``GF(p)``    -- prime fields; elements are residues in ``[0, p)``.
-* ``QQ``       -- the rationals (in ``fracfields``).
-* ``GF(p)(t)`` -- rational functions over a prime field (in ``fracfields``).
+* ``QQ``       -- the rationals (in ``fracfields``); an integer is a plain
+  ``int`` and any other element a reduced pair ``(num, den)`` of ints.
+* ``GF(p)(t)`` -- rational functions over a prime field (in ``fracfields``);
+  a constant is its residue, a plain ``int``, and any other element a
+  reduced pair ``(num, den)`` of polynomials.
 
 ``QQ``, ``RationalField`` and ``FunctionField`` resolve from this module
 too, but ``fracfields`` is imported only when one of them is named or
@@ -12,7 +15,8 @@ parsed, so a prime-field run never loads it.
 
 Every value is canonical on construction, so two scalars are equal exactly
 when their representations are identical, and scalars hash consistently and
-can be shared freely between threads or processes.
+can be shared freely between threads or processes.  In every field the raw
+zero is the int 0 and the raw one the int 1.
 
 JSON encodings (used by all file formats of the CLI):
 

@@ -1,10 +1,16 @@
 """The rationals and rational functions over a prime field.
 
-* ``QQ``       -- the rationals.  An element is a reduced pair ``(num, den)``
-  of ints with ``den > 0``.
-* ``GF(p)(t)`` -- rational functions over a prime field.  An element is a
-  reduced fraction ``num/den`` of dense polynomials (ascending-degree
-  coefficient tuples) with ``gcd(num, den) = 1`` and a monic denominator.
+* ``QQ``       -- the rationals.  An integer is a plain ``int``; any other
+  element is a reduced pair ``(num, den)`` of ints with ``den > 1``.
+* ``GF(p)(t)`` -- rational functions over a prime field.  A constant is its
+  residue, a plain ``int`` in ``0 .. p-1``; any other element is a reduced
+  fraction ``num/den`` of dense polynomials (ascending-degree coefficient
+  tuples) with ``gcd(num, den) = 1`` and a monic denominator.
+
+Most structure constants of the catalogued families are integers or
+constants, so most arithmetic is int arithmetic, as over a prime field.
+The JSON form does not depend on the form in memory: an integer n encodes
+as ``"n/1"`` and a nonzero constant c as ``{"num": [c], "den": [1]}``.
 
 JSON encodings: ``QQ`` -> string ``"a/b"`` with ``b > 0`` and
 ``gcd(a, b) = 1``; ``GF(p)(t)`` -> object ``{"num": [c0, c1, ...], "den":
@@ -161,12 +167,15 @@ def poly_str(coeffs: tuple, var: str = "t") -> str:
 class RationalField(Field):
     """The rationals.
 
-    Raw values are pairs ``(num, den)`` of ints with ``gcd(num, den) = 1``
-    and ``den > 0``; zero is ``(0, 1)``.
+    A raw value is an ``int`` when it is an integer, and otherwise a pair
+    ``(num, den)`` of ints with ``gcd(num, den) = 1`` and ``den > 1``; zero
+    is ``0`` and one is ``1``.  Each value has one form, so equal values
+    are equal raw values; a result that may take either form is built by
+    :func:`_q_reduce`.
     """
 
-    raw_zero = (0, 1)
-    raw_one = (1, 1)
+    raw_zero = 0
+    raw_one = 1
 
     def canon(self, value):
         # a raw pair, reduced here as GF(p)(t) reduces one; else an int, a
@@ -179,73 +188,86 @@ class RationalField(Field):
                 num, den = -num, -den
             return _q_reduce(num, den)
         if isinstance(value, int):
-            return (int(value), 1)
+            return int(value)
         from fractions import Fraction  # only here: its import is slow
 
         q = Fraction(value)
-        return (q.numerator, q.denominator)
+        return _q_reduce(q.numerator, q.denominator)
 
     def characteristic(self) -> int:
         return 0
 
+    # Each operation answers two integers in int arithmetic, whose result is
+    # an integer again, and reads an integer n as n/1 otherwise.
+
     def raw_add(self, a, b):
-        (an, ad), (bn, bd) = a, b
-        if ad == bd:
-            return _q_reduce(an + bn, ad)
+        if a.__class__ is int and b.__class__ is int:
+            return a + b
+        an, ad = (a, 1) if a.__class__ is int else a
+        bn, bd = (b, 1) if b.__class__ is int else b
         return _q_reduce(an * bd + bn * ad, ad * bd)
 
     def raw_neg(self, a):
+        if a.__class__ is int:
+            return -a
         return (-a[0], a[1])
 
     def raw_mul(self, a, b):
-        (an, ad), (bn, bd) = a, b
-        if ad == bd == 1:
-            # integers: the product is already reduced
-            return (an * bn, 1)
+        if a.__class__ is int and b.__class__ is int:
+            return a * b
+        an, ad = (a, 1) if a.__class__ is int else a
+        bn, bd = (b, 1) if b.__class__ is int else b
         return _q_reduce(an * bn, ad * bd)
 
     def raw_inv(self, a):
-        num, den = a
+        num, den = (a, 1) if a.__class__ is int else a
         if not num:
             raise DivisionByZero("inverse of 0 in QQ")
-        return (den, num) if num > 0 else (-den, -num)
+        return _q_reduce(den, num) if num > 0 else _q_reduce(-den, -num)
 
     def raw_axpy(self, c, x, y) -> list:
-        cn, cd = c
+        cn, cd = (c, 1) if c.__class__ is int else c
         out = []
-        for a, (bn, bd) in zip(x, y):
-            if not bn:
-                out.append(a)
-                continue
-            an, ad = a
-            den = ad * cd * bd
-            num = an * cd * bd + cn * bn * ad
-            out.append((num, 1) if den == 1 else _q_reduce(num, den))
+        for a, b in zip(x, y):
+            if b.__class__ is int:
+                if not b:
+                    out.append(a)
+                    continue
+                if cd == 1 and a.__class__ is int:
+                    out.append(a + cn * b)
+                    continue
+            an, ad = (a, 1) if a.__class__ is int else a
+            bn, bd = (b, 1) if b.__class__ is int else b
+            out.append(_q_reduce(an * cd * bd + cn * bn * ad, ad * cd * bd))
         return out
 
     def raw_sqrt(self, a):
-        num, den = a
+        num, den = (a, 1) if a.__class__ is int else a
         if num < 0:
             return None
         rn, rd = isqrt(num), isqrt(den)
         if rn * rn != num or rd * rd != den:
             return None
-        # reduced: a common factor of rn and rd would divide num and den
-        return (rn, rd)
+        # rn/rd is reduced, as a common factor would divide num and den;
+        # _q_reduce only picks its form
+        return _q_reduce(rn, rd)
 
     def encode(self, a):
+        if a.__class__ is int:
+            return f"{a}/1"
         return f"{a[0]}/{a[1]}"
 
     def decode(self, obj):
         if isinstance(obj, str):
             return _parse_rational(obj)
         if is_json_int(obj):
-            return (obj, 1)
+            return obj
         raise MalformedInput(f"bad rational scalar: {obj!r}")
 
     def format(self, a) -> str:
-        num, den = a
-        return str(num) if den == 1 else f"{num}/{den}"
+        if a.__class__ is int:
+            return str(a)
+        return f"{a[0]}/{a[1]}"
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -260,15 +282,18 @@ class RationalField(Field):
         return {"kind": "rationals"}
 
 
-def _q_reduce(num: int, den: int) -> tuple:
-    """The raw QQ value of num/den for den > 0."""
+def _q_reduce(num: int, den: int):
+    """The raw QQ value of num/den for den > 0: an int when den divides
+    num, else the reduced pair."""
     if den == 1:
-        return (num, 1)
+        return num
     g = gcd(num, den)
+    if g == den:
+        return num // den
     return (num // g, den // g)
 
 
-def _parse_rational(text: str) -> tuple:
+def _parse_rational(text: str):
     """The raw QQ value of ``a`` or ``a/b`` text (``a`` signed, ``b``
     unsigned and nonzero), in ASCII digits."""
     num, slash, den = text.partition("/")
@@ -287,15 +312,25 @@ QQ = RationalField()
 # ---------------------------------------------------------------------------
 
 
+def _polys(a) -> tuple:
+    """The numerator and denominator polynomials of a raw GF(p)(t) value."""
+    if a.__class__ is int:
+        return ((a,) if a else (), (1,))
+    return a
+
+
 class FunctionField(Field):
     """GF(p)(t): rational functions over a prime field.
 
-    Raw values are pairs ``(num, den)`` of coefficient tuples with
-    ``gcd(num, den) = 1`` and monic ``den``; zero is ``((), (1,))``.
+    A raw value is an ``int`` in ``0 .. p-1`` when it is a constant, and
+    otherwise a pair ``(num, den)`` of coefficient tuples with
+    ``gcd(num, den) = 1`` and monic ``den``; zero is ``0`` and one is
+    ``1``.  Each value has one form, so equal values are equal raw values;
+    a result that may take either form is built by :meth:`_pack`.
     """
 
-    raw_zero = ((), (1,))
-    raw_one = ((1,), (1,))
+    raw_zero = 0
+    raw_one = 1
 
     def __init__(self, p: int, var: str = "t"):
         if not is_prime(p):
@@ -309,31 +344,37 @@ class FunctionField(Field):
         self.p = p
         self.var = var
 
-    def _reduce(self, num: tuple, den: tuple):
+    def _pack(self, num: tuple, den: tuple):
+        """The raw value of num/den for polynomials num and den."""
         if not den:
             raise DivisionByZero(f"zero denominator in {self}")
         if not num:
-            return ((), (1,))
-        g = poly_gcd(self.p, num, den)
-        if len(g) > 1 or g[0] != 1:
-            num = poly_divmod(self.p, num, g)[0]
-            den = poly_divmod(self.p, den, g)[0]
-        inv_lead = pow(den[-1], -1, self.p)
-        if inv_lead != 1:
-            num = poly_scale(self.p, inv_lead, num)
-            den = poly_scale(self.p, inv_lead, den)
+            return 0
+        p = self.p
+        if len(den) > 1:
+            # a constant denominator shares no factor with num
+            g = poly_gcd(p, num, den)
+            if len(g) > 1:
+                num = poly_divmod(p, num, g)[0]
+                den = poly_divmod(p, den, g)[0]
+        if den[-1] != 1:
+            inv_lead = pow(den[-1], -1, p)
+            num = poly_scale(p, inv_lead, num)
+            den = poly_scale(p, inv_lead, den)
+        if len(num) == len(den) == 1:
+            return num[0]
         return (num, den)
 
     def canon(self, value):
+        p = self.p
         if isinstance(value, int):
-            v = value % self.p
-            return ((v,) if v else (), (1,))
+            return value % p
         if isinstance(value, (list, tuple)):
             if len(value) == 2 and all(isinstance(x, (list, tuple)) for x in value):
-                num = poly_trim(c % self.p for c in value[0])
-                den = poly_trim(c % self.p for c in value[1])
-                return self._reduce(num, den)
-            return (poly_trim(c % self.p for c in value), (1,))
+                num = poly_trim(c % p for c in value[0])
+                den = poly_trim(c % p for c in value[1])
+                return self._pack(num, den)
+            return self._pack(poly_trim(c % p for c in value), (1,))
         raise TypeError(f"cannot coerce {value!r} into {self}")
 
     @property
@@ -346,61 +387,72 @@ class FunctionField(Field):
     def characteristic(self) -> int:
         return self.p
 
-    # Zeros and units are answered by their shape: a zero term of a sum and
-    # a unit factor of a product return the other operand, which is already
-    # canonical, and -a = a in characteristic 2.
+    # Two constants are answered in GF(p) arithmetic.  Zeros and units are
+    # answered by their shape: a zero term of a sum and a unit factor of a
+    # product return the other operand, which is already canonical, and
+    # -a = a in characteristic 2.
 
     def raw_add(self, a, b):
-        (an, ad), (bn, bd) = a, b
-        if not an:
-            return b
-        if not bn:
+        if a.__class__ is int:
+            if b.__class__ is int:
+                return (a + b) % self.p
+            if not a:
+                return b
+        elif b.__class__ is int and not b:
             return a
-        if ad == bd == (1,):
-            # polynomials: gcd(num, 1) = 1, so the sum is already reduced
-            return (poly_add(self.p, an, bn), (1,))
-        num = poly_add(self.p, poly_mul(self.p, an, bd), poly_mul(self.p, bn, ad))
-        return self._reduce(num, poly_mul(self.p, ad, bd))
+        p = self.p
+        (an, ad), (bn, bd) = _polys(a), _polys(b)
+        if ad == bd:
+            return self._pack(poly_add(p, an, bn), ad)
+        num = poly_add(p, poly_mul(p, an, bd), poly_mul(p, bn, ad))
+        return self._pack(num, poly_mul(p, ad, bd))
 
     def raw_neg(self, a):
         if self.p == 2:
             return a
+        if a.__class__ is int:
+            return -a % self.p
         return (poly_neg(self.p, a[0]), a[1])
 
     def raw_mul(self, a, b):
-        if a == self.raw_one:
-            return b
-        if b == self.raw_one:
+        if a.__class__ is int:
+            if b.__class__ is int:
+                return a * b % self.p
+            if a == 1:
+                return b
+        elif b.__class__ is int and b == 1:
             return a
-        if a[1] == b[1] == (1,):
-            # polynomials: the product is already reduced, as in raw_add
-            return (poly_mul(self.p, a[0], b[0]), (1,))
-        return self._reduce(poly_mul(self.p, a[0], b[0]), poly_mul(self.p, a[1], b[1]))
+        p = self.p
+        (an, ad), (bn, bd) = _polys(a), _polys(b)
+        return self._pack(poly_mul(p, an, bn), poly_mul(p, ad, bd))
 
     def raw_inv(self, a):
-        if not a[0]:
-            raise DivisionByZero(f"inverse of 0 in {self}")
-        return self._reduce(a[1], a[0])
+        if a.__class__ is int:
+            if not a:
+                raise DivisionByZero(f"inverse of 0 in {self}")
+            return pow(a, -1, self.p)
+        return self._pack(a[1], a[0])
 
     def raw_axpy(self, c, x, y) -> list:
-        if c == self.raw_one:
-            # x + y with no product; raw_add answers a zero entry by shape
-            return list(map(self.raw_add, x, y))
-        p, one = self.p, (1,)
-        cn, cd = c
+        add, mul, p = self.raw_add, self.raw_mul, self.p
+        constant = c.__class__ is int
+        if constant and c == 1:
+            return list(map(add, x, y))
         out = []
         for a, b in zip(x, y):
-            bn, bd = b
-            if not bn:
-                out.append(a)
-            elif cd == bd == a[1] == one:
-                # polynomials: a + c*b is already reduced, as in raw_add
-                out.append((poly_add(p, a[0], poly_mul(p, cn, bn)), one))
-            else:
-                out.append(self.raw_add(a, self.raw_mul(c, b)))
+            if b.__class__ is int:
+                if not b:
+                    out.append(a)
+                    continue
+                if constant and a.__class__ is int:
+                    out.append((a + c * b) % p)
+                    continue
+            out.append(add(a, mul(c, b)))
         return out
 
     def raw_sqrt(self, a):
+        if a.__class__ is int:
+            return sqrt_mod_prime(a, self.p)
         # Reduced n/d is a square iff both n and d are square polynomials:
         # n*d' = d*n' with coprime parts forces matching square factors, and
         # the monic denominator fixes the unit.
@@ -408,9 +460,7 @@ class FunctionField(Field):
         rd = poly_sqrt(self.p, a[1])
         if rn is None or rd is None:
             return None
-        # the denominator is monic, and so is its root: poly_sqrt leads with
-        # sqrt_mod_prime(1, p) = 1 (with the coefficient itself at p = 2)
-        return (rn, rd)
+        return self._pack(rn, rd)
 
     def even_odd_parts(self, a):
         """Raw u and v with ``a = u**2 + t * v**2`` for a raw value a
@@ -422,14 +472,15 @@ class FunctionField(Field):
         """
         if self.p != 2:
             raise UnsupportedField("even/odd split needs characteristic 2")
-        num, den = a
+        num, den = _polys(a)
         nd = poly_mul(self.p, num, den)
         even = poly_trim(nd[i] for i in range(0, len(nd), 2))
         odd = poly_trim(nd[i] for i in range(1, len(nd), 2))
-        return self._reduce(even, den), self._reduce(odd, den)
+        return self._pack(even, den), self._pack(odd, den)
 
     def encode(self, a):
-        return {"num": list(a[0]), "den": list(a[1])}
+        num, den = _polys(a)
+        return {"num": list(num), "den": list(den)}
 
     def decode(self, obj):
         ok = (
@@ -444,16 +495,12 @@ class FunctionField(Field):
         if not ok:
             if is_json_int(obj) and 0 <= obj < self.p:
                 # the constant polynomial
-                return (poly_trim((obj,)), (1,))
+                return obj
             raise MalformedInput(f"bad {self} scalar: {obj!r}")
-        num, den = poly_trim(obj["num"]), poly_trim(obj["den"])
-        if den == (1,):
-            # a polynomial is already reduced
-            return (num, den)
-        return self._reduce(num, den)
+        return self._pack(poly_trim(obj["num"]), poly_trim(obj["den"]))
 
     def format(self, a) -> str:
-        num, den = a
+        num, den = _polys(a)
         if den == (1,):
             return poly_str(num, self.var)
         ns, ds = poly_str(num, self.var), poly_str(den, self.var)
@@ -529,7 +576,7 @@ def artin_schreier_root(field: FunctionField, d):
     """
     if field.p != 2:
         raise UnsupportedField("Artin-Schreier roots only in characteristic 2")
-    num, den = d
+    num, den = _polys(d)
     m = poly_sqrt(2, den)
     if m is None:
         return None

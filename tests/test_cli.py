@@ -8,8 +8,9 @@ import pytest
 from jsonschema import Draft202012Validator, ValidationError
 
 from quasileib import census, cli
-from quasileib.algebra import build_table
+from quasileib.algebra import build_table, table_from_json
 from quasileib.cli import run
+from quasileib.errors import MalformedInput
 from quasileib.fields import QQ, is_prime, parse_field
 from tests.conftest import SCHEMA_REGISTRY, SCHEMAS, check_schema
 
@@ -980,7 +981,7 @@ def test_field_variable_that_is_not_an_identifier_exits_2(tmp_path, capsys):
 def test_rational_scalar_forms_follow_the_schema(tmp_path, capsys):
     # "a" and "a/b" are both QQ text, and a JSON integer, which the shared
     # scalar definition cannot tell from a GF(p) one, reads as itself
-    for text, value in (("3", (3, 1)), ("-3/4", (-3, 4))):
+    for text, value in (("3", 3), ("-3/4", (-3, 4))):
         check_schema([[text]], "generators.schema.json")
         assert QQ.decode(text) == value
     scalar = SCHEMA_REGISTRY.contents("quasileib/defs.json")["$defs"]["scalar"]
@@ -996,6 +997,49 @@ def test_rational_scalar_forms_follow_the_schema(tmp_path, capsys):
         assert code == 0 and out["holds"]
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"kind": "prime", "p": 2},
+        {"kind": "prime", "p": 3},
+        {"kind": "rationals"},
+        {"kind": "rational_function", "p": 2, "var": "t"},
+    ],
+    ids=["gf2", "gf3", "q", "gf2t"],
+)
+def test_a_bad_scalar_is_refused_before_or_after_an_equal_valid_one(
+    tmp_path, capsys, field
+):
+    # a table decodes each distinct scalar once, and a bool, a float or an
+    # object with an extra key must not take the value of a valid scalar
+    # that Python counts equal, whichever of the two comes first
+    one = {"num": [1], "den": [1]}
+    cases = [
+        (1, True),
+        (1, 1.0),
+        (one, {"num": [True], "den": [1]}),
+        (one, {"num": [1.0], "den": [1]}),
+        (one, {"num": [1], "den": [True]}),
+        (one, {"num": [1], "den": [1], "var": "t"}),
+    ]
+    path = tmp_path / "bad.json"
+
+    def algebra(first, second):
+        return {"field": field, "dim": 2, "table": [[[first, second], [0, 0]], [[0, 0], [0, 0]]]}
+
+    assert table_from_json(algebra(1, 1)).raw[0][0] == (1, 1)
+    for good, bad in cases:
+        for first, second in ((good, bad), (bad, good)):
+            obj = algebra(first, second)
+            with pytest.raises(MalformedInput):
+                table_from_json(obj)
+            path.write_text(json.dumps(obj))
+            assert run(["info", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_function_field_file_reads_an_integer_as_a_constant(

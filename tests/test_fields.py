@@ -18,7 +18,15 @@ from quasileib.fields import (
     parse_field,
     parse_scalar,
 )
-from quasileib.fracfields import poly_add, poly_gcd, poly_mul, poly_sqrt, poly_trim
+from quasileib.fracfields import (
+    poly_add,
+    poly_divmod,
+    poly_gcd,
+    poly_mul,
+    poly_scale,
+    poly_sqrt,
+    poly_trim,
+)
 from quasileib.linalg import DEFAULT_BUDGET
 
 F2T = FunctionField(2)
@@ -61,19 +69,42 @@ def test_function_field_gcd_canonicalization():
     assert s.value == ((1, 1), (0, 1))
 
 
+def _polys_of(a):
+    """The numerator and denominator of a raw GF(p)(t) value: a constant c
+    is c/1."""
+    if isinstance(a, int):
+        return ((a,) if a else (), (1,))
+    return a
+
+
+def _canonical(field, num, den):
+    """The canonical raw value of num/den, computed apart from the field:
+    lowest terms with a monic denominator, and the residue, an int, when
+    that is a constant."""
+    p = field.p
+    g = poly_gcd(p, num, den)
+    num, den = poly_divmod(p, num, g)[0], poly_divmod(p, den, g)[0]
+    inv_lead = pow(den[-1], -1, p)
+    num, den = poly_scale(p, inv_lead, num), poly_scale(p, inv_lead, den)
+    if den == (1,) and len(num) <= 1:
+        return num[0] if num else 0
+    return (num, den)
+
+
 def _general_add(field, a, b):
-    p, (an, ad), (bn, bd) = field.p, a, b
+    p, (an, ad), (bn, bd) = field.p, _polys_of(a), _polys_of(b)
     num = poly_add(p, poly_mul(p, an, bd), poly_mul(p, bn, ad))
-    return field._reduce(num, poly_mul(p, ad, bd))
+    return _canonical(field, num, poly_mul(p, ad, bd))
 
 
 def _general_mul(field, a, b):
-    p = field.p
-    return field._reduce(poly_mul(p, a[0], b[0]), poly_mul(p, a[1], b[1]))
+    p, (an, ad), (bn, bd) = field.p, _polys_of(a), _polys_of(b)
+    return _canonical(field, poly_mul(p, an, bn), poly_mul(p, ad, bd))
 
 
 def _general_neg(field, a):
-    return (tuple((-c) % field.p for c in a[0]), a[1])
+    num, den = _polys_of(a)
+    return _canonical(field, tuple((-c) % field.p for c in num), den)
 
 
 def _general_axpy(field, c, x, y):
@@ -97,10 +128,11 @@ def _shape_grid(field):
 
 
 def test_function_field_polynomial_fast_paths_match_the_general_formula():
-    # raw_add and raw_mul skip _reduce when both denominators are 1, a zero
-    # term or a unit factor returns the other operand, and raw_neg in
-    # characteristic 2 returns its argument; their values must be the
-    # canonical ones the general formula gives
+    # raw_add and raw_mul answer two constants in GF(p) and skip the gcd
+    # when both denominators are 1, a zero term or a unit factor returns
+    # the other operand, and raw_neg in characteristic 2 returns its
+    # argument; their values must be the canonical ones the general formula
+    # gives: an int for a constant, else a reduced pair
     for field in (F2T, F3T):
         p = field.p
         rng = random.Random(f"polynomial fast paths/{p}")
@@ -109,7 +141,8 @@ def test_function_field_polynomial_fast_paths_match_the_general_formula():
             for _ in range(40)
         ]
         fractions = [random_scalar(field, rng).value for _ in range(20)]
-        values = [(num, (1,)) for num in polys] + fractions
+        values = [field.canon((num, (1,))) for num in polys] + fractions
+        assert values[:3] == [0, 1, p - 1]
         for a in values:
             for b in rng.sample(values, 12):
                 assert field.raw_add(a, b) == _general_add(field, a, b)
@@ -117,17 +150,21 @@ def test_function_field_polynomial_fast_paths_match_the_general_formula():
         # every pair of the grid, each result canonical
         grid = _shape_grid(field)
         for a in grid:
-            assert field.raw_neg(a) == _general_neg(field, a) == field.canon(field.raw_neg(a))
+            got = field.raw_neg(a)
+            assert got == _general_neg(field, a) == field.canon(got)
+            assert type(got) is type(a)
             for b in grid:
                 for got, want in (
                     (field.raw_add(a, b), _general_add(field, a, b)),
                     (field.raw_mul(a, b), _general_mul(field, a, b)),
                 ):
                     assert got == want == field.canon(got), (a, b)
-    # an operand with a denominator is still reduced: 1/t * t = 1 and
-    # 1/t + (t - 1)/t = 1
+                    assert type(got) is type(want), (a, b)
+    # an operand with a denominator is still reduced, to the int 1: 1/t * t
+    # = 1 and 1/t + (t - 1)/t = 1
     for field in (F2T, F3T):
-        one, over_t, t = field.raw_one, ((1,), (0, 1)), ((0, 1), (1,))
+        one, over_t, t = 1, ((1,), (0, 1)), ((0, 1), (1,))
+        assert field.raw_one is one
         assert field.raw_mul(over_t, t) == one
         assert field.raw_mul(t, over_t) == one
         t_minus_one_over_t = ((field.p - 1, 1), (0, 1))
@@ -139,10 +176,10 @@ def test_function_field_polynomial_fast_paths_match_the_general_formula():
 
 
 def test_function_field_axpy_matches_the_generic_axpy():
-    # FunctionField.raw_axpy adds b to a entry by entry for c = 1, c*b to a
-    # by one poly_mul and one poly_add when a, b and c are polynomials, and
-    # otherwise as Field.raw_axpy does; every route equals the general
-    # formula, entry by entry
+    # FunctionField.raw_axpy adds b to a entry by entry for c = 1, a + c*b
+    # in GF(p) when a, b and c are constants, and otherwise as
+    # Field.raw_axpy does; every route equals the general formula, entry
+    # by entry, in its canonical form
     for field in (F2T, F3T):
         rng = random.Random(f"function field axpy/{field.p}")
         for trial in range(60):
@@ -162,29 +199,36 @@ def test_function_field_axpy_matches_the_generic_axpy():
             for shift in range(len(grid)):
                 y = grid[shift:] + grid[:shift]
                 got = field.raw_axpy(c, grid, y)
-                assert got == _general_axpy(field, c, grid, y), (c, y)
+                want = _general_axpy(field, c, grid, y)
+                assert got == want, (c, y)
+                assert [type(v) for v in got] == [type(v) for v in want]
                 assert got == [field.canon(v) for v in got]
 
 
 def _axpy_entry(field, rng):
-    # zero, a polynomial, or a fraction with a nontrivial denominator
+    # zero, a polynomial (a constant one is an int), or a fraction with a
+    # nontrivial denominator
     kind = rng.randrange(3)
     if kind == 0:
         return field.raw_zero
     if kind == 1:
-        return (_random_poly(field.p, rng), (1,))
+        return field.canon((_random_poly(field.p, rng), (1,)))
     return random_scalar(field, rng).value
 
 
 def test_function_field_decode_of_a_polynomial_is_canonical():
-    # decode skips the gcd when the denominator is 1
+    # decode skips the gcd when the denominator is 1, and a constant
+    # decodes to its residue, an int
     for field in (F2T, F3T):
         rng = random.Random(f"decode/{field.p}")
         for _ in range(50):
             num = [rng.randrange(field.p) for _ in range(rng.randrange(5))]
             den = [1] + [0] * rng.randrange(3)
             got = field.decode({"num": num, "den": den})
-            assert got == field.canon((num, den)) == (poly_trim(num), (1,))
+            poly = poly_trim(num)
+            want = (poly[0] if poly else 0) if len(poly) < 2 else (poly, (1,))
+            assert got == field.canon((num, den)) == want
+            assert type(got) is type(want)
 
 
 def test_function_field_decodes_an_integer_below_p_as_a_constant():
@@ -213,7 +257,7 @@ def test_scalar_and_field_text_takes_ascii_digits_only():
         with pytest.raises(MalformedInput):
             parse_field(bad)
     # every ASCII form read before still reads
-    assert QQ.decode("7") == (7, 1) and QQ.decode("-6/4") == (-3, 2)
+    assert QQ.decode("7") == 7 and QQ.decode("-6/4") == (-3, 2)
     assert parse_scalar(GF3, "+5") == GF3(2)
     assert parse_field("GF2(t)") == F2T and parse_field("gf3") == GF3
 
@@ -268,20 +312,23 @@ def test_function_field_sum_and_product_match_schoolbook():
     # with a monic denominator
     p = F2T.p
     rng = random.Random("function field kernels")
-    values = [(_random_poly(p, rng), (1,)) for _ in range(10)] + [
+    values = [F2T.canon((_random_poly(p, rng), (1,))) for _ in range(10)] + [
         random_scalar(F2T, rng).value for _ in range(20)
     ]
     for a in values:
         for b in values:
-            (an, ad), (bn, bd) = a, b
+            (an, ad), (bn, bd) = _polys_of(a), _polys_of(b)
             den = _schoolbook_mul(p, ad, bd)
             num_sum = _schoolbook_add(
                 p, _schoolbook_mul(p, an, bd), _schoolbook_mul(p, bn, ad)
             )
-            for (gn, gd), num in (
+            for got, num in (
                 (F2T.raw_add(a, b), num_sum),
                 (F2T.raw_mul(a, b), _schoolbook_mul(p, an, bn)),
             ):
+                gn, gd = _polys_of(got)
+                # an int exactly when the value is a constant
+                assert isinstance(got, int) == (len(gd) == 1 and len(gn) < 2)
                 assert _schoolbook_mul(p, gn, den) == _schoolbook_mul(p, num, gd)
                 assert gd[-1] == 1 and poly_gcd(p, gn, gd) == (1,)
 
@@ -557,13 +604,22 @@ def _qq_values(rng, count):
 
 
 def _is_qq_raw(a):
+    """Whether a is a canonical raw QQ value: an int, or a reduced pair
+    with a denominator above 1."""
+    if type(a) is int:
+        return True
     num, den = a
     return (
         type(num) is int
         and type(den) is int
-        and den > 0
+        and den > 1
         and math.gcd(num, den) == 1
     )
+
+
+def _qq_raw_of(q):
+    """The canonical raw value of a Fraction."""
+    return q.numerator if q.denominator == 1 else (q.numerator, q.denominator)
 
 
 def test_qq_raw_kernels_match_fraction():
@@ -571,7 +627,7 @@ def test_qq_raw_kernels_match_fraction():
     values = _qq_values(rng, 60)
     raw = {q: QQ.canon(q) for q in values}
     for q, a in raw.items():
-        assert _is_qq_raw(a) and a == (q.numerator, q.denominator)
+        assert _is_qq_raw(a) and a == _qq_raw_of(q)
         assert QQ.raw_neg(a) == QQ.canon(-q)
         if q:
             assert QQ.raw_inv(a) == QQ.canon(1 / q)
@@ -617,7 +673,8 @@ def test_qq_text_round_trips():
     half = QQ.decode("2/4")
     assert half == (1, 2) and QQ.encode(half) == "1/2"
     assert parse_scalar(QQ, "-6/4").value == (-3, 2)
-    assert QQ.decode("-0/5") == QQ.raw_zero == (0, 1)
+    assert QQ.decode("-0/5") == QQ.raw_zero == 0 and QQ.decode("6/3") == 2
+    assert QQ.encode(0) == "0/1" and QQ.encode(-2) == "-2/1"
     # a raw pair is accepted and canonicalised, as for GF(p)(t)
     assert QQ((2, -4)).value == (-1, 2)
     with pytest.raises(DivisionByZero):
@@ -628,7 +685,7 @@ def test_qq_text_round_trips():
         with pytest.raises(MalformedInput):
             parse_scalar(QQ, bad)
     # a JSON integer reads as itself; a bool, a float or a list does not
-    assert QQ.decode(3) == (3, 1) and QQ.decode(-4) == (-4, 1)
+    assert QQ.decode(3) == 3 and QQ.decode(-4) == -4
     assert QQ.decode(0) == QQ.raw_zero
     for bad in (True, 1.5, None, [3]):
         with pytest.raises(MalformedInput):
@@ -643,10 +700,158 @@ def test_qq_scalars_compare_and_hash_with_ints():
         assert s == QQ(Fraction(q)) and hash(s) == hash(QQ(Fraction(q)))
         assert (s * 2 - s - s).is_zero()
     for n in range(-5, 6):
-        assert QQ(n) == n and QQ(Fraction(n)) == n and QQ(n).value == (n, 1)
+        assert QQ(n) == n and QQ(Fraction(n)) == n and QQ(n).value == n
+        assert type(QQ(Fraction(n)).value) is int and type(QQ((2 * n, 2)).value) is int
         assert hash(QQ(n)) == hash(QQ(Fraction(n, 1)))
         assert QQ(n) + 1 == n + 1 and 3 * QQ(n) == 3 * n
     assert QQ(Fraction(1, 2)) != 0 and len({QQ(2), QQ(Fraction(4, 2)), QQ((6, 3))}) == 1
+
+
+def _same(got, want):
+    """Equal raw values of the same form: an int, or a pair."""
+    return got == want and type(got) is type(want)
+
+
+def _qq_sqrt(q):
+    if q < 0 or math.isqrt(q.numerator) ** 2 != q.numerator:
+        return None
+    if math.isqrt(q.denominator) ** 2 != q.denominator:
+        return None
+    return Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+
+
+def test_qq_raw_values_are_ints_exactly_for_integers():
+    # every operation on a grid of integers and fractions gives the
+    # Fraction result, as an int exactly when it is an integer
+    texts = ("0", "1", "-1", "7", "1/2", "-3/4")
+    grid = [Fraction(t) for t in texts]
+    raw = [QQ.canon(q) for q in grid]
+    assert [type(a) for a in raw] == [int] * 4 + [tuple] * 2
+    for q, a in zip(grid, raw):
+        assert _is_qq_raw(a) and _same(a, _qq_raw_of(q))
+        assert _same(QQ.raw_neg(a), _qq_raw_of(-q))
+        if q:
+            assert _same(QQ.raw_inv(a), _qq_raw_of(1 / q))
+        for v in (q, q * q):
+            root = QQ.raw_sqrt(QQ.canon(v))
+            want = _qq_sqrt(v)
+            assert root is None if want is None else _same(root, _qq_raw_of(want))
+        # canon and decode of every form of the value
+        num, den = q.numerator, q.denominator
+        forms = [QQ.canon(q), QQ.canon((2 * num, 2 * den)), QQ.canon((-num, -den))]
+        forms += [QQ.decode(f"{num}/{den}"), QQ.decode(f"{3 * num}/{3 * den}")]
+        if den == 1:
+            forms += [QQ.canon(num), QQ.decode(num), QQ.decode(str(num))]
+        assert all(_same(f, a) for f in forms)
+        assert QQ.encode(a) == f"{num}/{den}"
+        for b, r in zip(raw, grid):
+            assert _same(QQ.raw_add(a, b), _qq_raw_of(q + r))
+            assert _same(QQ.raw_mul(a, b), _qq_raw_of(q * r))
+    for c, cq in zip(raw, grid):
+        for shift in range(len(grid)):
+            y = raw[shift:] + raw[:shift]
+            yq = grid[shift:] + grid[:shift]
+            got = QQ.raw_axpy(c, raw, y)
+            assert all(_same(g, _qq_raw_of(x + cq * w)) for g, x, w in zip(got, grid, yq))
+    # scalars from text, from canon, from decode and from arithmetic are one
+    for text, q in zip(texts, grid):
+        built = [
+            parse_scalar(QQ, text),
+            QQ(q),
+            QQ(QQ.decode(f"{2 * q.numerator}/{2 * q.denominator}")),
+            (QQ(q) + 1) - 1,
+            QQ(q) * QQ("3/5") / QQ("3/5"),
+        ]
+        assert len(set(built)) == 1 and len({hash(x) for x in built}) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_function_field_raw_values_are_ints_exactly_for_constants(p):
+    # every operation on a grid of constants and fractions gives the
+    # schoolbook result in lowest terms, as an int exactly when it is a
+    # constant
+    field = FunctionField(p)
+    grid = [
+        ("0", (), (1,)),
+        ("1", (1,), (1,)),
+        ("-1", (p - 1,), (1,)),
+        (str(p - 1), (p - 1,), (1,)),
+        ("7", (7 % p,), (1,)),
+        ("t", (0, 1), (1,)),
+        ("1/t", (1,), (0, 1)),
+        ("(t^2+1)/(t+1)", (1, 0, 1), (1, 1)),
+    ]
+    if p > 2:
+        grid.append(("1/2", (1,), (2,)))
+    texts = [text for text, _, _ in grid]
+    model = [(num, den) for _, num, den in grid]
+    raw = [field.canon(m) for m in model]
+    for (num, den), a in zip(model, raw):
+        assert _same(a, _canonical(field, num, den))
+    assert [type(a) for a in raw[:5]] == [int] * 5
+    assert all(type(a) is tuple for a in raw[5:8])
+
+    def school_add(x, y):
+        (xn, xd), (yn, yd) = x, y
+        num = _schoolbook_add(p, _schoolbook_mul(p, xn, yd), _schoolbook_mul(p, yn, xd))
+        return num, _schoolbook_mul(p, xd, yd)
+
+    def school_mul(x, y):
+        return _schoolbook_mul(p, x[0], y[0]), _schoolbook_mul(p, x[1], y[1])
+
+    squares = {x * x % p for x in range(p)}
+    for (num, den), a in zip(model, raw):
+        assert _same(field.raw_neg(a), _canonical(field, tuple(-c % p for c in num), den))
+        if num:
+            assert _same(field.raw_inv(a), _canonical(field, den, num))
+        # on this grid the squares are the constant squares
+        root = field.raw_sqrt(a)
+        if isinstance(a, int) and a in squares:
+            assert _same(field.raw_mul(root, root), a) and _same(root, field.canon(root))
+        else:
+            assert root is None
+        square = school_mul((num, den), (num, den))
+        root = field.raw_sqrt(field.canon(square))
+        assert _same(field.raw_mul(root, root), _canonical(field, *square))
+        if p == 2:
+            u, v = field.even_odd_parts(a)
+            assert _same(u, field.canon(u)) and _same(v, field.canon(v))
+            t_v2 = school_mul(((0, 1), (1,)), school_mul(_polys_of(v), _polys_of(v)))
+            parts = school_add(school_mul(_polys_of(u), _polys_of(u)), t_v2)
+            assert _same(_canonical(field, *parts), a)
+        # canon and decode of every form of the value
+        forms = [
+            field.canon((num, den)),
+            field.canon((list(num) + [0], den)),
+            field.canon(school_mul((num, den), ((0, 1), (0, 1)))),
+            field.decode({"num": list(num), "den": list(den)}),
+            field.decode(field.encode(a)),
+        ]
+        if isinstance(a, int):
+            forms += [field.canon(a + p), field.decode(a), field.canon([a])]
+            assert field.encode(a) == {"num": [a] if a else [], "den": [1]}
+        assert all(_same(f, a) for f in forms)
+        for (bn, bd), b in zip(model, raw):
+            assert _same(field.raw_add(a, b), _canonical(field, *school_add((num, den), (bn, bd))))
+            assert _same(field.raw_mul(a, b), _canonical(field, *school_mul((num, den), (bn, bd))))
+    for cm, c in zip(model, raw):
+        for shift in range(len(raw)):
+            y, ym = raw[shift:] + raw[:shift], model[shift:] + model[:shift]
+            got = field.raw_axpy(c, raw, y)
+            for g, x, w in zip(got, model, ym):
+                assert _same(g, _canonical(field, *school_add(x, school_mul(cm, w))))
+    # scalars from text, from canon, from decode and from arithmetic are one
+    t = field.t
+    for text, (num, den), a in zip(texts, model, raw):
+        built = [
+            parse_scalar(field, text),
+            field(a),
+            field((num, den)),
+            field(field.decode({"num": list(num), "den": list(den)})),
+            (field(a) + 1) - 1,
+            field(a) * t / t,
+        ]
+        assert len(set(built)) == 1 and len({hash(x) for x in built}) == 1
 
 
 def test_qq_canon_takes_other_values_through_fraction():
