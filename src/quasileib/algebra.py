@@ -567,7 +567,7 @@ def subalgebras(alg: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
 
     The list is computed once per algebra; every call still checks the
     budget against the number of subspaces and returns a fresh list."""
-    require_subspaces(alg.field, alg.dim, range(alg.dim + 1), budget)
+    require_subspaces(alg.field, alg.dim, budget)
     found = alg._cache.get("subalgebras")
     if found is None:
         found = alg._cache["subalgebras"] = [

@@ -1020,7 +1020,7 @@ def lemma_harness(corpus, budget: int = DEFAULT_BUDGET) -> HarnessReport:
     """
     for _, alg in corpus:
         require_enumerable(alg.field, alg.dim, budget, f"projective points of F^{alg.dim}")
-        require_subspaces(alg.field, alg.dim, range(alg.dim + 1), budget)
+        require_subspaces(alg.field, alg.dim, budget)
     report, decided = HarnessReport(), {}
     for label, alg in corpus:
         report.algebras += 1

@@ -222,13 +222,6 @@ def char2_nonperfect_minimal(field: Field, lam=None) -> LeibnizAlgebra:
     return char2_nonperfect(field, lambdas=lambdas)
 
 
-def two_dim_catalogue(field: Field):
-    """The two non-Lie algebras of dimension 2: [b,b]=a with [a,b]=0 (the
-    nilpotent one) and [b,b]=a with [a,b]=a (the solvable one); both cyclic.
-    """
-    return [two_dim_nilpotent_cyclic(field), two_dim_solvable_cyclic(field)]
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------

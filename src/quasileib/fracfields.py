@@ -27,7 +27,7 @@ from math import gcd, isqrt
 
 from .errors import DivisionByZero, MalformedInput, UnsupportedField, VerificationFailed
 from .fields import GF2, Field, Scalar, _digits, is_json_int, is_prime, sqrt_mod_prime
-from .linalg import DEFAULT_BUDGET, raw_rref, raw_solve_left
+from .linalg import DEFAULT_BUDGET, raw_rref, raw_solve
 
 # ---------------------------------------------------------------------------
 # dense polynomials over GF(p)
@@ -592,9 +592,12 @@ def artin_schreier_root(field: FunctionField, d):
         img = poly_add(2, poly_trim([0] * (2 * k) + [1]), poly_mul(2, tk, m))
         rows.append(pad(img))
         basis_polys.append(tk)
-    coeffs = raw_solve_left(GF2, rows, pad(num))
-    if coeffs is None:
+    # coefficients x with x @ rows = num: one equation per column
+    system = [col + (c,) for col, c in zip(zip(*rows), pad(num))]
+    solved = raw_solve(GF2, system, len(rows))
+    if solved is None:
         return None
+    coeffs = solved[0]
     n = ()
     for c, tk in zip(coeffs, basis_polys):
         if c:

@@ -137,17 +137,11 @@ class Subspace:
         return tuple(v)
 
     def raw_contains(self, v: tuple) -> bool:
-        """Whether the raw vector v lies in this subspace.  The rows are in
-        reduced echelon form, so that holds exactly when v is the
-        combination of the rows whose coefficients are v's own entries at
-        the pivots.  All of F^n holds every vector and every subspace holds
-        the zero vector, with no arithmetic."""
-        n = self.ambient_dim
-        if self.dim == n or v.count(self.field.raw_zero) == n:
-            return True
-        coeffs = [v[p] for p in self.pivots]
-        combo = raw_combination(self.field, coeffs, self.raw_rows, self.ambient_dim)
-        return combo == tuple(v)
+        """Whether the raw vector v lies in this subspace: exactly when it
+        reduces to the zero vector.  :meth:`raw_reduce` answers the zero
+        vector and all of F^n by their shape, so those cost no
+        arithmetic."""
+        return self.raw_reduce(v).count(self.field.raw_zero) == self.ambient_dim
 
     def reduce(self, v: tuple) -> tuple:
         """The canonical representative of v modulo this subspace."""
@@ -158,8 +152,6 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        if self.dim == self.ambient_dim:
-            return True
         contains = self.raw_contains
         for r in other.raw_rows:
             if not contains(r):
@@ -291,19 +283,6 @@ def raw_solve(field: Field, rows, unknowns: int):
     return tuple(particular), kernel
 
 
-def raw_solve_left(field: Field, rows, target: tuple):
-    """Some raw x with x @ rows = target, or None if the system is
-    inconsistent.
-
-    ``rows`` is a sequence of r equal-length raw vectors; x has length r.
-    """
-    columns = zip(*rows) if rows else [()] * len(target)
-    solved = raw_solve(
-        field, [col + (t,) for col, t in zip(columns, target)], len(rows)
-    )
-    return None if solved is None else solved[0]
-
-
 def raw_left_kernel(field: Field, rows) -> Subspace:
     """All v with v @ rows = 0 for a matrix of raw rows: one homogeneous
     equation per column."""
@@ -339,12 +318,11 @@ def gaussian_binomial(q: int, n: int, k: int) -> int:
     return num // den
 
 
-def require_subspaces(field: Field, n: int, dims, budget: int):
-    """Raise unless F is finite and F^n has at most ``budget`` subspaces of
-    the dimensions ``dims``."""
+def require_subspaces(field: Field, n: int, budget: int):
+    """Raise unless F is finite and F^n has at most ``budget`` subspaces."""
     if not field.is_finite:
         raise UnsupportedField(f"enumeration needs a finite field, got {field}")
-    count = sum(gaussian_binomial(field.order, n, k) for k in dims)
+    count = sum(gaussian_binomial(field.order, n, k) for k in range(n + 1))
     if count > budget:
         raise BudgetExceeded(f"subspaces of F^{n}: {count} exceeds budget {budget}")
 
@@ -361,12 +339,7 @@ def raw_projective_points(field: Field, n: int, budget: int = DEFAULT_BUDGET):
             yield (z,) * lead + (o,) + tail
 
 
-def enumerate_subspaces(
-    field: Field,
-    n: int,
-    dims=None,
-    budget: int = DEFAULT_BUDGET,
-):
+def enumerate_subspaces(field: Field, n: int, budget: int = DEFAULT_BUDGET):
     """Every subspace of F^n exactly once, by direct construction of reduced
     row-echelon bases: choose pivot columns, then fill the free entries.
 
@@ -374,22 +347,12 @@ def enumerate_subspaces(
     stream can be partitioned and restarted.  The budget bounds the number
     of subspaces yielded, counted before the first one.
     """
-    if dims is None:
-        dims = range(n + 1)
-    elif isinstance(dims, int):
-        dims = (dims,)
-    else:
-        dims = tuple(dims)
-    require_subspaces(field, n, dims, budget)
+    require_subspaces(field, n, budget)
     # only n > 1 has free entries
     elems = [s.value for s in field.elements()] if n > 1 else ()
     z, o = field.raw_zero, field.raw_one
-    for k in dims:
-        if k == 0:
-            yield zero_subspace(field, n)
-            continue
-        if k > n:
-            continue
+    yield zero_subspace(field, n)
+    for k in range(1, n + 1):
         for pivots in itertools.combinations(range(n), k):
             pivset = set(pivots)
             free_slots = [

@@ -291,19 +291,9 @@ def core(alg: LeibnizAlgebra, h: Subspace) -> Subspace:
     first N_k that :func:`is_ideal` accepts instead of computing one more
     kernel to confirm it.  The kernel's row for a basis row b of N_k is
     [b, e_j] mod N_k, [e_j, b] mod N_k for j = 1..n, read from
-    :func:`action`.  Computed once per subspace of the algebra.
+    :func:`action`.  The core keeps no table: each call recomputes it.
     """
     alg.check_subspace(h)
-    cache = alg._cache.get("core")
-    if cache is None:
-        cache = alg._cache["core"] = {}
-    found = cache.get(h.raw_rows)
-    if found is None:
-        found = cache[h.raw_rows] = _core(alg, h)
-    return found
-
-
-def _core(alg, h):
     field, n = alg.field, alg.dim
     cur = h
     while not is_ideal(alg, cur):

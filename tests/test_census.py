@@ -74,7 +74,6 @@ from quasileib.families import (
     extraspecial_sum,
     k2,
     non_lie_almost_abelian,
-    two_dim_catalogue,
     two_dim_nilpotent_cyclic,
     two_dim_solvable_cyclic,
 )
@@ -691,7 +690,7 @@ def test_verdicts_replay_on_reconstruction():
 
 
 def test_are_isomorphic_fixtures():
-    first, second = two_dim_catalogue(GF2)
+    first, second = two_dim_nilpotent_cyclic(GF2), two_dim_solvable_cyclic(GF2)
     assert are_isomorphic(first, first)
     assert not are_isomorphic(first, second)
     solv = two_dim_solvable_cyclic(GF3)
@@ -832,7 +831,7 @@ def test_sweep_gf2_dim2_two_non_lie_classes():
     assert verdicts == [EXTRASPECIAL_SUM, TWO_DIM_SOLVABLE]
     assert all(c.oracle_mismatches == 0 for c in report.classes)
     # the two non-Lie classes are exactly the two catalogue algebras
-    for cat in two_dim_catalogue(GF2):
+    for cat in (two_dim_nilpotent_cyclic(GF2), two_dim_solvable_cyclic(GF2)):
         assert sum(1 for c in non_lie if are_isomorphic(c.algebra, cat)) == 1
 
 

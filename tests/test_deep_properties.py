@@ -21,7 +21,7 @@ from quasileib.families import (
     two_dim_solvable_cyclic,
 )
 from quasileib.fields import GF2, GF3, QQ, FunctionField
-from quasileib.linalg import echelonize, enumerate_subspaces, vec
+from quasileib.linalg import echelonize, enumerate_subspaces, raw_projective_points, vec
 from quasileib.quasi import core, is_quasi_ideal, is_quasi_ideal_oracle
 from tests.conftest import check_schema, transport
 
@@ -118,8 +118,8 @@ def test_quotient_projection_kernel_is_modulus():
     q = quotient(alg, ideal)
     zero = tuple(q.field.zero for _ in range(q.dim))
     comp = ideal.non_pivots()
-    for x in enumerate_subspaces(GF3, alg.dim, dims=1):
-        rep = x.rows[0]
+    for point in raw_projective_points(GF3, alg.dim):
+        rep = GF3.wrap(point)
         projected = tuple(ideal.reduce(rep)[c] for c in comp)
         assert (projected == zero) == ideal.contains_vector(rep)
 

@@ -9,7 +9,7 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted(
     path
-    for folder in ("src/quasileib", "tests", "perfbench")
+    for folder in ("src/quasileib", "tests", "perfbench", "tools")
     for path in (ROOT / folder).glob("*.py")
 )
 
@@ -18,8 +18,8 @@ SOURCES = sorted(
 # rebuild, to pay for its entries
 MEMO_TABLES = {
     "full", "squares_ideal", "center", "subalgebras", "bracket_subspaces",
-    "is_subalgebra", "action", "quasi_in", "oracle_lines", "core",
-    "subquasi_bfs", "wrap",
+    "is_subalgebra", "action", "quasi_in", "oracle_lines", "subquasi_bfs",
+    "wrap",
 }
 
 
@@ -66,7 +66,7 @@ def _defined(tree):
 
 def test_sources_are_found():
     folders = {path.parent.name for path in SOURCES}
-    assert folders == {"quasileib", "tests", "perfbench"}
+    assert folders == {"quasileib", "tests", "perfbench", "tools"}
     assert ROOT / "tests" / "test_hygiene.py" in SOURCES
 
 

@@ -20,7 +20,6 @@ from quasileib.linalg import (
     raw_projective_points,
     raw_rref,
     raw_solve,
-    raw_solve_left,
     unit_vec,
     vec,
     zero_subspace,
@@ -97,7 +96,7 @@ def test_enumerate_counts_match_gaussian_binomials():
             total = sum(gaussian_binomial(q, n, k) for k in range(n + 1))
             assert sum(1 for _ in enumerate_subspaces(field, n)) == total
             for k in range(n + 1):
-                count = sum(1 for _ in enumerate_subspaces(field, n, dims=k))
+                count = sum(1 for s in enumerate_subspaces(field, n) if s.dim == k)
                 assert count == gaussian_binomial(q, n, k)
 
 
@@ -119,14 +118,11 @@ def test_enumeration_budget_counts_subspaces():
     with pytest.raises(BudgetExceeded, match="29212"):
         next(stream)
     assert sum(1 for _ in enumerate_subspaces(GF2, 7, budget=total)) == total
-    lines = gaussian_binomial(2, 7, 1)
-    assert sum(1 for _ in enumerate_subspaces(GF2, 7, dims=1, budget=lines)) == lines
-    with pytest.raises(BudgetExceeded):
-        next(enumerate_subspaces(GF2, 7, dims=(1, 2), budget=lines))
 
 
 def test_dim_filter_zero():
-    assert list(enumerate_subspaces(GF3, 3, dims=0)) == [zero_subspace(GF3, 3)]
+    zeros = [s for s in enumerate_subspaces(GF3, 3) if s.dim == 0]
+    assert zeros == [zero_subspace(GF3, 3)]
 
 
 def test_projective_point_counts():
@@ -162,10 +158,11 @@ def test_reduce_and_membership():
 @pytest.mark.parametrize(
     "field", [GF2, GF3, QQ, F2T], ids=["GF2", "GF3", "QQ", "GF2t"]
 )
-def test_raw_contains_matches_reduction(field):
+def test_raw_contains_matches_rank(field):
+    # v lies in S exactly when adding it to S's rows leaves the rank at
+    # dim S; the reference row-reduces that stack and never reduces v
     rng = random.Random(5)
     n = 4
-    zero = field.raw_zero
 
     def random_vec():
         return tuple(random_scalar(field, rng) for _ in range(n))
@@ -184,7 +181,7 @@ def test_raw_contains_matches_reduction(field):
             members.append(tuple(combo))
         for v in members + [random_vec() for _ in range(8)]:
             raw = field.unwrap(v)
-            expected = all(x == zero for x in s.raw_reduce(raw))
+            expected = raw_echelonize(field, n, s.raw_rows + (raw,)).dim == s.dim
             assert s.raw_contains(raw) == expected, (s, v)
             seen[expected] += 1
     assert seen[True] and seen[False]
@@ -231,18 +228,6 @@ def test_left_kernel():
     k = raw_left_kernel(GF2, rows)
     assert k.dim == 1
     assert k.raw_rows == ((1, 1, 0),)
-
-
-def test_solve_left():
-    rows = [(1, 2, 0), (0, 1, 1)]
-    target = (1, 0, 1)
-    x = raw_solve_left(GF3, rows, target)
-    assert x is not None
-    combo = tuple((x[0] * rows[0][j] + x[1] * rows[1][j]) % 3 for j in range(3))
-    assert combo == target
-    # the span is {(a, 2a + b, b)}, which holds neither of these
-    assert raw_solve_left(GF3, rows, (0, 0, 1)) is None
-    assert raw_solve_left(GF3, rows, (1, 0, 0)) is None
 
 
 def _residual(field, row, x):

@@ -658,7 +658,7 @@ def test_fact_memos_still_check_their_inputs():
     assert series(alg, zero) == [zero]
     assert quotient(alg, zero).dim == 2
     assert () in alg._cache["action"]
-    assert () in alg._cache["is_subalgebra"] and () in alg._cache["core"]
+    assert () in alg._cache["is_subalgebra"]
     for fact in (is_ideal, is_subalgebra, core, action, series, quotient):
         with pytest.raises(DimensionMismatch):
             fact(alg, zero_subspace(GF2, 3))
